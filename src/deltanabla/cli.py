@@ -18,15 +18,15 @@ import sys
 import numpy as np
 
 from .expressions import EvaluationError, ParseError, evaluate, make_lagrangian, to_str
-from .functional import (
-    EL1,
-    EL2,
-    eval_functional,
-    el_residual,
-    iso_residual,
-)
+from .functional import bracket_values, eval_functional, iso_bracket, residual_pair
 from .oracle import identity_fuzz, verify_example
-from .problemfile import LoadedProblem, ProblemFileError, emit_problem, load_problem
+from .problemfile import (
+    LoadedProblem,
+    ProblemFileError,
+    emit_problem,
+    load_problem,
+    options_document,
+)
 from .solver import SolveResult, find_abnormal, solve_normal
 from .timescale import GridFunction, delta_derivative, nabla_derivative
 
@@ -43,9 +43,10 @@ def _structured(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _point_rows(y: GridFunction, r1: np.ndarray, r2: np.ndarray) -> list[dict]:
+def _point_rows(y: GridFunction, bracket: np.ndarray) -> list[dict]:
     """Per-point table: t, y, both difference quotients on their genuine
-    windows, and the residuals on theirs; None marks undefined cells."""
+    windows, and the bracket read as each residual form on its window;
+    None marks undefined cells."""
     t = y.scale.points
     n = len(t)
     yd = delta_derivative(y).values
@@ -58,8 +59,8 @@ def _point_rows(y: GridFunction, r1: np.ndarray, r2: np.ndarray) -> list[dict]:
                 "y": float(y.values[i]),
                 "y_delta": float(yd[i]) if i < n - 1 else None,
                 "y_nabla": float(yn[i]) if i > 0 else None,
-                "residual_EL1": float(r1[i - 1]) if i > 0 else None,
-                "residual_EL2": float(r2[i]) if i < n - 1 else None,
+                "residual_EL1": float(bracket[i - 1]) if i > 0 else None,
+                "residual_EL2": float(bracket[i]) if i < n - 1 else None,
             }
         )
     return rows
@@ -121,16 +122,12 @@ def _result_payload(result: SolveResult, k: float) -> dict:
 def _solve_row_data(loaded: LoadedProblem, result: SolveResult):
     p = loaded.problem
     if result.converged:
-        r1 = iso_residual(
-            p.objective, p.constraint, result.y, result.lam0, result.lam, EL1
-        ).residual.values
-        r2 = iso_residual(
-            p.objective, p.constraint, result.y, result.lam0, result.lam, EL2
-        ).residual.values
+        bracket = iso_bracket(
+            p.objective, p.constraint, result.y, result.lam0, result.lam
+        )
     else:
-        r1 = el_residual(p.objective, result.y, EL1).residual.values
-        r2 = el_residual(p.objective, result.y, EL2).residual.values
-    return _point_rows(result.y, r1, r2)
+        bracket = bracket_values(p.objective, result.y)
+    return _point_rows(result.y, bracket)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -213,18 +210,17 @@ def cmd_residual(args: argparse.Namespace) -> int:
 
     with_multiplier = args.lam is not None
     if with_multiplier:
-        r1 = iso_residual(p.objective, p.constraint, y, args.lam0, args.lam, EL1)
-        r2 = iso_residual(p.objective, p.constraint, y, args.lam0, args.lam, EL2)
+        bracket = iso_bracket(p.objective, p.constraint, y, args.lam0, args.lam)
     else:
-        r1 = el_residual(p.objective, y, EL1)
-        r2 = el_residual(p.objective, y, EL2)
+        bracket = bracket_values(p.objective, y)
+    r1, r2 = residual_pair(bracket, p.scale)
     con = eval_functional(p.constraint, y)
     gap = abs(con.product - p.k)
     feasible = gap <= loaded.options.feas_tol
     stationary = (
         with_multiplier and r1.defect <= tol and r2.defect <= tol
     )
-    rows = _point_rows(y, r1.residual.values, r2.residual.values)
+    rows = _point_rows(y, bracket)
 
     if args.output == "structured":
         payload = {
@@ -374,14 +370,7 @@ def _load(args: argparse.Namespace) -> LoadedProblem:
         overrides["spread"] = args.spread
     if overrides:
         options = dataclasses.replace(options, **overrides)
-        document = dict(loaded.document)
-        document["options"] = {
-            "tol": options.stat_tol,
-            "max_iter": options.max_iter,
-            "multistart": options.multistart,
-            "seed": options.seed,
-            "spread": options.spread,
-        }
+        document = {**loaded.document, "options": options_document(options)}
         loaded = LoadedProblem(
             problem=loaded.problem, options=options, document=document
         )

@@ -18,9 +18,11 @@ minus: ``-v^2`` parses as ``-(v^2)``.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 
 class ParseError(ValueError):
@@ -444,6 +446,110 @@ def differentiate(e: Expr, var: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Compiled kernels
+#
+# evaluate() walks a tree once per point, and the solver evaluates the same
+# three trees of a Lagrangian at every slot of every iterate.  So each
+# Lagrangian is also compiled, on first use, into straight-line Python: one
+# assignment per distinct node of its three trees, inside one loop over the
+# slot sequences.  Python-float + - * / are the IEEE operations the walk
+# performs on numpy scalars, and ** and the math functions call the same
+# libm, so a kernel returns evaluate()'s numbers bit for bit.  The two part
+# only where arithmetic fails: the kernel raises ZeroDivisionError,
+# OverflowError or ValueError where evaluate raises EvaluationError or
+# numpy returns inf with a warning, and callers then rerun evaluate().
+# Trees outside what the parser and differentiate build (constants that
+# are not floats, exponents that are not ints, unknown nodes) raise
+# ValueError when compiled; the Lagrangian remembers the failure and sends
+# callers to evaluate() as well, without compiling again.
+
+_Kernels = tuple[Callable, Callable]
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+class _KernelSource:
+    """Straight-line source for a set of trees.  Equal subtrees share one
+    name; constants are keyed by their bits, so Const(0.0) and
+    Const(-0.0), equal as dataclasses, stay apart."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.names: dict[tuple, str] = {}
+        self.consts: list[float] = []
+
+    def name(self, e: Expr) -> str:
+        if isinstance(e, Var) and e.name in VARIABLES:
+            return e.name
+        if isinstance(e, Const) and type(e.value) is float:
+            key: tuple = ("c", struct.pack("<d", e.value))
+            if key not in self.names:
+                self.names[key] = f"c{len(self.consts)}"
+                self.consts.append(e.value)
+            return self.names[key]
+        if isinstance(e, (Add, Sub, Mul, Div)):
+            a, b = self.name(e.left), self.name(e.right)
+            key, code = (_BINARY[type(e)], a, b), f"{a} {_BINARY[type(e)]} {b}"
+        elif isinstance(e, Neg):
+            a = self.name(e.arg)
+            key, code = ("neg", a), f"-{a}"
+        elif isinstance(e, Pow) and type(e.exponent) is int:
+            a = self.name(e.base)
+            key, code = ("^", a, e.exponent), f"{a} ** {e.exponent}"
+        elif isinstance(e, Call) and e.func in _UNARY:
+            a = self.name(e.arg)
+            key, code = ("call", e.func, a), f"{e.func}({a})"
+        else:
+            raise ValueError(f"no kernel for {e!r}; evaluate() handles it")
+        if key not in self.names:
+            name = self.names[key] = f"x{len(self.names)}"
+            self.lines.append(f"{name} = {code}")
+        return self.names[key]
+
+
+def _kernel_text(src: _KernelSource, roots: list[str], value_lines: list[str]) -> str:
+    """Module text of a factory that binds the constants and returns the
+    two kernels: ``full`` collects value, d_u and d_v lists, ``total``
+    sums value * weight left to right from 0.0 over the value's lines."""
+    return "\n".join([
+        f"def factory({', '.join(f'c{i}' for i in range(len(src.consts)))}):",
+        "    def full(ts, us, vs):",
+        "        r0 = []; r1 = []; r2 = []",
+        "        a0 = r0.append; a1 = r1.append; a2 = r2.append",
+        "        for t, u, v in zip(ts, us, vs):",
+        *(f"            {line}" for line in src.lines),
+        *(f"            a{i}({root})" for i, root in enumerate(roots)),
+        "        return r0, r1, r2",
+        "    def total(ts, us, vs, ws):",
+        "        acc = 0.0",
+        "        for t, u, v, w in zip(ts, us, vs, ws):",
+        *(f"            {line}" for line in value_lines),
+        f"            acc += {roots[0]} * w",
+        "        return acc",
+        "    return full, total",
+    ])
+
+
+@functools.lru_cache(maxsize=256)
+def _factory(source: str) -> Callable:
+    """Compile once per shape: Lagrangians whose trees differ only in
+    their constants share the code objects."""
+    namespace: dict = dict(_UNARY)
+    exec(compile(source, "<deltanabla kernel>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _compile_kernels(value: Expr, d_u: Expr, d_v: Expr) -> _Kernels:
+    """Kernels over slot sequences of Python floats: ``full(ts, us, vs)``
+    returns the lists (value, d_u, d_v) at every slot, ``total(ts, us,
+    vs, ws)`` the sum of value * weight over the slots."""
+    src = _KernelSource()
+    value_root = src.name(value)
+    value_lines = list(src.lines)
+    roots = [value_root, src.name(d_u), src.name(d_v)]
+    return _factory(_kernel_text(src, roots, value_lines))(*src.consts)
+
+
+# ---------------------------------------------------------------------------
 # Integrand bundles
 
 
@@ -452,7 +558,9 @@ class Lagrangian:
     """Integrand together with its two symbolic partials.
 
     ``value`` maps (t, u, v) to the integrand value, ``d_u`` and ``d_v``
-    are its partial derivatives in the second and third slot.
+    are its partial derivatives in the second and third slot.  The
+    call methods walk the trees (the reference); ``tables`` and
+    ``total`` run the compiled kernels over whole slot sequences.
     """
 
     value: Expr
@@ -467,6 +575,39 @@ class Lagrangian:
 
     def dv(self, t: float, u: float, v: float) -> float:
         return evaluate(self.d_v, t, u, v)
+
+    @functools.cached_property
+    def _kernels(self) -> _Kernels | None:
+        # None marks trees the compiler does not cover, so they are
+        # rejected once rather than on every call.
+        try:
+            return _compile_kernels(self.value, self.d_u, self.d_v)
+        except ValueError:
+            return None
+
+    def _kernel(self, i: int) -> Callable:
+        kernels = self._kernels
+        if kernels is None:
+            raise ValueError("no kernel for these trees; evaluate() handles them")
+        return kernels[i]
+
+    def tables(self, ts: list, us: list, vs: list) -> tuple[list, list, list]:
+        """Value, d_u and d_v lists over the slot sequences.  Raises
+        ArithmeticError or ValueError where float arithmetic fails or
+        the trees have no kernel; evaluate() then decides what the
+        point means."""
+        return self._kernel(0)(ts, us, vs)
+
+    def total(self, ts: list, us: list, vs: list, ws: list) -> float:
+        """Sum of value * weight over the slot sequences, left to right
+        from 0.0; raises as ``tables``."""
+        return self._kernel(1)(ts, us, vs, ws)
+
+    def __getstate__(self) -> dict:
+        # Compiled kernels do not pickle; they are rebuilt on first use.
+        state = dict(self.__dict__)
+        state.pop("_kernels", None)
+        return state
 
 
 def make_lagrangian(source: str | Expr) -> Lagrangian:

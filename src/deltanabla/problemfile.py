@@ -214,15 +214,20 @@ def load_problem(source) -> LoadedProblem:
         "objective": norm_objective,
         "constraint": norm_constraint,
         "k": k,
-        "options": {
-            "tol": options.stat_tol,
-            "max_iter": options.max_iter,
-            "multistart": options.multistart,
-            "seed": options.seed,
-            "spread": options.spread,
-        },
+        "options": options_document(options),
     }
     return LoadedProblem(problem=problem, options=options, document=document)
+
+
+def options_document(options: SolverOptions) -> dict:
+    """The normalized "options" block of a document for these options."""
+    return {
+        "tol": options.stat_tol,
+        "max_iter": options.max_iter,
+        "multistart": options.multistart,
+        "seed": options.seed,
+        "spread": options.spread,
+    }
 
 
 def _looks_like_json(source) -> bool:

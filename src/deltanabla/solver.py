@@ -20,12 +20,11 @@ import numpy as np
 from .expressions import EvaluationError, constant_lagrangian, make_lagrangian
 from .functional import (
     DeltaNablaFunctional,
-    EL1,
-    EL2,
     EvaluationBreakdown,
+    bracket_defect,
+    bracket_values,
     eval_functional,
     is_extremal_for_K,
-    iso_residual,
     slot_tables,
 )
 from .timescale import GridFunction, TimeScale
@@ -149,6 +148,21 @@ class _NewtonRun:
     status: str  # "ok", "stalled", "singular", "maxiter", "error"
 
 
+def _finite(fun: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """fun, with a non-finite iterate or residual raised as an
+    EvaluationError like any other failed evaluation."""
+
+    def checked(z: np.ndarray) -> np.ndarray:
+        if not np.isfinite(z).all():
+            raise EvaluationError("non-finite iterate")
+        f = fun(z)
+        if not np.isfinite(f).all():
+            raise EvaluationError("non-finite residual")
+        return f
+
+    return checked
+
+
 def _newton(
     fun: Callable[[np.ndarray], np.ndarray],
     z0: np.ndarray,
@@ -157,7 +171,11 @@ def _newton(
 ) -> _NewtonRun:
     """Damped Newton (or Gauss-Newton via least squares when the system
     is rectangular).  Iterates until the step search can no longer
-    reduce ||f||, which polishes converged roots to rounding level."""
+    reduce ||f||, which polishes converged roots to rounding level.
+    A failed evaluation, or a non-finite iterate or residual, ends the
+    run with an "error" status; the step search skips such trial points.
+    """
+    fun = _finite(fun)
     try:
         z = np.asarray(z0, dtype=float)
         f = fun(z)
@@ -223,17 +241,18 @@ def _certify(
     lam: float,
     opts: SolverOptions,
 ) -> tuple[float, float, Classification]:
-    """Defect of the combined bracket in both forms, the exact KKT
-    residual norm, and the normal/abnormal classification."""
-    r1 = iso_residual(p.objective, p.constraint, y, lam0, lam, EL1)
-    r2 = iso_residual(p.objective, p.constraint, y, lam0, lam, EL2)
-    defect = max(r1.defect, r2.defect)
+    """Defect of the combined bracket (the same in both forms, which
+    read one array), the exact KKT residual norm, and the
+    normal/abnormal classification from the constraint's own bracket."""
+    bo = bracket_values(p.objective, y)
+    bk = bracket_values(p.constraint, y)
+    combined = lam0 * bo - lam * bk
     gl = discrete_gradient(p.objective, y)
     gk = discrete_gradient(p.constraint, y)
     kkt = float(np.max(np.abs(lam0 * gl - lam * gk)))
-    check = is_extremal_for_K(p.constraint, y, opts.stat_tol)
-    cls: Classification = "abnormal" if check.is_extremal else "normal"
-    return defect, kkt, cls
+    abnormal = bracket_defect(bk) <= opts.stat_tol
+    cls: Classification = "abnormal" if abnormal else "normal"
+    return bracket_defect(combined), kkt, cls
 
 
 def solve_normal(
@@ -266,7 +285,7 @@ def solve_normal(
 
     converged_runs = []
     for run in runs:
-        if run.f.size != n + 1 or not np.all(np.isfinite(run.f)):
+        if run.f.size != n + 1:
             continue
         stat_ok = float(np.max(np.abs(run.f[:n]))) <= opts.stat_tol if n else True
         feas_ok = abs(float(run.f[n])) <= opts.feas_tol
@@ -376,7 +395,7 @@ def find_abnormal(
     kept_values: list[np.ndarray] = []
     for start in _starts(p, opts):
         run = _newton(residual, start, opts, square=False)
-        if run.f.size != n + 1 or not np.all(np.isfinite(run.f)):
+        if run.f.size != n + 1:
             continue
         if float(np.max(np.abs(run.f[:n]))) > opts.stat_tol:
             continue

@@ -297,3 +297,27 @@ def test_module_entry_point(example_file):
     )
     assert proc.returncode == 0
     assert "converged: yes" in proc.stdout
+
+
+def test_non_finite_newton_iterate_is_a_numerical_failure(tmp_path, capsys):
+    # v^30 * v^30 overflows to inf at the spread-1e6 starts.  Each such
+    # start ends with its own error status, the others still run, and
+    # the exit code is the numerical one, not the input-error one.
+    doc = {
+        "timescale": {"uniform": {"a": 0, "b": 5, "n": 6}},
+        "boundary": {"alpha": 0, "beta": 0},
+        "objective": {"delta": "v^30*v^30", "nabla": "v^2"},
+        "constraint": {"delta": "u", "nabla": {"constant_over_measure": True}},
+        "k": 1,
+        "options": {"spread": 1e6},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["solve", str(path), "--output", "structured"])
+    captured = capsys.readouterr()
+    assert rc == 2, captured.err
+    result = json.loads(captured.out)["result"]
+    assert result["converged"] is False
+    statuses = result["message"].split("; ")
+    assert len(statuses) == 9
+    assert statuses[1] == "start 1: error: non-finite residual"

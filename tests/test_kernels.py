@@ -1,0 +1,268 @@
+"""Tests for the compiled integrand kernels: bit-for-bit agreement with the
+reference tree walk (expressions.evaluate) on random trees and points,
+the walk as fallback wherever kernel arithmetic fails, shared subtrees
+and code objects, and pickling of problems whose kernels were built."""
+
+import copy
+import math
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from deltanabla import (
+    DeltaNablaFunctional,
+    EvaluationError,
+    GridFunction,
+    Lagrangian,
+    SolverOptions,
+    TimeScale,
+    eval_functional,
+    evaluate,
+    make_lagrangian,
+    solve_normal,
+)
+from deltanabla import expressions
+from deltanabla.expressions import (
+    FUNCTIONS,
+    Add,
+    Call,
+    Const,
+    Div,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+)
+from deltanabla.functional import slot_tables
+from deltanabla.solver import example_problem
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1e-300, 1e300, -1e300, 1e308,
+           math.inf, -math.inf]
+
+constants = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, width=64))
+leaves = st.one_of(
+    st.builds(Const, constants),
+    st.sampled_from([Var("t"), Var("u"), Var("v")]),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(Pow, children, st.integers(-4, 5)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+    )
+
+
+trees = st.recursive(leaves, _extend, max_leaves=12)
+points = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5, 0.5, 3.0, 1e-200, 1e200, -1e200]),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+)
+
+
+def _bits(x) -> bytes:
+    x = float(x)
+    return b"nan" if math.isnan(x) else np.float64(x).tobytes()
+
+
+def _same(a, b) -> bool:
+    return len(a) == len(b) and all(_bits(x) == _bits(y) for x, y in zip(a, b))
+
+
+def _reference(e, ts, us, vs):
+    """evaluate() at every point on numpy scalars, as the solver's walk
+    calls it; None where it raises."""
+    out = []
+    with np.errstate(all="ignore"):
+        for t, u, v in zip(ts, us, vs):
+            try:
+                out.append(evaluate(e, np.float64(t), np.float64(u), np.float64(v)))
+            except EvaluationError:
+                out.append(None)
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(trees, st.lists(st.tuples(points, points, points), min_size=1, max_size=4))
+def test_kernel_matches_evaluate_bitwise(tree, slots):
+    lag = make_lagrangian(tree)
+    ts, us, vs = (list(c) for c in zip(*slots))
+    refs = [_reference(e, ts, us, vs) for e in (lag.value, lag.d_u, lag.d_v)]
+    try:
+        got = lag.tables(ts, us, vs)
+    except (ArithmeticError, ValueError):
+        event("kernel raised")
+        return  # the callers fall back to the walk; checked below
+    assert all(r is not None for ref in refs for r in ref)
+    for ref, col in zip(refs, got):
+        assert _same(ref, col)
+    weights = [0.5, 1.0, 0.25, 2.0][: len(ts)]
+    want = 0.0
+    for value, w in zip(refs[0], weights):
+        want += float(value) * w
+    assert _same([want], [lag.total(ts, us, vs, weights)])
+
+
+def _walk_tables(functional, y):
+    """The per-point loop of slot_tables, kept here as the reference."""
+    t, v = y.scale.points, y.values
+    dt = np.diff(t)
+    quot = np.diff(v) / dt
+    ld, ln = functional.l_delta, functional.l_nabla
+    cols = [np.empty(dt.size) for _ in range(6)]
+    for i in range(dt.size):
+        args_d = (t[i], v[i + 1], quot[i])
+        args_n = (t[i + 1], v[i], quot[i])
+        for col, fn, args in zip(
+            cols, (ld, ld.du, ld.dv, ln, ln.du, ln.dv), (args_d,) * 3 + (args_n,) * 3
+        ):
+            col[i] = fn(*args)
+    return cols, float(cols[0] @ dt), float(cols[3] @ dt)
+
+
+def _walk_breakdown(functional, y):
+    t, v = y.scale.points, y.values
+    dt = np.diff(t)
+    quot = np.diff(v) / dt
+    j_delta = j_nabla = 0.0
+    for i in range(dt.size):
+        j_delta += functional.l_delta(t[i], v[i + 1], quot[i]) * dt[i]
+        j_nabla += functional.l_nabla(t[i + 1], v[i], quot[i]) * dt[i]
+    return float(j_delta), float(j_nabla), float(j_delta * j_nabla)
+
+
+def _outcome(fn):
+    with np.errstate(all="ignore"):
+        try:
+            return "ok", fn()
+        except EvaluationError as exc:
+            return "raised", str(exc)
+
+
+def _check_against_walk(functional, y):
+    ref = _outcome(lambda: _walk_tables(functional, y))
+    got = _outcome(lambda: slot_tables(functional, y))
+    assert got[0] == ref[0]
+    if ref[0] == "raised":
+        assert got[1] == ref[1]
+    else:
+        tab = got[1]
+        cols = (tab.delta_value, tab.delta_du, tab.delta_dv,
+                tab.nabla_value, tab.nabla_du, tab.nabla_dv)
+        for want, have in zip(ref[1][0], cols):
+            assert have.dtype == np.float64 and have.flags.c_contiguous
+            assert _same(want, have)
+        assert _same(ref[1][1:], (tab.j_delta, tab.j_nabla))
+    ref = _outcome(lambda: _walk_breakdown(functional, y))
+    got = _outcome(lambda: eval_functional(functional, y))
+    assert got[0] == ref[0]
+    if ref[0] == "raised":
+        assert got[1] == ref[1]
+    else:
+        b = got[1]
+        assert _same(ref[1], (b.delta_factor, b.nabla_factor, b.product))
+    return ref[0]
+
+
+grids = st.lists(
+    st.tuples(st.floats(0.01, 2.0), st.floats(-1e3, 1e3)), min_size=2, max_size=6
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, trees, grids)
+def test_slot_tables_and_eval_functional_match_the_walk(delta, nabla, grid):
+    t = np.cumsum([g for g, _ in grid]) - grid[0][0]
+    y = GridFunction(TimeScale(t), np.array([v for _, v in grid]))
+    outcome = _check_against_walk(
+        DeltaNablaFunctional(make_lagrangian(delta), make_lagrangian(nabla)), y
+    )
+    event(f"walk {outcome}")
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        ("1/(v - 1)", [0.0, 1.0, 2.0]),  # zero divisor
+        ("log(u)", [1.0, 0.0, 2.0]),  # log of zero
+        ("sqrt(u - 1)", [0.0, 3.0, 2.0]),  # sqrt of a negative
+        ("v^400", [0.0, 10.0, 30.0]),  # numpy overflows to inf, Python raises
+        ("u^-3 + v^-1", [-2.0, -1.0, -4.0]),  # negative bases, negative exponents
+        ("v^-2", [1.0, 1.0, 2.0]),  # 0 to a negative power: numpy inf
+        ("exp(v)", [0.0, 800.0, 0.0]),  # math.exp overflows
+        ("1e308*v*10", [0.0, 1.0, 2.0]),  # overflow to inf without an exception
+        ("(0 - 1)^3/(v - v + 1e-320)", [0.0, 1.0, 2.0]),
+    ],
+)
+def test_failing_arithmetic_falls_back_to_the_walk(text, values):
+    y = GridFunction(TimeScale(np.arange(3.0)), np.array(values))
+    _check_against_walk(
+        DeltaNablaFunctional(make_lagrangian(text), make_lagrangian("v^2 + u")), y
+    )
+
+
+def test_signed_zero_constants_stay_apart():
+    u = Var("u")
+    lag = Lagrangian(Mul(Const(-0.0), u), Mul(Const(0.0), u), Const(-0.0))
+    assert Const(0.0) == Const(-0.0)  # why sharing cannot key on equality
+    value, du, dv = lag.tables([0.0], [1.0], [1.0])
+    assert [math.copysign(1.0, x[0]) for x in (value, du, dv)] == [-1.0, 1.0, -1.0]
+
+
+def test_long_sum_compiles_without_nesting():
+    text = " + ".join(["v"] * 300)
+    lag = make_lagrangian(text)
+    y = GridFunction(TimeScale(np.arange(4.0)), np.array([0.0, 1.0, 3.0, 2.0]))
+    _check_against_walk(DeltaNablaFunctional(lag, make_lagrangian(text + " + u")), y)
+    assert lag.tables([0.0], [0.0], [1.5])[0] == [evaluate(lag.value, 0.0, 0.0, 1.5)]
+
+
+def test_same_shape_shares_code_objects():
+    a = make_lagrangian("v^2 + 0.25*u*v + sin(t)")
+    b = make_lagrangian("v^2 + 0.75*u*v + sin(t)")
+    assert a._kernels[0].__code__ is b._kernels[0].__code__
+    assert a.tables([1.0], [2.0], [3.0]) != b.tables([1.0], [2.0], [3.0])
+
+
+def test_problem_pickles_after_a_solve():
+    p = example_problem(4)
+    opts = SolverOptions(multistart=0)
+    first = solve_normal(p, opts)
+    assert "_kernels" in vars(p.objective.l_delta)  # built by the solve
+    for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        again = solve_normal(clone, opts)
+        assert np.array_equal(again.y.values, first.y.values)
+        assert again.lam == first.lam
+
+
+def test_trees_the_compiler_does_not_cover_use_the_walk(monkeypatch):
+    # Hand-built nodes the parser never makes: an int constant and a
+    # float exponent.  Compiling them raises ValueError, so the walk runs,
+    # and the failure is remembered rather than compiled again.
+    compiles = []
+    original = expressions._compile_kernels
+
+    def counting(*trees):
+        compiles.append(trees)
+        return original(*trees)
+
+    monkeypatch.setattr(expressions, "_compile_kernels", counting)
+    v = Var("v")
+    lag = Lagrangian(Pow(Mul(Const(3), v), 2.0), Const(0), Mul(Const(3), v))
+    with pytest.raises(ValueError):
+        lag.tables([0.0], [0.0], [1.0])
+    with pytest.raises(ValueError):
+        lag.total([0.0], [0.0], [1.0], [1.0])
+    assert len(compiles) == 1
+    y = GridFunction(TimeScale(np.arange(3.0)), np.array([0.0, 1.0, 3.0]))
+    assert _check_against_walk(DeltaNablaFunctional(lag, lag), y) == "ok"
+    assert len(compiles) == 1

@@ -218,3 +218,26 @@ def test_solver_options_thread_through():
     res = solve_normal(example_problem(3), SolverOptions(multistart=0))
     # multistart 0 still runs the base interpolant start
     assert res.converged
+
+
+def test_non_finite_residual_ends_only_its_own_start():
+    scale = TimeScale(np.linspace(0.0, 5.0, 6))
+    p = IsoperimetricProblem(
+        scale=scale,
+        alpha=0.0,
+        beta=0.0,
+        objective=DeltaNablaFunctional(
+            make_lagrangian("v^30*v^30"), make_lagrangian("v^2")
+        ),
+        constraint=DeltaNablaFunctional(
+            make_lagrangian("u"), constant_lagrangian(1.0 / 5.0)
+        ),
+        k=1.0,
+    )
+    with np.errstate(all="ignore"):
+        res = solve_normal(p, SolverOptions(spread=1e6))
+    assert not res.converged
+    assert res.classification == "unknown"
+    statuses = res.message.split("; ")
+    assert len(statuses) == 9
+    assert all(s.endswith("error: non-finite residual") for s in statuses[1:])
