@@ -449,21 +449,22 @@ def differentiate(e: Expr, var: str) -> Expr:
 # Compiled kernels
 #
 # evaluate() walks a tree once per point, and the solver evaluates the same
-# three trees of a Lagrangian at every slot of every iterate.  So each
-# Lagrangian is also compiled, on first use, into straight-line Python: one
-# assignment per distinct node of its three trees, inside one loop over the
-# slot sequences.  Python-float + - * / are the IEEE operations the walk
-# performs on numpy scalars, and ** and the math functions call the same
-# libm, so a kernel returns evaluate()'s numbers bit for bit.  The two part
-# only where arithmetic fails: the kernel raises ZeroDivisionError,
-# OverflowError or ValueError where evaluate raises EvaluationError or
-# numpy returns inf with a warning, and callers then rerun evaluate().
-# Trees outside what the parser and differentiate build (constants that
-# are not floats, exponents that are not ints, unknown nodes) raise
-# ValueError when compiled; the Lagrangian remembers the failure and sends
-# callers to evaluate() as well, without compiling again.
+# trees of a Lagrangian at every slot of every iterate.  So each Lagrangian
+# is also compiled, on first use, into straight-line Python: one assignment
+# per distinct node of its trees, inside one loop over the slot sequences.
+# The first-order kernels cover value, d_u and d_v; the curvature kernel,
+# compiled on first use by a Newton Jacobian, covers the second partials.
+# Python-float + - * / are the IEEE operations the walk performs on numpy
+# scalars, and ** and the math functions call the same libm, so a kernel
+# returns evaluate()'s numbers bit for bit.  The two part only where
+# arithmetic fails: the kernel raises ZeroDivisionError, OverflowError or
+# ValueError where evaluate raises EvaluationError or numpy returns inf
+# with a warning, and callers then rerun evaluate().  Trees outside what
+# the parser and differentiate build (constants that are not floats,
+# exponents that are not ints, unknown nodes) raise ValueError when
+# compiled; the Lagrangian remembers the failure and sends callers to
+# evaluate() as well, without compiling again.
 
-_Kernels = tuple[Callable, Callable]
 _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
@@ -506,26 +507,30 @@ class _KernelSource:
         return self.names[key]
 
 
-def _kernel_text(src: _KernelSource, roots: list[str], value_lines: list[str]) -> str:
-    """Module text of a factory that binds the constants and returns the
-    two kernels: ``full`` collects value, d_u and d_v lists, ``total``
-    sums value * weight left to right from 0.0 over the value's lines."""
+def _kernel_text(src: _KernelSource, roots: list[str], weighted: bool) -> str:
+    """Module text of a factory that binds the constants and returns one
+    kernel: the list of each root over the slots and, when ``weighted``,
+    the sum of the first root times the weight, left to right from 0.0,
+    returned after the lists."""
+    args, slot = ("ts, us, vs, ws", "t, u, v, w") if weighted else ("ts, us, vs", "t, u, v")
+    results = [f"r{i}" for i in range(len(roots))]
+    body = [
+        "; ".join(f"{r} = []" for r in results),
+        "; ".join(f"a{r} = {r}.append" for r in results),
+    ]
+    loop = [*src.lines, *(f"ar{i}({root})" for i, root in enumerate(roots))]
+    if weighted:
+        body.append("acc = 0.0")
+        loop.append(f"acc += {roots[0]} * w")
+        results.append("acc")
     return "\n".join([
         f"def factory({', '.join(f'c{i}' for i in range(len(src.consts)))}):",
-        "    def full(ts, us, vs):",
-        "        r0 = []; r1 = []; r2 = []",
-        "        a0 = r0.append; a1 = r1.append; a2 = r2.append",
-        "        for t, u, v in zip(ts, us, vs):",
-        *(f"            {line}" for line in src.lines),
-        *(f"            a{i}({root})" for i, root in enumerate(roots)),
-        "        return r0, r1, r2",
-        "    def total(ts, us, vs, ws):",
-        "        acc = 0.0",
-        "        for t, u, v, w in zip(ts, us, vs, ws):",
-        *(f"            {line}" for line in value_lines),
-        f"            acc += {roots[0]} * w",
-        "        return acc",
-        "    return full, total",
+        f"    def kernel({args}):",
+        *(f"        {line}" for line in body),
+        f"        for {slot} in zip({args}):",
+        *(f"            {line}" for line in loop),
+        f"        return {', '.join(results)}",
+        "    return kernel",
     ])
 
 
@@ -538,15 +543,21 @@ def _factory(source: str) -> Callable:
     return namespace["factory"]
 
 
-def _compile_kernels(value: Expr, d_u: Expr, d_v: Expr) -> _Kernels:
-    """Kernels over slot sequences of Python floats: ``full(ts, us, vs)``
-    returns the lists (value, d_u, d_v) at every slot, ``total(ts, us,
-    vs, ws)`` the sum of value * weight over the slots."""
+def _compile(roots: tuple[Expr, ...], weighted: bool) -> Callable:
     src = _KernelSource()
-    value_root = src.name(value)
-    value_lines = list(src.lines)
-    roots = [value_root, src.name(d_u), src.name(d_v)]
-    return _factory(_kernel_text(src, roots, value_lines))(*src.consts)
+    names = [src.name(e) for e in roots]
+    return _factory(_kernel_text(src, names, weighted))(*src.consts)
+
+
+def _compile_kernels(value: Expr, d_u: Expr, d_v: Expr) -> Callable:
+    """``tables(ts, us, vs, ws)``: the lists (value, d_u, d_v) at every
+    slot and the sum of value * weight, in one loop."""
+    return _compile((value, d_u, d_v), weighted=True)
+
+
+def _compile_curvature(d_uu: Expr, d_uv: Expr, d_vv: Expr) -> Callable:
+    """``curvature(ts, us, vs)``: the lists (d_uu, d_uv, d_vv)."""
+    return _compile((d_uu, d_uv, d_vv), weighted=False)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +569,13 @@ class Lagrangian:
     """Integrand together with its two symbolic partials.
 
     ``value`` maps (t, u, v) to the integrand value, ``d_u`` and ``d_v``
-    are its partial derivatives in the second and third slot.  The
-    call methods walk the trees (the reference); ``tables`` and
-    ``total`` run the compiled kernels over whole slot sequences.
+    are its partial derivatives in the second and third slot; ``second``
+    holds the second partials, differentiated on first use.  The call
+    methods walk the trees (the reference); ``tables`` and ``curvature``
+    run the compiled kernels over whole slot sequences.
+    They raise ArithmeticError or ValueError where float arithmetic
+    fails or the trees have no kernel; evaluate() then decides what the
+    point means.
     """
 
     value: Expr
@@ -577,36 +592,50 @@ class Lagrangian:
         return evaluate(self.d_v, t, u, v)
 
     @functools.cached_property
-    def _kernels(self) -> _Kernels | None:
-        # None marks trees the compiler does not cover, so they are
-        # rejected once rather than on every call.
+    def second(self) -> tuple[Expr, Expr, Expr]:
+        """The second partials (d_uu, d_uv, d_vv)."""
+        return (
+            differentiate(self.d_u, "u"),
+            differentiate(self.d_u, "v"),
+            differentiate(self.d_v, "v"),
+        )
+
+    # None marks trees the compiler does not cover, so they are rejected
+    # once rather than on every call.
+    @functools.cached_property
+    def _tables_kernel(self) -> Callable | None:
         try:
             return _compile_kernels(self.value, self.d_u, self.d_v)
         except ValueError:
             return None
 
-    def _kernel(self, i: int) -> Callable:
-        kernels = self._kernels
-        if kernels is None:
+    @functools.cached_property
+    def _curvature_kernel(self) -> Callable | None:
+        try:
+            return _compile_curvature(*self.second)
+        except ValueError:
+            return None
+
+    @staticmethod
+    def _kernel(kernel: Callable | None) -> Callable:
+        if kernel is None:
             raise ValueError("no kernel for these trees; evaluate() handles them")
-        return kernels[i]
+        return kernel
 
-    def tables(self, ts: list, us: list, vs: list) -> tuple[list, list, list]:
-        """Value, d_u and d_v lists over the slot sequences.  Raises
-        ArithmeticError or ValueError where float arithmetic fails or
-        the trees have no kernel; evaluate() then decides what the
-        point means."""
-        return self._kernel(0)(ts, us, vs)
+    def tables(self, ts: list, us: list, vs: list, ws: list) -> tuple[list, list, list, float]:
+        """Value, d_u and d_v lists over the slot sequences, and the sum
+        of value * weight over the slots, left to right from 0.0."""
+        return self._kernel(self._tables_kernel)(ts, us, vs, ws)
 
-    def total(self, ts: list, us: list, vs: list, ws: list) -> float:
-        """Sum of value * weight over the slot sequences, left to right
-        from 0.0; raises as ``tables``."""
-        return self._kernel(1)(ts, us, vs, ws)
+    def curvature(self, ts: list, us: list, vs: list) -> tuple[list, list, list]:
+        """d_uu, d_uv and d_vv lists over the slot sequences."""
+        return self._kernel(self._curvature_kernel)(ts, us, vs)
 
     def __getstate__(self) -> dict:
         # Compiled kernels do not pickle; they are rebuilt on first use.
         state = dict(self.__dict__)
-        state.pop("_kernels", None)
+        state.pop("_tables_kernel", None)
+        state.pop("_curvature_kernel", None)
         return state
 
 

@@ -18,7 +18,7 @@ from typing import Literal
 
 import numpy as np
 
-from .expressions import Lagrangian
+from .expressions import Expr, Lagrangian, evaluate
 from .timescale import GridFunction, TimeScale
 
 Form = Literal["EL1", "EL2"]
@@ -96,43 +96,44 @@ class SlotTables:
 
 
 def slot_tables(functional: DeltaNablaFunctional, y: GridFunction) -> SlotTables:
-    """Evaluate both integrands and their partials on every slot of y.
+    """Evaluate both integrands and their partials on every slot of y."""
+    return slot_tables_at(functional, y.scale.points, y.values)
 
-    The compiled kernels fill the tables; where their float arithmetic
-    fails, the tree walk evaluates point by point and decides between
-    an EvaluationError and numpy's inf.
+
+def _slots(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Gap widths and the difference quotient of every gap."""
+    dt = points[1:] - points[:-1]  # np.diff's arithmetic, without its call overhead
+    return dt, (values[1:] - values[:-1]) / dt
+
+
+def slot_tables_at(
+    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
+) -> SlotTables:
+    """slot_tables on bare arrays: the points of a scale and the values
+    of a function on it, neither checked.
+
+    The compiled kernels fill the tables and sum both factors left to
+    right from 0.0 in the same pass; where their float arithmetic fails,
+    the tree walk evaluates point by point and decides between an
+    EvaluationError and numpy's inf.
     """
-    t = y.scale.points
-    v = y.values
-    dt = t[1:] - t[:-1]  # np.diff's arithmetic, without its call overhead
-    quot = (v[1:] - v[:-1]) / dt
-    n = dt.size
-
+    dt, quot = _slots(points, values)
     ld = functional.l_delta
     ln = functional.l_nabla
     try:
-        q = quot.tolist()
-        delta = ld.tables(t[:-1].tolist(), v[1:].tolist(), q)
-        nabla = ln.tables(t[1:].tolist(), v[:-1].tolist(), q)
+        delta_args, nabla_args = _slot_lists(points, values, quot)
+        w = dt.tolist()
+        *delta, j_delta = ld.tables(*delta_args, w)
+        *nabla, j_nabla = ln.tables(*nabla_args, w)
         d_val, d_du, d_dv, n_val, n_du, n_dv = (
             np.array(column, dtype=float) for column in (*delta, *nabla)
         )
     except (ArithmeticError, ValueError):
-        d_val = np.empty(n)
-        d_du = np.empty(n)
-        d_dv = np.empty(n)
-        n_val = np.empty(n)
-        n_du = np.empty(n)
-        n_dv = np.empty(n)
-        for i in range(n):
-            args_d = (t[i], v[i + 1], quot[i])
-            args_n = (t[i + 1], v[i], quot[i])
-            d_val[i] = ld(*args_d)
-            d_du[i] = ld.du(*args_d)
-            d_dv[i] = ld.dv(*args_d)
-            n_val[i] = ln(*args_n)
-            n_du[i] = ln.du(*args_n)
-            n_dv[i] = ln.dv(*args_n)
+        d_val, d_du, d_dv, n_val, n_du, n_dv = _walk_columns(
+            (ld.value, ld.d_u, ld.d_v), (ln.value, ln.d_u, ln.d_v), points, values, quot
+        )
+        j_delta = _left_sum(d_val, dt)
+        j_nabla = _left_sum(n_val, dt)
     return SlotTables(
         weights=dt,
         delta_value=d_val,
@@ -141,9 +142,76 @@ def slot_tables(functional: DeltaNablaFunctional, y: GridFunction) -> SlotTables
         nabla_value=n_val,
         nabla_du=n_du,
         nabla_dv=n_dv,
-        j_delta=float(d_val @ dt),
-        j_nabla=float(n_val @ dt),
+        j_delta=float(j_delta),
+        j_nabla=float(j_nabla),
     )
+
+
+@dataclass(frozen=True)
+class SlotCurvature:
+    """Second partials of both integrands on the slots, indexed as in
+    SlotTables."""
+
+    delta_uu: np.ndarray
+    delta_uv: np.ndarray
+    delta_vv: np.ndarray
+    nabla_uu: np.ndarray
+    nabla_uv: np.ndarray
+    nabla_vv: np.ndarray
+
+
+def slot_curvature(
+    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
+) -> SlotCurvature:
+    """d_uu, d_uv and d_vv of both integrands on every slot, on bare
+    arrays as slot_tables_at, with the same fallback to the walk."""
+    _, quot = _slots(points, values)
+    ld = functional.l_delta
+    ln = functional.l_nabla
+    try:
+        delta_args, nabla_args = _slot_lists(points, values, quot)
+        columns = [
+            np.array(column, dtype=float)
+            for column in (*ld.curvature(*delta_args), *ln.curvature(*nabla_args))
+        ]
+    except (ArithmeticError, ValueError):
+        columns = _walk_columns(ld.second, ln.second, points, values, quot)
+    return SlotCurvature(*columns)
+
+
+def _slot_lists(
+    t: np.ndarray, v: np.ndarray, quot: np.ndarray
+) -> tuple[tuple[list, list, list], tuple[list, list, list]]:
+    """The (t, u, v) slot sequences of the delta and the nabla side, as
+    the kernels take them."""
+    q = quot.tolist()
+    return (t[:-1].tolist(), v[1:].tolist(), q), (t[1:].tolist(), v[:-1].tolist(), q)
+
+
+def _walk_columns(
+    delta_trees: tuple[Expr, ...],
+    nabla_trees: tuple[Expr, ...],
+    t: np.ndarray,
+    v: np.ndarray,
+    quot: np.ndarray,
+) -> list[np.ndarray]:
+    """Each tree walked on every slot of its side, slot by slot, the
+    delta side's trees before the nabla side's."""
+    trees = (*delta_trees, *nabla_trees)
+    columns = [np.empty(quot.size) for _ in trees]
+    for i in range(quot.size):
+        args_d = (t[i], v[i + 1], quot[i])
+        args_n = (t[i + 1], v[i], quot[i])
+        for j, (column, tree) in enumerate(zip(columns, trees)):
+            column[i] = evaluate(tree, *(args_d if j < len(delta_trees) else args_n))
+    return columns
+
+
+def _left_sum(values: np.ndarray, weights: np.ndarray) -> float:
+    acc = 0.0
+    for x, w in zip(values.tolist(), weights.tolist()):
+        acc += x * w
+    return acc
 
 
 def _walk_factors(
@@ -154,8 +222,7 @@ def _walk_factors(
     with it so that no certificate rests on the compiled kernels."""
     t = y.scale.points
     v = y.values
-    dt = t[1:] - t[:-1]
-    quot = (v[1:] - v[:-1]) / dt
+    dt, quot = _slots(t, v)
     ld = functional.l_delta
     ln = functional.l_nabla
     j_delta = 0.0
@@ -176,15 +243,14 @@ def eval_functional(
     """
     t = y.scale.points
     v = y.values
-    dt = t[1:] - t[:-1]
-    quot = (v[1:] - v[:-1]) / dt
+    dt, quot = _slots(t, v)
     ld = functional.l_delta
     ln = functional.l_nabla
     try:
-        q = quot.tolist()
+        delta_args, nabla_args = _slot_lists(t, v, quot)
         w = dt.tolist()
-        j_delta = ld.total(t[:-1].tolist(), v[1:].tolist(), q, w)
-        j_nabla = ln.total(t[1:].tolist(), v[:-1].tolist(), q, w)
+        j_delta = ld.tables(*delta_args, w)[3]
+        j_nabla = ln.tables(*nabla_args, w)[3]
     except (ArithmeticError, ValueError):
         j_delta, j_nabla = _walk_factors(functional, y)
     return EvaluationBreakdown(

@@ -4,10 +4,11 @@ On a finite time scale the constrained variational problem is a plain
 finite-dimensional problem: unknowns are the interior values of y plus
 the multiplier.  The solver drives the exact gradient of the product
 functionals to a multiple of the constraint gradient while meeting the
-constraint level, using damped Newton iterations with a forward
-difference Jacobian and seeded multistart.  The bracket-constancy
-residuals from the functional module serve as an independent
-certificate of every solution; they are never the solve target.
+constraint level, using damped Newton iterations with the exact
+Jacobian (the Hessian of a product functional is tridiagonal plus rank
+two) and seeded multistart.  The bracket-constancy residuals from the
+functional module serve as an independent certificate of every
+solution; they are never the solve target.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .functional import (
     bracket_values,
     eval_functional,
     is_extremal_for_K,
-    slot_tables,
+    slot_curvature,
+    slot_tables_at,
 )
 from .timescale import GridFunction, TimeScale
 
@@ -53,8 +55,10 @@ class IsoperimetricProblem:
 
     def assemble(self, interior: np.ndarray) -> GridFunction:
         """Grid function with the given interior values and fixed ends."""
-        values = np.concatenate(([self.alpha], interior, [self.beta]))
-        return GridFunction(self.scale, values)
+        return GridFunction(self.scale, self._values(interior))
+
+    def _values(self, interior: np.ndarray) -> np.ndarray:
+        return np.concatenate(([self.alpha], interior, [self.beta]))
 
     def interior_count(self) -> int:
         return len(self.scale) - 2
@@ -67,7 +71,10 @@ class SolverOptions:
     feas_tol bounds |constraint - k|, stat_tol bounds the stationarity
     rows and the residual defect.  Multistart draws interior
     perturbations uniformly from [-spread, spread] with the given seed;
-    the unperturbed linear interpolant is always tried first.
+    the unperturbed linear interpolant is always tried first.  Each
+    Newton step search starts at twice the last accepted step length
+    (at most 1) and multiplies it by damping until ||f|| decreases or
+    the length falls below min_step.
     """
 
     feas_tol: float = 1e-8
@@ -76,7 +83,6 @@ class SolverOptions:
     multistart: int = 8
     seed: int = 0
     spread: float = 1.0
-    fd_step: float = 1e-7
     damping: float = 0.5
     min_step: float = 1e-12
 
@@ -118,26 +124,62 @@ def discrete_gradient(
     """
     if len(y) < 3:
         raise ValueError("gradient needs at least one interior point")
-    tab = slot_tables(functional, y)
-    w = tab.weights
-    grad_delta = tab.delta_du[:-1] * w[:-1] + tab.delta_dv[:-1] - tab.delta_dv[1:]
-    grad_nabla = tab.nabla_du[1:] * w[1:] - tab.nabla_dv[1:] + tab.nabla_dv[:-1]
-    return tab.j_nabla * grad_delta + tab.j_delta * grad_nabla
+    return _Product(functional, y.scale.points, y.values).grad
 
 
-def _fd_jacobian(
-    fun: Callable[[np.ndarray], np.ndarray],
-    z: np.ndarray,
-    f0: np.ndarray,
-    step: float,
-) -> np.ndarray:
-    jac = np.empty((f0.size, z.size))
-    for i in range(z.size):
-        h = step * (1.0 + abs(z[i]))
-        zp = z.copy()
-        zp[i] += h
-        jac[:, i] = (fun(zp) - f0) / h
-    return jac
+class _Product:
+    """A product functional at one point (the points of the scale and
+    all values of the function, as bare arrays), from one pass over its
+    slots: the value, the factors' gradients and the gradient in the
+    interior values, and the Hessian on request."""
+
+    def __init__(
+        self, functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
+    ) -> None:
+        self.functional = functional
+        self.points = points
+        self.values = values
+        self.tab = tab = slot_tables_at(functional, points, values)
+        w = tab.weights
+        self.value = float(tab.j_delta * tab.j_nabla)
+        self.grad_delta = tab.delta_du[:-1] * w[:-1] + tab.delta_dv[:-1] - tab.delta_dv[1:]
+        self.grad_nabla = tab.nabla_du[1:] * w[1:] - tab.nabla_dv[1:] + tab.nabla_dv[:-1]
+        self.grad = tab.j_nabla * self.grad_delta + tab.j_delta * self.grad_nabla
+
+    def hessian(self) -> np.ndarray:
+        """Exact Hessian in the interior values: J_nabla * H_delta +
+        J_delta * H_nabla, which is tridiagonal, plus the rank-2
+        grad_delta grad_nabla^T + its transpose.
+
+        Gap i's integrand sees its end values y_i, y_(i+1) only through
+        u (y_(i+1) on the delta side, y_i on the nabla side) and
+        v = (y_(i+1) - y_i) / w_i, so each gap adds a 2x2 block of
+        weighted second partials; interior point j is the right end of
+        gap j-1 and the left end of gap j.
+        """
+        tab = self.tab
+        c = slot_curvature(self.functional, self.points, self.values)
+        w = tab.weights
+        d_vv = c.delta_vv / w
+        n_vv = c.nabla_vv / w
+        jd, jn = tab.j_delta, tab.j_nabla
+        left = jn * d_vv + jd * (c.nabla_uu * w - 2.0 * c.nabla_uv + n_vv)
+        cross = jn * -(c.delta_uv + d_vv) + jd * (c.nabla_uv - n_vv)
+        right = jn * (c.delta_uu * w + 2.0 * c.delta_uv + d_vv) + jd * n_vv
+        n = w.size - 1
+        rank2 = np.outer(self.grad_delta, self.grad_nabla)
+        h = rank2 + rank2.T
+        flat = h.reshape(-1)
+        flat[:: n + 1] += right[:-1] + left[1:]
+        flat[1 :: n + 1] += cross[1:-1]
+        flat[n :: n + 1] += cross[1:-1]
+        return h
+
+
+_EPS = float(np.finfo(float).eps)
+
+_System = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
+"""A Newton system: z -> (f(z), a thunk for the Jacobian of f at z)."""
 
 
 @dataclass
@@ -148,50 +190,65 @@ class _NewtonRun:
     status: str  # "ok", "stalled", "singular", "maxiter", "error"
 
 
-def _finite(fun: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """fun, with a non-finite iterate or residual raised as an
-    EvaluationError like any other failed evaluation."""
+def _finite(system: _System) -> _System:
+    """system, with a non-finite iterate, residual or Jacobian raised as
+    an EvaluationError like any other failed evaluation.  numpy's
+    warnings on the way to such a value are silenced here, where the
+    value is caught, and nowhere else."""
 
-    def checked(z: np.ndarray) -> np.ndarray:
+    def checked(z: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         if not np.isfinite(z).all():
             raise EvaluationError("non-finite iterate")
-        f = fun(z)
+        with np.errstate(all="ignore"):
+            f, jacobian = system(z)
         if not np.isfinite(f).all():
             raise EvaluationError("non-finite residual")
-        return f
+
+        def checked_jacobian() -> np.ndarray:
+            with np.errstate(all="ignore"):
+                jac = jacobian()
+            if not np.isfinite(jac).all():
+                raise EvaluationError("non-finite Jacobian")
+            return jac
+
+        return f, checked_jacobian
 
     return checked
 
 
 def _newton(
-    fun: Callable[[np.ndarray], np.ndarray],
+    system: _System,
     z0: np.ndarray,
     opts: SolverOptions,
     square: bool,
 ) -> _NewtonRun:
     """Damped Newton (or Gauss-Newton via least squares when the system
-    is rectangular).  Iterates until the step search can no longer
-    reduce ||f||, which polishes converged roots to rounding level.
-    A failed evaluation, or a non-finite iterate or residual, ends the
-    run with an "error" status; the step search skips such trial points.
+    is rectangular).  Each step search starts at twice the last
+    accepted step length, at most 1.  Iterates until the step search
+    can no longer reduce ||f|| or the Newton step is below the rounding
+    level of the iterate, which polishes converged roots to rounding
+    level.  A failed evaluation, or a non-finite iterate, residual or Jacobian,
+    ends the run with an "error" status; the step search skips such
+    trial points.
     """
-    fun = _finite(fun)
+    system = _finite(system)
     try:
         z = np.asarray(z0, dtype=float)
-        f = fun(z)
+        f, jacobian = system(z)
     except EvaluationError as exc:
         return _NewtonRun(
             np.asarray(z0, dtype=float), np.full(1, np.inf), 0, f"error: {exc}"
         )
     status = "maxiter"
     it = 0
+    first_alpha = 1.0
     for it in range(1, opts.max_iter + 1):
         norm = np.linalg.norm(f)
         if norm == 0.0:
             status = "ok"
             break
         try:
-            jac = _fd_jacobian(fun, z, f, opts.fd_step)
+            jac = jacobian()
         except EvaluationError as exc:
             status = f"error: {exc}"
             break
@@ -203,16 +260,21 @@ def _newton(
                 break
         else:
             step = np.linalg.lstsq(jac, -f, rcond=None)[0]
-        alpha = 1.0
+        if np.linalg.norm(step) <= _EPS * np.linalg.norm(z):
+            # A step below the rounding level of the iterate: the root
+            # is polished as far as it can be.
+            status = "stalled"
+            break
+        alpha = first_alpha
         moved = False
         while alpha >= opts.min_step:
             z_try = z + alpha * step
             try:
-                f_try = fun(z_try)
+                f_try, jac_try = system(z_try)
             except EvaluationError:
                 f_try = None
             if f_try is not None and np.linalg.norm(f_try) < norm:
-                z, f = z_try, f_try
+                z, f, jacobian = z_try, f_try, jac_try
                 moved = True
                 break
             alpha *= opts.damping
@@ -221,6 +283,7 @@ def _newton(
             # root is polished to rounding level or the start is stuck.
             status = "stalled"
             break
+        first_alpha = min(1.0, 2.0 * alpha)
     return _NewtonRun(z, f, it, status)
 
 
@@ -255,6 +318,47 @@ def _certify(
     return bracket_defect(combined), kkt, cls
 
 
+def _normal_system(p: IsoperimetricProblem) -> _System:
+    """Stationarity rows grad(objective) - lambda * grad(constraint) and
+    the feasibility row constraint - k, in z = (interior values,
+    lambda).  The Jacobian is the Hessian of the Lagrangian bordered by
+    -grad(constraint) on the right and grad(constraint) below."""
+    t = p.scale.points
+    n = p.interior_count()
+
+    def system(z: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+        v = p._values(z[:n])
+        lam = z[n]
+        obj = _Product(p.objective, t, v)
+        con = _Product(p.constraint, t, v)
+        f = np.append(obj.grad - lam * con.grad, con.value - p.k)
+
+        def jacobian() -> np.ndarray:
+            jac = np.zeros((n + 1, n + 1))
+            jac[:n, :n] = obj.hessian() - lam * con.hessian()
+            jac[:n, n] = -con.grad
+            jac[n, :n] = con.grad
+            return jac
+
+        return f, jacobian
+
+    return system
+
+
+def _abnormal_system(p: IsoperimetricProblem) -> _System:
+    """Rows grad(constraint) and constraint - k in the interior values,
+    one more than the unknowns; the Jacobian stacks grad(constraint)
+    under the constraint's Hessian."""
+    t = p.scale.points
+
+    def system(z: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+        con = _Product(p.constraint, t, p._values(z))
+        f = np.append(con.grad, con.value - p.k)
+        return f, lambda: np.vstack((con.hessian(), con.grad))
+
+    return system
+
+
 def solve_normal(
     p: IsoperimetricProblem, opts: SolverOptions | None = None
 ) -> SolveResult:
@@ -270,18 +374,10 @@ def solve_normal(
     opts = opts or SolverOptions()
     n = p.interior_count()
 
-    def residual(z: np.ndarray) -> np.ndarray:
-        y = p.assemble(z[:n])
-        lam = z[n]
-        rows = discrete_gradient(p.objective, y) - lam * discrete_gradient(
-            p.constraint, y
-        )
-        gap = eval_functional(p.constraint, y).product - p.k
-        return np.concatenate((rows, [gap]))
-
+    system = _normal_system(p)
     runs: list[_NewtonRun] = []
     for start in _starts(p, opts):
-        runs.append(_newton(residual, np.append(start, 0.0), opts, square=True))
+        runs.append(_newton(system, np.append(start, 0.0), opts, square=True))
 
     converged_runs = []
     for run in runs:
@@ -385,16 +481,11 @@ def find_abnormal(
     opts = opts or SolverOptions()
     n = p.interior_count()
 
-    def residual(z: np.ndarray) -> np.ndarray:
-        y = p.assemble(z)
-        rows = discrete_gradient(p.constraint, y)
-        gap = eval_functional(p.constraint, y).product - p.k
-        return np.concatenate((rows, [gap]))
-
+    system = _abnormal_system(p)
     found: list[SolveResult] = []
     kept_values: list[np.ndarray] = []
     for start in _starts(p, opts):
-        run = _newton(residual, start, opts, square=False)
+        run = _newton(system, start, opts, square=False)
         if run.f.size != n + 1:
             continue
         if float(np.max(np.abs(run.f[:n]))) > opts.stat_tol:

@@ -302,7 +302,8 @@ def test_module_entry_point(example_file):
 def test_non_finite_newton_iterate_is_a_numerical_failure(tmp_path, capsys):
     # v^30 * v^30 overflows to inf at the spread-1e6 starts.  Each such
     # start ends with its own error status, the others still run, and
-    # the exit code is the numerical one, not the input-error one.
+    # the exit code is the numerical one, not the input-error one.  The
+    # overflow is caught as a status, so numpy prints no warning.
     doc = {
         "timescale": {"uniform": {"a": 0, "b": 5, "n": 6}},
         "boundary": {"alpha": 0, "beta": 0},
@@ -321,3 +322,11 @@ def test_non_finite_newton_iterate_is_a_numerical_failure(tmp_path, capsys):
     statuses = result["message"].split("; ")
     assert len(statuses) == 9
     assert statuses[1] == "start 1: error: non-finite residual"
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltanabla", "solve", str(path), "--output", "structured"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == captured.out
+    assert proc.stderr == ""

@@ -1,7 +1,8 @@
 """Tests for the compiled integrand kernels: bit-for-bit agreement with the
 reference tree walk (expressions.evaluate) on random trees and points,
-the walk as fallback wherever kernel arithmetic fails, shared subtrees
-and code objects, and pickling of problems whose kernels were built."""
+for the value, both partials and the three second partials, the walk as
+fallback wherever kernel arithmetic fails, shared subtrees and code
+objects, and pickling of problems whose kernels were built."""
 
 import copy
 import math
@@ -37,7 +38,7 @@ from deltanabla.expressions import (
     Sub,
     Var,
 )
-from deltanabla.functional import slot_tables
+from deltanabla.functional import slot_curvature, slot_tables
 from deltanabla.solver import example_problem
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1e-300, 1e300, -1e300, 1e308,
@@ -96,37 +97,50 @@ def _reference(e, ts, us, vs):
 def test_kernel_matches_evaluate_bitwise(tree, slots):
     lag = make_lagrangian(tree)
     ts, us, vs = (list(c) for c in zip(*slots))
-    refs = [_reference(e, ts, us, vs) for e in (lag.value, lag.d_u, lag.d_v)]
-    try:
-        got = lag.tables(ts, us, vs)
-    except (ArithmeticError, ValueError):
-        event("kernel raised")
-        return  # the callers fall back to the walk; checked below
-    assert all(r is not None for ref in refs for r in ref)
-    for ref, col in zip(refs, got):
-        assert _same(ref, col)
     weights = [0.5, 1.0, 0.25, 2.0][: len(ts)]
-    want = 0.0
-    for value, w in zip(refs[0], weights):
-        want += float(value) * w
-    assert _same([want], [lag.total(ts, us, vs, weights)])
+    kernels = (
+        ("first order", (lag.value, lag.d_u, lag.d_v), lambda: lag.tables(ts, us, vs, weights)),
+        ("curvature", lag.second, lambda: lag.curvature(ts, us, vs)),
+    )
+    for name, roots, kernel in kernels:
+        refs = [_reference(e, ts, us, vs) for e in roots]
+        try:
+            got = kernel()
+        except (ArithmeticError, ValueError):
+            event(f"{name} kernel raised")
+            continue  # the callers fall back to the walk; checked below
+        assert all(r is not None for ref in refs for r in ref)
+        for ref, col in zip(refs, got):
+            assert _same(ref, col)
+        if name == "first order":
+            want = 0.0
+            for value, w in zip(refs[0], weights):
+                want += float(value) * w
+            assert _same([want], [got[3]])
 
 
-def _walk_tables(functional, y):
-    """The per-point loop of slot_tables, kept here as the reference."""
+def _walk(delta_trees, nabla_trees, y):
+    """The per-point loop of slot_tables and slot_curvature, kept here
+    as the reference."""
     t, v = y.scale.points, y.values
     dt = np.diff(t)
     quot = np.diff(v) / dt
-    ld, ln = functional.l_delta, functional.l_nabla
     cols = [np.empty(dt.size) for _ in range(6)]
     for i in range(dt.size):
         args_d = (t[i], v[i + 1], quot[i])
         args_n = (t[i + 1], v[i], quot[i])
-        for col, fn, args in zip(
-            cols, (ld, ld.du, ld.dv, ln, ln.du, ln.dv), (args_d,) * 3 + (args_n,) * 3
+        for col, tree, args in zip(
+            cols, (*delta_trees, *nabla_trees), (args_d,) * 3 + (args_n,) * 3
         ):
-            col[i] = fn(*args)
-    return cols, float(cols[0] @ dt), float(cols[3] @ dt)
+            col[i] = evaluate(tree, *args)
+    return cols
+
+
+def _walk_tables(functional, y):
+    ld, ln = functional.l_delta, functional.l_nabla
+    cols = _walk((ld.value, ld.d_u, ld.d_v), (ln.value, ln.d_u, ln.d_v), y)
+    # both factors summed left to right from 0.0, as eval_functional sums
+    return cols, *_walk_breakdown(functional, y)[:2]
 
 
 def _walk_breakdown(functional, y):
@@ -162,6 +176,19 @@ def _check_against_walk(functional, y):
             assert have.dtype == np.float64 and have.flags.c_contiguous
             assert _same(want, have)
         assert _same(ref[1][1:], (tab.j_delta, tab.j_nabla))
+    ref = _outcome(
+        lambda: _walk(functional.l_delta.second, functional.l_nabla.second, y)
+    )
+    got = _outcome(lambda: slot_curvature(functional, y.scale.points, y.values))
+    assert got[0] == ref[0]
+    if ref[0] == "raised":
+        assert got[1] == ref[1]
+    else:
+        c = got[1]
+        cols = (c.delta_uu, c.delta_uv, c.delta_vv, c.nabla_uu, c.nabla_uv, c.nabla_vv)
+        for want, have in zip(ref[1], cols):
+            assert have.dtype == np.float64 and have.flags.c_contiguous
+            assert _same(want, have)
     ref = _outcome(lambda: _walk_breakdown(functional, y))
     got = _outcome(lambda: eval_functional(functional, y))
     assert got[0] == ref[0]
@@ -214,7 +241,7 @@ def test_signed_zero_constants_stay_apart():
     u = Var("u")
     lag = Lagrangian(Mul(Const(-0.0), u), Mul(Const(0.0), u), Const(-0.0))
     assert Const(0.0) == Const(-0.0)  # why sharing cannot key on equality
-    value, du, dv = lag.tables([0.0], [1.0], [1.0])
+    value, du, dv, _ = lag.tables([0.0], [1.0], [1.0], [1.0])
     assert [math.copysign(1.0, x[0]) for x in (value, du, dv)] == [-1.0, 1.0, -1.0]
 
 
@@ -223,21 +250,22 @@ def test_long_sum_compiles_without_nesting():
     lag = make_lagrangian(text)
     y = GridFunction(TimeScale(np.arange(4.0)), np.array([0.0, 1.0, 3.0, 2.0]))
     _check_against_walk(DeltaNablaFunctional(lag, make_lagrangian(text + " + u")), y)
-    assert lag.tables([0.0], [0.0], [1.5])[0] == [evaluate(lag.value, 0.0, 0.0, 1.5)]
+    assert lag.tables([0.0], [0.0], [1.5], [1.0])[0] == [evaluate(lag.value, 0.0, 0.0, 1.5)]
 
 
 def test_same_shape_shares_code_objects():
     a = make_lagrangian("v^2 + 0.25*u*v + sin(t)")
     b = make_lagrangian("v^2 + 0.75*u*v + sin(t)")
-    assert a._kernels[0].__code__ is b._kernels[0].__code__
-    assert a.tables([1.0], [2.0], [3.0]) != b.tables([1.0], [2.0], [3.0])
+    assert a._tables_kernel.__code__ is b._tables_kernel.__code__
+    assert a.tables([1.0], [2.0], [3.0], [1.0]) != b.tables([1.0], [2.0], [3.0], [1.0])
 
 
 def test_problem_pickles_after_a_solve():
     p = example_problem(4)
     opts = SolverOptions(multistart=0)
     first = solve_normal(p, opts)
-    assert "_kernels" in vars(p.objective.l_delta)  # built by the solve
+    for kernels in ("_tables_kernel", "_curvature_kernel"):  # built by the solve
+        assert kernels in vars(p.objective.l_delta)
     for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
         again = solve_normal(clone, opts)
         assert np.array_equal(again.y.values, first.y.values)
@@ -247,22 +275,28 @@ def test_problem_pickles_after_a_solve():
 def test_trees_the_compiler_does_not_cover_use_the_walk(monkeypatch):
     # Hand-built nodes the parser never makes: an int constant and a
     # float exponent.  Compiling them raises ValueError, so the walk runs,
-    # and the failure is remembered rather than compiled again.
-    compiles = []
-    original = expressions._compile_kernels
+    # and each failure is remembered rather than compiled again.
+    compiles = {"_compile_kernels": 0, "_compile_curvature": 0}
 
-    def counting(*trees):
-        compiles.append(trees)
-        return original(*trees)
+    def counting(name):
+        original = getattr(expressions, name)
 
-    monkeypatch.setattr(expressions, "_compile_kernels", counting)
+        def compile_counted(*trees):
+            compiles[name] += 1
+            return original(*trees)
+
+        return compile_counted
+
+    for name in compiles:
+        monkeypatch.setattr(expressions, name, counting(name))
     v = Var("v")
     lag = Lagrangian(Pow(Mul(Const(3), v), 2.0), Const(0), Mul(Const(3), v))
-    with pytest.raises(ValueError):
-        lag.tables([0.0], [0.0], [1.0])
-    with pytest.raises(ValueError):
-        lag.total([0.0], [0.0], [1.0], [1.0])
-    assert len(compiles) == 1
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            lag.tables([0.0], [0.0], [1.0], [1.0])
+        with pytest.raises(ValueError):
+            lag.curvature([0.0], [0.0], [1.0])  # its d_vv is the int Const(3)
+    assert compiles == {"_compile_kernels": 1, "_compile_curvature": 1}
     y = GridFunction(TimeScale(np.arange(3.0)), np.array([0.0, 1.0, 3.0]))
     assert _check_against_walk(DeltaNablaFunctional(lag, lag), y) == "ok"
-    assert len(compiles) == 1
+    assert compiles == {"_compile_kernels": 1, "_compile_curvature": 1}

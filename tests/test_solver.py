@@ -1,9 +1,12 @@
 """Tests for the constrained stationary-point solver: symbolic interior
-gradients, the damped multistart Newton iteration, abnormal-candidate
-search, and the built-in closed-form family."""
+gradients, the exact Newton Jacobians, the damped multistart Newton
+iteration, abnormal-candidate search, and the built-in closed-form
+family."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltanabla import (
     DeltaNablaFunctional,
@@ -18,6 +21,7 @@ from deltanabla import (
     make_lagrangian,
     solve_normal,
 )
+from deltanabla import solver
 from deltanabla.functional import EL2, el_residual, iso_residual
 from deltanabla.solver import closed_form_example, example_problem
 
@@ -234,10 +238,75 @@ def test_non_finite_residual_ends_only_its_own_start():
         ),
         k=1.0,
     )
-    with np.errstate(all="ignore"):
-        res = solve_normal(p, SolverOptions(spread=1e6))
+    res = solve_normal(p, SolverOptions(spread=1e6))  # and warns of nothing
     assert not res.converged
     assert res.classification == "unknown"
     statuses = res.message.split("; ")
     assert len(statuses) == 9
     assert all(s.endswith("error: non-finite residual") for s in statuses[1:])
+
+
+def _coefs(draw, count, lo=-0.5, hi=0.5):
+    return [repr(draw(st.floats(lo, hi))) for _ in range(count)]
+
+
+@st.composite
+def newton_systems(draw):
+    """A random problem and point: a gappy 4-8 point scale, criterion-5
+    polynomial integrands or transcendental ones like the CLI
+    benchmark documents' (sin, log, sqrt, exp, also in the constraint),
+    and interior values (plus lambda) in [-1, 1]."""
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=7))
+    scale = TimeScale(np.concatenate(([0.0], np.cumsum(gaps))))
+    c = _coefs(draw, 10)
+    pos = _coefs(draw, 4, 0.5, 2.0)
+    if draw(st.booleans()):
+        texts = (
+            f"v^2 + {c[0]}*u*v + {c[1]}*u + {c[2]}*t",
+            f"v^2 + {c[3]}*u + {c[4]}*v + {pos[0]}",
+            f"{c[5]}*t*v + {c[6]}*u + {pos[1]}",
+            f"{c[7]}*v + {c[8]}*u + {pos[2]}",
+        )
+    else:
+        texts = (
+            f"v^2 + {c[0]}*sin(t + u) + {c[1]}*log(u^2 + {pos[0]})",
+            f"v^2 + {c[2]}*sqrt(v^2 + {pos[1]}) + {c[3]}*exp({c[4]}*u) + {pos[2]}",
+            f"{c[5]}*t*v + {c[6]}*u*v + {c[7]}*cos(u) + {pos[3]}",
+            f"{c[8]}*exp({c[9]}*v) + u^2 + 1",
+        )
+    objective, constraint = (
+        DeltaNablaFunctional(make_lagrangian(d), make_lagrangian(n))
+        for d, n in (texts[:2], texts[2:])
+    )
+    p = IsoperimetricProblem(scale, 0.3, -0.2, objective, constraint, 0.7)
+    z = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=len(gaps), max_size=len(gaps))))
+    return p, z
+
+
+@settings(max_examples=60, deadline=None)
+@given(newton_systems())
+def test_newton_jacobians_match_central_differences(case):
+    p, z = case
+    for system, at in ((solver._normal_system(p), z), (solver._abnormal_system(p), z[:-1])):
+        f, jacobian = system(at)
+        jac = jacobian()
+        fd = np.empty_like(jac)
+        for j in range(at.size):
+            h = 1e-6 * (1.0 + abs(at[j]))
+            up, dn = at.copy(), at.copy()
+            up[j] += h
+            dn[j] -= h
+            fd[:, j] = (system(up)[0] - system(dn)[0]) / (2 * h)
+        assert jac.shape == (f.size, at.size)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
+
+
+@pytest.mark.parametrize("m, fd_iterations", [(32, 8), (64, 5), (128, 4), (256, 7)])
+def test_example_family_needs_no_more_newton_iterations(m, fd_iterations):
+    # fd_iterations: what the one start took with a forward-difference
+    # Jacobian and full first steps, before the exact Jacobian
+    res = solve_normal(example_problem(m), SolverOptions(multistart=0))
+    want, _ = closed_form_example(m)
+    assert res.converged
+    assert np.max(np.abs(res.y.values - want.values)) <= 1e-12
+    assert res.iterations <= fd_iterations
