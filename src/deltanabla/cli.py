@@ -24,6 +24,7 @@ from .problemfile import (
     LoadedProblem,
     ProblemFileError,
     emit_problem,
+    load_options,
     load_problem,
     options_document,
 )
@@ -352,29 +353,16 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _load(args: argparse.Namespace) -> LoadedProblem:
+    """The problem file, with the solver flags merged into the same-named
+    fields of its options block and validated as part of it."""
     loaded = load_problem(args.file)
-    options = loaded.options
-    overrides = {}
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise ProblemFileError("--tol", "must be positive")
-        overrides["feas_tol"] = args.tol
-        overrides["stat_tol"] = args.tol
-    if args.max_iter is not None:
-        overrides["max_iter"] = args.max_iter
-    if args.multistart is not None:
-        overrides["multistart"] = args.multistart
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.spread is not None:
-        overrides["spread"] = args.spread
-    if overrides:
-        options = dataclasses.replace(options, **overrides)
-        document = {**loaded.document, "options": options_document(options)}
-        loaded = LoadedProblem(
-            problem=loaded.problem, options=options, document=document
-        )
-    return loaded
+    flags = ("tol", "max_iter", "multistart", "seed", "spread")
+    overrides = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    if not overrides:
+        return loaded
+    options = load_options({**loaded.document["options"], **overrides})
+    document = {**loaded.document, "options": options_document(options)}
+    return LoadedProblem(problem=loaded.problem, options=options, document=document)
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:

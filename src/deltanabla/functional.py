@@ -214,12 +214,16 @@ def _left_sum(values: np.ndarray, weights: np.ndarray) -> float:
     return acc
 
 
-def _walk_factors(
+def eval_functional(
     functional: DeltaNablaFunctional, y: GridFunction
-) -> tuple[float, float]:
-    """Both factors by the reference tree walk, each summed left to right
-    from 0.0.  eval_functional falls back to it, and the oracle sums
-    with it so that no certificate rests on the compiled kernels."""
+) -> EvaluationBreakdown:
+    """Value of the product functional, with both factors reported.
+
+    This is the reference tree walk: each factor is summed left to right
+    from 0.0 over expressions.evaluate, never over the compiled kernels,
+    so that the oracle, which sums with it, rests on no kernel.
+    slot_tables reports the same factors, bit for bit, from the kernels.
+    """
     t = y.scale.points
     v = y.values
     dt, quot = _slots(t, v)
@@ -230,38 +234,20 @@ def _walk_factors(
     for i in range(dt.size):
         j_delta += ld(t[i], v[i + 1], quot[i]) * dt[i]
         j_nabla += ln(t[i + 1], v[i], quot[i]) * dt[i]
-    return float(j_delta), float(j_nabla)
-
-
-def eval_functional(
-    functional: DeltaNablaFunctional, y: GridFunction
-) -> EvaluationBreakdown:
-    """Value of the product functional, with both factors reported.
-
-    Each factor is summed left to right from 0.0, over kernel values or,
-    where the kernels fail, over the tree walk's.
-    """
-    t = y.scale.points
-    v = y.values
-    dt, quot = _slots(t, v)
-    ld = functional.l_delta
-    ln = functional.l_nabla
-    try:
-        delta_args, nabla_args = _slot_lists(t, v, quot)
-        w = dt.tolist()
-        j_delta = ld.tables(*delta_args, w)[3]
-        j_nabla = ln.tables(*nabla_args, w)[3]
-    except (ArithmeticError, ValueError):
-        j_delta, j_nabla = _walk_factors(functional, y)
-    return EvaluationBreakdown(
-        float(j_delta), float(j_nabla), float(j_delta * j_nabla)
-    )
+    j_delta, j_nabla = float(j_delta), float(j_nabla)
+    return EvaluationBreakdown(j_delta, j_nabla, j_delta * j_nabla)
 
 
 def bracket_values(
     functional: DeltaNablaFunctional, y: GridFunction
 ) -> np.ndarray:
-    """Raw stationarity bracket, one value per gap of the scale.
+    """Raw stationarity bracket, one value per gap of the scale (see
+    tables_bracket)."""
+    return tables_bracket(slot_tables(functional, y))
+
+
+def tables_bracket(tab: SlotTables) -> np.ndarray:
+    """The stationarity bracket from the slot tables of y.
 
     Entry i combines the delta bracket at point i with the nabla
     bracket at point i+1:
@@ -273,7 +259,6 @@ def bracket_values(
     the same array read on points 1..N-1.  The inner sums are prefix
     sums computed once.
     """
-    tab = slot_tables(functional, y)
     delta_prefix = np.concatenate(([0.0], np.cumsum(tab.delta_du * tab.weights)))
     delta_bracket = tab.delta_dv - delta_prefix[:-1]
     nabla_prefix = np.cumsum(tab.nabla_du * tab.weights)

@@ -3,10 +3,10 @@
 Everything here treats the functionals as black boxes: gradients come
 from central differences of the scalar value, never from the symbolic
 partials the fast path uses, and the value itself is summed by the
-reference tree walk (expressions.evaluate), never by the compiled
-kernels.  The reports certify stationarity in the plain
-finite-dimensional (KKT) sense, which on a finite scale is the same
-statement as the bracket-constancy conditions.
+reference tree walk (eval_functional), never by the compiled kernels.
+The reports certify stationarity in the plain finite-dimensional (KKT)
+sense, which on a finite scale is the same statement as the
+bracket-constancy conditions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .functional import _walk_factors, bracket_defect, iso_bracket
+from .functional import bracket_defect, eval_functional, iso_bracket
 from .solver import IsoperimetricProblem, closed_form_example, example_problem
 from .timescale import (
     GridFunction,
@@ -96,12 +96,10 @@ def kkt_check(
     """Stationarity and feasibility report from black-box differencing."""
 
     def objective_map(g: GridFunction) -> float:
-        j_delta, j_nabla = _walk_factors(p.objective, g)
-        return j_delta * j_nabla
+        return eval_functional(p.objective, g).product
 
     def constraint_map(g: GridFunction) -> float:
-        j_delta, j_nabla = _walk_factors(p.constraint, g)
-        return j_delta * j_nabla
+        return eval_functional(p.constraint, g).product
 
     grad_objective = fd_gradient(objective_map, y, h)
     grad_constraint = fd_gradient(constraint_map, y, h)

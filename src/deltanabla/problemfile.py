@@ -135,7 +135,10 @@ def _functional(doc, path: str, measure: float):
 _OPTION_FIELDS = ("tol", "max_iter", "multistart", "seed", "spread")
 
 
-def _options(doc, path: str) -> SolverOptions:
+def load_options(doc) -> SolverOptions:
+    """Solver options from a document's "options" block (None for the
+    defaults); errors name the field."""
+    path = "options"
     if doc is None:
         return SolverOptions()
     if not isinstance(doc, dict):
@@ -198,7 +201,7 @@ def load_problem(source) -> LoadedProblem:
         _require(doc, "constraint", ""), "constraint", measure
     )
     k = _real(_require(doc, "k", ""), "k")
-    options = _options(doc.get("options"), "options")
+    options = load_options(doc.get("options"))
 
     problem = IsoperimetricProblem(
         scale=scale,

@@ -23,11 +23,11 @@ from .functional import (
     DeltaNablaFunctional,
     EvaluationBreakdown,
     bracket_defect,
-    bracket_values,
     eval_functional,
     is_extremal_for_K,
     slot_curvature,
     slot_tables_at,
+    tables_bracket,
 )
 from .timescale import GridFunction, TimeScale
 
@@ -69,12 +69,10 @@ class SolverOptions:
     """Newton and multistart controls.
 
     feas_tol bounds |constraint - k|, stat_tol bounds the stationarity
-    rows and the residual defect.  Multistart draws interior
+    rows and the bracket defect of an answer.  Multistart draws interior
     perturbations uniformly from [-spread, spread] with the given seed;
     the unperturbed linear interpolant is always tried first.  Each
-    Newton step search starts at twice the last accepted step length
-    (at most 1) and multiplies it by damping until ||f|| decreases or
-    the length falls below min_step.
+    start runs at most max_iter Newton steps.
     """
 
     feas_tol: float = 1e-8
@@ -83,8 +81,6 @@ class SolverOptions:
     multistart: int = 8
     seed: int = 0
     spread: float = 1.0
-    damping: float = 0.5
-    min_step: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,6 +142,9 @@ class _Product:
         self.grad_nabla = tab.nabla_du[1:] * w[1:] - tab.nabla_dv[1:] + tab.nabla_dv[:-1]
         self.grad = tab.j_nabla * self.grad_delta + tab.j_delta * self.grad_nabla
 
+    def breakdown(self) -> EvaluationBreakdown:
+        return EvaluationBreakdown(self.tab.j_delta, self.tab.j_nabla, self.value)
+
     def hessian(self) -> np.ndarray:
         """Exact Hessian in the interior values: J_nabla * H_delta +
         J_delta * H_nabla, which is tridiagonal, plus the rank-2
@@ -177,6 +176,9 @@ class _Product:
 
 
 _EPS = float(np.finfo(float).eps)
+_MIN_STEP = 1e-12
+"""Shortest step length the step search tries: a component that is
+exactly 0.0 takes any nonzero step, so the search needs a floor."""
 
 _System = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 """A Newton system: z -> (f(z), a thunk for the Jacobian of f at z)."""
@@ -224,12 +226,12 @@ def _newton(
 ) -> _NewtonRun:
     """Damped Newton (or Gauss-Newton via least squares when the system
     is rectangular).  Each step search starts at twice the last
-    accepted step length, at most 1.  Iterates until the step search
-    can no longer reduce ||f|| or the Newton step is below the rounding
-    level of the iterate, which polishes converged roots to rounding
-    level.  A failed evaluation, or a non-finite iterate, residual or Jacobian,
-    ends the run with an "error" status; the step search skips such
-    trial points.
+    accepted step length, at most 1, and halves it until ||f|| decreases.
+    Iterates until the step search can no longer reduce ||f|| or the
+    Newton step is below the rounding level of the iterate, which
+    polishes converged roots to rounding level.  A failed evaluation, or
+    a non-finite iterate, residual or Jacobian, ends the run with an
+    "error" status; the step search skips such trial points.
     """
     system = _finite(system)
     try:
@@ -267,8 +269,13 @@ def _newton(
             break
         alpha = first_alpha
         moved = False
-        while alpha >= opts.min_step:
+        while alpha >= _MIN_STEP:
             z_try = z + alpha * step
+            if np.array_equal(z_try, z):
+                # The step rounds away, and so does every shorter one
+                # (alpha halves exactly and rounding is monotone): each
+                # would only evaluate f again.
+                break
             try:
                 f_try, jac_try = system(z_try)
             except EvaluationError:
@@ -277,7 +284,7 @@ def _newton(
                 z, f, jacobian = z_try, f_try, jac_try
                 moved = True
                 break
-            alpha *= opts.damping
+            alpha *= 0.5
         if not moved:
             # No direction of decrease at this resolution: either the
             # root is polished to rounding level or the start is stuck.
@@ -297,25 +304,60 @@ def _starts(p: IsoperimetricProblem, opts: SolverOptions) -> list[np.ndarray]:
     return starts
 
 
-def _certify(
+def _met(run: _NewtonRun, n: int, opts: SolverOptions) -> bool:
+    """Whether a run ended with a full residual whose n stationarity
+    rows are within stat_tol and whose feasibility row is within
+    feas_tol."""
+    return (
+        run.f.size == n + 1
+        and float(np.max(np.abs(run.f[:n]))) <= opts.stat_tol
+        and abs(float(run.f[n])) <= opts.feas_tol
+    )
+
+
+def _answer(
     p: IsoperimetricProblem,
-    y: GridFunction,
+    values: np.ndarray,
     lam0: float,
     lam: float,
+    iterations: int,
     opts: SolverOptions,
-) -> tuple[float, float, Classification]:
-    """Defect of the combined bracket (the same in both forms, which
-    read one array), the exact KKT residual norm, and the
-    normal/abnormal classification from the constraint's own bracket."""
-    bo = bracket_values(p.objective, y)
-    bk = bracket_values(p.constraint, y)
-    combined = lam0 * bo - lam * bk
-    gl = discrete_gradient(p.objective, y)
-    gk = discrete_gradient(p.constraint, y)
-    kkt = float(np.max(np.abs(lam0 * gl - lam * gk)))
-    abnormal = bracket_defect(bk) <= opts.stat_tol
-    cls: Classification = "abnormal" if abnormal else "normal"
-    return bracket_defect(combined), kkt, cls
+    points: tuple[StationaryPoint, ...] = (),
+) -> SolveResult:
+    """The answer at the given interior values with the multiplier pair
+    (lam0, lam), from one pass per functional: both values, the defect
+    of the combined bracket (the same in both forms, which read one
+    array), the exact KKT residual norm, and the normal/abnormal
+    classification from the constraint's own bracket.  It is converged
+    when the defect is within stat_tol and the constraint gap within
+    feas_tol, which a non-finite certificate never is; numpy's warnings
+    on the way to one are silenced for that reason."""
+    y = p.assemble(values)
+    t = p.scale.points
+    with np.errstate(all="ignore"):
+        obj = _Product(p.objective, t, y.values)
+        con = _Product(p.constraint, t, y.values)
+        bracket_k = tables_bracket(con.tab)
+        defect = bracket_defect(lam0 * tables_bracket(obj.tab) - lam * bracket_k)
+        kkt = float(np.max(np.abs(lam0 * obj.grad - lam * con.grad)))
+        abnormal = bracket_defect(bracket_k) <= opts.stat_tol
+    converged = defect <= opts.stat_tol and abs(con.value - p.k) <= opts.feas_tol
+    return SolveResult(
+        y=y,
+        lam=lam,
+        lam0=lam0,
+        objective_value=obj.breakdown(),
+        constraint_value=con.breakdown(),
+        el_defect=defect,
+        kkt_residual_norm=kkt,
+        classification="abnormal" if abnormal else "normal",
+        iterations=iterations,
+        converged=converged,
+        message="" if converged else (
+            f"stationary rows met but bracket defect {defect:.3e} exceeds stat_tol"
+        ),
+        stationary_points=points,
+    )
 
 
 def _normal_system(p: IsoperimetricProblem) -> _System:
@@ -373,81 +415,39 @@ def solve_normal(
     """
     opts = opts or SolverOptions()
     n = p.interior_count()
+    t = p.scale.points
 
     system = _normal_system(p)
-    runs: list[_NewtonRun] = []
-    for start in _starts(p, opts):
-        runs.append(_newton(system, np.append(start, 0.0), opts, square=True))
+    runs = [
+        _newton(system, np.append(start, 0.0), opts, square=True)
+        for start in _starts(p, opts)
+    ]
 
-    converged_runs = []
-    for run in runs:
-        if run.f.size != n + 1:
-            continue
-        stat_ok = float(np.max(np.abs(run.f[:n]))) <= opts.stat_tol if n else True
-        feas_ok = abs(float(run.f[n])) <= opts.feas_tol
-        if stat_ok and feas_ok:
-            converged_runs.append(run)
-
+    converged = [run for run in runs if _met(run, n, opts)]
+    products = [
+        _Product(p.objective, t, p._values(run.z[:n])).value for run in converged
+    ]
     points: list[StationaryPoint] = []
-    for run in converged_runs:
+    for run, product in zip(converged, products):
         values = run.z[:n]
-        if any(
-            np.max(np.abs(values - sp.values)) <= 1e-6 for sp in points
-        ):
+        if any(np.max(np.abs(values - sp.values)) <= 1e-6 for sp in points):
             continue
-        y = p.assemble(values)
-        points.append(
-            StationaryPoint(
-                values=values.copy(),
-                lam=float(run.z[n]),
-                objective_product=eval_functional(p.objective, y).product,
-            )
-        )
-
-    if converged_runs:
-        best = min(
-            converged_runs,
-            key=lambda run: eval_functional(
-                p.objective, p.assemble(run.z[:n])
-            ).product,
-        )
-        y = p.assemble(best.z[:n])
-        lam = float(best.z[n])
-        defect, kkt, cls = _certify(p, y, 1.0, lam, opts)
-        obj = eval_functional(p.objective, y)
-        con = eval_functional(p.constraint, y)
-        converged = (
-            defect <= opts.stat_tol and abs(con.product - p.k) <= opts.feas_tol
-        )
-        message = "" if converged else (
-            f"stationary rows met but bracket defect {defect:.3e} "
-            f"exceeds stat_tol"
-        )
-        return SolveResult(
-            y=y,
-            lam=lam,
-            lam0=1.0,
-            objective_value=obj,
-            constraint_value=con,
-            el_defect=defect,
-            kkt_residual_norm=kkt,
-            classification=cls,
-            iterations=best.iterations,
-            converged=converged,
-            message=message,
-            stationary_points=tuple(points),
+        points.append(StationaryPoint(values.copy(), float(run.z[n]), product))
+    if converged:
+        best = converged[products.index(min(products))]
+        return _answer(
+            p, best.z[:n], 1.0, float(best.z[n]), best.iterations, opts, tuple(points)
         )
 
     # No start converged: report the best iterate for inspection.
     best = min(runs, key=lambda run: float(np.max(np.abs(run.f))))
     y = p.assemble(best.z[:n])
     lam = float(best.z[n])
-    obj = eval_functional(p.objective, y)
-    con = eval_functional(p.constraint, y)
     try:
-        defect, kkt, _ = _certify(p, y, 1.0, lam, opts)
+        cert = _answer(p, best.z[:n], 1.0, lam, best.iterations, opts)
+        defect, kkt = cert.el_defect, cert.kkt_residual_norm
     except EvaluationError:
-        defect, kkt = float("nan"), float("nan")
+        defect = kkt = float("nan")
     statuses = "; ".join(
         f"start {i}: {run.status}" for i, run in enumerate(runs)
     )
@@ -455,15 +455,14 @@ def solve_normal(
         y=y,
         lam=lam,
         lam0=1.0,
-        objective_value=obj,
-        constraint_value=con,
+        objective_value=eval_functional(p.objective, y),
+        constraint_value=eval_functional(p.constraint, y),
         el_defect=defect,
         kkt_residual_norm=kkt,
         classification="unknown",
         iterations=best.iterations,
         converged=False,
         message=statuses,
-        stationary_points=(),
     )
 
 
@@ -483,37 +482,16 @@ def find_abnormal(
 
     system = _abnormal_system(p)
     found: list[SolveResult] = []
-    kept_values: list[np.ndarray] = []
     for start in _starts(p, opts):
         run = _newton(system, start, opts, square=False)
-        if run.f.size != n + 1:
+        if not _met(run, n, opts):
             continue
-        if float(np.max(np.abs(run.f[:n]))) > opts.stat_tol:
+        if any(np.max(np.abs(run.z - r.y.values[1:-1])) <= 1e-6 for r in found):
             continue
-        if abs(float(run.f[n])) > opts.feas_tol:
-            continue
-        if any(np.max(np.abs(run.z - v)) <= 1e-6 for v in kept_values):
-            continue
-        y = p.assemble(run.z)
-        check = is_extremal_for_K(p.constraint, y, opts.stat_tol)
+        check = is_extremal_for_K(p.constraint, p.assemble(run.z), opts.stat_tol)
         if not check.is_extremal:
             continue
-        defect, kkt, _ = _certify(p, y, 0.0, 1.0, opts)
-        kept_values.append(run.z.copy())
-        found.append(
-            SolveResult(
-                y=y,
-                lam=1.0,
-                lam0=0.0,
-                objective_value=eval_functional(p.objective, y),
-                constraint_value=eval_functional(p.constraint, y),
-                el_defect=defect,
-                kkt_residual_norm=kkt,
-                classification="abnormal",
-                iterations=run.iterations,
-                converged=True,
-            )
-        )
+        found.append(_answer(p, run.z, 0.0, 1.0, run.iterations, opts))
     return found
 
 

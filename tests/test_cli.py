@@ -289,6 +289,47 @@ def test_solver_flag_overrides_reach_the_options(example_file, capsys):
     assert doc["options"]["tol"] == 1e-9
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--max-iter", "-1", "options.max_iter: expected a nonnegative integer"),
+        ("--multistart", "-2", "options.multistart: expected a nonnegative integer"),
+        ("--seed", "-5", "options.seed: expected a nonnegative integer"),
+        ("--spread", "-1", "options.spread: must be nonnegative"),
+        ("--tol", "0", "options.tol: must be positive"),
+    ],
+    ids=["max-iter", "multistart", "seed", "spread", "tol"],
+)
+@pytest.mark.parametrize("emit", [False, True], ids=["solve", "emit"])
+def test_bad_solver_flags_are_input_errors(
+    example_file, capsys, flag, value, message, emit
+):
+    # The flags are validated as the options block they override, so a
+    # bad value is an input error naming the field, before any solve or
+    # emitted document.
+    rc = main(["solve", example_file, flag, value] + (["--emit-problem"] if emit else []))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_emitted_document_with_flag_overrides_reloads_byte_for_byte(
+    example_file, tmp_path, capsys
+):
+    flags = ["--max-iter", "7", "--multistart", "2", "--seed", "3",
+             "--spread", "0.5", "--tol", "1e-9"]
+    assert main(["solve", example_file, *flags, "--emit-problem"]) == 0
+    first = capsys.readouterr().out
+    path = tmp_path / "emitted.json"
+    path.write_text(first)
+    assert main(["solve", str(path), "--emit-problem"]) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(first)["options"] == {
+        "max_iter": 7, "multistart": 2, "seed": 3, "spread": 0.5, "tol": 1e-9
+    }
+
+
 def test_module_entry_point(example_file):
     proc = subprocess.run(
         [sys.executable, "-m", "deltanabla", "solve", example_file],

@@ -3,6 +3,8 @@ gradients, the exact Newton Jacobians, the damped multistart Newton
 iteration, abnormal-candidate search, and the built-in closed-form
 family."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,15 @@ from deltanabla import (
     solve_normal,
 )
 from deltanabla import solver
-from deltanabla.functional import EL2, el_residual, iso_residual
+from deltanabla.functional import (
+    EL2,
+    bracket_defect,
+    el_residual,
+    iso_bracket,
+    iso_residual,
+)
 from deltanabla.solver import closed_form_example, example_problem
+from test_acceptance import _random_small_problem
 
 
 def test_discrete_gradient_on_the_example_extremal():
@@ -173,20 +182,25 @@ def test_find_abnormal_empty_for_the_example():
     assert find_abnormal(example_problem(3)) == []
 
 
-def test_find_abnormal_locates_a_constraint_extremal():
-    scale = TimeScale(np.arange(4.0))
-    p = IsoperimetricProblem(
-        scale=scale,
+def _constraint_extremal_problem(objective_delta="v^2 + u", k=0.0):
+    """On {0, 1, 2, 3} with zero ends, y = 0 is an extremal of the
+    constraint (v^2, v^2), at level 0."""
+    return IsoperimetricProblem(
+        scale=TimeScale(np.arange(4.0)),
         alpha=0.0,
         beta=0.0,
         objective=DeltaNablaFunctional(
-            make_lagrangian("v^2 + u"), make_lagrangian("v^2")
+            make_lagrangian(objective_delta), make_lagrangian("v^2")
         ),
         constraint=DeltaNablaFunctional(
             make_lagrangian("v^2"), make_lagrangian("v^2")
         ),
-        k=0.0,
+        k=k,
     )
+
+
+def test_find_abnormal_locates_a_constraint_extremal():
+    p = _constraint_extremal_problem()
     found = find_abnormal(p)
     assert found
     res = found[0]
@@ -202,20 +216,64 @@ def test_find_abnormal_locates_a_constraint_extremal():
 def test_find_abnormal_ignores_infeasible_constraint_extremals():
     # same constraint as above but a level it cannot attain at an
     # extremal: candidates must be feasible to count
-    scale = TimeScale(np.arange(4.0))
-    p = IsoperimetricProblem(
-        scale=scale,
-        alpha=0.0,
-        beta=0.0,
-        objective=DeltaNablaFunctional(
-            make_lagrangian("v^2 + u"), make_lagrangian("v^2")
-        ),
-        constraint=DeltaNablaFunctional(
-            make_lagrangian("v^2"), make_lagrangian("v^2")
-        ),
-        k=3.0,
-    )
-    assert find_abnormal(p) == []
+    assert find_abnormal(_constraint_extremal_problem(k=3.0)) == []
+
+
+def test_abnormal_answer_with_a_non_finite_certificate_is_not_converged():
+    # 1e200*1e200 overflows to inf and inf*u is NaN at u = 0.  The
+    # constraint's own bracket is constant there, so the candidate is
+    # found, but its combined bracket and KKT residual are NaN, which
+    # meets no tolerance; numpy warns of nothing on the way.
+    p = _constraint_extremal_problem("1e200*1e200*u + v^2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = find_abnormal(p)
+    assert len(found) == 1
+    res = found[0]
+    assert res.classification == "abnormal"
+    assert np.isnan(res.el_defect) and np.isnan(res.kkt_residual_norm)
+    assert res.converged is False
+    assert res.message == "stationary rows met but bracket defect nan exceeds stat_tol"
+
+
+def _bits(*xs):
+    return np.array(xs, dtype=float).tobytes()
+
+
+def _assert_certificate_bitwise(p, res):
+    """The answer's numbers are the public certificate functions' at its
+    y and multipliers, bit for bit."""
+    y = res.y
+    for got, functional in (
+        (res.objective_value, p.objective),
+        (res.constraint_value, p.constraint),
+    ):
+        want = eval_functional(functional, y)
+        assert _bits(got.delta_factor, got.nabla_factor, got.product) == _bits(
+            want.delta_factor, want.nabla_factor, want.product
+        )
+    bracket = iso_bracket(p.objective, p.constraint, y, res.lam0, res.lam)
+    assert _bits(res.el_defect) == _bits(bracket_defect(bracket))
+    gl = discrete_gradient(p.objective, y)
+    gk = discrete_gradient(p.constraint, y)
+    kkt = np.max(np.abs(res.lam0 * gl - res.lam * gk))
+    assert _bits(res.kkt_residual_norm) == _bits(kkt)
+
+
+def test_answers_agree_bitwise_with_the_certificate_functions():
+    for m in (3, 8, 32):
+        res = solve_normal(example_problem(m))
+        assert res.converged
+        _assert_certificate_bitwise(example_problem(m), res)
+    rng = np.random.default_rng(2024)
+    for i in range(6):
+        p = _random_small_problem(rng)
+        _assert_certificate_bitwise(p, solve_normal(p, SolverOptions(multistart=4, seed=i)))
+    p = _constraint_extremal_problem()
+    found = find_abnormal(p)
+    assert found
+    for res in found:
+        _assert_certificate_bitwise(p, res)
 
 
 def test_solver_options_thread_through():
