@@ -121,13 +121,14 @@ def _result_payload(result: SolveResult, k: float) -> dict:
 
 
 def _solve_row_data(loaded: LoadedProblem, result: SolveResult):
-    p = loaded.problem
+    """Rows of the answer's combined bracket, or of the objective's raw
+    bracket at the best iterate of a solve that did not converge, which
+    may be inf or NaN there and is shown as such."""
     if result.converged:
-        bracket = iso_bracket(
-            p.objective, p.constraint, result.y, result.lam0, result.lam
-        )
+        bracket = result.bracket
     else:
-        bracket = bracket_values(p.objective, result.y)
+        with np.errstate(all="ignore"):
+            bracket = bracket_values(loaded.problem.objective, result.y)
     return _point_rows(result.y, bracket)
 
 

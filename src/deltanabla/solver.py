@@ -106,6 +106,8 @@ class SolveResult:
     converged: bool
     message: str = ""
     stationary_points: tuple[StationaryPoint, ...] = ()
+    # The combined bracket whose defect is el_defect; None if no start converged.
+    bracket: np.ndarray | None = None
 
 
 def discrete_gradient(
@@ -196,7 +198,7 @@ def _finite(system: _System) -> _System:
     """system, with a non-finite iterate, residual or Jacobian raised as
     an EvaluationError like any other failed evaluation.  numpy's
     warnings on the way to such a value are silenced here, where the
-    value is caught, and nowhere else."""
+    value is caught."""
 
     def checked(z: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         if not np.isfinite(z).all():
@@ -218,34 +220,39 @@ def _finite(system: _System) -> _System:
     return checked
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x||, or inf without numpy's warning where its square overflows."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(x)
+
+
 def _newton(
     system: _System,
     z0: np.ndarray,
     opts: SolverOptions,
-    square: bool,
+    min_norm: bool,
 ) -> _NewtonRun:
-    """Damped Newton (or Gauss-Newton via least squares when the system
-    is rectangular).  Each step search starts at twice the last
-    accepted step length, at most 1, and halves it until ||f|| decreases.
-    Iterates until the step search can no longer reduce ||f|| or the
-    Newton step is below the rounding level of the iterate, which
-    polishes converged roots to rounding level.  A failed evaluation, or
-    a non-finite iterate, residual or Jacobian, ends the run with an
+    """Damped Newton on a square system: np.linalg.solve steps, which a
+    singular Jacobian ends, or with min_norm the minimum-norm lstsq step,
+    which it does not.  Each step search starts at twice the last
+    accepted step length, at most 1, and halves it until ||f|| decreases
+    (a trial whose ||f|| overflows never does).  Iterates until the
+    search fails or the step is below the rounding level of the iterate,
+    which polishes roots to rounding level.  A failed evaluation, or a
+    non-finite iterate, residual or Jacobian, ends the run with an
     "error" status; the step search skips such trial points.
     """
     system = _finite(system)
+    z = np.asarray(z0, dtype=float)
     try:
-        z = np.asarray(z0, dtype=float)
         f, jacobian = system(z)
     except EvaluationError as exc:
-        return _NewtonRun(
-            np.asarray(z0, dtype=float), np.full(1, np.inf), 0, f"error: {exc}"
-        )
+        return _NewtonRun(z, np.full(z.size, np.inf), 0, f"error: {exc}")
     status = "maxiter"
     it = 0
     first_alpha = 1.0
     for it in range(1, opts.max_iter + 1):
-        norm = np.linalg.norm(f)
+        norm = _norm(f)
         if norm == 0.0:
             status = "ok"
             break
@@ -254,15 +261,15 @@ def _newton(
         except EvaluationError as exc:
             status = f"error: {exc}"
             break
-        if square:
+        if min_norm:
+            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        else:
             try:
                 step = np.linalg.solve(jac, -f)
             except np.linalg.LinAlgError:
                 status = "singular"
                 break
-        else:
-            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
-        if np.linalg.norm(step) <= _EPS * np.linalg.norm(z):
+        if _norm(step) <= _EPS * _norm(z):
             # A step below the rounding level of the iterate: the root
             # is polished as far as it can be.
             status = "stalled"
@@ -280,7 +287,7 @@ def _newton(
                 f_try, jac_try = system(z_try)
             except EvaluationError:
                 f_try = None
-            if f_try is not None and np.linalg.norm(f_try) < norm:
+            if f_try is not None and _norm(f_try) < norm:
                 z, f, jacobian = z_try, f_try, jac_try
                 moved = True
                 break
@@ -305,12 +312,10 @@ def _starts(p: IsoperimetricProblem, opts: SolverOptions) -> list[np.ndarray]:
 
 
 def _met(run: _NewtonRun, n: int, opts: SolverOptions) -> bool:
-    """Whether a run ended with a full residual whose n stationarity
-    rows are within stat_tol and whose feasibility row is within
-    feas_tol."""
+    """Whether a normal run ended with its n stationarity rows within
+    stat_tol and its feasibility row within feas_tol."""
     return (
-        run.f.size == n + 1
-        and float(np.max(np.abs(run.f[:n]))) <= opts.stat_tol
+        float(np.max(np.abs(run.f[:n]))) <= opts.stat_tol
         and abs(float(run.f[n])) <= opts.feas_tol
     )
 
@@ -325,9 +330,9 @@ def _answer(
     points: tuple[StationaryPoint, ...] = (),
 ) -> SolveResult:
     """The answer at the given interior values with the multiplier pair
-    (lam0, lam), from one pass per functional: both values, the defect
-    of the combined bracket (the same in both forms, which read one
-    array), the exact KKT residual norm, and the normal/abnormal
+    (lam0, lam), from one pass per functional: both values, the
+    combined bracket and its defect (the same in both forms, which read
+    one array), the exact KKT residual norm, and the normal/abnormal
     classification from the constraint's own bracket.  It is converged
     when the defect is within stat_tol and the constraint gap within
     feas_tol, which a non-finite certificate never is; numpy's warnings
@@ -338,7 +343,8 @@ def _answer(
         obj = _Product(p.objective, t, y.values)
         con = _Product(p.constraint, t, y.values)
         bracket_k = tables_bracket(con.tab)
-        defect = bracket_defect(lam0 * tables_bracket(obj.tab) - lam * bracket_k)
+        bracket = lam0 * tables_bracket(obj.tab) - lam * bracket_k
+        defect = bracket_defect(bracket)
         kkt = float(np.max(np.abs(lam0 * obj.grad - lam * con.grad)))
         abnormal = bracket_defect(bracket_k) <= opts.stat_tol
     converged = defect <= opts.stat_tol and abs(con.value - p.k) <= opts.feas_tol
@@ -357,6 +363,7 @@ def _answer(
             f"stationary rows met but bracket defect {defect:.3e} exceeds stat_tol"
         ),
         stationary_points=points,
+        bracket=bracket,
     )
 
 
@@ -388,15 +395,13 @@ def _normal_system(p: IsoperimetricProblem) -> _System:
 
 
 def _abnormal_system(p: IsoperimetricProblem) -> _System:
-    """Rows grad(constraint) and constraint - k in the interior values,
-    one more than the unknowns; the Jacobian stacks grad(constraint)
-    under the constraint's Hessian."""
+    """The square system grad(constraint) = 0 in the interior values,
+    whose Jacobian is the constraint's Hessian."""
     t = p.scale.points
 
     def system(z: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         con = _Product(p.constraint, t, p._values(z))
-        f = np.append(con.grad, con.value - p.k)
-        return f, lambda: np.vstack((con.hessian(), con.grad))
+        return con.grad, con.hessian
 
     return system
 
@@ -419,7 +424,7 @@ def solve_normal(
 
     system = _normal_system(p)
     runs = [
-        _newton(system, np.append(start, 0.0), opts, square=True)
+        _newton(system, np.append(start, 0.0), opts, min_norm=False)
         for start in _starts(p, opts)
     ]
 
@@ -451,19 +456,20 @@ def solve_normal(
     statuses = "; ".join(
         f"start {i}: {run.status}" for i, run in enumerate(runs)
     )
-    return SolveResult(
-        y=y,
-        lam=lam,
-        lam0=1.0,
-        objective_value=eval_functional(p.objective, y),
-        constraint_value=eval_functional(p.constraint, y),
-        el_defect=defect,
-        kkt_residual_norm=kkt,
-        classification="unknown",
-        iterations=best.iterations,
-        converged=False,
-        message=statuses,
-    )
+    with np.errstate(all="ignore"):  # the walk may meet inf or NaN, reported as such
+        return SolveResult(
+            y=y,
+            lam=lam,
+            lam0=1.0,
+            objective_value=eval_functional(p.objective, y),
+            constraint_value=eval_functional(p.constraint, y),
+            el_defect=defect,
+            kkt_residual_norm=kkt,
+            classification="unknown",
+            iterations=best.iterations,
+            converged=False,
+            message=statuses,
+        )
 
 
 def find_abnormal(
@@ -471,20 +477,25 @@ def find_abnormal(
 ) -> list[SolveResult]:
     """Search for functions that are extremal for the constraint itself.
 
-    Solves grad(constraint) = 0 together with constraint = k for the
-    interior values (one more equation than unknowns, handled by
-    Gauss-Newton least squares).  Every converged, distinct solution is
-    re-verified with is_extremal_for_K before being reported; an empty
-    list means no abnormal candidates were found.
+    Solves grad(constraint) = 0 for the interior values by Newton steps
+    of minimum norm, which a singular Hessian (low rank, or a line of
+    extremals) does not stop, then keeps the points within feas_tol of
+    the level k.  Every distinct one is re-verified with
+    is_extremal_for_K before being reported; an empty list means no
+    abnormal candidates were found.
     """
     opts = opts or SolverOptions()
-    n = p.interior_count()
+    t = p.scale.points
 
     system = _abnormal_system(p)
     found: list[SolveResult] = []
     for start in _starts(p, opts):
-        run = _newton(system, start, opts, square=False)
-        if not _met(run, n, opts):
+        run = _newton(system, start, opts, min_norm=True)
+        if float(np.max(np.abs(run.f))) > opts.stat_tol:
+            continue
+        with np.errstate(all="ignore"):  # a non-finite gap fails the filter
+            gap = _Product(p.constraint, t, p._values(run.z)).value - p.k
+        if not abs(gap) <= opts.feas_tol:
             continue
         if any(np.max(np.abs(run.z - r.y.values[1:-1])) <= 1e-6 for r in found):
             continue

@@ -371,3 +371,38 @@ def test_non_finite_newton_iterate_is_a_numerical_failure(tmp_path, capsys):
     assert proc.returncode == 2
     assert proc.stdout == captured.out
     assert proc.stderr == ""
+
+
+def test_nan_certificate_document_warns_of_nothing(tmp_path, capsys):
+    # 1e200*1e200*u is inf*0.0 = NaN at u = 0.  Every normal start ends
+    # with an error, and the report of the best iterate shows NaN
+    # factors and NaN bracket rows; the abnormal candidate y = 0 has a
+    # NaN certificate.  The NaN is output, not a warning.
+    doc = {
+        "timescale": {"points": [0.0, 1.0, 2.0, 3.0]},
+        "boundary": {"alpha": 0.0, "beta": 0.0},
+        "objective": {"delta": "1e200*1e200*u + v^2", "nabla": "v^2"},
+        "constraint": {"delta": "v^2", "nabla": "v^2"},
+        "k": 0.0,
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", str(path), "--output", "structured"]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    payload = json.loads(captured.out)
+    result = payload["result"]
+    assert result["converged"] is False
+    assert result["objective"]["delta_factor"] != result["objective"]["delta_factor"]
+    assert all(r["residual_EL1"] is None or r["residual_EL1"] != r["residual_EL1"]
+               for r in payload["rows"])
+    [abnormal] = payload["abnormal"]
+    assert abnormal["converged"] is False
+    assert abnormal["el_defect"] != abnormal["el_defect"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltanabla", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == captured.out
+    assert proc.stderr == ""

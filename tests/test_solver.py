@@ -236,6 +236,62 @@ def test_abnormal_answer_with_a_non_finite_certificate_is_not_converged():
     assert res.message == "stationary rows met but bracket defect nan exceeds stat_tol"
 
 
+def _degenerate_abnormal_problem():
+    """On {0, 1, 2, 3} with zero ends, the constraint (t*u^2, 1) is
+    K = 3*y(2)^2, since the delta slot of gap 1 is the only one with
+    t > 0 and a free u.  K is flat in y(1), so every y with y(2) = 0 is
+    an abnormal point at level 0, and the Hessian is singular
+    everywhere."""
+    return IsoperimetricProblem(
+        scale=TimeScale(np.arange(4.0)),
+        alpha=0.0,
+        beta=0.0,
+        objective=DeltaNablaFunctional(
+            make_lagrangian("v^2 + u"), make_lagrangian("v^2")
+        ),
+        constraint=DeltaNablaFunctional(
+            make_lagrangian("t*u^2"), make_lagrangian("1")
+        ),
+        k=0.0,
+    )
+
+
+def test_find_abnormal_keeps_every_start_on_a_degenerate_abnormal_set():
+    # The minimum-norm step moves only y(2), never along the flat
+    # direction, so each start keeps its own y(1) and ends on the line
+    # y(2) = 0.  Were a singular Hessian to end a start, only the base
+    # start, which starts on the line, would be found.
+    p = _degenerate_abnormal_problem()
+    opts = SolverOptions()
+    found = find_abnormal(p, opts)
+    assert len(found) == 9
+    y1 = [r.y.values[1] for r in found]
+    assert np.allclose(y1, [s[0] for s in solver._starts(p, opts)], rtol=0.0, atol=1e-12)
+    for res in found:
+        assert abs(res.y.values[2]) <= 1e-12
+        assert res.converged and res.classification == "abnormal"
+        _assert_certificate_bitwise(p, res)
+
+
+def test_no_abnormal_start_runs_to_max_iter(monkeypatch):
+    # Square Newton on grad(K) = 0 ends each start of the criterion-5
+    # problems, whose constraints have rank-2 Hessians, at a root or a
+    # stall: none crawls on toward a nonzero least-squares minimum.
+    runs = []
+    newton = solver._newton
+
+    def recording(*args, **kwargs):
+        runs.append(newton(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(solver, "_newton", recording)
+    rng = np.random.default_rng(2024)
+    for _ in range(6):
+        assert find_abnormal(_random_small_problem(rng)) == []
+    assert len(runs) == 6 * 9
+    assert [run.status for run in runs if run.status == "maxiter"] == []
+
+
 def _bits(*xs):
     return np.array(xs, dtype=float).tobytes()
 
@@ -253,6 +309,7 @@ def _assert_certificate_bitwise(p, res):
             want.delta_factor, want.nabla_factor, want.product
         )
     bracket = iso_bracket(p.objective, p.constraint, y, res.lam0, res.lam)
+    assert res.bracket.tobytes() == bracket.tobytes()
     assert _bits(res.el_defect) == _bits(bracket_defect(bracket))
     gl = discrete_gradient(p.objective, y)
     gk = discrete_gradient(p.constraint, y)
@@ -302,6 +359,28 @@ def test_non_finite_residual_ends_only_its_own_start():
     statuses = res.message.split("; ")
     assert len(statuses) == 9
     assert all(s.endswith("error: non-finite residual") for s in statuses[1:])
+
+
+@pytest.mark.parametrize(
+    "f0, jac",
+    [([1.0], [[1.0]]), ([1.0, 1.0], [[1e-200, 0.0], [0.0, 1e-200]])],
+    ids=["huge-trial-residual", "huge-step"],
+)
+def test_step_search_counts_an_overflowing_norm_as_no_decrease(f0, jac):
+    # Away from the start the residual is finite, but its sum of squares
+    # overflows: ||f|| is inf there, which is no decrease, so the search
+    # rejects every trial and the run stalls at the start, warning of
+    # nothing.  In the second system the step's norm overflows too.
+    def system(z):
+        f = np.array(f0) if not z.any() else np.full(z.size, 1e200)
+        return f, lambda: np.array(jac)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = solver._newton(system, np.zeros(len(f0)), SolverOptions(), False)
+    assert run.status == "stalled"
+    assert run.iterations == 1
+    assert not run.z.any()
 
 
 def _coefs(draw, count, lo=-0.5, hi=0.5):
