@@ -17,19 +17,18 @@ import sys
 
 import numpy as np
 
-from .expressions import EvaluationError, ParseError, evaluate, make_lagrangian, to_str
+from .expressions import EvaluationError, evaluate, make_lagrangian, to_str
 from .functional import bracket_values, eval_functional, iso_bracket, residual_pair
 from .oracle import identity_fuzz, verify_example
 from .problemfile import (
     LoadedProblem,
-    ProblemFileError,
     emit_problem,
     load_options,
     load_problem,
     options_document,
 )
 from .solver import SolveResult, find_abnormal, solve_normal
-from .timescale import GridFunction, delta_derivative, nabla_derivative
+from .timescale import GridFunction
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -47,19 +46,21 @@ def _structured(payload: dict) -> str:
 def _point_rows(y: GridFunction, bracket: np.ndarray) -> list[dict]:
     """Per-point table: t, y, both difference quotients on their genuine
     windows, and the bracket read as each residual form on its window;
-    None marks undefined cells."""
+    None marks undefined cells.  The difference quotients of gap i are
+    y_delta at point i and y_nabla at point i+1; where they overflow
+    (on subnormal gaps), they are shown as inf."""
     t = y.scale.points
     n = len(t)
-    yd = delta_derivative(y).values
-    yn = nabla_derivative(y).values
+    with np.errstate(all="ignore"):
+        quot = np.diff(y.values) / np.diff(t)
     rows = []
     for i in range(n):
         rows.append(
             {
                 "t": float(t[i]),
                 "y": float(y.values[i]),
-                "y_delta": float(yd[i]) if i < n - 1 else None,
-                "y_nabla": float(yn[i]) if i > 0 else None,
+                "y_delta": float(quot[i]) if i < n - 1 else None,
+                "y_nabla": float(quot[i - 1]) if i > 0 else None,
                 "residual_EL1": float(bracket[i - 1]) if i > 0 else None,
                 "residual_EL2": float(bracket[i]) if i < n - 1 else None,
             }
@@ -80,13 +81,12 @@ def _emit_csv(rows: list[dict]) -> None:
 
 
 def _print_rows(rows: list[dict]) -> None:
-    header = ["t", "y", "y_delta", "y_nabla", "residual_EL1", "residual_EL2"]
-    table = [header]
+    table = [_CSV_COLUMNS]
     for row in rows:
         table.append(
-            ["-" if row[c] is None else _fmt(row[c]) for c in header]
+            ["-" if row[c] is None else _fmt(row[c]) for c in _CSV_COLUMNS]
         )
-    widths = [max(len(line[i]) for line in table) for i in range(len(header))]
+    widths = [max(len(line[i]) for line in table) for i in range(len(_CSV_COLUMNS))]
     for line in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
 
@@ -439,10 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFileError, ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EvaluationError as exc:

@@ -75,31 +75,31 @@ def _scale(doc, path: str) -> TimeScale:
     if has_points == has_uniform:
         raise ProblemFileError(path, "give exactly one of 'points' or 'uniform'")
     if has_points:
+        field = f"{path}.points"
         pts = doc["points"]
         if not isinstance(pts, list) or len(pts) < 3:
-            raise ProblemFileError(
-                f"{path}.points", "needs interior point (at least 3 points)"
-            )
-        values = [_real(x, f"{path}.points[{i}]") for i, x in enumerate(pts)]
-        try:
-            return TimeScale(np.array(values))
-        except ValueError as exc:
-            raise ProblemFileError(f"{path}.points", str(exc)) from exc
-    uni = doc["uniform"]
-    if not isinstance(uni, dict):
-        raise ProblemFileError(f"{path}.uniform", "expected an object")
-    a = _real(_require(uni, "a", f"{path}.uniform"), f"{path}.uniform.a")
-    b = _real(_require(uni, "b", f"{path}.uniform"), f"{path}.uniform.b")
-    n = _require(uni, "n", f"{path}.uniform")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ProblemFileError(f"{path}.uniform.n", "expected an integer")
-    if n < 3:
-        raise ProblemFileError(
-            f"{path}.uniform.n", "needs interior point (n >= 3)"
-        )
-    if not b > a:
-        raise ProblemFileError(f"{path}.uniform", "b must exceed a")
-    return TimeScale(np.linspace(a, b, n))
+            raise ProblemFileError(field, "needs interior point (at least 3 points)")
+        points = np.array([_real(x, f"{field}[{i}]") for i, x in enumerate(pts)])
+    else:
+        field = f"{path}.uniform"
+        uni = doc["uniform"]
+        if not isinstance(uni, dict):
+            raise ProblemFileError(field, "expected an object")
+        a = _real(_require(uni, "a", field), f"{field}.a")
+        b = _real(_require(uni, "b", field), f"{field}.b")
+        n = _require(uni, "n", field)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ProblemFileError(f"{field}.n", "expected an integer")
+        if n < 3:
+            raise ProblemFileError(f"{field}.n", "needs interior point (n >= 3)")
+        if not b > a:
+            raise ProblemFileError(field, "b must exceed a")
+        with np.errstate(all="ignore"):  # b - a may overflow; TimeScale says so
+            points = np.linspace(a, b, n)
+    try:
+        return TimeScale(points)
+    except ValueError as exc:
+        raise ProblemFileError(field, str(exc)) from exc
 
 
 def _integrand(raw, path: str, measure: float):

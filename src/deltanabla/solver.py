@@ -24,7 +24,6 @@ from .functional import (
     EvaluationBreakdown,
     bracket_defect,
     eval_functional,
-    is_extremal_for_K,
     slot_curvature,
     slot_tables_at,
     tables_bracket,
@@ -182,42 +181,35 @@ _MIN_STEP = 1e-12
 """Shortest step length the step search tries: a component that is
 exactly 0.0 takes any nonzero step, so the search needs a floor."""
 
-_System = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
-"""A Newton system: z -> (f(z), a thunk for the Jacobian of f at z)."""
+_System = Callable[
+    [np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray], tuple[_Product, ...]]
+]
+"""A Newton system: z -> (f(z), a thunk for the Jacobian of f at z, the
+products f was computed from, the constraint's last)."""
 
 
 @dataclass
 class _NewtonRun:
+    """The end of a run: the iterate z, its residual f (all inf if the
+    start is no iterate), and the products f was computed from, which
+    everything after the run reads instead of evaluating z again (None
+    if the start could not be evaluated)."""
+
     z: np.ndarray
     f: np.ndarray
     iterations: int
     status: str  # "ok", "stalled", "singular", "maxiter", "error"
+    products: tuple[_Product, ...] | None
 
 
-def _finite(system: _System) -> _System:
-    """system, with a non-finite iterate, residual or Jacobian raised as
-    an EvaluationError like any other failed evaluation.  numpy's
-    warnings on the way to such a value are silenced here, where the
-    value is caught."""
-
-    def checked(z: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-        if not np.isfinite(z).all():
-            raise EvaluationError("non-finite iterate")
-        with np.errstate(all="ignore"):
-            f, jacobian = system(z)
-        if not np.isfinite(f).all():
-            raise EvaluationError("non-finite residual")
-
-        def checked_jacobian() -> np.ndarray:
-            with np.errstate(all="ignore"):
-                jac = jacobian()
-            if not np.isfinite(jac).all():
-                raise EvaluationError("non-finite Jacobian")
-            return jac
-
-        return f, checked_jacobian
-
-    return checked
+def _evaluate(system: _System, z: np.ndarray):
+    """system(z), or an EvaluationError for a non-finite z.  numpy's
+    warnings are silenced: the caller catches the non-finite values
+    they warn of."""
+    if not np.isfinite(z).all():
+        raise EvaluationError("non-finite iterate")
+    with np.errstate(all="ignore"):
+        return system(z)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -240,14 +232,17 @@ def _newton(
     search fails or the step is below the rounding level of the iterate,
     which polishes roots to rounding level.  A failed evaluation, or a
     non-finite iterate, residual or Jacobian, ends the run with an
-    "error" status; the step search skips such trial points.
+    "error" status; the step search skips such trial points.  The run
+    keeps the products of the last iterate it evaluated.
     """
-    system = _finite(system)
     z = np.asarray(z0, dtype=float)
+    products = None
     try:
-        f, jacobian = system(z)
+        f, jacobian, products = _evaluate(system, z)
+        if not np.isfinite(f).all():
+            raise EvaluationError("non-finite residual")
     except EvaluationError as exc:
-        return _NewtonRun(z, np.full(z.size, np.inf), 0, f"error: {exc}")
+        return _NewtonRun(z, np.full(z.size, np.inf), 0, f"error: {exc}", products)
     status = "maxiter"
     it = 0
     first_alpha = 1.0
@@ -257,7 +252,10 @@ def _newton(
             status = "ok"
             break
         try:
-            jac = jacobian()
+            with np.errstate(all="ignore"):
+                jac = jacobian()
+            if not np.isfinite(jac).all():
+                raise EvaluationError("non-finite Jacobian")
         except EvaluationError as exc:
             status = f"error: {exc}"
             break
@@ -284,11 +282,12 @@ def _newton(
                 # would only evaluate f again.
                 break
             try:
-                f_try, jac_try = system(z_try)
+                f_try, jac_try, products_try = _evaluate(system, z_try)
             except EvaluationError:
                 f_try = None
+            # A non-finite residual's norm is inf or NaN: no decrease.
             if f_try is not None and _norm(f_try) < norm:
-                z, f, jacobian = z_try, f_try, jac_try
+                z, f, jacobian, products = z_try, f_try, jac_try, products_try
                 moved = True
                 break
             alpha *= 0.5
@@ -298,7 +297,7 @@ def _newton(
             status = "stalled"
             break
         first_alpha = min(1.0, 2.0 * alpha)
-    return _NewtonRun(z, f, it, status)
+    return _NewtonRun(z, f, it, status, products)
 
 
 def _starts(p: IsoperimetricProblem, opts: SolverOptions) -> list[np.ndarray]:
@@ -311,37 +310,39 @@ def _starts(p: IsoperimetricProblem, opts: SolverOptions) -> list[np.ndarray]:
     return starts
 
 
-def _met(run: _NewtonRun, n: int, opts: SolverOptions) -> bool:
-    """Whether a normal run ended with its n stationarity rows within
-    stat_tol and its feasibility row within feas_tol."""
+def _met(run: _NewtonRun, p: IsoperimetricProblem, opts: SolverOptions) -> bool:
+    """Whether a run of either search ended with its stationarity rows
+    (the first n of f) within stat_tol and its kept constraint within
+    feas_tol of k."""
+    n = p.interior_count()
     return (
-        float(np.max(np.abs(run.f[:n]))) <= opts.stat_tol
-        and abs(float(run.f[n])) <= opts.feas_tol
+        run.products is not None
+        and float(np.max(np.abs(run.f[:n]))) <= opts.stat_tol
+        and abs(run.products[-1].value - p.k) <= opts.feas_tol
     )
 
 
 def _answer(
     p: IsoperimetricProblem,
-    values: np.ndarray,
+    obj: _Product,
+    con: _Product,
     lam0: float,
     lam: float,
     iterations: int,
     opts: SolverOptions,
     points: tuple[StationaryPoint, ...] = (),
 ) -> SolveResult:
-    """The answer at the given interior values with the multiplier pair
-    (lam0, lam), from one pass per functional: both values, the
-    combined bracket and its defect (the same in both forms, which read
-    one array), the exact KKT residual norm, and the normal/abnormal
-    classification from the constraint's own bracket.  It is converged
-    when the defect is within stat_tol and the constraint gap within
-    feas_tol, which a non-finite certificate never is; numpy's warnings
-    on the way to one are silenced for that reason."""
-    y = p.assemble(values)
-    t = p.scale.points
+    """The answer at the point where obj and con were evaluated, with
+    the multiplier pair (lam0, lam), from those products alone: both
+    values, the combined bracket and its defect (the same in both
+    forms, which read one array), the exact KKT residual norm, and the
+    normal/abnormal classification from the constraint's own bracket.
+    It is converged when the defect is within stat_tol and the
+    constraint gap within feas_tol, which a non-finite certificate
+    never is; numpy's warnings on the way to one are silenced for that
+    reason."""
+    y = GridFunction(p.scale, con.values)
     with np.errstate(all="ignore"):
-        obj = _Product(p.objective, t, y.values)
-        con = _Product(p.constraint, t, y.values)
         bracket_k = tables_bracket(con.tab)
         bracket = lam0 * tables_bracket(obj.tab) - lam * bracket_k
         defect = bracket_defect(bracket)
@@ -375,7 +376,7 @@ def _normal_system(p: IsoperimetricProblem) -> _System:
     t = p.scale.points
     n = p.interior_count()
 
-    def system(z: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    def system(z: np.ndarray):
         v = p._values(z[:n])
         lam = z[n]
         obj = _Product(p.objective, t, v)
@@ -389,7 +390,7 @@ def _normal_system(p: IsoperimetricProblem) -> _System:
             jac[n, :n] = con.grad
             return jac
 
-        return f, jacobian
+        return f, jacobian, (obj, con)
 
     return system
 
@@ -399,9 +400,9 @@ def _abnormal_system(p: IsoperimetricProblem) -> _System:
     whose Jacobian is the constraint's Hessian."""
     t = p.scale.points
 
-    def system(z: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    def system(z: np.ndarray):
         con = _Product(p.constraint, t, p._values(z))
-        return con.grad, con.hessian
+        return con.grad, con.hessian, (con,)
 
     return system
 
@@ -420,7 +421,6 @@ def solve_normal(
     """
     opts = opts or SolverOptions()
     n = p.interior_count()
-    t = p.scale.points
 
     system = _normal_system(p)
     runs = [
@@ -428,31 +428,27 @@ def solve_normal(
         for start in _starts(p, opts)
     ]
 
-    converged = [run for run in runs if _met(run, n, opts)]
-    products = [
-        _Product(p.objective, t, p._values(run.z[:n])).value for run in converged
-    ]
+    converged = [run for run in runs if _met(run, p, opts)]
     points: list[StationaryPoint] = []
-    for run, product in zip(converged, products):
+    for run in converged:
         values = run.z[:n]
         if any(np.max(np.abs(values - sp.values)) <= 1e-6 for sp in points):
             continue
-        points.append(StationaryPoint(values.copy(), float(run.z[n]), product))
+        objective = run.products[0].value
+        points.append(StationaryPoint(values.copy(), float(run.z[n]), objective))
     if converged:
-        best = converged[products.index(min(products))]
-        return _answer(
-            p, best.z[:n], 1.0, float(best.z[n]), best.iterations, opts, tuple(points)
-        )
+        best = min(converged, key=lambda run: run.products[0].value)
+        lam = float(best.z[n])
+        return _answer(p, *best.products, 1.0, lam, best.iterations, opts, tuple(points))
 
     # No start converged: report the best iterate for inspection.
     best = min(runs, key=lambda run: float(np.max(np.abs(run.f))))
     y = p.assemble(best.z[:n])
     lam = float(best.z[n])
-    try:
-        cert = _answer(p, best.z[:n], 1.0, lam, best.iterations, opts)
+    defect = kkt = float("nan")
+    if best.products is not None:
+        cert = _answer(p, *best.products, 1.0, lam, best.iterations, opts)
         defect, kkt = cert.el_defect, cert.kkt_residual_norm
-    except EvaluationError:
-        defect = kkt = float("nan")
     statuses = "; ".join(
         f"start {i}: {run.status}" for i, run in enumerate(runs)
     )
@@ -480,9 +476,11 @@ def find_abnormal(
     Solves grad(constraint) = 0 for the interior values by Newton steps
     of minimum norm, which a singular Hessian (low rank, or a line of
     extremals) does not stop, then keeps the points within feas_tol of
-    the level k.  Every distinct one is re-verified with
-    is_extremal_for_K before being reported; an empty list means no
-    abnormal candidates were found.
+    the level k.  Every distinct one must also make the constraint's
+    bracket constant within stat_tol, the test of is_extremal_for_K,
+    read from the constraint as the run last evaluated it; only then is
+    the objective evaluated, once, for the answer.  An empty list means
+    no abnormal candidates were found.
     """
     opts = opts or SolverOptions()
     t = p.scale.points
@@ -491,18 +489,16 @@ def find_abnormal(
     found: list[SolveResult] = []
     for start in _starts(p, opts):
         run = _newton(system, start, opts, min_norm=True)
-        if float(np.max(np.abs(run.f))) > opts.stat_tol:
-            continue
-        with np.errstate(all="ignore"):  # a non-finite gap fails the filter
-            gap = _Product(p.constraint, t, p._values(run.z)).value - p.k
-        if not abs(gap) <= opts.feas_tol:
+        if not _met(run, p, opts):
             continue
         if any(np.max(np.abs(run.z - r.y.values[1:-1])) <= 1e-6 for r in found):
             continue
-        check = is_extremal_for_K(p.constraint, p.assemble(run.z), opts.stat_tol)
-        if not check.is_extremal:
-            continue
-        found.append(_answer(p, run.z, 0.0, 1.0, run.iterations, opts))
+        [con] = run.products
+        with np.errstate(all="ignore"):  # a non-finite bracket fails the test
+            if not bracket_defect(tables_bracket(con.tab)) <= opts.stat_tol:
+                continue
+            obj = _Product(p.objective, t, con.values)
+        found.append(_answer(p, obj, con, 0.0, 1.0, run.iterations, opts))
     return found
 
 

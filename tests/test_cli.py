@@ -406,3 +406,39 @@ def test_nan_certificate_document_warns_of_nothing(tmp_path, capsys):
     assert proc.returncode == 2
     assert proc.stdout == captured.out
     assert proc.stderr == ""
+
+
+def test_subnormal_gaps_are_a_numerical_failure(tmp_path, capsys):
+    # On gaps of 1e-320 every difference quotient overflows: each start
+    # ends with a non-finite residual, and the report's rows show the
+    # overflowing quotients as inf, in every output style, instead of
+    # failing as an input error.
+    doc = {
+        "timescale": {"points": [0, 1e-320, 2e-320]},
+        "boundary": {"alpha": 0, "beta": 1},
+        "objective": {"delta": "v^2", "nabla": "v^2 + v"},
+        "constraint": {"delta": "t*v", "nabla": {"constant_over_measure": True}},
+        "k": 1,
+    }
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", str(path), "--output", "structured"]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2, captured.err
+    payload = json.loads(captured.out)
+    statuses = payload["result"]["message"].split("; ")
+    assert statuses == [f"start {i}: error: non-finite residual" for i in range(9)]
+    inf = float("inf")
+    assert [r["y_delta"] for r in payload["rows"]] == [inf, inf, None]
+    assert [r["y_nabla"] for r in payload["rows"]] == [None, inf, inf]
+    for output in ("structured", "table", "csv"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "deltanabla", "solve", str(path), "--output", output],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        if output == "structured":
+            assert proc.stdout == captured.out

@@ -3,6 +3,7 @@ paths, the uniform-scale shorthand, option mapping, and the normalized
 round-trip document."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -88,13 +89,19 @@ def test_options_map_onto_solver_options():
         (lambda d: d.__setitem__("extra", 1), "extra"),
         (lambda d: d.__setitem__("options", {"tol": "tight"}), "options.tol"),
         (lambda d: d.__setitem__("timescale", {"points": [0.0, 1.0, 1.0]}), "timescale.points"),
+        # b - a overflows: the points are not finite
+        (lambda d: d.__setitem__("timescale", {"uniform": {"a": -1e308, "b": 1e308, "n": 4}}), "timescale.uniform"),
+        # the step rounds to zero: the points are not strictly increasing
+        (lambda d: d.__setitem__("timescale", {"uniform": {"a": 1, "b": 1.000000000000001, "n": 100}}), "timescale.uniform"),
     ],
 )
 def test_validation_errors_name_the_field(mutate, field):
     doc = base_doc()
     mutate(doc)
-    with pytest.raises(ProblemFileError) as exc:
-        load_problem(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProblemFileError) as exc:
+            load_problem(doc)
     assert str(exc.value).startswith(field + ":")
 
 

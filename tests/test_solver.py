@@ -23,7 +23,7 @@ from deltanabla import (
     make_lagrangian,
     solve_normal,
 )
-from deltanabla import solver
+from deltanabla import functional, solver
 from deltanabla.functional import (
     EL2,
     bracket_defect,
@@ -333,6 +333,38 @@ def test_answers_agree_bitwise_with_the_certificate_functions():
         _assert_certificate_bitwise(p, res)
 
 
+def test_no_kernel_pass_after_the_newton_runs(monkeypatch):
+    # Both searches read their answers from the products each run kept
+    # of its final iterate: a converged solve evaluates nothing after
+    # its runs, and an abnormal answer evaluates only its objective, once.
+    outside = []
+    in_run = [False]
+    tables = functional.slot_tables_at
+    newton = solver._newton
+
+    def counting(fn, points, values):
+        if not in_run[0]:
+            outside.append(fn)
+        return tables(fn, points, values)
+
+    def running(*args, **kwargs):
+        in_run[0] = True
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            in_run[0] = False
+
+    monkeypatch.setattr(solver, "slot_tables_at", counting)
+    monkeypatch.setattr(functional, "slot_tables_at", counting)
+    monkeypatch.setattr(solver, "_newton", running)
+    assert solve_normal(example_problem(8)).converged
+    assert outside == []
+    p = _constraint_extremal_problem()
+    found = find_abnormal(p)
+    assert found
+    assert outside == [p.objective] * len(found)
+
+
 def test_solver_options_thread_through():
     res = solve_normal(example_problem(3), SolverOptions(multistart=0))
     # multistart 0 still runs the base interpolant start
@@ -373,7 +405,7 @@ def test_step_search_counts_an_overflowing_norm_as_no_decrease(f0, jac):
     # nothing.  In the second system the step's norm overflows too.
     def system(z):
         f = np.array(f0) if not z.any() else np.full(z.size, 1e200)
-        return f, lambda: np.array(jac)
+        return f, lambda: np.array(jac), ()
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -425,7 +457,7 @@ def newton_systems(draw):
 def test_newton_jacobians_match_central_differences(case):
     p, z = case
     for system, at in ((solver._normal_system(p), z), (solver._abnormal_system(p), z[:-1])):
-        f, jacobian = system(at)
+        f, jacobian, _ = system(at)
         jac = jacobian()
         fd = np.empty_like(jac)
         for j in range(at.size):
