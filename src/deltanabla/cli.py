@@ -123,12 +123,15 @@ def _result_payload(result: SolveResult, k: float) -> dict:
 def _solve_row_data(loaded: LoadedProblem, result: SolveResult):
     """Rows of the answer's combined bracket, or of the objective's raw
     bracket at the best iterate of a solve that did not converge, which
-    may be inf or NaN there and is shown as such."""
+    may be inf or NaN there, or undefined and shown as NaN."""
     if result.converged:
         bracket = result.bracket
     else:
         with np.errstate(all="ignore"):
-            bracket = bracket_values(loaded.problem.objective, result.y)
+            try:
+                bracket = bracket_values(loaded.problem.objective, result.y)
+            except EvaluationError:  # the objective is undefined there
+                bracket = np.full(len(result.y) - 1, np.nan)
     return _point_rows(result.y, bracket)
 
 

@@ -3,8 +3,9 @@
 Integrands are written as text like ``"v^2 + t*u"`` where ``t`` is the
 time point, ``u`` the shifted state value, and ``v`` the corresponding
 difference quotient.  The module parses such text into a tiny AST,
-evaluates it, and differentiates it symbolically with respect to ``u``
-or ``v``.  Grammar, lowest precedence first:
+evaluates it (at one point, over whole slot arrays, or through compiled
+kernels), and differentiates it symbolically with respect to ``u`` or
+``v``.  Grammar, lowest precedence first:
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
@@ -19,10 +20,14 @@ minus: ``-v^2`` parses as ``-(v^2)``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Callable, Union
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -322,6 +327,57 @@ def evaluate(e: Expr, t: float, u: float, v: float) -> float:
     raise TypeError(f"unknown expression node {e!r}")
 
 
+_ARRAY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def evaluate_slots(e: Expr, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """evaluate() at every slot of the arrays (t, u, v) in one walk of
+    the tree, bit for bit.
+
+    ``+ - * /`` and negation are numpy array operations, the IEEE
+    operations the walk performs on numpy scalars; ``**`` and the math
+    functions run slot by slot through the Python and libm calls the
+    walk makes, since numpy's array power, exp and log round differently
+    in the last bit.  Constant subtrees stay Python floats, as in the
+    walk.  This walk decides nothing about a failing point: it raises
+    ZeroDivisionError at a zero divisor, and callers run it under
+    ``np.errstate(over/divide/invalid="raise")`` and rerun evaluate()
+    point by point on any ArithmeticError or ValueError.  Trees outside
+    what the parser and differentiate build raise ValueError.
+    """
+    out = _slot_walk(e, {"t": t, "u": u, "v": v})
+    return out if isinstance(out, np.ndarray) else np.full(t.shape, out)
+
+
+def _slot_walk(e: Expr, slots: dict) -> float | np.ndarray:
+    if isinstance(e, Const) and type(e.value) is float:
+        return e.value
+    if isinstance(e, Var) and e.name in VARIABLES:
+        return slots[e.name]
+    if isinstance(e, Neg):
+        return -_slot_walk(e.arg, slots)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        a = _slot_walk(e.left, slots)
+        b = _slot_walk(e.right, slots)
+        if not isinstance(e, Div):
+            return _ARRAY_OPS[type(e)](a, b)
+        if not np.all(b):
+            raise ZeroDivisionError(f"zero divisor in {to_str(e)}")
+        return a / b
+    if isinstance(e, Pow) and type(e.exponent) is int:
+        return _per_slot(pow, _slot_walk(e.base, slots), e.exponent)
+    if isinstance(e, Call) and e.func in _UNARY:
+        return _per_slot(_UNARY[e.func], _slot_walk(e.arg, slots))
+    raise ValueError(f"no array walk for {e!r}; evaluate() handles it")
+
+
+def _per_slot(fn: Callable, x: float | np.ndarray, *args) -> float | np.ndarray:
+    """fn(slot, *args) at every slot of x, on Python floats."""
+    if not isinstance(x, np.ndarray):
+        return fn(x, *args)
+    return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, args)), float, x.size)
+
+
 # ---------------------------------------------------------------------------
 # Differentiation
 
@@ -511,24 +567,28 @@ def _kernel_text(src: _KernelSource, roots: list[str], weighted: bool) -> str:
     """Module text of a factory that binds the constants and returns one
     kernel: the list of each root over the slots and, when ``weighted``,
     the sum of the first root times the weight, left to right from 0.0,
-    returned after the lists."""
+    returned after the lists.  A constant root's list is filled outside
+    the loop, and without a varying root or a sum there is no loop."""
     args, slot = ("ts, us, vs, ws", "t, u, v, w") if weighted else ("ts, us, vs", "t, u, v")
     results = [f"r{i}" for i in range(len(roots))]
-    body = [
-        "; ".join(f"{r} = []" for r in results),
-        "; ".join(f"a{r} = {r}.append" for r in results),
-    ]
-    loop = [*src.lines, *(f"ar{i}({root})" for i, root in enumerate(roots))]
+    consts = {f"c{i}" for i in range(len(src.consts))}
+    body, loop = [], list(src.lines)
+    for r, root in zip(results, roots):
+        if root in consts:
+            body.append(f"{r} = [{root}] * len(ts)")
+        else:
+            body.append(f"{r} = []; a{r} = {r}.append")
+            loop.append(f"a{r}({root})")
     if weighted:
         body.append("acc = 0.0")
         loop.append(f"acc += {roots[0]} * w")
         results.append("acc")
+    if loop:
+        body += [f"for {slot} in zip({args}):", *(f"    {line}" for line in loop)]
     return "\n".join([
         f"def factory({', '.join(f'c{i}' for i in range(len(src.consts)))}):",
         f"    def kernel({args}):",
         *(f"        {line}" for line in body),
-        f"        for {slot} in zip({args}):",
-        *(f"            {line}" for line in loop),
         f"        return {', '.join(results)}",
         "    return kernel",
     ])

@@ -9,16 +9,23 @@ pointwise (two index conventions, EL1 and EL2), reports its departure
 from constancy (the defect), and combines brackets of an objective and
 a constraint with multipliers (lambda0, lambda) for constrained
 stationarity checks.
+
+The integrands are evaluated two ways with the same bits: the solver's
+slot tables run the compiled kernels, and eval_functional, which the
+oracle sums with, walks each tree once over whole slot arrays.  Both
+fall back to the per-point walk (expressions.evaluate) where their
+arithmetic fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .expressions import Expr, Lagrangian, evaluate
+from .expressions import Expr, Lagrangian, evaluate, evaluate_slots
 from .timescale import GridFunction, TimeScale
 
 Form = Literal["EL1", "EL2"]
@@ -219,14 +226,46 @@ def eval_functional(
 ) -> EvaluationBreakdown:
     """Value of the product functional, with both factors reported.
 
-    This is the reference tree walk: each factor is summed left to right
-    from 0.0 over expressions.evaluate, never over the compiled kernels,
-    so that the oracle, which sums with it, rests on no kernel.
-    slot_tables reports the same factors, bit for bit, from the kernels.
+    Each integrand tree is walked once over the whole slot arrays of its
+    side (expressions.evaluate_slots), never through the compiled
+    kernels, so that the oracle, which sums with this function, rests on
+    no kernel; each factor is summed left to right from 0.0.  Where that
+    arithmetic fails or a factor is not finite, the per-point walk over
+    expressions.evaluate reruns the sums and decides between an
+    EvaluationError and numpy's inf, with its messages and warnings.
+    Both give the same numbers bit for bit, and slot_tables reports the
+    same factors from the kernels.
     """
     t = y.scale.points
     v = y.values
     dt, quot = _slots(t, v)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            j_delta = _factor(functional.l_delta.value, (t[:-1], v[1:], quot), dt)
+            j_nabla = _factor(functional.l_nabla.value, (t[1:], v[:-1], quot), dt)
+    except (ArithmeticError, ValueError):
+        j_delta, j_nabla = _walk_factors(functional, t, v, dt, quot)
+    return EvaluationBreakdown(j_delta, j_nabla, j_delta * j_nabla)
+
+
+def _factor(tree: Expr, slots: tuple[np.ndarray, ...], dt: np.ndarray) -> float:
+    total = 0.0
+    for x in (evaluate_slots(tree, *slots) * dt).tolist():
+        total += x
+    if not math.isfinite(total):
+        # The walk may warn on its way to inf or NaN; let it say so.
+        raise FloatingPointError("non-finite factor")
+    return total
+
+
+def _walk_factors(
+    functional: DeltaNablaFunctional,
+    t: np.ndarray,
+    v: np.ndarray,
+    dt: np.ndarray,
+    quot: np.ndarray,
+) -> tuple[float, float]:
+    """Both factors from the per-point walk, the reference."""
     ld = functional.l_delta
     ln = functional.l_nabla
     j_delta = 0.0
@@ -234,8 +273,7 @@ def eval_functional(
     for i in range(dt.size):
         j_delta += ld(t[i], v[i + 1], quot[i]) * dt[i]
         j_nabla += ln(t[i + 1], v[i], quot[i]) * dt[i]
-    j_delta, j_nabla = float(j_delta), float(j_nabla)
-    return EvaluationBreakdown(j_delta, j_nabla, j_delta * j_nabla)
+    return float(j_delta), float(j_nabla)
 
 
 def bracket_values(

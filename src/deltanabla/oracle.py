@@ -1,10 +1,12 @@
-"""Slow, independent verification of solver output.
+"""Independent verification of solver output.
 
 Everything here treats the functionals as black boxes: gradients come
 from central differences of the scalar value, never from the symbolic
-partials the fast path uses, and the value itself is summed by the
-reference tree walk (eval_functional), never by the compiled kernels.
-The reports certify stationarity in the plain finite-dimensional (KKT)
+partials the fast path uses, and the value itself comes from
+eval_functional, which walks the integrand trees over whole slot arrays
+(with the per-point walk as its fallback), never through the compiled
+kernels.  A kkt_check costs 2n + 1 values of each functional.  The
+reports certify stationarity in the plain finite-dimensional (KKT)
 sense, which on a finite scale is the same statement as the
 bracket-constancy conditions.
 """

@@ -22,6 +22,7 @@ from .expressions import EvaluationError, constant_lagrangian, make_lagrangian
 from .functional import (
     DeltaNablaFunctional,
     EvaluationBreakdown,
+    SlotTables,
     bracket_defect,
     eval_functional,
     slot_curvature,
@@ -128,15 +129,20 @@ class _Product:
     """A product functional at one point (the points of the scale and
     all values of the function, as bare arrays), from one pass over its
     slots: the value, the factors' gradients and the gradient in the
-    interior values, and the Hessian on request."""
+    interior values, and the Hessian on request.  Given tables, it reads
+    them instead of making that pass."""
 
     def __init__(
-        self, functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
+        self,
+        functional: DeltaNablaFunctional,
+        points: np.ndarray,
+        values: np.ndarray,
+        tab: SlotTables | None = None,
     ) -> None:
         self.functional = functional
         self.points = points
         self.values = values
-        self.tab = tab = slot_tables_at(functional, points, values)
+        self.tab = tab = slot_tables_at(functional, points, values) if tab is None else tab
         w = tab.weights
         self.value = float(tab.j_delta * tab.j_nabla)
         self.grad_delta = tab.delta_du[:-1] * w[:-1] + tab.delta_dv[:-1] - tab.delta_dv[1:]
@@ -174,6 +180,17 @@ class _Product:
         flat[1 :: n + 1] += cross[1:-1]
         flat[n :: n + 1] += cross[1:-1]
         return h
+
+
+def _undefined(
+    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
+) -> _Product:
+    """The product at a point where its integrands are undefined: NaN
+    tables, so that every value, gradient and bracket read from it is
+    NaN."""
+    nan = np.full(points.size - 1, np.nan)
+    tab = SlotTables(points[1:] - points[:-1], nan, nan, nan, nan, nan, nan, np.nan, np.nan)
+    return _Product(functional, points, values, tab)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -260,7 +277,9 @@ def _newton(
             status = f"error: {exc}"
             break
         if min_norm:
-            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+            # lstsq's step for a zero Jacobian (an affine K) is exactly
+            # zero: no SVD needed to find it.
+            step = np.linalg.lstsq(jac, -f, rcond=None)[0] if jac.any() else np.zeros(f.size)
         else:
             try:
                 step = np.linalg.solve(jac, -f)
@@ -445,27 +464,36 @@ def solve_normal(
     best = min(runs, key=lambda run: float(np.max(np.abs(run.f))))
     y = p.assemble(best.z[:n])
     lam = float(best.z[n])
-    defect = kkt = float("nan")
+    nan = defect = kkt = float("nan")
     if best.products is not None:
         cert = _answer(p, *best.products, 1.0, lam, best.iterations, opts)
         defect, kkt = cert.el_defect, cert.kkt_residual_norm
     statuses = "; ".join(
         f"start {i}: {run.status}" for i, run in enumerate(runs)
     )
-    with np.errstate(all="ignore"):  # the walk may meet inf or NaN, reported as such
-        return SolveResult(
-            y=y,
-            lam=lam,
-            lam0=1.0,
-            objective_value=eval_functional(p.objective, y),
-            constraint_value=eval_functional(p.constraint, y),
-            el_defect=defect,
-            kkt_residual_norm=kkt,
-            classification="unknown",
-            iterations=best.iterations,
-            converged=False,
-            message=statuses,
-        )
+
+    def value(functional: DeltaNablaFunctional) -> EvaluationBreakdown:
+        """The functional at y, NaN where it is undefined there; the walk
+        may meet inf or NaN, reported as such."""
+        with np.errstate(all="ignore"):
+            try:
+                return eval_functional(functional, y)
+            except EvaluationError:
+                return EvaluationBreakdown(nan, nan, nan)
+
+    return SolveResult(
+        y=y,
+        lam=lam,
+        lam0=1.0,
+        objective_value=value(p.objective),
+        constraint_value=value(p.constraint),
+        el_defect=defect,
+        kkt_residual_norm=kkt,
+        classification="unknown",
+        iterations=best.iterations,
+        converged=False,
+        message=statuses,
+    )
 
 
 def find_abnormal(
@@ -497,7 +525,12 @@ def find_abnormal(
         with np.errstate(all="ignore"):  # a non-finite bracket fails the test
             if not bracket_defect(tables_bracket(con.tab)) <= opts.stat_tol:
                 continue
-            obj = _Product(p.objective, t, con.values)
+            try:
+                obj = _Product(p.objective, t, con.values)
+            except EvaluationError:
+                # The candidate is abnormal whatever the objective does
+                # there; its NaN certificate keeps it from converging.
+                obj = _undefined(p.objective, t, con.values)
         found.append(_answer(p, obj, con, 0.0, 1.0, run.iterations, opts))
     return found
 

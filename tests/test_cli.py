@@ -442,3 +442,53 @@ def test_subnormal_gaps_are_a_numerical_failure(tmp_path, capsys):
         assert proc.stderr == ""
         if output == "structured":
             assert proc.stdout == captured.out
+
+
+def test_undefined_best_iterate_still_reports_every_start(tmp_path, capsys):
+    # log(u) is undefined at every start (u < 0 throughout), so each
+    # normal start ends with its own error status.  The report of the
+    # best iterate shows NaN where the objective is undefined, and the
+    # abnormal search and the rows still follow, in every output style,
+    # with the numerical exit code and nothing on stderr.
+    doc = {
+        "timescale": {"points": [0.0, 1.0, 2.0, 3.0]},
+        "boundary": {"alpha": -1.0, "beta": -2.0},
+        "objective": {"delta": "log(u) + v^2", "nabla": "v^2"},
+        "constraint": {"delta": "t*v", "nabla": "1"},
+        "k": 1.0,
+    }
+    path = tmp_path / "undefined.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", str(path), "--output", "structured"]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2, captured.err
+    payload = json.loads(captured.out)
+    result = payload["result"]
+    assert result["converged"] is False
+    statuses = result["message"].split("; ")
+    assert len(statuses) == 9
+    assert all(s.startswith(f"start {i}: error: log(") for i, s in enumerate(statuses))
+    assert all(x != x for x in result["objective"].values())
+    assert result["constraint"]["product"] == result["constraint"]["product"]
+    assert payload["abnormal"] == []
+    assert [r["y"] for r in payload["rows"]] == result["y"]
+    assert all(r[c] is None or r[c] != r[c]
+               for r in payload["rows"] for c in ("residual_EL1", "residual_EL2"))
+    for output in ("structured", "table", "csv"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "deltanabla", "solve", str(path), "--output", output],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        if output == "structured":
+            assert proc.stdout == captured.out
+        elif output == "table":
+            assert "note: start 0: error: log(" in proc.stdout
+            assert "objective: delta nan nabla nan product nan" in proc.stdout
+            assert "abnormal candidates: 0" in proc.stdout
+        else:
+            assert proc.stdout.splitlines()[2].startswith("1.0,-1.3333333333333333,")
+            assert proc.stdout.splitlines()[2].endswith(",nan,nan")

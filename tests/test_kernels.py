@@ -20,6 +20,7 @@ from deltanabla import (
     Lagrangian,
     SolverOptions,
     TimeScale,
+    constant_lagrangian,
     eval_functional,
     evaluate,
     make_lagrangian,
@@ -39,7 +40,7 @@ from deltanabla.expressions import (
     Var,
 )
 from deltanabla.functional import slot_curvature, slot_tables
-from deltanabla.solver import example_problem
+from deltanabla.solver import closed_form_example, example_problem
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1e-300, 1e300, -1e300, 1e308,
            math.inf, -math.inf]
@@ -200,8 +201,9 @@ def _check_against_walk(functional, y):
     return ref[0]
 
 
+# Up to 40 points, so that the left-to-right factor sums are long.
 grids = st.lists(
-    st.tuples(st.floats(0.01, 2.0), st.floats(-1e3, 1e3)), min_size=2, max_size=6
+    st.tuples(st.floats(0.01, 2.0), st.floats(-1e3, 1e3)), min_size=2, max_size=40
 )
 
 
@@ -235,6 +237,58 @@ def test_failing_arithmetic_falls_back_to_the_walk(text, values):
     _check_against_walk(
         DeltaNablaFunctional(make_lagrangian(text), make_lagrangian("v^2 + u")), y
     )
+
+
+def test_constant_roots_are_filled_outside_the_loop():
+    # A constant Lagrangian's kernel loops only to sum its value; the
+    # curvature of v^2 is three constants, and its kernel has no loop at
+    # all (an empty loop body would not compile).
+    const = constant_lagrangian(0.5)
+    square = make_lagrangian("v^2")
+    assert "append" not in const._tables_kernel.__code__.co_names
+    assert "zip" in const._tables_kernel.__code__.co_names
+    assert "zip" not in square._curvature_kernel.__code__.co_names
+    assert square.curvature([0.0, 1.0], [1.0, 2.0], [3.0, -4.0]) == (
+        [0.0, 0.0], [0.0, 0.0], [2.0, 2.0]
+    )
+    y = GridFunction(TimeScale(np.array([0.0, 0.5, 2.0, 2.25])), np.array([1.0, -2.0, 0.5, 3.0]))
+    assert _check_against_walk(DeltaNablaFunctional(const, square), y) == "ok"
+    assert _check_against_walk(DeltaNablaFunctional(square, const), y) == "ok"
+
+
+def test_eval_functional_walks_whole_slot_arrays(monkeypatch):
+    # The array walk covers the example at m = 128 and a 16-point
+    # transcendental functional without one per-point evaluation, and
+    # gives the per-point walk's factors bit for bit.
+    y128, _ = closed_form_example(128)
+    p = example_problem(128)
+    rng = np.random.default_rng(3)
+    scale = TimeScale(np.cumsum(rng.uniform(0.05, 0.2, 16)))
+    y16 = GridFunction(scale, rng.uniform(-1.0, 1.0, 16))
+    transcendental = DeltaNablaFunctional(
+        make_lagrangian("v^2 + 0.2*sin(t + u) - 0.1*log(u^2 + 1.3)"),
+        make_lagrangian("v^2 + 0.15*sqrt(v^2 + 0.7) - 0.2*exp(0.1*u) + 1.1"),
+    )
+    # Odd powers and exp round differently through numpy's array
+    # functions in a few per cent of the slots.
+    powers = DeltaNablaFunctional(
+        make_lagrangian("u^3 + 0.5*v^3"), make_lagrangian("exp(0.01*u) + v^5")
+    )
+    cases = [(p.objective, y128), (p.constraint, y128), (powers, y128), (transcendental, y16)]
+    calls = []
+    walk = Lagrangian.__call__
+
+    def counting(self, *args):
+        calls.append(1)
+        return walk(self, *args)
+
+    monkeypatch.setattr(Lagrangian, "__call__", counting)
+    for functional, y in cases:
+        b = eval_functional(functional, y)
+        assert calls == []
+        want = _walk_breakdown(functional, y)
+        assert _same(want, (b.delta_factor, b.nabla_factor, b.product))
+        calls.clear()
 
 
 def test_signed_zero_constants_stay_apart():

@@ -236,6 +236,44 @@ def test_abnormal_answer_with_a_non_finite_certificate_is_not_converged():
     assert res.message == "stationary rows met but bracket defect nan exceeds stat_tol"
 
 
+def test_abnormal_candidate_keeps_an_undefined_objective_as_nan():
+    # log(u - 1) is undefined at the candidate y = 0.  The candidate is
+    # abnormal whatever the objective does there, so it is kept with NaN
+    # objective values and a NaN certificate, and the search goes on.
+    p = _constraint_extremal_problem("log(u - 1) + v^2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = find_abnormal(p)
+    assert len(found) == 1
+    res = found[0]
+    assert res.classification == "abnormal"
+    assert np.array_equal(res.y.values, np.zeros(4))
+    obj = res.objective_value
+    assert np.isnan([obj.delta_factor, obj.nabla_factor, obj.product]).all()
+    assert res.constraint_value.product == 0.0
+    assert np.isnan(res.el_defect) and np.isnan(res.kkt_residual_norm)
+    assert res.converged is False
+    assert res.message == "stationary rows met but bracket defect nan exceeds stat_tol"
+
+
+def test_zero_hessian_takes_the_zero_step_without_lstsq(monkeypatch):
+    # example_problem's constraint is affine in y, so its Hessian is
+    # zero: the abnormal search takes lstsq's zero step without calling
+    # it.  A constraint with a Hessian still goes through lstsq.
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    assert find_abnormal(example_problem(8)) == []
+    assert calls == []
+    assert find_abnormal(_constraint_extremal_problem())
+    assert calls
+
+
 def _degenerate_abnormal_problem():
     """On {0, 1, 2, 3} with zero ends, the constraint (t*u^2, 1) is
     K = 3*y(2)^2, since the delta slot of gap 1 is the only one with
