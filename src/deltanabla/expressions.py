@@ -508,8 +508,7 @@ def differentiate(e: Expr, var: str) -> Expr:
 # trees of a Lagrangian at every slot of every iterate.  So each Lagrangian
 # is also compiled, on first use, into straight-line Python: one assignment
 # per distinct node of its trees, inside one loop over the slot sequences.
-# The first-order kernels cover value, d_u and d_v; the curvature kernel,
-# compiled on first use by a Newton Jacobian, covers the second partials.
+# The one kernel covers the value, d_u, d_v and the three second partials.
 # Python-float + - * / are the IEEE operations the walk performs on numpy
 # scalars, and ** and the math functions call the same libm, so a kernel
 # returns evaluate()'s numbers bit for bit.  The two part only where
@@ -563,13 +562,12 @@ class _KernelSource:
         return self.names[key]
 
 
-def _kernel_text(src: _KernelSource, roots: list[str], weighted: bool) -> str:
+def _kernel_text(src: _KernelSource, roots: list[str]) -> str:
     """Module text of a factory that binds the constants and returns one
-    kernel: the list of each root over the slots and, when ``weighted``,
-    the sum of the first root times the weight, left to right from 0.0,
-    returned after the lists.  A constant root's list is filled outside
-    the loop, and without a varying root or a sum there is no loop."""
-    args, slot = ("ts, us, vs, ws", "t, u, v, w") if weighted else ("ts, us, vs", "t, u, v")
+    kernel: the list of each root over the slots, then the sum of the
+    first root times the weight, left to right from 0.0.  A constant
+    root's list is filled outside the loop, which always runs for the
+    sum."""
     results = [f"r{i}" for i in range(len(roots))]
     consts = {f"c{i}" for i in range(len(src.consts))}
     body, loop = [], list(src.lines)
@@ -579,17 +577,17 @@ def _kernel_text(src: _KernelSource, roots: list[str], weighted: bool) -> str:
         else:
             body.append(f"{r} = []; a{r} = {r}.append")
             loop.append(f"a{r}({root})")
-    if weighted:
-        body.append("acc = 0.0")
-        loop.append(f"acc += {roots[0]} * w")
-        results.append("acc")
-    if loop:
-        body += [f"for {slot} in zip({args}):", *(f"    {line}" for line in loop)]
+    body += [
+        "acc = 0.0",
+        "for t, u, v, w in zip(ts, us, vs, ws):",
+        *(f"    {line}" for line in loop),
+        f"    acc += {roots[0]} * w",
+    ]
     return "\n".join([
         f"def factory({', '.join(f'c{i}' for i in range(len(src.consts)))}):",
-        f"    def kernel({args}):",
+        "    def kernel(ts, us, vs, ws):",
         *(f"        {line}" for line in body),
-        f"        return {', '.join(results)}",
+        f"        return {', '.join(results)}, acc",
         "    return kernel",
     ])
 
@@ -603,21 +601,12 @@ def _factory(source: str) -> Callable:
     return namespace["factory"]
 
 
-def _compile(roots: tuple[Expr, ...], weighted: bool) -> Callable:
+def _compile(roots: tuple[Expr, ...]) -> Callable:
+    """``kernel(ts, us, vs, ws)``: the list of each root at every slot
+    and the sum of the first root times the weight, in one loop."""
     src = _KernelSource()
     names = [src.name(e) for e in roots]
-    return _factory(_kernel_text(src, names, weighted))(*src.consts)
-
-
-def _compile_kernels(value: Expr, d_u: Expr, d_v: Expr) -> Callable:
-    """``tables(ts, us, vs, ws)``: the lists (value, d_u, d_v) at every
-    slot and the sum of value * weight, in one loop."""
-    return _compile((value, d_u, d_v), weighted=True)
-
-
-def _compile_curvature(d_uu: Expr, d_uv: Expr, d_vv: Expr) -> Callable:
-    """``curvature(ts, us, vs)``: the lists (d_uu, d_uv, d_vv)."""
-    return _compile((d_uu, d_uv, d_vv), weighted=False)
+    return _factory(_kernel_text(src, names))(*src.consts)
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +620,10 @@ class Lagrangian:
     ``value`` maps (t, u, v) to the integrand value, ``d_u`` and ``d_v``
     are its partial derivatives in the second and third slot; ``second``
     holds the second partials, differentiated on first use.  The call
-    methods walk the trees (the reference); ``tables`` and ``curvature``
-    run the compiled kernels over whole slot sequences.
-    They raise ArithmeticError or ValueError where float arithmetic
-    fails or the trees have no kernel; evaluate() then decides what the
-    point means.
+    methods walk the trees (the reference); ``tables`` runs the compiled
+    kernel of all six trees over whole slot sequences.  It raises
+    ArithmeticError or ValueError where float arithmetic fails or the
+    trees have no kernel; evaluate() then decides what the point means.
     """
 
     value: Expr
@@ -665,37 +653,23 @@ class Lagrangian:
     @functools.cached_property
     def _tables_kernel(self) -> Callable | None:
         try:
-            return _compile_kernels(self.value, self.d_u, self.d_v)
+            return _compile((self.value, self.d_u, self.d_v, *self.second))
         except ValueError:
             return None
 
-    @functools.cached_property
-    def _curvature_kernel(self) -> Callable | None:
-        try:
-            return _compile_curvature(*self.second)
-        except ValueError:
-            return None
-
-    @staticmethod
-    def _kernel(kernel: Callable | None) -> Callable:
+    def tables(self, ts: list, us: list, vs: list, ws: list) -> tuple[list, ...]:
+        """Value, d_u, d_v, d_uu, d_uv and d_vv lists over the slot
+        sequences, and the sum of value * weight over the slots, left to
+        right from 0.0."""
+        kernel = self._tables_kernel
         if kernel is None:
             raise ValueError("no kernel for these trees; evaluate() handles them")
-        return kernel
-
-    def tables(self, ts: list, us: list, vs: list, ws: list) -> tuple[list, list, list, float]:
-        """Value, d_u and d_v lists over the slot sequences, and the sum
-        of value * weight over the slots, left to right from 0.0."""
-        return self._kernel(self._tables_kernel)(ts, us, vs, ws)
-
-    def curvature(self, ts: list, us: list, vs: list) -> tuple[list, list, list]:
-        """d_uu, d_uv and d_vv lists over the slot sequences."""
-        return self._kernel(self._curvature_kernel)(ts, us, vs)
+        return kernel(ts, us, vs, ws)
 
     def __getstate__(self) -> dict:
-        # Compiled kernels do not pickle; they are rebuilt on first use.
+        # The compiled kernel does not pickle; it is rebuilt on first use.
         state = dict(self.__dict__)
         state.pop("_tables_kernel", None)
-        state.pop("_curvature_kernel", None)
         return state
 
 

@@ -25,7 +25,7 @@ from typing import Literal
 
 import numpy as np
 
-from .expressions import Expr, Lagrangian, evaluate, evaluate_slots
+from .expressions import EvaluationError, Expr, Lagrangian, evaluate, evaluate_slots
 from .timescale import GridFunction, TimeScale
 
 Form = Literal["EL1", "EL2"]
@@ -83,21 +83,30 @@ class ExtremalCheck:
 
 @dataclass(frozen=True)
 class SlotTables:
-    """Integrand and partial values on the two slot sequences.
+    """Integrand values, first and second partials on the two slot
+    sequences.
 
     Delta entries are indexed by the left point of each gap
     (positions 0..N-2), nabla entries by the right point
     (positions 1..N-1, stored at array offset 0..N-2).  weights holds
-    the gap widths, which serve as both mu and nu.
+    the gap widths, which serve as both mu and nu.  A second partial
+    that is undefined at a slot where the value and first partials are
+    defined reads NaN there.
     """
 
     weights: np.ndarray
     delta_value: np.ndarray
     delta_du: np.ndarray
     delta_dv: np.ndarray
+    delta_uu: np.ndarray
+    delta_uv: np.ndarray
+    delta_vv: np.ndarray
     nabla_value: np.ndarray
     nabla_du: np.ndarray
     nabla_dv: np.ndarray
+    nabla_uu: np.ndarray
+    nabla_uv: np.ndarray
+    nabla_vv: np.ndarray
     j_delta: float
     j_nabla: float
 
@@ -119,99 +128,56 @@ def slot_tables_at(
     """slot_tables on bare arrays: the points of a scale and the values
     of a function on it, neither checked.
 
-    The compiled kernels fill the tables and sum both factors left to
-    right from 0.0 in the same pass; where their float arithmetic fails,
-    the tree walk evaluates point by point and decides between an
-    EvaluationError and numpy's inf.
+    One compiled kernel per integrand fills all its columns and sums its
+    factor left to right from 0.0 in the same pass; where their float
+    arithmetic fails, the tree walk evaluates point by point (see
+    _walk_columns).
     """
     dt, quot = _slots(points, values)
     ld = functional.l_delta
     ln = functional.l_nabla
     try:
-        delta_args, nabla_args = _slot_lists(points, values, quot)
+        q = quot.tolist()
         w = dt.tolist()
-        *delta, j_delta = ld.tables(*delta_args, w)
-        *nabla, j_nabla = ln.tables(*nabla_args, w)
-        d_val, d_du, d_dv, n_val, n_du, n_dv = (
-            np.array(column, dtype=float) for column in (*delta, *nabla)
-        )
+        *delta, j_delta = ld.tables(points[:-1].tolist(), values[1:].tolist(), q, w)
+        *nabla, j_nabla = ln.tables(points[1:].tolist(), values[:-1].tolist(), q, w)
+        columns = [np.array(column, dtype=float) for column in (*delta, *nabla)]
     except (ArithmeticError, ValueError):
-        d_val, d_du, d_dv, n_val, n_du, n_dv = _walk_columns(
-            (ld.value, ld.d_u, ld.d_v), (ln.value, ln.d_u, ln.d_v), points, values, quot
-        )
-        j_delta = _left_sum(d_val, dt)
-        j_nabla = _left_sum(n_val, dt)
-    return SlotTables(
-        weights=dt,
-        delta_value=d_val,
-        delta_du=d_du,
-        delta_dv=d_dv,
-        nabla_value=n_val,
-        nabla_du=n_du,
-        nabla_dv=n_dv,
-        j_delta=float(j_delta),
-        j_nabla=float(j_nabla),
-    )
-
-
-@dataclass(frozen=True)
-class SlotCurvature:
-    """Second partials of both integrands on the slots, indexed as in
-    SlotTables."""
-
-    delta_uu: np.ndarray
-    delta_uv: np.ndarray
-    delta_vv: np.ndarray
-    nabla_uu: np.ndarray
-    nabla_uv: np.ndarray
-    nabla_vv: np.ndarray
-
-
-def slot_curvature(
-    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
-) -> SlotCurvature:
-    """d_uu, d_uv and d_vv of both integrands on every slot, on bare
-    arrays as slot_tables_at, with the same fallback to the walk."""
-    _, quot = _slots(points, values)
-    ld = functional.l_delta
-    ln = functional.l_nabla
-    try:
-        delta_args, nabla_args = _slot_lists(points, values, quot)
-        columns = [
-            np.array(column, dtype=float)
-            for column in (*ld.curvature(*delta_args), *ln.curvature(*nabla_args))
-        ]
-    except (ArithmeticError, ValueError):
-        columns = _walk_columns(ld.second, ln.second, points, values, quot)
-    return SlotCurvature(*columns)
-
-
-def _slot_lists(
-    t: np.ndarray, v: np.ndarray, quot: np.ndarray
-) -> tuple[tuple[list, list, list], tuple[list, list, list]]:
-    """The (t, u, v) slot sequences of the delta and the nabla side, as
-    the kernels take them."""
-    q = quot.tolist()
-    return (t[:-1].tolist(), v[1:].tolist(), q), (t[1:].tolist(), v[:-1].tolist(), q)
+        columns = _walk_columns(ld, ln, points, values, quot)
+        j_delta = _left_sum(columns[0], dt)
+        j_nabla = _left_sum(columns[6], dt)
+    return SlotTables(dt, *columns, float(j_delta), float(j_nabla))
 
 
 def _walk_columns(
-    delta_trees: tuple[Expr, ...],
-    nabla_trees: tuple[Expr, ...],
-    t: np.ndarray,
-    v: np.ndarray,
-    quot: np.ndarray,
+    ld: Lagrangian, ln: Lagrangian, t: np.ndarray, v: np.ndarray, quot: np.ndarray
 ) -> list[np.ndarray]:
-    """Each tree walked on every slot of its side, slot by slot, the
-    delta side's trees before the nabla side's."""
-    trees = (*delta_trees, *nabla_trees)
-    columns = [np.empty(quot.size) for _ in trees]
-    for i in range(quot.size):
-        args_d = (t[i], v[i + 1], quot[i])
-        args_n = (t[i + 1], v[i], quot[i])
-        for j, (column, tree) in enumerate(zip(columns, trees)):
-            column[i] = evaluate(tree, *(args_d if j < len(delta_trees) else args_n))
-    return columns
+    """The twelve columns of SlotTables from the per-point walk.
+
+    The values and first partials are walked first, slot by slot, the
+    delta side before the nabla side, so that the walk alone decides
+    between an EvaluationError and numpy's inf there.  The second
+    partials follow with numpy's warnings off, NaN where the walk
+    cannot evaluate them.
+    """
+    slots = [
+        ((t[i], v[i + 1], quot[i]),) * 3 + ((t[i + 1], v[i], quot[i]),) * 3
+        for i in range(quot.size)
+    ]
+    first = [np.empty(quot.size) for _ in range(6)]
+    trees = (ld.value, ld.d_u, ld.d_v, ln.value, ln.d_u, ln.d_v)
+    for i, args in enumerate(slots):
+        for column, tree, point in zip(first, trees, args):
+            column[i] = evaluate(tree, *point)
+    second = [np.empty(quot.size) for _ in range(6)]
+    with np.errstate(all="ignore"):
+        for i, args in enumerate(slots):
+            for column, tree, point in zip(second, (*ld.second, *ln.second), args):
+                try:
+                    column[i] = evaluate(tree, *point)
+                except EvaluationError:
+                    column[i] = np.nan
+    return [*first[:3], *second[:3], *first[3:], *second[3:]]
 
 
 def _left_sum(values: np.ndarray, weights: np.ndarray) -> float:

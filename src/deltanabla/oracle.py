@@ -218,8 +218,11 @@ def identity_fuzz(seed: int = 0, count: int = 100, tol: float = 1e-12) -> Identi
     relative tolerance tol: the two derivative conversions through the
     jump shifts, the two integral conversions, telescoping of both
     derivative/integral pairings, and both integration-by-parts
-    formulas.
+    formulas.  A count below 1 would check nothing, so it is a
+    ValueError.
     """
+    if count < 1:
+        raise ValueError("identity fuzz needs count >= 1")
     rng = np.random.default_rng(seed)
     worst = 0.0
     failures: list[str] = []

@@ -13,7 +13,7 @@ solution; they are never the solve target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
 import numpy as np
@@ -25,7 +25,6 @@ from .functional import (
     SlotTables,
     bracket_defect,
     eval_functional,
-    slot_curvature,
     slot_tables_at,
     tables_bracket,
 )
@@ -129,8 +128,8 @@ class _Product:
     """A product functional at one point (the points of the scale and
     all values of the function, as bare arrays), from one pass over its
     slots: the value, the factors' gradients and the gradient in the
-    interior values, and the Hessian on request.  Given tables, it reads
-    them instead of making that pass."""
+    interior values, and the Hessian on request, all read from the same
+    tables.  Given tables, it reads them instead of making that pass."""
 
     def __init__(
         self,
@@ -139,8 +138,6 @@ class _Product:
         values: np.ndarray,
         tab: SlotTables | None = None,
     ) -> None:
-        self.functional = functional
-        self.points = points
         self.values = values
         self.tab = tab = slot_tables_at(functional, points, values) if tab is None else tab
         w = tab.weights
@@ -164,14 +161,13 @@ class _Product:
         gap j-1 and the left end of gap j.
         """
         tab = self.tab
-        c = slot_curvature(self.functional, self.points, self.values)
         w = tab.weights
-        d_vv = c.delta_vv / w
-        n_vv = c.nabla_vv / w
+        d_vv = tab.delta_vv / w
+        n_vv = tab.nabla_vv / w
         jd, jn = tab.j_delta, tab.j_nabla
-        left = jn * d_vv + jd * (c.nabla_uu * w - 2.0 * c.nabla_uv + n_vv)
-        cross = jn * -(c.delta_uv + d_vv) + jd * (c.nabla_uv - n_vv)
-        right = jn * (c.delta_uu * w + 2.0 * c.delta_uv + d_vv) + jd * n_vv
+        left = jn * d_vv + jd * (tab.nabla_uu * w - 2.0 * tab.nabla_uv + n_vv)
+        cross = jn * -(tab.delta_uv + d_vv) + jd * (tab.nabla_uv - n_vv)
+        right = jn * (tab.delta_uu * w + 2.0 * tab.delta_uv + d_vv) + jd * n_vv
         n = w.size - 1
         rank2 = np.outer(self.grad_delta, self.grad_nabla)
         h = rank2 + rank2.T
@@ -182,15 +178,20 @@ class _Product:
         return h
 
 
-def _undefined(
+def _product_or_undefined(
     functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
 ) -> _Product:
-    """The product at a point where its integrands are undefined: NaN
-    tables, so that every value, gradient and bracket read from it is
-    NaN."""
-    nan = np.full(points.size - 1, np.nan)
-    tab = SlotTables(points[1:] - points[:-1], nan, nan, nan, nan, nan, nan, np.nan, np.nan)
-    return _Product(functional, points, values, tab)
+    """The product at the point, or, where its integrands are undefined
+    there, one with NaN tables, so that every value, gradient and
+    bracket read from it is NaN.  numpy's warnings on the way to inf or
+    NaN are silenced."""
+    try:
+        with np.errstate(all="ignore"):
+            return _Product(functional, points, values)
+    except EvaluationError:
+        nan = np.full(points.size - 1, np.nan)
+        tab = SlotTables(points[1:] - points[:-1], *[nan] * 12, np.nan, np.nan)
+        return _Product(functional, points, values, tab)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -462,37 +463,16 @@ def solve_normal(
 
     # No start converged: report the best iterate for inspection.
     best = min(runs, key=lambda run: float(np.max(np.abs(run.f))))
-    y = p.assemble(best.z[:n])
-    lam = float(best.z[n])
-    nan = defect = kkt = float("nan")
-    if best.products is not None:
-        cert = _answer(p, *best.products, 1.0, lam, best.iterations, opts)
-        defect, kkt = cert.el_defect, cert.kkt_residual_norm
+    products = best.products or tuple(
+        _product_or_undefined(functional, p.scale.points, p._values(best.z[:n]))
+        for functional in (p.objective, p.constraint)
+    )
     statuses = "; ".join(
         f"start {i}: {run.status}" for i, run in enumerate(runs)
     )
-
-    def value(functional: DeltaNablaFunctional) -> EvaluationBreakdown:
-        """The functional at y, NaN where it is undefined there; the walk
-        may meet inf or NaN, reported as such."""
-        with np.errstate(all="ignore"):
-            try:
-                return eval_functional(functional, y)
-            except EvaluationError:
-                return EvaluationBreakdown(nan, nan, nan)
-
-    return SolveResult(
-        y=y,
-        lam=lam,
-        lam0=1.0,
-        objective_value=value(p.objective),
-        constraint_value=value(p.constraint),
-        el_defect=defect,
-        kkt_residual_norm=kkt,
-        classification="unknown",
-        iterations=best.iterations,
-        converged=False,
-        message=statuses,
+    report = _answer(p, *products, 1.0, float(best.z[n]), best.iterations, opts)
+    return replace(
+        report, classification="unknown", converged=False, message=statuses, bracket=None
     )
 
 
@@ -525,12 +505,9 @@ def find_abnormal(
         with np.errstate(all="ignore"):  # a non-finite bracket fails the test
             if not bracket_defect(tables_bracket(con.tab)) <= opts.stat_tol:
                 continue
-            try:
-                obj = _Product(p.objective, t, con.values)
-            except EvaluationError:
-                # The candidate is abnormal whatever the objective does
-                # there; its NaN certificate keeps it from converging.
-                obj = _undefined(p.objective, t, con.values)
+        # The candidate is abnormal whatever the objective does there; a
+        # NaN certificate keeps it from converging.
+        obj = _product_or_undefined(p.objective, t, con.values)
         found.append(_answer(p, obj, con, 0.0, 1.0, run.iterations, opts))
     return found
 

@@ -231,6 +231,15 @@ def test_verify_identities(capsys):
     assert "8 identities" in out
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_identities_needs_a_positive_count(capsys, count):
+    rc = main(["verify", "identities", "--count", count])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: identity fuzz needs count >= 1\n"
+
+
 def test_eval(capsys):
     rc = main(["eval", "v^2 + u", "--at", "0,1,3"])
     out = capsys.readouterr().out

@@ -1,8 +1,8 @@
-"""Tests for the compiled integrand kernels: bit-for-bit agreement with the
+"""Tests for the compiled integrand kernel: bit-for-bit agreement with the
 reference tree walk (expressions.evaluate) on random trees and points,
-for the value, both partials and the three second partials, the walk as
-fallback wherever kernel arithmetic fails, shared subtrees and code
-objects, and pickling of problems whose kernels were built."""
+for the value, both partials and the three second partials in one pass,
+the walk as fallback wherever kernel arithmetic fails, shared subtrees
+and code objects, and pickling of problems whose kernels were built."""
 
 import copy
 import math
@@ -39,7 +39,7 @@ from deltanabla.expressions import (
     Sub,
     Var,
 )
-from deltanabla.functional import slot_curvature, slot_tables
+from deltanabla.functional import SlotTables, bracket_values, slot_tables, tables_bracket
 from deltanabla.solver import closed_form_example, example_problem
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1e-300, 1e300, -1e300, 1e308,
@@ -99,30 +99,25 @@ def test_kernel_matches_evaluate_bitwise(tree, slots):
     lag = make_lagrangian(tree)
     ts, us, vs = (list(c) for c in zip(*slots))
     weights = [0.5, 1.0, 0.25, 2.0][: len(ts)]
-    kernels = (
-        ("first order", (lag.value, lag.d_u, lag.d_v), lambda: lag.tables(ts, us, vs, weights)),
-        ("curvature", lag.second, lambda: lag.curvature(ts, us, vs)),
-    )
-    for name, roots, kernel in kernels:
-        refs = [_reference(e, ts, us, vs) for e in roots]
-        try:
-            got = kernel()
-        except (ArithmeticError, ValueError):
-            event(f"{name} kernel raised")
-            continue  # the callers fall back to the walk; checked below
-        assert all(r is not None for ref in refs for r in ref)
-        for ref, col in zip(refs, got):
-            assert _same(ref, col)
-        if name == "first order":
-            want = 0.0
-            for value, w in zip(refs[0], weights):
-                want += float(value) * w
-            assert _same([want], [got[3]])
+    refs = [_reference(e, ts, us, vs) for e in (lag.value, lag.d_u, lag.d_v, *lag.second)]
+    try:
+        *got, total = lag.tables(ts, us, vs, weights)
+    except (ArithmeticError, ValueError):
+        event("kernel raised")
+        return  # the callers fall back to the walk; checked below
+    assert len(got) == 6
+    assert all(r is not None for ref in refs for r in ref)
+    for ref, col in zip(refs, got):
+        assert _same(ref, col)
+    want = 0.0
+    for value, w in zip(refs[0], weights):
+        want += float(value) * w
+    assert _same([want], [total])
 
 
-def _walk(delta_trees, nabla_trees, y):
-    """The per-point loop of slot_tables and slot_curvature, kept here
-    as the reference."""
+def _walk(delta_trees, nabla_trees, y, undefined=None):
+    """The per-point loop of slot_tables, kept here as the reference:
+    raises where a tree is undefined, or reads ``undefined`` there."""
     t, v = y.scale.points, y.values
     dt = np.diff(t)
     quot = np.diff(v) / dt
@@ -133,15 +128,30 @@ def _walk(delta_trees, nabla_trees, y):
         for col, tree, args in zip(
             cols, (*delta_trees, *nabla_trees), (args_d,) * 3 + (args_n,) * 3
         ):
-            col[i] = evaluate(tree, *args)
+            try:
+                col[i] = evaluate(tree, *args)
+            except EvaluationError:
+                if undefined is None:
+                    raise
+                col[i] = undefined
     return cols
 
 
 def _walk_tables(functional, y):
+    """The twelve SlotTables columns in field order and both factors:
+    the values and first partials as the walk gives them, then the
+    second partials, NaN where undefined."""
     ld, ln = functional.l_delta, functional.l_nabla
-    cols = _walk((ld.value, ld.d_u, ld.d_v), (ln.value, ln.d_u, ln.d_v), y)
+    first = _walk((ld.value, ld.d_u, ld.d_v), (ln.value, ln.d_u, ln.d_v), y)
+    with np.errstate(all="ignore"):
+        second = _walk(ld.second, ln.second, y, undefined=np.nan)
+    cols = [*first[:3], *second[:3], *first[3:], *second[3:]]
     # both factors summed left to right from 0.0, as eval_functional sums
     return cols, *_walk_breakdown(functional, y)[:2]
+
+
+_COLUMNS = ("delta_value", "delta_du", "delta_dv", "delta_uu", "delta_uv", "delta_vv",
+            "nabla_value", "nabla_du", "nabla_dv", "nabla_uu", "nabla_uv", "nabla_vv")
 
 
 def _walk_breakdown(functional, y):
@@ -166,30 +176,22 @@ def _outcome(fn):
 def _check_against_walk(functional, y):
     ref = _outcome(lambda: _walk_tables(functional, y))
     got = _outcome(lambda: slot_tables(functional, y))
+    if ref[0] == "ok":
+        # The bracket reads only the values, first partials and sums.
+        cols, j_delta, j_nabla = ref[1]
+        want = _outcome(lambda: tables_bracket(
+            SlotTables(np.diff(y.scale.points), *cols, j_delta, j_nabla)))
+        assert _same(want[1], _outcome(lambda: bracket_values(functional, y))[1])
     assert got[0] == ref[0]
     if ref[0] == "raised":
         assert got[1] == ref[1]
     else:
         tab = got[1]
-        cols = (tab.delta_value, tab.delta_du, tab.delta_dv,
-                tab.nabla_value, tab.nabla_du, tab.nabla_dv)
-        for want, have in zip(ref[1][0], cols):
+        for want, name in zip(ref[1][0], _COLUMNS, strict=True):
+            have = getattr(tab, name)
             assert have.dtype == np.float64 and have.flags.c_contiguous
-            assert _same(want, have)
+            assert _same(want, have), name
         assert _same(ref[1][1:], (tab.j_delta, tab.j_nabla))
-    ref = _outcome(
-        lambda: _walk(functional.l_delta.second, functional.l_nabla.second, y)
-    )
-    got = _outcome(lambda: slot_curvature(functional, y.scale.points, y.values))
-    assert got[0] == ref[0]
-    if ref[0] == "raised":
-        assert got[1] == ref[1]
-    else:
-        c = got[1]
-        cols = (c.delta_uu, c.delta_uv, c.delta_vv, c.nabla_uu, c.nabla_uv, c.nabla_vv)
-        for want, have in zip(ref[1], cols):
-            assert have.dtype == np.float64 and have.flags.c_contiguous
-            assert _same(want, have)
     ref = _outcome(lambda: _walk_breakdown(functional, y))
     got = _outcome(lambda: eval_functional(functional, y))
     assert got[0] == ref[0]
@@ -230,6 +232,7 @@ def test_slot_tables_and_eval_functional_match_the_walk(delta, nabla, grid):
         ("exp(v)", [0.0, 800.0, 0.0]),  # math.exp overflows
         ("1e308*v*10", [0.0, 1.0, 2.0]),  # overflow to inf without an exception
         ("(0 - 1)^3/(v - v + 1e-320)", [0.0, 1.0, 2.0]),
+        ("log(u)", [0.0, 1e-170, 2e-170]),  # u^2 underflows to 0 in d_uu only
     ],
 )
 def test_failing_arithmetic_falls_back_to_the_walk(text, values):
@@ -239,17 +242,31 @@ def test_failing_arithmetic_falls_back_to_the_walk(text, values):
     )
 
 
+def test_undefined_second_partial_reads_nan():
+    # d_uu of log(u) is -1/u^2, and u^2 underflows to 0 at u = 1e-170:
+    # the kernel raises, the walk gives the value and first partials,
+    # and the second partial reads NaN without a warning.
+    y = GridFunction(TimeScale(np.arange(3.0)), np.array([0.0, 1e-170, 2e-170]))
+    lag = make_lagrangian("log(u)")
+    with pytest.raises(ZeroDivisionError):
+        lag.tables([0.0], [1e-170], [1e-170], [1.0])
+    tab = slot_tables(DeltaNablaFunctional(lag, make_lagrangian("v^2 + u")), y)
+    assert np.isnan(tab.delta_uu).all()
+    assert np.isfinite([tab.delta_value, tab.delta_du, tab.delta_dv]).all()
+    assert np.array_equal(tab.delta_du, [1e170, 5e169])
+    assert np.isfinite([tab.j_delta, tab.j_nabla]).all()
+
+
 def test_constant_roots_are_filled_outside_the_loop():
-    # A constant Lagrangian's kernel loops only to sum its value; the
-    # curvature of v^2 is three constants, and its kernel has no loop at
-    # all (an empty loop body would not compile).
+    # Constant roots are filled outside the loop, which every kernel
+    # runs to sum its value: a constant Lagrangian's kernel appends to no
+    # list, and the second partials of v^2 are three constants.
     const = constant_lagrangian(0.5)
     square = make_lagrangian("v^2")
     assert "append" not in const._tables_kernel.__code__.co_names
     assert "zip" in const._tables_kernel.__code__.co_names
-    assert "zip" not in square._curvature_kernel.__code__.co_names
-    assert square.curvature([0.0, 1.0], [1.0, 2.0], [3.0, -4.0]) == (
-        [0.0, 0.0], [0.0, 0.0], [2.0, 2.0]
+    assert square.tables([0.0, 1.0], [1.0, 2.0], [3.0, -4.0], [1.0, 1.0])[3:] == (
+        [0.0, 0.0], [0.0, 0.0], [2.0, 2.0], 25.0
     )
     y = GridFunction(TimeScale(np.array([0.0, 0.5, 2.0, 2.25])), np.array([1.0, -2.0, 0.5, 3.0]))
     assert _check_against_walk(DeltaNablaFunctional(const, square), y) == "ok"
@@ -295,7 +312,7 @@ def test_signed_zero_constants_stay_apart():
     u = Var("u")
     lag = Lagrangian(Mul(Const(-0.0), u), Mul(Const(0.0), u), Const(-0.0))
     assert Const(0.0) == Const(-0.0)  # why sharing cannot key on equality
-    value, du, dv, _ = lag.tables([0.0], [1.0], [1.0], [1.0])
+    value, du, dv, *_ = lag.tables([0.0], [1.0], [1.0], [1.0])
     assert [math.copysign(1.0, x[0]) for x in (value, du, dv)] == [-1.0, 1.0, -1.0]
 
 
@@ -318,8 +335,8 @@ def test_problem_pickles_after_a_solve():
     p = example_problem(4)
     opts = SolverOptions(multistart=0)
     first = solve_normal(p, opts)
-    for kernels in ("_tables_kernel", "_curvature_kernel"):  # built by the solve
-        assert kernels in vars(p.objective.l_delta)
+    built = [name for name in vars(p.objective.l_delta) if "kernel" in name]
+    assert built == ["_tables_kernel"]  # built by the solve
     for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
         again = solve_normal(clone, opts)
         assert np.array_equal(again.y.values, first.y.values)
@@ -328,29 +345,23 @@ def test_problem_pickles_after_a_solve():
 
 def test_trees_the_compiler_does_not_cover_use_the_walk(monkeypatch):
     # Hand-built nodes the parser never makes: an int constant and a
-    # float exponent.  Compiling them raises ValueError, so the walk runs,
-    # and each failure is remembered rather than compiled again.
-    compiles = {"_compile_kernels": 0, "_compile_curvature": 0}
+    # float exponent (its d_vv is the int Const(3) as well).  Compiling
+    # them raises ValueError, so the walk runs, and the failure is
+    # remembered rather than compiled again.
+    compiles = []
+    original = expressions._compile
 
-    def counting(name):
-        original = getattr(expressions, name)
+    def compile_counted(roots):
+        compiles.append(roots)
+        return original(roots)
 
-        def compile_counted(*trees):
-            compiles[name] += 1
-            return original(*trees)
-
-        return compile_counted
-
-    for name in compiles:
-        monkeypatch.setattr(expressions, name, counting(name))
+    monkeypatch.setattr(expressions, "_compile", compile_counted)
     v = Var("v")
     lag = Lagrangian(Pow(Mul(Const(3), v), 2.0), Const(0), Mul(Const(3), v))
     for _ in range(2):
         with pytest.raises(ValueError):
             lag.tables([0.0], [0.0], [1.0], [1.0])
-        with pytest.raises(ValueError):
-            lag.curvature([0.0], [0.0], [1.0])  # its d_vv is the int Const(3)
-    assert compiles == {"_compile_kernels": 1, "_compile_curvature": 1}
+    assert len(compiles) == 1
     y = GridFunction(TimeScale(np.arange(3.0)), np.array([0.0, 1.0, 3.0]))
     assert _check_against_walk(DeltaNablaFunctional(lag, lag), y) == "ok"
-    assert compiles == {"_compile_kernels": 1, "_compile_curvature": 1}
+    assert len(compiles) == 1

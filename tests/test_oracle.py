@@ -128,6 +128,12 @@ def test_identity_fuzz_clean_run():
     assert report.max_rel_error <= 1e-12
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_identity_fuzz_rejects_a_count_below_one(count):
+    with pytest.raises(ValueError, match="count >= 1"):
+        identity_fuzz(count=count)
+
+
 def test_identity_fuzz_is_deterministic():
     a = identity_fuzz(seed=42, count=30)
     b = identity_fuzz(seed=42, count=30)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from deltanabla import (
     DeltaNablaFunctional,
+    EvaluationBreakdown,
+    EvaluationError,
     GridFunction,
     IsoperimetricProblem,
     SolverOptions,
@@ -23,7 +25,7 @@ from deltanabla import (
     make_lagrangian,
     solve_normal,
 )
-from deltanabla import functional, solver
+from deltanabla import expressions, functional, solver
 from deltanabla.functional import (
     EL2,
     bracket_defect,
@@ -156,9 +158,9 @@ def test_solver_is_deterministic():
     assert len(r1.stationary_points) == len(r2.stationary_points)
 
 
-def test_unsatisfiable_constraint_reports_no_convergence():
+def _unsatisfiable_problem():
     scale = TimeScale(np.arange(4.0))
-    p = IsoperimetricProblem(
+    return IsoperimetricProblem(
         scale=scale,
         alpha=0.0,
         beta=1.0,
@@ -171,7 +173,10 @@ def test_unsatisfiable_constraint_reports_no_convergence():
         ),
         k=5.0,
     )
-    res = solve_normal(p)
+
+
+def test_unsatisfiable_constraint_reports_no_convergence():
+    res = solve_normal(_unsatisfiable_problem())
     assert not res.converged
     assert res.classification == "unknown"
     assert res.message != ""
@@ -401,6 +406,124 @@ def test_no_kernel_pass_after_the_newton_runs(monkeypatch):
     found = find_abnormal(p)
     assert found
     assert outside == [p.objective] * len(found)
+
+
+def _undefined_objective_problem():
+    # log(u) is undefined at every start (u < 0 throughout), so no normal
+    # start can be evaluated; the constraint is defined everywhere.
+    return IsoperimetricProblem(
+        scale=TimeScale(np.arange(4.0)),
+        alpha=-1.0,
+        beta=-2.0,
+        objective=DeltaNablaFunctional(
+            make_lagrangian("log(u) + v^2"), make_lagrangian("v^2")
+        ),
+        constraint=DeltaNablaFunctional(make_lagrangian("t*v"), make_lagrangian("1")),
+        k=1.0,
+    )
+
+
+@pytest.mark.parametrize("problem", [_unsatisfiable_problem, _undefined_objective_problem])
+def test_non_converged_report_values_are_the_functionals_at_its_y(problem):
+    # The report's breakdowns are eval_functional's at its y bit for bit,
+    # NaN where the functional is undefined there.
+    p = problem()
+    res = solve_normal(p)
+    assert not res.converged and res.classification == "unknown"
+    assert res.bracket is None
+    for got, functional in (
+        (res.objective_value, p.objective),
+        (res.constraint_value, p.constraint),
+    ):
+        try:
+            want = eval_functional(functional, res.y)
+        except EvaluationError:
+            want = EvaluationBreakdown(np.nan, np.nan, np.nan)
+        assert _bits(got.delta_factor, got.nabla_factor, got.product) == _bits(
+            want.delta_factor, want.nabla_factor, want.product
+        )
+    if problem is _undefined_objective_problem:
+        assert np.isnan(res.objective_value.product)
+        assert np.isfinite(res.constraint_value.product)
+        assert np.isnan([res.el_defect, res.kkt_residual_norm]).all()
+
+
+def test_one_slot_pass_per_product_per_point_and_one_compile_per_lagrangian(monkeypatch):
+    # Every evaluated point costs one slot_tables_at call per product, the
+    # Jacobian none (it reads the same tables), and each Lagrangian
+    # compiles its one kernel once.
+    passes, points, compiles = [], [], []
+    in_jacobian = [False]
+    tables = functional.slot_tables_at
+    compile_kernel = expressions._compile
+
+    def counting_tables(fn, t, v):
+        assert not in_jacobian[0]
+        passes.append(fn)
+        return tables(fn, t, v)
+
+    def counting_compile(roots):
+        compiles.append(roots)
+        return compile_kernel(roots)
+
+    def counted(make_system):
+        def make(p):
+            system = make_system(p)
+
+            def evaluate(z):
+                points.append(z)
+                f, jacobian, products = system(z)
+
+                def jac():
+                    in_jacobian[0] = True
+                    try:
+                        return jacobian()
+                    finally:
+                        in_jacobian[0] = False
+
+                return f, jac, products
+
+            return evaluate
+
+        return make
+
+    monkeypatch.setattr(solver, "slot_tables_at", counting_tables)
+    monkeypatch.setattr(expressions, "_compile", counting_compile)
+    monkeypatch.setattr(solver, "_normal_system", counted(solver._normal_system))
+    monkeypatch.setattr(solver, "_abnormal_system", counted(solver._abnormal_system))
+    p = example_problem(16)
+    assert solve_normal(p).converged
+    assert len(points) > 9 and passes == [p.objective, p.constraint] * len(points)
+    lagrangians = (p.objective.l_delta, p.objective.l_nabla,
+                   p.constraint.l_delta, p.constraint.l_nabla)
+    assert len(compiles) == len(lagrangians)
+    q = _constraint_extremal_problem()
+    passes.clear()
+    points.clear()
+    found = find_abnormal(q)
+    assert found
+    assert len(passes) == len(points) + len(found)
+    assert [fn is q.constraint for fn in passes].count(True) == len(points)
+    assert [fn is q.objective for fn in passes].count(True) == len(found)
+    assert len(compiles) == len(lagrangians) + 4
+    solve_normal(p)
+    find_abnormal(q)
+    assert len(compiles) == len(lagrangians) + 4
+
+
+def test_undefined_second_partial_ends_its_start_at_the_jacobian():
+    # d_uu of log(u) is -1/u^2, undefined where u^2 underflows: the
+    # residual is finite, the Jacobian reads the NaN curvature column.
+    p = IsoperimetricProblem(
+        scale=TimeScale(np.arange(3.0)),
+        alpha=1e-170,
+        beta=1e-170,
+        objective=DeltaNablaFunctional(make_lagrangian("log(u)"), make_lagrangian("v^2 + 1")),
+        constraint=DeltaNablaFunctional(make_lagrangian("t*v"), make_lagrangian("1")),
+        k=2.0,
+    )
+    res = solve_normal(p, SolverOptions(multistart=0))
+    assert res.message == "start 0: error: non-finite Jacobian"
 
 
 def test_solver_options_thread_through():
