@@ -509,6 +509,9 @@ def differentiate(e: Expr, var: str) -> Expr:
 # is also compiled, on first use, into straight-line Python: one assignment
 # per distinct node of its trees, inside one loop over the slot sequences.
 # The one kernel covers the value, d_u, d_v and the three second partials.
+# The slots may be those of several functions on one scale, one after the
+# other (the solver's multistart does this); the value is then summed per
+# function, each sum from 0.0, so every sum is the one a single pass gives.
 # Python-float + - * / are the IEEE operations the walk performs on numpy
 # scalars, and ** and the math functions call the same libm, so a kernel
 # returns evaluate()'s numbers bit for bit.  The two part only where
@@ -564,30 +567,35 @@ class _KernelSource:
 
 def _kernel_text(src: _KernelSource, roots: list[str]) -> str:
     """Module text of a factory that binds the constants and returns one
-    kernel: the list of each root over the slots, then the sum of the
-    first root times the weight, left to right from 0.0.  A constant
-    root's list is filled outside the loop, which always runs for the
-    sum."""
+    kernel: the list of each root over the slots, then, for each of
+    ``rows`` equal runs of consecutive slots, the sum of the first root
+    times the weight, left to right from 0.0.  A constant root is
+    returned as the constant itself; the loop always runs for the sums."""
     results = [f"r{i}" for i in range(len(roots))]
     consts = {f"c{i}" for i in range(len(src.consts))}
     body, loop = [], list(src.lines)
     for r, root in zip(results, roots):
         if root in consts:
-            body.append(f"{r} = [{root}] * len(ts)")
+            body.append(f"{r} = {root}")
         else:
             body.append(f"{r} = []; a{r} = {r}.append")
             loop.append(f"a{r}({root})")
     body += [
-        "acc = 0.0",
-        "for t, u, v, w in zip(ts, us, vs, ws):",
-        *(f"    {line}" for line in loop),
-        f"    acc += {roots[0]} * w",
+        "sums = [0.0] * rows",
+        "slots = zip(ts, us, vs, ws)",
+        "size = len(ts) // rows",
+        "for row in range(rows):",
+        "    acc = 0.0",
+        "    for t, u, v, w in islice(slots, size):",
+        *(f"        {line}" for line in loop),
+        f"        acc += {roots[0]} * w",
+        "    sums[row] = acc",
     ]
     return "\n".join([
         f"def factory({', '.join(f'c{i}' for i in range(len(src.consts)))}):",
-        "    def kernel(ts, us, vs, ws):",
+        "    def kernel(ts, us, vs, ws, rows):",
         *(f"        {line}" for line in body),
-        f"        return {', '.join(results)}, acc",
+        f"        return {', '.join(results)}, sums",
         "    return kernel",
     ])
 
@@ -596,14 +604,15 @@ def _kernel_text(src: _KernelSource, roots: list[str]) -> str:
 def _factory(source: str) -> Callable:
     """Compile once per shape: Lagrangians whose trees differ only in
     their constants share the code objects."""
-    namespace: dict = dict(_UNARY)
+    namespace: dict = dict(_UNARY, islice=itertools.islice)
     exec(compile(source, "<deltanabla kernel>", "exec"), namespace)
     return namespace["factory"]
 
 
 def _compile(roots: tuple[Expr, ...]) -> Callable:
-    """``kernel(ts, us, vs, ws)``: the list of each root at every slot
-    and the sum of the first root times the weight, in one loop."""
+    """``kernel(ts, us, vs, ws, rows)``: each root at every slot (a list,
+    or the constant itself) and the row sums of the first root times the
+    weight, in one loop."""
     src = _KernelSource()
     names = [src.name(e) for e in roots]
     return _factory(_kernel_text(src, names))(*src.consts)
@@ -657,14 +666,17 @@ class Lagrangian:
         except ValueError:
             return None
 
-    def tables(self, ts: list, us: list, vs: list, ws: list) -> tuple[list, ...]:
-        """Value, d_u, d_v, d_uu, d_uv and d_vv lists over the slot
-        sequences, and the sum of value * weight over the slots, left to
-        right from 0.0."""
+    def tables(
+        self, ts: list, us: list, vs: list, ws: list, rows: int = 1
+    ) -> tuple[list | float, ...]:
+        """Value, d_u, d_v, d_uu, d_uv and d_vv over the slot sequences,
+        each a list or, where the tree is a constant, that float; then
+        the list of the sums of value * weight, left to right from 0.0,
+        over each of ``rows`` equal runs of consecutive slots."""
         kernel = self._tables_kernel
         if kernel is None:
             raise ValueError("no kernel for these trees; evaluate() handles them")
-        return kernel(ts, us, vs, ws)
+        return kernel(ts, us, vs, ws, rows)
 
     def __getstate__(self) -> dict:
         # The compiled kernel does not pickle; it is rebuilt on first use.

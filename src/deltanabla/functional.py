@@ -81,6 +81,16 @@ class ExtremalCheck:
     el2: ResidualReport
 
 
+Column = np.ndarray | float
+
+COLUMNS = tuple(
+    f"{side}_{part}"
+    for side in ("delta", "nabla")
+    for part in ("value", "du", "dv", "uu", "uv", "vv")
+)
+"""The names of the twelve SlotTables columns, in field order."""
+
+
 @dataclass(frozen=True)
 class SlotTables:
     """Integrand values, first and second partials on the two slot
@@ -89,26 +99,43 @@ class SlotTables:
     Delta entries are indexed by the left point of each gap
     (positions 0..N-2), nabla entries by the right point
     (positions 1..N-1, stored at array offset 0..N-2).  weights holds
-    the gap widths, which serve as both mu and nu.  A second partial
-    that is undefined at a slot where the value and first partials are
-    defined reads NaN there.
+    the gap widths, which serve as both mu and nu.  A column whose tree
+    is a constant is that float, which numpy broadcasts like the array
+    it stands for.  A second partial that is undefined at a slot where
+    the value and first partials are defined reads NaN there.
+
+    Tables of several functions on one scale (kernel_tables) have a
+    (rows, N-1) array per column that is not constant, and the factors
+    as (rows, 1) columns.
     """
 
     weights: np.ndarray
-    delta_value: np.ndarray
-    delta_du: np.ndarray
-    delta_dv: np.ndarray
-    delta_uu: np.ndarray
-    delta_uv: np.ndarray
-    delta_vv: np.ndarray
-    nabla_value: np.ndarray
-    nabla_du: np.ndarray
-    nabla_dv: np.ndarray
-    nabla_uu: np.ndarray
-    nabla_uv: np.ndarray
-    nabla_vv: np.ndarray
-    j_delta: float
-    j_nabla: float
+    delta_value: Column
+    delta_du: Column
+    delta_dv: Column
+    delta_uu: Column
+    delta_uv: Column
+    delta_vv: Column
+    nabla_value: Column
+    nabla_du: Column
+    nabla_dv: Column
+    nabla_uu: Column
+    nabla_uv: Column
+    nabla_vv: Column
+    j_delta: float | np.ndarray
+    j_nabla: float | np.ndarray
+
+    def rows(self, index: int | list[int]) -> SlotTables:
+        """The tables of the given rows of stacked tables: a list of
+        rows stays stacked, one row gives the single function's tables."""
+        columns = [
+            c if isinstance(c, float) else c[index]
+            for c in (getattr(self, name) for name in COLUMNS)
+        ]
+        j_delta, j_nabla = self.j_delta[index], self.j_nabla[index]
+        if isinstance(index, int):
+            j_delta, j_nabla = float(j_delta[0]), float(j_nabla[0])
+        return SlotTables(self.weights, *columns, j_delta, j_nabla)
 
 
 def slot_tables(functional: DeltaNablaFunctional, y: GridFunction) -> SlotTables:
@@ -117,9 +144,10 @@ def slot_tables(functional: DeltaNablaFunctional, y: GridFunction) -> SlotTables
 
 
 def _slots(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Gap widths and the difference quotient of every gap."""
+    """Gap widths and the difference quotient of every gap (of every row
+    of a stack of values)."""
     dt = points[1:] - points[:-1]  # np.diff's arithmetic, without its call overhead
-    return dt, (values[1:] - values[:-1]) / dt
+    return dt, (values[..., 1:] - values[..., :-1]) / dt
 
 
 def slot_tables_at(
@@ -133,20 +161,59 @@ def slot_tables_at(
     arithmetic fails, the tree walk evaluates point by point (see
     _walk_columns).
     """
-    dt, quot = _slots(points, values)
-    ld = functional.l_delta
-    ln = functional.l_nabla
     try:
-        q = quot.tolist()
-        w = dt.tolist()
-        *delta, j_delta = ld.tables(points[:-1].tolist(), values[1:].tolist(), q, w)
-        *nabla, j_nabla = ln.tables(points[1:].tolist(), values[:-1].tolist(), q, w)
-        columns = [np.array(column, dtype=float) for column in (*delta, *nabla)]
+        return kernel_tables(functional, points, values)
     except (ArithmeticError, ValueError):
-        columns = _walk_columns(ld, ln, points, values, quot)
+        dt, quot = _slots(points, values)
+        columns = _walk_columns(functional.l_delta, functional.l_nabla, points, values, quot)
         j_delta = _left_sum(columns[0], dt)
         j_nabla = _left_sum(columns[6], dt)
-    return SlotTables(dt, *columns, float(j_delta), float(j_nabla))
+        return SlotTables(dt, *columns, float(j_delta), float(j_nabla))
+
+
+def kernel_tables(
+    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
+) -> SlotTables:
+    """slot_tables_at from the kernels alone, for the values of one
+    function or for each row of a (rows, N) stack of values on one scale,
+    stacked (see SlotTables): one kernel pass per integrand over the
+    slots of all rows, each row's factors the sums a pass over that row
+    alone gives.  Raises ArithmeticError or ValueError where the kernels'
+    arithmetic fails in any row, for slot_tables_at to decide row by
+    row."""
+    dt, quot = _slots(points, values)
+    rows = values.size // points.size
+    q = quot.ravel().tolist()
+    w = dt.tolist() * rows
+    *delta, j_delta = functional.l_delta.tables(
+        points[:-1].tolist() * rows, values[..., 1:].ravel().tolist(), q, w, rows
+    )
+    *nabla, j_nabla = functional.l_nabla.tables(
+        points[1:].tolist() * rows, values[..., :-1].ravel().tolist(), q, w, rows
+    )
+    columns = [*delta, *nabla]
+    lists = [i for i, column in enumerate(columns) if not isinstance(column, float)]
+    if lists:  # one conversion for all of them
+        arrays = np.array([columns[i] for i in lists], dtype=float)
+        for i, array in zip(lists, arrays.reshape((len(lists),) + quot.shape)):
+            columns[i] = array
+    if values.ndim == 1:
+        return SlotTables(dt, *columns, j_delta[0], j_nabla[0])
+    j_delta, j_nabla = np.array([j_delta, j_nabla]).reshape(2, rows, 1)
+    return SlotTables(dt, *columns, j_delta, j_nabla)
+
+
+def stack_tables(tables: list[SlotTables]) -> SlotTables:
+    """Tables of single functions on one scale, stacked as kernel_tables
+    gives them."""
+    size = tables[0].weights.shape
+    columns = [
+        np.stack([np.broadcast_to(getattr(tab, name), size) for tab in tables])
+        for name in COLUMNS
+    ]
+    j_delta = np.array([[tab.j_delta] for tab in tables])
+    j_nabla = np.array([[tab.j_nabla] for tab in tables])
+    return SlotTables(tables[0].weights, *columns, j_delta, j_nabla)
 
 
 def _walk_columns(

@@ -13,19 +13,23 @@ solution; they are never the solve target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
 from .expressions import EvaluationError, constant_lagrangian, make_lagrangian
 from .functional import (
+    Column,
     DeltaNablaFunctional,
     EvaluationBreakdown,
     SlotTables,
     bracket_defect,
     eval_functional,
+    kernel_tables,
     slot_tables_at,
+    stack_tables,
     tables_bracket,
 )
 from .timescale import GridFunction, TimeScale
@@ -57,7 +61,13 @@ class IsoperimetricProblem:
         return GridFunction(self.scale, self._values(interior))
 
     def _values(self, interior: np.ndarray) -> np.ndarray:
-        return np.concatenate(([self.alpha], interior, [self.beta]))
+        """All values of the function, or of each function of a stack,
+        with the given interior values."""
+        values = np.empty(interior.shape[:-1] + (interior.shape[-1] + 2,))
+        values[..., 0] = self.alpha
+        values[..., 1:-1] = interior
+        values[..., -1] = self.beta
+        return values
 
     def interior_count(self) -> int:
         return len(self.scale) - 2
@@ -121,38 +131,55 @@ def discrete_gradient(
     """
     if len(y) < 3:
         raise ValueError("gradient needs at least one interior point")
-    return _Product(functional, y.scale.points, y.values).grad
+    return _Product(y.values, slot_tables_at(functional, y.scale.points, y.values)).grad
+
+
+def _cut(column: Column, part: slice) -> Column:
+    """The part of a column's slots (of every row); a constant stands for
+    all of them."""
+    return column if isinstance(column, float) else column[..., part]
+
+
+_HEAD = slice(None, -1)
+_TAIL = slice(1, None)
 
 
 class _Product:
-    """A product functional at one point (the points of the scale and
-    all values of the function, as bare arrays), from one pass over its
-    slots: the value, the factors' gradients and the gradient in the
-    interior values, and the Hessian on request, all read from the same
-    tables.  Given tables, it reads them instead of making that pass."""
+    """A product functional at one point (all values of the function, as
+    a bare array), or at each row of a stack of them on one scale, read
+    from its slot tables (stacked for a stack): the value, the factors'
+    gradients and the gradient in the interior values, and, for a stack,
+    the Hessians on request, every row's numbers those of its point
+    alone."""
 
-    def __init__(
-        self,
-        functional: DeltaNablaFunctional,
-        points: np.ndarray,
-        values: np.ndarray,
-        tab: SlotTables | None = None,
-    ) -> None:
+    def __init__(self, values: np.ndarray, tab: SlotTables) -> None:
         self.values = values
-        self.tab = tab = slot_tables_at(functional, points, values) if tab is None else tab
+        self.tab = tab
         w = tab.weights
-        self.value = float(tab.j_delta * tab.j_nabla)
-        self.grad_delta = tab.delta_du[:-1] * w[:-1] + tab.delta_dv[:-1] - tab.delta_dv[1:]
-        self.grad_nabla = tab.nabla_du[1:] * w[1:] - tab.nabla_dv[1:] + tab.nabla_dv[:-1]
+        self.value = tab.j_delta * tab.j_nabla
+        self.grad_delta = (
+            _cut(tab.delta_du, _HEAD) * w[:-1] + _cut(tab.delta_dv, _HEAD)
+            - _cut(tab.delta_dv, _TAIL)
+        )
+        self.grad_nabla = (
+            _cut(tab.nabla_du, _TAIL) * w[1:] - _cut(tab.nabla_dv, _TAIL)
+            + _cut(tab.nabla_dv, _HEAD)
+        )
         self.grad = tab.j_nabla * self.grad_delta + tab.j_delta * self.grad_nabla
+
+    def rows(self, index: int | list[int]) -> _Product:
+        """The product at the given rows of a stack: a list of rows stays
+        a stack, one row gives the product at its point."""
+        return _Product(self.values[index], self.tab.rows(index))
 
     def breakdown(self) -> EvaluationBreakdown:
         return EvaluationBreakdown(self.tab.j_delta, self.tab.j_nabla, self.value)
 
-    def hessian(self) -> np.ndarray:
-        """Exact Hessian in the interior values: J_nabla * H_delta +
-        J_delta * H_nabla, which is tridiagonal, plus the rank-2
-        grad_delta grad_nabla^T + its transpose.
+    def hessian(self, rows: list[int] | slice) -> np.ndarray:
+        """Exact Hessians in the interior values of the given rows of a
+        stack, stacked: J_nabla * H_delta + J_delta * H_nabla, which is
+        tridiagonal, plus the rank-2 grad_delta grad_nabla^T + its
+        transpose.
 
         Gap i's integrand sees its end values y_i, y_(i+1) only through
         u (y_(i+1) on the delta side, y_i on the nabla side) and
@@ -169,12 +196,23 @@ class _Product:
         cross = jn * -(tab.delta_uv + d_vv) + jd * (tab.nabla_uv - n_vv)
         right = jn * (tab.delta_uu * w + 2.0 * tab.delta_uv + d_vv) + jd * n_vv
         n = w.size - 1
-        rank2 = np.outer(self.grad_delta, self.grad_nabla)
-        h = rank2 + rank2.T
-        flat = h.reshape(-1)
-        flat[:: n + 1] += right[:-1] + left[1:]
-        flat[1 :: n + 1] += cross[1:-1]
-        flat[n :: n + 1] += cross[1:-1]
+        diagonal = _take(right, rows)[:, :-1] + _take(left, rows)[:, 1:]
+        off = _take(cross, rows)[:, 1:-1]
+        # A factor's gradient is one row, the same for every row of the
+        # stack, when its d_u and d_v are constants.
+        gd, gn = self.grad_delta, self.grad_nabla
+        if gd.ndim == 2:
+            gd = _take(gd, rows)
+        if gn.ndim == 2:
+            gn = _take(gn, rows)
+        rank2 = gd[..., :, None] * gn[..., None, :]
+        h = rank2 + np.swapaxes(rank2, -1, -2)
+        if h.ndim == 2:
+            h = np.repeat(h[None], len(diagonal), axis=0)
+        flat = h.reshape(len(diagonal), n * n)
+        flat[:, :: n + 1] += diagonal
+        flat[:, 1 :: n + 1] += off
+        flat[:, n :: n + 1] += off
         return h
 
 
@@ -187,11 +225,21 @@ def _product_or_undefined(
     NaN are silenced."""
     try:
         with np.errstate(all="ignore"):
-            return _Product(functional, points, values)
+            return _Product(values, slot_tables_at(functional, points, values))
     except EvaluationError:
         nan = np.full(points.size - 1, np.nan)
         tab = SlotTables(points[1:] - points[:-1], *[nan] * 12, np.nan, np.nan)
-        return _Product(functional, points, values, tab)
+        return _Product(values, tab)
+
+
+def _take(stack: np.ndarray, rows: list[int] | slice) -> np.ndarray:
+    """The given rows of a stack: an increasing list of them, or a slice.
+    All rows are the stack itself and one row a view, not a copy."""
+    if isinstance(rows, slice) or len(rows) == len(stack):
+        return stack
+    if len(rows) == 1:
+        return stack[rows[0] : rows[0] + 1]
+    return stack[rows]
 
 
 _EPS = float(np.finfo(float).eps)
@@ -199,11 +247,75 @@ _MIN_STEP = 1e-12
 """Shortest step length the step search tries: a component that is
 exactly 0.0 takes any nonzero step, so the search needs a floor."""
 
-_System = Callable[
-    [np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray], tuple[_Product, ...]]
-]
-"""A Newton system: z -> (f(z), a thunk for the Jacobian of f at z, the
-products f was computed from, the constraint's last)."""
+
+class _System(NamedTuple):
+    """A square Newton system in z, read from the products of its
+    functionals at the function values(z) on the points: for a stack of
+    points z and the products stacked over its rows, residual(z,
+    products) gives f row by row and jacobian(z, products, rows) the
+    stacked Jacobians of f at the given rows (an increasing list, or a
+    slice for all of them)."""
+
+    functionals: tuple[DeltaNablaFunctional, ...]
+    points: np.ndarray
+    values: Callable[[np.ndarray], np.ndarray]
+    residual: Callable[[np.ndarray, tuple[_Product, ...]], np.ndarray]
+    jacobian: Callable[[np.ndarray, tuple[_Product, ...], list[int] | slice], np.ndarray]
+
+
+class _Evaluation(NamedTuple):
+    """A system at the rows of a stack of points that it could evaluate:
+    those rows (indices into the stack), their points z, residuals f and
+    the products f was computed from, stacked over those rows (the
+    constraint's last).  errors maps every other row to what stopped it."""
+
+    rows: list[int]
+    z: np.ndarray
+    f: np.ndarray
+    products: tuple[_Product, ...]
+    errors: dict[int, str]
+
+
+def _evaluate(system: _System, z: np.ndarray) -> _Evaluation:
+    """The system at every row of z where it is defined.  A row with a
+    non-finite entry is not evaluated ("non-finite iterate").  Each
+    functional, one after the other, makes one kernel pass per integrand
+    over every row still defined, or, where that pass fails, slot_tables_at
+    evaluates row by row (its walk included); a row where a functional is
+    undefined is dropped with the EvaluationError's message, and the
+    functionals after it skip the row."""
+    if np.isfinite(z).all():
+        rows, errors = list(range(len(z))), {}
+    else:
+        finite = np.isfinite(z).all(axis=1)
+        rows = np.flatnonzero(finite).tolist()
+        errors = {row: "non-finite iterate" for row in np.flatnonzero(~finite).tolist()}
+    values = system.values(z)
+    tables: list[SlotTables] = []
+    for functional in system.functionals:
+        if not rows:
+            break
+        at = _take(values, rows)
+        try:
+            tables.append(kernel_tables(functional, system.points, at))
+            continue
+        except (ArithmeticError, ValueError):
+            pass
+        single, kept = [], []
+        for i, (row, v) in enumerate(zip(rows, at)):
+            try:
+                single.append(slot_tables_at(functional, system.points, v))
+                kept.append(i)
+            except EvaluationError as exc:
+                errors[row] = str(exc)
+        rows = [rows[i] for i in kept]
+        if rows:
+            tables = [tab.rows(kept) for tab in tables] + [stack_tables(single)]
+    at = _take(z, rows)
+    if not rows:
+        return _Evaluation(rows, at, np.empty((0, z.shape[1])), (), errors)
+    products = tuple(_Product(_take(values, rows), tab) for tab in tables)
+    return _Evaluation(rows, at, system.residual(at, products), products, errors)
 
 
 @dataclass
@@ -220,20 +332,42 @@ class _NewtonRun:
     products: tuple[_Product, ...] | None
 
 
-def _evaluate(system: _System, z: np.ndarray):
-    """system(z), or an EvaluationError for a non-finite z.  numpy's
-    warnings are silenced: the caller catches the non-finite values
-    they warn of."""
-    if not np.isfinite(z).all():
-        raise EvaluationError("non-finite iterate")
-    with np.errstate(all="ignore"):
-        return system(z)
+def _norms(x: np.ndarray) -> list[float]:
+    """||row|| of every row of x, computed as np.linalg.norm computes it
+    for one vector, sqrt(row . row): inf where the sum of squares
+    overflows."""
+    return [math.sqrt(row.dot(row)) for row in x]
 
 
-def _norm(x: np.ndarray) -> float:
-    """||x||, or inf without numpy's warning where its square overflows."""
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(x)
+def _steps(jac: np.ndarray, f: np.ndarray, min_norm: bool) -> list[np.ndarray | str]:
+    """The Newton step for each stacked Jacobian and residual row, or the
+    status that ends its start: a non-finite Jacobian is an error, and a
+    singular one ends np.linalg.solve's step.  With min_norm the step is
+    the minimum-norm lstsq step, which no finite Jacobian ends."""
+    if not np.isfinite(jac).all():
+        finite = np.isfinite(jac).all(axis=(1, 2))
+        steps = iter(_steps(jac[finite], f[finite], min_norm))
+        return [next(steps) if ok else "error: non-finite Jacobian" for ok in finite.tolist()]
+    if min_norm:
+        # lstsq does not stack.  Its step for a zero Jacobian (an affine
+        # K) is exactly zero: no SVD needed to find it.
+        return [
+            np.linalg.lstsq(a, -b, rcond=None)[0] if a.any() else np.zeros(b.size)
+            for a, b in zip(jac, f)
+        ]
+    try:
+        return list(np.linalg.solve(jac, -f[:, :, None])[:, :, 0])
+    except np.linalg.LinAlgError:
+        # One singular matrix fails the whole stack: solve one by one, so
+        # that it ends only its own start.
+        return [_solve(a, b) for a, b in zip(jac, f)]
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | str:
+    try:
+        return np.linalg.solve(a, -b)
+    except np.linalg.LinAlgError:
+        return "singular"
 
 
 def _newton(
@@ -241,93 +375,151 @@ def _newton(
     z0: np.ndarray,
     opts: SolverOptions,
     min_norm: bool,
-) -> _NewtonRun:
-    """Damped Newton on a square system: np.linalg.solve steps, which a
-    singular Jacobian ends, or with min_norm the minimum-norm lstsq step,
-    which it does not.  Each step search starts at twice the last
-    accepted step length, at most 1, and halves it until ||f|| decreases
-    (a trial whose ||f|| overflows never does).  Iterates until the
-    search fails or the step is below the rounding level of the iterate,
-    which polishes roots to rounding level.  A failed evaluation, or a
-    non-finite iterate, residual or Jacobian, ends the run with an
-    "error" status; the step search skips such trial points.  The run
-    keeps the products of the last iterate it evaluated.
+) -> list[_NewtonRun]:
+    """Damped Newton on a square system from every row of the stack z0:
+    np.linalg.solve steps, which a singular Jacobian ends, or with
+    min_norm the minimum-norm lstsq step, which it does not.  Each step
+    search starts at twice the last accepted step length, at most 1, and
+    halves it until ||f|| decreases (a trial whose ||f|| overflows never
+    does).  A start iterates until its search fails or its step is below
+    the rounding level of its iterate, which polishes roots to rounding
+    level.  A failed evaluation, or a non-finite iterate, residual or
+    Jacobian, ends the start with an "error" status; the step search
+    skips such trial points.  Each run keeps the products of the last
+    iterate it evaluated.
+
+    The starts advance in lockstep.  Each round evaluates one trial
+    point of every start that is searching, all in one system call, then
+    builds the Jacobians of the starts that accepted theirs and solves
+    for their next steps, stacked.  No start's numbers depend on
+    another's, so each run is the one its start makes alone, bit for bit.
     """
-    z = np.asarray(z0, dtype=float)
-    products = None
-    try:
-        f, jacobian, products = _evaluate(system, z)
-        if not np.isfinite(f).all():
-            raise EvaluationError("non-finite residual")
-    except EvaluationError as exc:
-        return _NewtonRun(z, np.full(z.size, np.inf), 0, f"error: {exc}", products)
-    status = "maxiter"
-    it = 0
-    first_alpha = 1.0
-    for it in range(1, opts.max_iter + 1):
-        norm = _norm(f)
-        if norm == 0.0:
-            status = "ok"
-            break
-        try:
-            with np.errstate(all="ignore"):
-                jac = jacobian()
-            if not np.isfinite(jac).all():
-                raise EvaluationError("non-finite Jacobian")
-        except EvaluationError as exc:
-            status = f"error: {exc}"
-            break
-        if min_norm:
-            # lstsq's step for a zero Jacobian (an affine K) is exactly
-            # zero: no SVD needed to find it.
-            step = np.linalg.lstsq(jac, -f, rcond=None)[0] if jac.any() else np.zeros(f.size)
-        else:
-            try:
-                step = np.linalg.solve(jac, -f)
-            except np.linalg.LinAlgError:
-                status = "singular"
-                break
-        if _norm(step) <= _EPS * _norm(z):
-            # A step below the rounding level of the iterate: the root
-            # is polished as far as it can be.
-            status = "stalled"
-            break
-        alpha = first_alpha
-        moved = False
-        while alpha >= _MIN_STEP:
-            z_try = z + alpha * step
-            if np.array_equal(z_try, z):
-                # The step rounds away, and so does every shorter one
-                # (alpha halves exactly and rounding is monotone): each
-                # would only evaluate f again.
-                break
-            try:
-                f_try, jac_try, products_try = _evaluate(system, z_try)
-            except EvaluationError:
-                f_try = None
-            # A non-finite residual's norm is inf or NaN: no decrease.
-            if f_try is not None and _norm(f_try) < norm:
-                z, f, jacobian, products = z_try, f_try, jac_try, products_try
-                moved = True
-                break
-            alpha *= 0.5
-        if not moved:
-            # No direction of decrease at this resolution: either the
-            # root is polished to rounding level or the start is stuck.
-            status = "stalled"
-            break
-        first_alpha = min(1.0, 2.0 * alpha)
-    return _NewtonRun(z, f, it, status, products)
+    with np.errstate(all="ignore"):  # the runs catch the non-finite values numpy warns of
+        z = np.array(z0, dtype=float)
+        count = len(z)
+        f = np.full(z.shape, np.inf)
+        step = np.zeros(z.shape)
+        norm = [0.0] * count  # ||f|| at the iterate
+        alpha = [1.0] * count  # the step length of the next trial
+        iterations = [0] * count
+        status = ["maxiter"] * count
+        kept: list = [None] * count  # (stacked products, row) of each iterate
+
+        ev = _evaluate(system, z.copy())  # z changes as the starts move
+        for start, message in ev.errors.items():
+            status[start] = f"error: {message}"
+        fresh = []  # (start, row of ev): the starts whose iterate ev just gave
+        for row, (start, f_row, f_norm) in enumerate(zip(ev.rows, ev.f, _norms(ev.f))):
+            kept[start] = (ev.products, row)
+            # A finite norm is a finite residual; an overflowing one may be.
+            if math.isfinite(f_norm) or np.isfinite(f_row).all():
+                f[start], norm[start] = f_row, f_norm
+                fresh.append((start, row))
+            else:
+                status[start] = "error: non-finite residual"
+        searching: list[int] = []
+        while fresh or searching:
+            # A new iteration for every start with a new iterate: its step.
+            going = []
+            for start, row in fresh:
+                if iterations[start] == opts.max_iter:
+                    continue
+                iterations[start] += 1
+                if norm[start] == 0.0:
+                    status[start] = "ok"
+                else:
+                    going.append((start, row))
+            if going:
+                rows = [row for _, row in going]
+                if len(rows) == len(ev.rows):
+                    rows = slice(None)  # every row (they increase): views, not copies
+                starts = [start for start, _ in going]
+                steps = _steps(
+                    system.jacobian(ev.z, ev.products, rows), _take(f, starts), min_norm
+                )
+                solved = []
+                for start, s in zip(starts, steps):
+                    if isinstance(s, str):
+                        status[start] = s
+                    else:
+                        step[start] = s
+                        solved.append(start)
+                for start, s_norm, z_norm in zip(
+                    solved, _norms(_take(step, solved)), _norms(_take(z, solved))
+                ):
+                    if s_norm <= _EPS * z_norm:
+                        # A step below the rounding level of the iterate:
+                        # the root is polished as far as it can be.
+                        status[start] = "stalled"
+                    else:
+                        searching.append(start)
+
+            # One trial point of every searching start.
+            trials = []
+            for start in sorted(searching):
+                if alpha[start] >= _MIN_STEP:
+                    trials.append(start)
+                else:
+                    # No direction of decrease at this resolution: either the
+                    # root is polished to rounding level or the start is stuck.
+                    status[start] = "stalled"
+            fresh, searching = [], []
+            if not trials:
+                continue
+            z_at = _take(z, trials)
+            lengths = np.array([alpha[start] for start in trials])[:, None]
+            z_try = z_at + lengths * _take(step, trials)
+            rounds_away = (z_try == z_at).all(axis=1).tolist()
+            moving = []
+            for start, same in zip(trials, rounds_away):
+                if same:
+                    # The step rounds away, and so does every shorter one
+                    # (alpha halves exactly and rounding is monotone): each
+                    # would only evaluate f again.
+                    status[start] = "stalled"
+                else:
+                    moving.append(start)
+            if not moving:
+                continue
+            if len(moving) < len(trials):
+                z_try = z_try[[not same for same in rounds_away]]
+            ev = _evaluate(system, z_try)
+            decreased = {}
+            for row, (i, f_norm) in enumerate(zip(ev.rows, _norms(ev.f))):
+                # A non-finite residual's norm is inf or NaN: no decrease.
+                if f_norm < norm[moving[i]]:
+                    decreased[i] = (row, f_norm)
+            for i, start in enumerate(moving):
+                if i in decreased:
+                    row, norm[start] = decreased[i]
+                    z[start], f[start] = z_try[i], ev.f[row]
+                    kept[start] = (ev.products, row)
+                    alpha[start] = min(1.0, 2.0 * alpha[start])
+                    fresh.append((start, row))
+                else:
+                    alpha[start] *= 0.5
+                    searching.append(start)
+
+        runs = []
+        for start in range(count):
+            products = None
+            if kept[start] is not None:
+                stacked, row = kept[start]
+                products = tuple(product.rows(row) for product in stacked)
+            runs.append(_NewtonRun(z[start], f[start], iterations[start], status[start], products))
+        return runs
 
 
-def _starts(p: IsoperimetricProblem, opts: SolverOptions) -> list[np.ndarray]:
+def _starts(p: IsoperimetricProblem, opts: SolverOptions) -> np.ndarray:
+    """The stack of starts: the boundary interpolant, then its seeded
+    perturbations."""
     t = p.scale.points
     base = p.alpha + (p.beta - p.alpha) * (t[1:-1] - t[0]) / (t[-1] - t[0])
     rng = np.random.default_rng(opts.seed)
     starts = [base]
     for _ in range(opts.multistart):
         starts.append(base + rng.uniform(-opts.spread, opts.spread, base.size))
-    return starts
+    return np.array(starts)
 
 
 def _met(run: _NewtonRun, p: IsoperimetricProblem, opts: SolverOptions) -> bool:
@@ -393,38 +585,42 @@ def _normal_system(p: IsoperimetricProblem) -> _System:
     the feasibility row constraint - k, in z = (interior values,
     lambda).  The Jacobian is the Hessian of the Lagrangian bordered by
     -grad(constraint) on the right and grad(constraint) below."""
-    t = p.scale.points
     n = p.interior_count()
 
-    def system(z: np.ndarray):
-        v = p._values(z[:n])
-        lam = z[n]
-        obj = _Product(p.objective, t, v)
-        con = _Product(p.constraint, t, v)
-        f = np.append(obj.grad - lam * con.grad, con.value - p.k)
+    def residual(z: np.ndarray, products: tuple[_Product, ...]) -> np.ndarray:
+        obj, con = products
+        return np.concatenate((obj.grad - z[:, n:] * con.grad, con.value - p.k), axis=1)
 
-        def jacobian() -> np.ndarray:
-            jac = np.zeros((n + 1, n + 1))
-            jac[:n, :n] = obj.hessian() - lam * con.hessian()
-            jac[:n, n] = -con.grad
-            jac[n, :n] = con.grad
-            return jac
+    def jacobian(
+        z: np.ndarray, products: tuple[_Product, ...], rows: list[int] | slice
+    ) -> np.ndarray:
+        obj, con = products
+        lam = _take(z, rows)[:, n:, None]
+        jac = np.zeros((len(lam), n + 1, n + 1))
+        jac[:, :n, :n] = obj.hessian(rows)
+        # In place, so that at most three (n, n) stacks are alive at once.
+        h_con = con.hessian(rows)
+        h_con *= lam
+        jac[:, :n, :n] -= h_con
+        grad = _take(con.grad, rows)
+        jac[:, :n, n] = -grad
+        jac[:, n, :n] = grad
+        return jac
 
-        return f, jacobian, (obj, con)
-
-    return system
+    return _System(
+        (p.objective, p.constraint), p.scale.points, lambda z: p._values(z[:, :n]),
+        residual, jacobian,
+    )
 
 
 def _abnormal_system(p: IsoperimetricProblem) -> _System:
     """The square system grad(constraint) = 0 in the interior values,
     whose Jacobian is the constraint's Hessian."""
-    t = p.scale.points
-
-    def system(z: np.ndarray):
-        con = _Product(p.constraint, t, p._values(z))
-        return con.grad, con.hessian, (con,)
-
-    return system
+    return _System(
+        (p.constraint,), p.scale.points, p._values,
+        lambda z, products: products[0].grad,
+        lambda z, products, rows: products[0].hessian(rows),
+    )
 
 
 def solve_normal(
@@ -442,11 +638,9 @@ def solve_normal(
     opts = opts or SolverOptions()
     n = p.interior_count()
 
-    system = _normal_system(p)
-    runs = [
-        _newton(system, np.append(start, 0.0), opts, min_norm=False)
-        for start in _starts(p, opts)
-    ]
+    starts = _starts(p, opts)
+    z0 = np.concatenate((starts, np.zeros((len(starts), 1))), axis=1)
+    runs = _newton(_normal_system(p), z0, opts, min_norm=False)
 
     converged = [run for run in runs if _met(run, p, opts)]
     points: list[StationaryPoint] = []
@@ -493,10 +687,8 @@ def find_abnormal(
     opts = opts or SolverOptions()
     t = p.scale.points
 
-    system = _abnormal_system(p)
     found: list[SolveResult] = []
-    for start in _starts(p, opts):
-        run = _newton(system, start, opts, min_norm=True)
+    for run in _newton(_abnormal_system(p), _starts(p, opts), opts, min_norm=True):
         if not _met(run, p, opts):
             continue
         if any(np.max(np.abs(run.z - r.y.values[1:-1])) <= 1e-6 for r in found):

@@ -80,6 +80,12 @@ def _same(a, b) -> bool:
     return len(a) == len(b) and all(_bits(x) == _bits(y) for x, y in zip(a, b))
 
 
+def _column(column, size: int) -> list:
+    """A kernel or SlotTables column at every slot: a constant tree's
+    column is its float."""
+    return [column] * size if isinstance(column, float) else list(column)
+
+
 def _reference(e, ts, us, vs):
     """evaluate() at every point on numpy scalars, as the solver's walk
     calls it; None where it raises."""
@@ -101,18 +107,24 @@ def test_kernel_matches_evaluate_bitwise(tree, slots):
     weights = [0.5, 1.0, 0.25, 2.0][: len(ts)]
     refs = [_reference(e, ts, us, vs) for e in (lag.value, lag.d_u, lag.d_v, *lag.second)]
     try:
-        *got, total = lag.tables(ts, us, vs, weights)
+        *got, [total] = lag.tables(ts, us, vs, weights)
     except (ArithmeticError, ValueError):
         event("kernel raised")
         return  # the callers fall back to the walk; checked below
     assert len(got) == 6
     assert all(r is not None for ref in refs for r in ref)
     for ref, col in zip(refs, got):
-        assert _same(ref, col)
+        assert _same(ref, _column(col, len(ts)))
     want = 0.0
     for value, w in zip(refs[0], weights):
         want += float(value) * w
     assert _same([want], [total])
+    # The same slots twice over, as two rows: the same columns, and each
+    # row's sum from 0.0.
+    *twice, sums = lag.tables(ts * 2, us * 2, vs * 2, weights * 2, rows=2)
+    for col, col2 in zip(got, twice):
+        assert _same(_column(col, len(ts)) * 2, _column(col2, 2 * len(ts)))
+    assert _same([total, total], sums)
 
 
 def _walk(delta_trees, nabla_trees, y, undefined=None):
@@ -189,8 +201,9 @@ def _check_against_walk(functional, y):
         tab = got[1]
         for want, name in zip(ref[1][0], _COLUMNS, strict=True):
             have = getattr(tab, name)
-            assert have.dtype == np.float64 and have.flags.c_contiguous
-            assert _same(want, have), name
+            if not isinstance(have, float):
+                assert have.dtype == np.float64 and have.flags.c_contiguous
+            assert _same(want, _column(have, len(want))), name
         assert _same(ref[1][1:], (tab.j_delta, tab.j_nabla))
     ref = _outcome(lambda: _walk_breakdown(functional, y))
     got = _outcome(lambda: eval_functional(functional, y))
@@ -258,17 +271,21 @@ def test_undefined_second_partial_reads_nan():
 
 
 def test_constant_roots_are_filled_outside_the_loop():
-    # Constant roots are filled outside the loop, which every kernel
-    # runs to sum its value: a constant Lagrangian's kernel appends to no
-    # list, and the second partials of v^2 are three constants.
+    # A constant root is returned as its float, outside the loop, which
+    # every kernel runs to sum its value: a constant Lagrangian's kernel
+    # appends to no list, and the second partials of v^2 are three
+    # constants.  slot_tables keeps them as floats.
     const = constant_lagrangian(0.5)
     square = make_lagrangian("v^2")
     assert "append" not in const._tables_kernel.__code__.co_names
     assert "zip" in const._tables_kernel.__code__.co_names
     assert square.tables([0.0, 1.0], [1.0, 2.0], [3.0, -4.0], [1.0, 1.0])[3:] == (
-        [0.0, 0.0], [0.0, 0.0], [2.0, 2.0], 25.0
+        0.0, 0.0, 2.0, [25.0]
     )
     y = GridFunction(TimeScale(np.array([0.0, 0.5, 2.0, 2.25])), np.array([1.0, -2.0, 0.5, 3.0]))
+    tab = slot_tables(DeltaNablaFunctional(const, square), y)
+    assert (tab.delta_value, tab.delta_du, tab.nabla_uu, tab.nabla_vv) == (0.5, 0.0, 0.0, 2.0)
+    assert all(isinstance(x, float) for x in (tab.delta_value, tab.nabla_vv))
     assert _check_against_walk(DeltaNablaFunctional(const, square), y) == "ok"
     assert _check_against_walk(DeltaNablaFunctional(square, const), y) == "ok"
 
@@ -313,7 +330,8 @@ def test_signed_zero_constants_stay_apart():
     lag = Lagrangian(Mul(Const(-0.0), u), Mul(Const(0.0), u), Const(-0.0))
     assert Const(0.0) == Const(-0.0)  # why sharing cannot key on equality
     value, du, dv, *_ = lag.tables([0.0], [1.0], [1.0], [1.0])
-    assert [math.copysign(1.0, x[0]) for x in (value, du, dv)] == [-1.0, 1.0, -1.0]
+    assert dv == -0.0 and isinstance(dv, float)  # a constant root
+    assert [math.copysign(1.0, x) for x in (value[0], du[0], dv)] == [-1.0, 1.0, -1.0]
 
 
 def test_long_sum_compiles_without_nesting():

@@ -324,8 +324,9 @@ def test_no_abnormal_start_runs_to_max_iter(monkeypatch):
     newton = solver._newton
 
     def recording(*args, **kwargs):
-        runs.append(newton(*args, **kwargs))
-        return runs[-1]
+        result = newton(*args, **kwargs)
+        runs.extend(result)
+        return result
 
     monkeypatch.setattr(solver, "_newton", recording)
     rng = np.random.default_rng(2024)
@@ -382,7 +383,7 @@ def test_no_kernel_pass_after_the_newton_runs(monkeypatch):
     # its runs, and an abnormal answer evaluates only its objective, once.
     outside = []
     in_run = [False]
-    tables = functional.slot_tables_at
+    tables = functional.kernel_tables
     newton = solver._newton
 
     def counting(fn, points, values):
@@ -397,8 +398,10 @@ def test_no_kernel_pass_after_the_newton_runs(monkeypatch):
         finally:
             in_run[0] = False
 
-    monkeypatch.setattr(solver, "slot_tables_at", counting)
-    monkeypatch.setattr(functional, "slot_tables_at", counting)
+    # Every kernel pass, whether of a stack (the runs) or of one point
+    # (slot_tables_at), goes through kernel_tables.
+    monkeypatch.setattr(solver, "kernel_tables", counting)
+    monkeypatch.setattr(functional, "kernel_tables", counting)
     monkeypatch.setattr(solver, "_newton", running)
     assert solve_normal(example_problem(8)).converged
     assert outside == []
@@ -449,18 +452,24 @@ def test_non_converged_report_values_are_the_functionals_at_its_y(problem):
 
 
 def test_one_slot_pass_per_product_per_point_and_one_compile_per_lagrangian(monkeypatch):
-    # Every evaluated point costs one slot_tables_at call per product, the
-    # Jacobian none (it reads the same tables), and each Lagrangian
-    # compiles its one kernel once.
+    # Every evaluated point costs each product one pass over its slots,
+    # within the one kernel pass over the stack of all the round's
+    # points, the Jacobians none (they read the same tables), and each
+    # Lagrangian compiles its one kernel once.
     passes, points, compiles = [], [], []
     in_jacobian = [False]
-    tables = functional.slot_tables_at
+    tables = functional.kernel_tables
+    evaluate = solver._evaluate
     compile_kernel = expressions._compile
 
-    def counting_tables(fn, t, v):
+    def counting_tables(fn, t, values):
         assert not in_jacobian[0]
-        passes.append(fn)
-        return tables(fn, t, v)
+        passes.extend([fn] * len(values))
+        return tables(fn, t, values)
+
+    def counting_points(system, z):
+        points.extend(z)
+        return evaluate(system, z)
 
     def counting_compile(roots):
         compiles.append(roots)
@@ -470,30 +479,26 @@ def test_one_slot_pass_per_product_per_point_and_one_compile_per_lagrangian(monk
         def make(p):
             system = make_system(p)
 
-            def evaluate(z):
-                points.append(z)
-                f, jacobian, products = system(z)
+            def jacobian(*args):
+                in_jacobian[0] = True
+                try:
+                    return system.jacobian(*args)
+                finally:
+                    in_jacobian[0] = False
 
-                def jac():
-                    in_jacobian[0] = True
-                    try:
-                        return jacobian()
-                    finally:
-                        in_jacobian[0] = False
-
-                return f, jac, products
-
-            return evaluate
+            return system._replace(jacobian=jacobian)
 
         return make
 
-    monkeypatch.setattr(solver, "slot_tables_at", counting_tables)
+    monkeypatch.setattr(solver, "kernel_tables", counting_tables)
+    monkeypatch.setattr(solver, "_evaluate", counting_points)
     monkeypatch.setattr(expressions, "_compile", counting_compile)
     monkeypatch.setattr(solver, "_normal_system", counted(solver._normal_system))
     monkeypatch.setattr(solver, "_abnormal_system", counted(solver._abnormal_system))
     p = example_problem(16)
     assert solve_normal(p).converged
-    assert len(points) > 9 and passes == [p.objective, p.constraint] * len(points)
+    assert len(points) > 9
+    assert passes.count(p.objective) == passes.count(p.constraint) == len(points)
     lagrangians = (p.objective.l_delta, p.objective.l_nabla,
                    p.constraint.l_delta, p.constraint.l_nabla)
     assert len(compiles) == len(lagrangians)
@@ -502,9 +507,7 @@ def test_one_slot_pass_per_product_per_point_and_one_compile_per_lagrangian(monk
     points.clear()
     found = find_abnormal(q)
     assert found
-    assert len(passes) == len(points) + len(found)
-    assert [fn is q.constraint for fn in passes].count(True) == len(points)
-    assert [fn is q.objective for fn in passes].count(True) == len(found)
+    assert passes == [q.constraint] * len(points)
     assert len(compiles) == len(lagrangians) + 4
     solve_normal(p)
     find_abnormal(q)
@@ -532,10 +535,10 @@ def test_solver_options_thread_through():
     assert res.converged
 
 
-def test_non_finite_residual_ends_only_its_own_start():
-    scale = TimeScale(np.linspace(0.0, 5.0, 6))
-    p = IsoperimetricProblem(
-        scale=scale,
+def _huge_power_problem():
+    """v^30*v^30 overflows to inf at every start perturbed by 1e6."""
+    return IsoperimetricProblem(
+        scale=TimeScale(np.linspace(0.0, 5.0, 6)),
         alpha=0.0,
         beta=0.0,
         objective=DeltaNablaFunctional(
@@ -546,12 +549,121 @@ def test_non_finite_residual_ends_only_its_own_start():
         ),
         k=1.0,
     )
+
+
+def test_non_finite_residual_ends_only_its_own_start():
+    p = _huge_power_problem()
     res = solve_normal(p, SolverOptions(spread=1e6))  # and warns of nothing
     assert not res.converged
     assert res.classification == "unknown"
     statuses = res.message.split("; ")
     assert len(statuses) == 9
     assert all(s.endswith("error: non-finite residual") for s in statuses[1:])
+
+
+def _abnormal_document_problem():
+    """The abnormal document of the CLI benchmark: the constraint
+    (sum v^2 mu)(sum v^2 nu) = 0 holds only for constant y, where its
+    gradient vanishes, so no normal start converges."""
+    return IsoperimetricProblem(
+        scale=TimeScale(np.array([0.0, 0.4, 1.0, 1.3, 2.0])),
+        alpha=1.0,
+        beta=1.0,
+        objective=DeltaNablaFunctional(
+            make_lagrangian("v^2 + u"), make_lagrangian("v^2 + 1")
+        ),
+        constraint=DeltaNablaFunctional(make_lagrangian("v^2"), make_lagrangian("v^2")),
+        k=0.0,
+    )
+
+
+def test_a_singular_start_ends_alone_in_a_stacked_solve(monkeypatch):
+    # Start 0 is the constant interpolant, where the bordered Jacobian is
+    # singular.  Its matrix fails the first round's stacked solve, which
+    # is then solved matrix by matrix: only start 0 ends.
+    failed_stacks = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            failed_stacks.append(len(a) if a.ndim == 3 else None)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    res = solve_normal(_abnormal_document_problem(), SolverOptions(multistart=4))
+    assert res.message == (
+        "start 0: singular; start 1: maxiter; start 2: maxiter; start 3: maxiter; "
+        "start 4: maxiter"
+    )
+    assert failed_stacks == [5, None]
+
+
+def _log_problem():
+    """log(u) is undefined where a trial point's u drops to 0 or below."""
+    return IsoperimetricProblem(
+        scale=TimeScale(np.arange(5.0)),
+        alpha=1.0,
+        beta=2.0,
+        objective=DeltaNablaFunctional(make_lagrangian("log(u) + v^2"), make_lagrangian("v^2")),
+        constraint=DeltaNablaFunctional(make_lagrangian("t*v"), make_lagrangian("1")),
+        k=3.0,
+    )
+
+
+def test_an_undefined_trial_point_rejects_only_its_own_trial(monkeypatch):
+    # In the first round the trial points of starts 2 and 3 leave the
+    # domain of log: the kernel pass over the round's stack fails, the
+    # round evaluates row by row, and those two starts halve their step
+    # while starts 0 and 1 go on.  All four converge.
+    undefined = []
+    evaluate = solver._evaluate
+
+    def recording(system, z):
+        ev = evaluate(system, z)
+        undefined.append(sorted(ev.errors))
+        return ev
+
+    monkeypatch.setattr(solver, "_evaluate", recording)
+    p = _log_problem()
+    opts = SolverOptions(multistart=3, seed=5, spread=1.5)
+    runs = _runs_match_each_start_alone(p, opts, min_norm=False)
+    assert [run.status for run in runs] == ["stalled", "stalled", "ok", "ok"]
+    assert undefined[1] == [2, 3]
+    assert solve_normal(p, opts).converged
+
+
+def _runs_match_each_start_alone(p, opts, min_norm, z0=None):
+    """The runs of one batch from the problem's starts (or z0), each
+    checked bit for bit against its start run as a batch of one."""
+    system = (solver._abnormal_system if min_norm else solver._normal_system)(p)
+    if z0 is None:
+        z0 = solver._starts(p, opts)
+        if not min_norm:
+            z0 = np.concatenate((z0, np.zeros((len(z0), 1))), axis=1)
+    runs = solver._newton(system, z0, opts, min_norm)
+    assert len(runs) == len(z0)
+    for start, run in zip(z0, runs):
+        [alone] = solver._newton(system, start[None], opts, min_norm)
+        assert run.z.tobytes() == alone.z.tobytes()
+        assert run.f.tobytes() == alone.f.tobytes()
+        assert (run.iterations, run.status) == (alone.iterations, alone.status)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "problem, opts, min_norm",
+    [
+        (_degenerate_abnormal_problem, SolverOptions(), True),
+        (_huge_power_problem, SolverOptions(spread=1e6), False),
+        (_abnormal_document_problem, SolverOptions(multistart=4), False),
+        (_abnormal_document_problem, SolverOptions(multistart=4), True),
+    ],
+    ids=["degenerate-abnormal", "non-finite-residual", "singular", "abnormal-document"],
+)
+def test_fixed_batches_run_each_start_as_it_runs_alone(problem, opts, min_norm):
+    _runs_match_each_start_alone(problem(), opts, min_norm)
 
 
 @pytest.mark.parametrize(
@@ -564,13 +676,16 @@ def test_step_search_counts_an_overflowing_norm_as_no_decrease(f0, jac):
     # overflows: ||f|| is inf there, which is no decrease, so the search
     # rejects every trial and the run stalls at the start, warning of
     # nothing.  In the second system the step's norm overflows too.
-    def system(z):
-        f = np.array(f0) if not z.any() else np.full(z.size, 1e200)
-        return f, lambda: np.array(jac), ()
+    def residual(z, products):
+        return np.array([f0 if not x.any() else np.full(x.size, 1e200) for x in z])
 
+    def jacobian(z, products, rows):
+        return np.array([jac] * len(z[rows]))
+
+    system = solver._System((), np.arange(3.0), lambda z: z, residual, jacobian)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run = solver._newton(system, np.zeros(len(f0)), SolverOptions(), False)
+        [run] = solver._newton(system, np.zeros((1, len(f0))), SolverOptions(), False)
     assert run.status == "stalled"
     assert run.iterations == 1
     assert not run.z.any()
@@ -618,17 +733,34 @@ def newton_systems(draw):
 def test_newton_jacobians_match_central_differences(case):
     p, z = case
     for system, at in ((solver._normal_system(p), z), (solver._abnormal_system(p), z[:-1])):
-        f, jacobian, _ = system(at)
-        jac = jacobian()
+        ev = solver._evaluate(system, at[None])
+        f = ev.f[0]
+        jac = system.jacobian(ev.z, ev.products, [0])[0]
         fd = np.empty_like(jac)
         for j in range(at.size):
             h = 1e-6 * (1.0 + abs(at[j]))
             up, dn = at.copy(), at.copy()
             up[j] += h
             dn[j] -= h
-            fd[:, j] = (system(up)[0] - system(dn)[0]) / (2 * h)
+            steps = solver._evaluate(system, np.array([up, dn])).f
+            fd[:, j] = (steps[0] - steps[1]) / (2 * h)
         assert jac.shape == (f.size, at.size)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(newton_systems(), st.integers(0, 2**16), st.booleans())
+def test_a_batched_run_is_each_start_run_alone(case, seed, min_norm):
+    # Every start of a batch ends where it ends alone, bit for bit: the
+    # drawn point and five seeded starts around the interpolant.
+    p, z = case
+    opts = SolverOptions(multistart=4, seed=seed, max_iter=30)
+    starts = solver._starts(p, opts)
+    if min_norm:
+        z0 = np.vstack([z[:-1], starts])
+    else:
+        z0 = np.vstack([z, np.concatenate((starts, np.zeros((len(starts), 1))), axis=1)])
+    _runs_match_each_start_alone(p, opts, min_norm, z0)
 
 
 @pytest.mark.parametrize("m, fd_iterations", [(32, 8), (64, 5), (128, 4), (256, 7)])
