@@ -58,7 +58,7 @@ def test_criterion_1_example_family(capsys):
             assert abs(res.constraint_value.product - 1.0) <= 1e-10, f"m={m}"
             assert elapsed < 1.0, f"m={m} took {elapsed:.2f}s"
         # the size-3 instance has a small integer solution and its
-        # multiplier is pinned by the independent differencing oracle
+        # multiplier is pinned by the independent complex-step oracle
         y3, _ = closed_form_example(3)
         assert np.array_equal(y3.values, [0.0, 2.0, 3.0, 3.0])
         res3 = solve_normal(example_problem(3))

@@ -205,6 +205,13 @@ def test_verify_example(capsys):
     assert float(fit_line.split(":")[1]) == pytest.approx(-26.0, abs=1e-4)
 
 
+def test_verify_example_at_m_48(capsys):
+    rc = main(["verify", "example", "--M", "48"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "result: PASS" in out
+
+
 def test_verify_example_structured(capsys):
     rc = main(["verify", "example", "--M", "4", "--output", "structured"])
     out = capsys.readouterr().out

@@ -1,17 +1,22 @@
 """Tests for the independent verification layer: finite-difference
-gradients, black-box stationarity reports, the end-to-end example
-certification, and randomized structural-identity fuzzing."""
+and complex-step gradients, black-box stationarity reports, the
+end-to-end example certification, and randomized structural-identity
+fuzzing."""
 
 import numpy as np
 import pytest
 
 from deltanabla import (
     DeltaNablaFunctional,
+    EvaluationError,
     GridFunction,
+    IsoperimetricProblem,
+    TimeScale,
     constant_lagrangian,
     fd_gradient,
     identity_fuzz,
     kkt_check,
+    make_lagrangian,
     verify_example,
 )
 from deltanabla.functional import eval_functional
@@ -100,7 +105,73 @@ def test_fd_agrees_with_symbolic_gradient_at_random_points():
         assert np.max(np.abs(fd - sym)) <= 1e-6 * scale
 
 
-@pytest.mark.parametrize("m", [2, 3, 5])
+def _functional(delta, nabla):
+    return DeltaNablaFunctional(make_lagrangian(delta), make_lagrangian(nabla))
+
+
+def _assert_matches_discrete_gradient(p, y):
+    report = kkt_check(p, y, 1.0)
+    for got, functional in (
+        (report.grad_objective, p.objective),
+        (report.grad_constraint, p.constraint),
+    ):
+        want = discrete_gradient(functional, y)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_complex_step_matches_discrete_gradient_on_the_example():
+    rng = np.random.default_rng(17)
+    p = example_problem(4)
+    for _ in range(40):
+        vals = np.concatenate(([0.0], rng.uniform(-2.0, 2.0, 3), [4.0]))
+        _assert_matches_discrete_gradient(p, GridFunction(p.scale, vals))
+
+
+def test_complex_step_matches_discrete_gradient_through_every_node():
+    # all five functions, division, a negative power, negation, and an
+    # odd power past 100 of a negative base
+    p = IsoperimetricProblem(
+        scale=TimeScale(np.array([0.0, 0.2, 0.45, 0.5, 0.8, 1.0])),
+        alpha=1.0,
+        beta=2.0,
+        objective=_functional(
+            "sin(u)*exp(-v^2/4) + log(u)/(1 + t)", "sqrt(1 + v^2) + cos(t*u) - u^-2"
+        ),
+        constraint=_functional("exp(t)*v + ((u - 3)/2)^101", "log(1 + u^2)"),
+        k=1.0,
+    )
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        vals = np.concatenate(([1.0], rng.uniform(1.0, 2.0, 4), [2.0]))
+        _assert_matches_discrete_gradient(p, GridFunction(p.scale, vals))
+
+
+def test_complex_step_spans_several_chunks():
+    # 127 interior points of 128 slots each: the stack is walked in
+    # several chunks, the last one shorter than the others
+    p = example_problem(128)
+    y, _ = closed_form_example(128)
+    rng = np.random.default_rng(3)
+    bumped = y.values + np.concatenate(([0.0], rng.uniform(-1.0, 1.0, 127), [0.0]))
+    for vals in (y.values, bumped):
+        _assert_matches_discrete_gradient(p, GridFunction(p.scale, vals))
+
+
+def test_kkt_check_outside_the_domain_is_an_evaluation_error():
+    p = IsoperimetricProblem(
+        scale=TimeScale(np.array([0.0, 1.0, 2.0, 3.0])),
+        alpha=1.0,
+        beta=1.0,
+        objective=_functional("log(u)", "v^2"),
+        constraint=_functional("v^2", "v^2"),
+        k=1.0,
+    )
+    y = GridFunction(p.scale, np.array([1.0, -0.5, 2.0, 1.0]))
+    with pytest.raises(EvaluationError, match="log"):
+        kkt_check(p, y, 1.0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 32, 48, 128, 256])
 def test_verify_example_passes(m):
     report = verify_example(m)
     assert report.passed
@@ -112,6 +183,12 @@ def test_verify_example_passes(m):
     assert any("EL1" in n for n in names) and any("EL2" in n for n in names)
     want_lam = closed_form_example(m)[1].lam
     assert report.lambda_fit == pytest.approx(want_lam, abs=1e-4 * max(1.0, abs(want_lam)))
+
+
+def test_verify_example_kkt_line_holds_at_m_1024():
+    report = verify_example(1024)
+    kkt = next(c for c in report.checks if c.name.startswith("kkt residual"))
+    assert kkt.passed
 
 
 def test_verify_example_rejects_tiny_m():
