@@ -3,9 +3,11 @@
 Integrands are written as text like ``"v^2 + t*u"`` where ``t`` is the
 time point, ``u`` the shifted state value, and ``v`` the corresponding
 difference quotient.  The module parses such text into a tiny AST,
-evaluates it (at one point, over whole slot arrays, or through compiled
-kernels), and differentiates it symbolically with respect to ``u`` or
-``v``.  Grammar, lowest precedence first:
+evaluates it, and differentiates it symbolically with respect to ``u``
+or ``v``.  evaluate() walks the tree at one point and is the reference;
+evaluate_slots() walks it over whole slot arrays, and each Lagrangian
+compiles its six trees into straight-line numpy over stacked slot
+arrays, both by one set of rules.  Grammar, lowest precedence first:
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
@@ -327,7 +329,15 @@ def evaluate(e: Expr, t: float, u: float, v: float) -> float:
     raise TypeError(f"unknown expression node {e!r}")
 
 
-_ARRAY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+def _quotient(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
+    """a / b over slot arrays or floats, raising ZeroDivisionError at a
+    zero divisor as Python float division does."""
+    if not np.all(b):
+        raise ZeroDivisionError("zero divisor")
+    return a / b
+
+
+_ARRAY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _quotient}
 
 
 def evaluate_slots(e: Expr, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -339,7 +349,8 @@ def evaluate_slots(e: Expr, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.n
     functions run slot by slot through the Python and libm calls the
     walk makes, since numpy's array power, exp and log round differently
     in the last bit.  Constant subtrees stay Python floats, as in the
-    walk.  This walk decides nothing about a failing point: it raises
+    walk.  The compiled kernels follow the same rules through the same
+    helpers.  This walk decides nothing about a failing point: it raises
     ZeroDivisionError at a zero divisor, and callers run it under
     ``np.errstate(over/divide/invalid="raise")`` and rerun evaluate()
     point by point on any ArithmeticError or ValueError.  Trees outside
@@ -357,13 +368,7 @@ def _slot_walk(e: Expr, slots: dict) -> float | np.ndarray:
     if isinstance(e, Neg):
         return -_slot_walk(e.arg, slots)
     if isinstance(e, (Add, Sub, Mul, Div)):
-        a = _slot_walk(e.left, slots)
-        b = _slot_walk(e.right, slots)
-        if not isinstance(e, Div):
-            return _ARRAY_OPS[type(e)](a, b)
-        if not np.all(b):
-            raise ZeroDivisionError(f"zero divisor in {to_str(e)}")
-        return a / b
+        return _ARRAY_OPS[type(e)](_slot_walk(e.left, slots), _slot_walk(e.right, slots))
     if isinstance(e, Pow) and type(e.exponent) is int:
         return _per_slot(pow, _slot_walk(e.base, slots), e.exponent)
     if isinstance(e, Call) and e.func in _UNARY:
@@ -375,7 +380,8 @@ def _per_slot(fn: Callable, x: float | np.ndarray, *args) -> float | np.ndarray:
     """fn(slot, *args) at every slot of x, on Python floats."""
     if not isinstance(x, np.ndarray):
         return fn(x, *args)
-    return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, args)), float, x.size)
+    slots = map(fn, x.ravel().tolist(), *map(itertools.repeat, args))
+    return np.fromiter(slots, float, x.size).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -506,20 +512,15 @@ def differentiate(e: Expr, var: str) -> Expr:
 #
 # evaluate() walks a tree once per point, and the solver evaluates the same
 # trees of a Lagrangian at every slot of every iterate.  So each Lagrangian
-# is also compiled, on first use, into straight-line Python: one assignment
-# per distinct node of its trees, inside one loop over the slot sequences.
-# The one kernel covers the value, d_u, d_v and the three second partials.
-# The slots may be those of several functions on one scale, one after the
-# other (the solver's multistart does this); the value is then summed per
-# function, each sum from 0.0, so every sum is the one a single pass gives.
-# Python-float + - * / are the IEEE operations the walk performs on numpy
-# scalars, and ** and the math functions call the same libm, so a kernel
-# returns evaluate()'s numbers bit for bit.  The two part only where
-# arithmetic fails: the kernel raises ZeroDivisionError, OverflowError or
-# ValueError where evaluate raises EvaluationError or numpy returns inf
-# with a warning, and callers then rerun evaluate().  Trees outside what
-# the parser and differentiate build (constants that are not floats,
-# exponents that are not ints, unknown nodes) raise ValueError when
+# is also compiled, on first use, into straight-line numpy: one assignment
+# per distinct node of its six trees (value, d_u, d_v and the three second
+# partials), each over the whole slot arrays, whose rows may be the slots
+# of several functions on one scale.  The assignments call evaluate_slots'
+# helpers and so follow its rules and give evaluate()'s numbers bit for
+# bit.  Where arithmetic fails, a kernel fails as Python floats do: a zero
+# divisor, ** and the math functions raise, and + - * overflow to inf or
+# NaN silently (under np.errstate); callers then rerun evaluate().  Trees
+# outside what the parser and differentiate build raise ValueError when
 # compiled; the Lagrangian remembers the failure and sends callers to
 # evaluate() as well, without compiling again.
 
@@ -546,17 +547,17 @@ class _KernelSource:
                 self.consts.append(e.value)
             return self.names[key]
         if isinstance(e, (Add, Sub, Mul, Div)):
-            a, b = self.name(e.left), self.name(e.right)
-            key, code = (_BINARY[type(e)], a, b), f"{a} {_BINARY[type(e)]} {b}"
+            a, b, op = self.name(e.left), self.name(e.right), _BINARY[type(e)]
+            key, code = (op, a, b), f"quotient({a}, {b})" if op == "/" else f"{a} {op} {b}"
         elif isinstance(e, Neg):
             a = self.name(e.arg)
             key, code = ("neg", a), f"-{a}"
         elif isinstance(e, Pow) and type(e.exponent) is int:
             a = self.name(e.base)
-            key, code = ("^", a, e.exponent), f"{a} ** {e.exponent}"
+            key, code = ("^", a, e.exponent), f"per_slot(pow, {a}, {e.exponent})"
         elif isinstance(e, Call) and e.func in _UNARY:
             a = self.name(e.arg)
-            key, code = ("call", e.func, a), f"{e.func}({a})"
+            key, code = ("call", e.func, a), f"per_slot({e.func}, {a})"
         else:
             raise ValueError(f"no kernel for {e!r}; evaluate() handles it")
         if key not in self.names:
@@ -566,56 +567,49 @@ class _KernelSource:
 
 
 def _kernel_text(src: _KernelSource, roots: list[str]) -> str:
-    """Module text of a factory that binds the constants and returns one
-    kernel: the list of each root over the slots, then, for each of
-    ``rows`` equal runs of consecutive slots, the sum of the first root
-    times the weight, left to right from 0.0.  A constant root is
-    returned as the constant itself; the loop always runs for the sums."""
-    results = [f"r{i}" for i in range(len(roots))]
-    consts = {f"c{i}" for i in range(len(src.consts))}
-    body, loop = [], list(src.lines)
-    for r, root in zip(results, roots):
-        if root in consts:
-            body.append(f"{r} = {root}")
-        else:
-            body.append(f"{r} = []; a{r} = {r}.append")
-            loop.append(f"a{r}({root})")
-    body += [
-        "sums = [0.0] * rows",
-        "slots = zip(ts, us, vs, ws)",
-        "size = len(ts) // rows",
-        "for row in range(rows):",
-        "    acc = 0.0",
-        "    for t, u, v, w in islice(slots, size):",
-        *(f"        {line}" for line in loop),
-        f"        acc += {roots[0]} * w",
-        "    sums[row] = acc",
-    ]
+    """Module text of a factory that binds the constants and returns
+    ``kernel(t, u, v)``, which computes the roots; a root that is a bare
+    variable is returned as a fresh copy."""
+    results = (f"fill({r}, v.shape)" if r in VARIABLES else r for r in roots)
     return "\n".join([
         f"def factory({', '.join(f'c{i}' for i in range(len(src.consts)))}):",
-        "    def kernel(ts, us, vs, ws, rows):",
-        *(f"        {line}" for line in body),
-        f"        return {', '.join(results)}, sums",
+        "    def kernel(t, u, v):",
+        *(f"        {line}" for line in src.lines),
+        f"        return {', '.join(results)}",
         "    return kernel",
     ])
+
+
+def _fill(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A fresh C-contiguous array of the given shape, broadcast from x."""
+    out = np.empty(shape)
+    out[...] = x
+    return out
 
 
 @functools.lru_cache(maxsize=256)
 def _factory(source: str) -> Callable:
     """Compile once per shape: Lagrangians whose trees differ only in
     their constants share the code objects."""
-    namespace: dict = dict(_UNARY, islice=itertools.islice)
+    namespace: dict = dict(_UNARY, per_slot=_per_slot, quotient=_quotient, fill=_fill)
     exec(compile(source, "<deltanabla kernel>", "exec"), namespace)
     return namespace["factory"]
 
 
 def _compile(roots: tuple[Expr, ...]) -> Callable:
-    """``kernel(ts, us, vs, ws, rows)``: each root at every slot (a list,
-    or the constant itself) and the row sums of the first root times the
-    weight, in one loop."""
+    """``kernel(t, u, v)``: each root at every slot of the arrays, all of
+    one shape, a fresh array of that shape or, where the tree has no
+    variable, a float."""
     src = _KernelSource()
     names = [src.name(e) for e in roots]
     return _factory(_kernel_text(src, names))(*src.consts)
+
+
+def _row_sums(products: np.ndarray) -> np.ndarray:
+    """Each row's sum (along the last axis) left to right from 0.0, as
+    an (..., 1) array: adding 0.0 to accumulate's last entry turns the
+    -0.0 of a row of negative zeros into 0.0 and changes nothing else."""
+    return np.add.accumulate(products, axis=-1)[..., -1:] + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +624,9 @@ class Lagrangian:
     are its partial derivatives in the second and third slot; ``second``
     holds the second partials, differentiated on first use.  The call
     methods walk the trees (the reference); ``tables`` runs the compiled
-    kernel of all six trees over whole slot sequences.  It raises
-    ArithmeticError or ValueError where float arithmetic fails or the
+    kernel of all six trees over whole slot arrays.  It raises
+    ArithmeticError or ValueError where Python float arithmetic would
+    fail (a zero divisor, ``**`` or a math function out of range) or the
     trees have no kernel; evaluate() then decides what the point means.
     """
 
@@ -667,16 +662,20 @@ class Lagrangian:
             return None
 
     def tables(
-        self, ts: list, us: list, vs: list, ws: list, rows: int = 1
-    ) -> tuple[list | float, ...]:
-        """Value, d_u, d_v, d_uu, d_uv and d_vv over the slot sequences,
-        each a list or, where the tree is a constant, that float; then
-        the list of the sums of value * weight, left to right from 0.0,
-        over each of ``rows`` equal runs of consecutive slots."""
+        self, t: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
+    ) -> tuple[np.ndarray | float, ...]:
+        """Value, d_u, d_v, d_uu, d_uv and d_vv at every slot of u and v,
+        whose rows may be the slots of several functions on one scale (t
+        may be the one row of times they share): each a fresh array of
+        the shape of v or, for a tree without variables, a float.  Then
+        each row's sum of value * w, left to right from 0.0, (..., 1)."""
         kernel = self._tables_kernel
         if kernel is None:
             raise ValueError("no kernel for these trees; evaluate() handles them")
-        return kernel(ts, us, vs, ws, rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = kernel(t if t.shape == v.shape else _fill(t, v.shape), u, v)
+            products = np.multiply(columns[0], w, out=np.empty(v.shape))
+            return (*columns, _row_sums(products))
 
     def __getstate__(self) -> dict:
         # The compiled kernel does not pickle; it is rebuilt on first use.

@@ -10,10 +10,11 @@ from constancy (the defect), and combines brackets of an objective and
 a constraint with multipliers (lambda0, lambda) for constrained
 stationarity checks.
 
-The integrands are evaluated two ways with the same bits: the solver's
-slot tables run the compiled kernels, and eval_functional, which the
-oracle sums with, walks each tree once over whole slot arrays.  Both
-fall back to the per-point walk (expressions.evaluate) where their
+The integrands are evaluated over whole slot arrays two ways, by the
+same rules and with the same bits: the solver's slot tables run each
+Lagrangian's compiled numpy kernel, and eval_functional, which the
+oracle sums with, walks each tree once (expressions.evaluate_slots).
+Both fall back to the per-point walk (expressions.evaluate) where their
 arithmetic fails.
 """
 
@@ -101,12 +102,14 @@ class SlotTables:
     (positions 1..N-1, stored at array offset 0..N-2).  weights holds
     the gap widths, which serve as both mu and nu.  A column whose tree
     is a constant is that float, which numpy broadcasts like the array
-    it stands for.  A second partial that is undefined at a slot where
-    the value and first partials are defined reads NaN there.
+    it stands for; every other column is an array of its own.  A second
+    partial that is undefined at a slot where the value and first
+    partials are defined reads NaN there.
 
-    Tables of several functions on one scale (kernel_tables) have a
-    (rows, N-1) array per column that is not constant, and the factors
-    as (rows, 1) columns.
+    Tables of several functions on one scale (kernel_tables) have the
+    (rows, N-1) array the kernel computed over the stacked slot arrays
+    for each column that is not constant, and the factors as (rows, 1)
+    columns.
     """
 
     weights: np.ndarray
@@ -176,31 +179,16 @@ def kernel_tables(
 ) -> SlotTables:
     """slot_tables_at from the kernels alone, for the values of one
     function or for each row of a (rows, N) stack of values on one scale,
-    stacked (see SlotTables): one kernel pass per integrand over the
-    slots of all rows, each row's factors the sums a pass over that row
-    alone gives.  Raises ArithmeticError or ValueError where the kernels'
-    arithmetic fails in any row, for slot_tables_at to decide row by
-    row."""
+    stacked (see SlotTables): one kernel pass per integrand over the slot
+    arrays of all rows, each row's numbers those of a pass over it alone.
+    Raises ArithmeticError or ValueError where the kernels' arithmetic
+    fails in any row, for slot_tables_at to decide row by row."""
     dt, quot = _slots(points, values)
-    rows = values.size // points.size
-    q = quot.ravel().tolist()
-    w = dt.tolist() * rows
-    *delta, j_delta = functional.l_delta.tables(
-        points[:-1].tolist() * rows, values[..., 1:].ravel().tolist(), q, w, rows
-    )
-    *nabla, j_nabla = functional.l_nabla.tables(
-        points[1:].tolist() * rows, values[..., :-1].ravel().tolist(), q, w, rows
-    )
-    columns = [*delta, *nabla]
-    lists = [i for i, column in enumerate(columns) if not isinstance(column, float)]
-    if lists:  # one conversion for all of them
-        arrays = np.array([columns[i] for i in lists], dtype=float)
-        for i, array in zip(lists, arrays.reshape((len(lists),) + quot.shape)):
-            columns[i] = array
+    *delta, j_delta = functional.l_delta.tables(points[:-1], values[..., 1:], quot, dt)
+    *nabla, j_nabla = functional.l_nabla.tables(points[1:], values[..., :-1], quot, dt)
     if values.ndim == 1:
-        return SlotTables(dt, *columns, j_delta[0], j_nabla[0])
-    j_delta, j_nabla = np.array([j_delta, j_nabla]).reshape(2, rows, 1)
-    return SlotTables(dt, *columns, j_delta, j_nabla)
+        j_delta, j_nabla = float(j_delta[0]), float(j_nabla[0])
+    return SlotTables(dt, *delta, *nabla, j_delta, j_nabla)
 
 
 def stack_tables(tables: list[SlotTables]) -> SlotTables:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .expressions import Add, Call, Const, Div, Expr, Mul, Neg, Pow, Sub, Var
 from .functional import DeltaNablaFunctional, bracket_defect, eval_functional, iso_bracket
-from .solver import IsoperimetricProblem, closed_form_example, example_problem
+from .solver import IsoperimetricProblem, _closed_form_y, example_problem
 from .timescale import (
     GridFunction,
     TimeScale,
@@ -176,10 +176,8 @@ def verify_example(m: int) -> ExampleVerification:
     exceeds 1e-9 from m = 385 (7.4e-9 at m = 1024), and at m = 1024 the
     feasibility gap exceeds 1e-10 (1.8e-10).
     """
-    if m < 2:
-        raise ValueError("example needs m >= 2")
-    y, _ = closed_form_example(m)
-    p = example_problem(m)
+    p = example_problem(m)  # raises for m < 2
+    y = _closed_form_y(p)
     report = kkt_check(p, y, 0.0)  # no line reads the residual at lam = 0
     lam = report.lambda_fit
     fit_residual = np.max(np.abs(report.grad_objective - lam * report.grad_constraint))

@@ -61,7 +61,10 @@ def _require(doc: dict, field: str, path: str):
 def _real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFileError(path, f"expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = np.inf
     if not np.isfinite(out):
         raise ProblemFileError(path, "must be finite")
     return out

@@ -749,12 +749,8 @@ def closed_form_example(m: int) -> tuple[GridFunction, ClosedFormMeta]:
     the sampled grid (least squares of grad(objective) against
     grad(constraint)), not from any closed-form multiplier expression.
     """
-    if m < 2:
-        raise ValueError("example needs m >= 2")
     p = example_problem(m)
-    t = p.scale.points
-    values = (4 * m * m - 7 * m - 3 * m * t + 6 * t) * t / (m * (m - 1))
-    y = GridFunction(p.scale, values)
+    y = _closed_form_y(p)
     obj = eval_functional(p.objective, y)
     gl = discrete_gradient(p.objective, y)
     gk = discrete_gradient(p.constraint, y)
@@ -765,3 +761,10 @@ def closed_form_example(m: int) -> tuple[GridFunction, ClosedFormMeta]:
         nabla_factor=obj.nabla_factor,
         lam=lam,
     )
+
+
+def _closed_form_y(p: IsoperimetricProblem) -> GridFunction:
+    """closed_form_example's extremal on p = example_problem(m)."""
+    t = p.scale.points
+    m = t.size - 1
+    return GridFunction(p.scale, (4 * m * m - 7 * m - 3 * m * t + 6 * t) * t / (m * (m - 1)))

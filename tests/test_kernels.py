@@ -1,12 +1,15 @@
 """Tests for the compiled integrand kernel: bit-for-bit agreement with the
 reference tree walk (expressions.evaluate) on random trees and points,
-for the value, both partials and the three second partials in one pass,
-the walk as fallback wherever kernel arithmetic fails, shared subtrees
-and code objects, and pickling of problems whose kernels were built."""
+for the value, both partials and the three second partials in one pass
+over whole slot arrays, stacked rows each as if alone, the walk as
+fallback wherever kernel arithmetic fails, silent overflow, shared
+subtrees and code objects, and pickling of problems whose kernels were
+built."""
 
 import copy
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +42,13 @@ from deltanabla.expressions import (
     Sub,
     Var,
 )
-from deltanabla.functional import SlotTables, bracket_values, slot_tables, tables_bracket
+from deltanabla.functional import (
+    SlotTables,
+    bracket_values,
+    kernel_tables,
+    slot_tables,
+    tables_bracket,
+)
 from deltanabla.solver import closed_form_example, example_problem
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1e-300, 1e300, -1e300, 1e308,
@@ -81,9 +90,14 @@ def _same(a, b) -> bool:
 
 
 def _column(column, size: int) -> list:
-    """A kernel or SlotTables column at every slot: a constant tree's
-    column is its float."""
-    return [column] * size if isinstance(column, float) else list(column)
+    """A kernel or SlotTables column at every slot, row after row: a
+    constant tree's column is its float."""
+    return [column] * size if isinstance(column, float) else list(np.ravel(column))
+
+
+def _tables(lag, *slots):
+    """Lagrangian.tables on the arrays of the given lists."""
+    return lag.tables(*(np.array(x, dtype=float) for x in slots))
 
 
 def _reference(e, ts, us, vs):
@@ -107,7 +121,7 @@ def test_kernel_matches_evaluate_bitwise(tree, slots):
     weights = [0.5, 1.0, 0.25, 2.0][: len(ts)]
     refs = [_reference(e, ts, us, vs) for e in (lag.value, lag.d_u, lag.d_v, *lag.second)]
     try:
-        *got, [total] = lag.tables(ts, us, vs, weights)
+        *got, [total] = _tables(lag, ts, us, vs, weights)
     except (ArithmeticError, ValueError):
         event("kernel raised")
         return  # the callers fall back to the walk; checked below
@@ -121,10 +135,74 @@ def test_kernel_matches_evaluate_bitwise(tree, slots):
     assert _same([want], [total])
     # The same slots twice over, as two rows: the same columns, and each
     # row's sum from 0.0.
-    *twice, sums = lag.tables(ts * 2, us * 2, vs * 2, weights * 2, rows=2)
+    *twice, sums = _tables(lag, ts, [us, us], [vs, vs], weights)
     for col, col2 in zip(got, twice):
         assert _same(_column(col, len(ts)) * 2, _column(col2, 2 * len(ts)))
-    assert _same([total, total], sums)
+    assert _same([total, total], _column(sums, 2))
+
+
+def _stack_of_rows(m):
+    rows = st.lists(st.tuples(points, points), min_size=m, max_size=m)
+    return st.tuples(st.lists(points, min_size=m, max_size=m), st.lists(rows, min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, st.integers(1, 4).flatmap(_stack_of_rows))
+def test_stacked_rows_match_each_row_alone_and_the_walk(tree, stack):
+    # Rows of different slots on one shared row of times, as
+    # kernel_tables stacks the points of a Newton round: the stack
+    # raises if and only if some row alone raises, and otherwise each
+    # row of every column and of the sums is that row's own, and the
+    # walk's, bit for bit.
+    lag = make_lagrangian(tree)
+    ts, rows = stack
+    us = [[u for u, _ in row] for row in rows]
+    vs = [[v for _, v in row] for row in rows]
+    weights = [0.5, 1.0, 0.25, 2.0][: len(ts)]
+    alone = []
+    for u, v in zip(us, vs):
+        try:
+            alone.append(_tables(lag, ts, u, v, weights))
+        except (ArithmeticError, ValueError):
+            alone.append(None)
+    try:
+        *got, sums = _tables(lag, ts, us, vs, weights)
+    except (ArithmeticError, ValueError):
+        assert None in alone
+        event("stack raised")
+        return
+    assert None not in alone
+    trees_ = (lag.value, lag.d_u, lag.d_v, *lag.second)
+    for i, (u, v, own) in enumerate(zip(us, vs, alone)):
+        for col, own_col, e in zip(got, own, trees_):
+            row = _column(col if isinstance(col, float) else col[i], len(ts))
+            assert _same(row, _column(own_col, len(ts)))
+            assert _same(row, _reference(e, ts, u, v))
+        assert _same([sums[i, 0]], own[-1])
+
+
+def test_overflow_in_array_operations_is_silent():
+    # v^30 is finite at |v| = 1e6, and v^30*v^30 overflows there, as
+    # does its difference with u^30*u^30 (inf - inf): the array
+    # operations overflow to inf or NaN silently, as Python floats do,
+    # and no numpy RuntimeWarning escapes where warnings are errors.
+    # The columns are the walk's numbers.
+    ts, us, vs = [0.0, 1.0, 2.0], [[1e6, 2.0, 1.0], [-1e6, 1e6, 1.0]], [[1e6, 2.0, -1e6]] * 2
+    v2 = make_lagrangian("v^2")
+    for text in ("v^30*v^30", "v^30*v^30 - u^30*u^30"):
+        lag = make_lagrangian(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            *got, sums = _tables(lag, ts, us, vs, [1.0, 1.0, 1.0])
+            stacked = kernel_tables(
+                DeltaNablaFunctional(lag, v2), np.arange(4.0), np.array([[0.0, 1e6, 0.0, 1e6]] * 2)
+            )
+        assert not np.isfinite(got[0]).all() and not np.isfinite(sums).all()
+        assert not np.isfinite(stacked.delta_value).all()
+        for col, e in zip(got, (lag.value, lag.d_u, lag.d_v, *lag.second)):
+            for i in range(2):
+                row = _column(col if isinstance(col, float) else col[i], len(ts))
+                assert _same(row, _reference(e, ts, us[i], vs[i]))
 
 
 def _walk(delta_trees, nabla_trees, y, undefined=None):
@@ -262,7 +340,7 @@ def test_undefined_second_partial_reads_nan():
     y = GridFunction(TimeScale(np.arange(3.0)), np.array([0.0, 1e-170, 2e-170]))
     lag = make_lagrangian("log(u)")
     with pytest.raises(ZeroDivisionError):
-        lag.tables([0.0], [1e-170], [1e-170], [1.0])
+        _tables(lag, [0.0], [1e-170], [1e-170], [1.0])
     tab = slot_tables(DeltaNablaFunctional(lag, make_lagrangian("v^2 + u")), y)
     assert np.isnan(tab.delta_uu).all()
     assert np.isfinite([tab.delta_value, tab.delta_du, tab.delta_dv]).all()
@@ -270,18 +348,26 @@ def test_undefined_second_partial_reads_nan():
     assert np.isfinite([tab.j_delta, tab.j_nabla]).all()
 
 
-def test_constant_roots_are_filled_outside_the_loop():
-    # A constant root is returned as its float, outside the loop, which
-    # every kernel runs to sum its value: a constant Lagrangian's kernel
-    # appends to no list, and the second partials of v^2 are three
-    # constants.  slot_tables keeps them as floats.
+def test_constant_roots_are_returned_as_their_floats():
+    # A constant root is returned as its float, which numpy broadcasts
+    # wherever the column is read: all six roots of a constant
+    # Lagrangian, whose factor is still summed over every row, and the
+    # second partials of v^2.  A root of t alone, or a bare variable, is
+    # a fresh array of the slots' shape.  slot_tables keeps the floats.
     const = constant_lagrangian(0.5)
     square = make_lagrangian("v^2")
-    assert "append" not in const._tables_kernel.__code__.co_names
-    assert "zip" in const._tables_kernel.__code__.co_names
-    assert square.tables([0.0, 1.0], [1.0, 2.0], [3.0, -4.0], [1.0, 1.0])[3:] == (
-        0.0, 0.0, 2.0, [25.0]
-    )
+    *roots, sums = _tables(const, [0.0, 1.0], [[1.0, 2.0]] * 3, [[3.0, -4.0]] * 3, [1.0, 2.0])
+    assert roots == [0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert all(type(x) is float for x in roots)
+    assert sums.tolist() == [[1.5]] * 3
+    *roots, sums = _tables(square, [0.0, 1.0], [1.0, 2.0], [3.0, -4.0], [1.0, 1.0])
+    assert roots[3:] == [0.0, 0.0, 2.0] and sums.tolist() == [25.0]
+    t, u, v = np.array([0.0, 1.0]), np.array([[1.0, 2.0]] * 2), np.array([[3.0, -4.0]] * 2)
+    for lag, root in ((make_lagrangian("t*v"), t), (make_lagrangian("u*v"), u)):
+        d_v = lag.tables(t, u, v, np.ones(2))[2]
+        assert d_v.shape == v.shape and d_v.flags.c_contiguous and d_v.flags.writeable
+        assert not np.shares_memory(d_v, root)
+        assert np.array_equal(d_v, np.broadcast_to(root, v.shape))
     y = GridFunction(TimeScale(np.array([0.0, 0.5, 2.0, 2.25])), np.array([1.0, -2.0, 0.5, 3.0]))
     tab = slot_tables(DeltaNablaFunctional(const, square), y)
     assert (tab.delta_value, tab.delta_du, tab.nabla_uu, tab.nabla_vv) == (0.5, 0.0, 0.0, 2.0)
@@ -329,7 +415,7 @@ def test_signed_zero_constants_stay_apart():
     u = Var("u")
     lag = Lagrangian(Mul(Const(-0.0), u), Mul(Const(0.0), u), Const(-0.0))
     assert Const(0.0) == Const(-0.0)  # why sharing cannot key on equality
-    value, du, dv, *_ = lag.tables([0.0], [1.0], [1.0], [1.0])
+    value, du, dv, *_ = _tables(lag, [0.0], [1.0], [1.0], [1.0])
     assert dv == -0.0 and isinstance(dv, float)  # a constant root
     assert [math.copysign(1.0, x) for x in (value[0], du[0], dv)] == [-1.0, 1.0, -1.0]
 
@@ -339,14 +425,14 @@ def test_long_sum_compiles_without_nesting():
     lag = make_lagrangian(text)
     y = GridFunction(TimeScale(np.arange(4.0)), np.array([0.0, 1.0, 3.0, 2.0]))
     _check_against_walk(DeltaNablaFunctional(lag, make_lagrangian(text + " + u")), y)
-    assert lag.tables([0.0], [0.0], [1.5], [1.0])[0] == [evaluate(lag.value, 0.0, 0.0, 1.5)]
+    assert _tables(lag, [0.0], [0.0], [1.5], [1.0])[0].tolist() == [evaluate(lag.value, 0.0, 0.0, 1.5)]
 
 
 def test_same_shape_shares_code_objects():
     a = make_lagrangian("v^2 + 0.25*u*v + sin(t)")
     b = make_lagrangian("v^2 + 0.75*u*v + sin(t)")
     assert a._tables_kernel.__code__ is b._tables_kernel.__code__
-    assert a.tables([1.0], [2.0], [3.0], [1.0]) != b.tables([1.0], [2.0], [3.0], [1.0])
+    assert _tables(a, [1.0], [2.0], [3.0], [1.0])[0] != _tables(b, [1.0], [2.0], [3.0], [1.0])[0]
 
 
 def test_problem_pickles_after_a_solve():
@@ -378,7 +464,7 @@ def test_trees_the_compiler_does_not_cover_use_the_walk(monkeypatch):
     lag = Lagrangian(Pow(Mul(Const(3), v), 2.0), Const(0), Mul(Const(3), v))
     for _ in range(2):
         with pytest.raises(ValueError):
-            lag.tables([0.0], [0.0], [1.0], [1.0])
+            _tables(lag, [0.0], [0.0], [1.0], [1.0])
     assert len(compiles) == 1
     y = GridFunction(TimeScale(np.arange(3.0)), np.array([0.0, 1.0, 3.0]))
     assert _check_against_walk(DeltaNablaFunctional(lag, lag), y) == "ok"

@@ -185,6 +185,22 @@ def test_verify_example_passes(m):
     assert report.lambda_fit == pytest.approx(want_lam, abs=1e-4 * max(1.0, abs(want_lam)))
 
 
+def test_verify_example_reads_no_closed_form_meta(monkeypatch):
+    # The meta block's multiplier comes from two discrete_gradient
+    # passes; verify_example reads only the oracle's fitted one, so it
+    # builds the extremal alone and makes no such pass.
+    from deltanabla import solver
+
+    def forbidden(*args):
+        raise AssertionError("discrete_gradient called")
+
+    monkeypatch.setattr(solver, "discrete_gradient", forbidden)
+    with pytest.raises(AssertionError):
+        closed_form_example(8)
+    report = verify_example(8)
+    assert report.passed
+
+
 def test_verify_example_kkt_line_holds_at_m_1024():
     report = verify_example(1024)
     kkt = next(c for c in report.checks if c.name.startswith("kkt residual"))

@@ -1,12 +1,20 @@
 """Tests for the JSON problem-file loader: field validation with dotted
-paths, the uniform-scale shorthand, option mapping, and the normalized
-round-trip document."""
+paths, the uniform-scale shorthand, option mapping, the normalized
+round-trip document, and mutated documents that must either load or name
+the field at fault."""
 
+import copy
 import json
+import math
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltanabla import (
     ProblemFileError,
@@ -93,6 +101,10 @@ def test_options_map_onto_solver_options():
         (lambda d: d.__setitem__("timescale", {"uniform": {"a": -1e308, "b": 1e308, "n": 4}}), "timescale.uniform"),
         # the step rounds to zero: the points are not strictly increasing
         (lambda d: d.__setitem__("timescale", {"uniform": {"a": 1, "b": 1.000000000000001, "n": 100}}), "timescale.uniform"),
+        # integers beyond the float range, as JSON allows them
+        (lambda d: d["timescale"]["points"].__setitem__(2, 10**400), "timescale.points[2]"),
+        (lambda d: d["boundary"].__setitem__("beta", -(10**400)), "boundary.beta"),
+        (lambda d: d.__setitem__("k", 10**400), "k"),
     ],
 )
 def test_validation_errors_name_the_field(mutate, field):
@@ -138,3 +150,111 @@ def test_normalized_document_echoes_solver_defaults():
     # expressions are kept as canonical strings, the shorthand survives
     assert loaded.document["objective"] == {"delta": "v^2", "nabla": "v^2 + v"}
     assert loaded.document["constraint"]["nabla"] == {"constant_over_measure": True}
+
+
+def test_integer_beyond_the_float_range_is_an_input_error(tmp_path):
+    # A 401-digit integer is valid JSON; the loader names its field, and
+    # the CLI exits 1 with that message and no traceback.
+    doc = base_doc()
+    doc["boundary"]["beta"] = 10**400
+    with pytest.raises(ProblemFileError, match=r"^boundary\.beta: must be finite$"):
+        load_problem(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltanabla", "solve", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: boundary.beta: must be finite\n"
+    assert proc.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# Mutated documents
+
+
+def _full_doc():
+    doc = base_doc()
+    doc["options"] = {"tol": 1e-8, "max_iter": 50, "multistart": 2, "seed": 3, "spread": 0.5}
+    return doc
+
+
+def _uniform_doc():
+    doc = _full_doc()
+    doc["timescale"] = {"uniform": {"a": -1.0, "b": 2.0, "n": 5}}
+    doc["objective"]["nabla"] = {"constant_over_measure": True}
+    return doc
+
+
+# Integer fields only ever get small values: n sizes an array.
+INTEGER_FIELDS = {("timescale", "uniform", "n"), ("options", "max_iter"),
+                  ("options", "multistart"), ("options", "seed")}
+EXPRESSION_FIELDS = [(side, part) for side in ("objective", "constraint")
+                     for part in ("delta", "nabla")]
+BAD_NUMBERS = [math.inf, -math.inf, math.nan, 1e308, -1e308, 10**400, -(10**400), 0.0, -1.5]
+SMALL_NUMBERS = [math.inf, math.nan, 1e308, 2.5, -1, 0, 1, 2, 3, 7]
+WRONG_TYPES = [None, True, "x", [], {}, [1.0], {"a": 1}]
+BAD_EXPRESSIONS = ["", "v^", "w", "sin(", "v^1.5", "((v)", "2 +* v", "log", "v^99999999999999999999"]
+FIELD = re.compile(r"^[a-z_]+(\.[a-z_]+|\[\d+\])*$")
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node below the root, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document after one to three mutations: a key dropped, a
+    value of the wrong type, an unknown key, a non-finite or oversized
+    number, a malformed expression."""
+    doc = copy.deepcopy(draw(st.sampled_from([_full_doc(), _uniform_doc()])))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        kind = draw(st.sampled_from(["drop", "type", "unknown", "number", "expression"]))
+        if kind == "expression":
+            side, part = draw(st.sampled_from(EXPRESSION_FIELDS))
+            if isinstance(doc.get(side), dict):
+                doc[side][part] = draw(st.sampled_from(BAD_EXPRESSIONS))
+            continue
+        if kind == "unknown":
+            containers = [doc] + [v for _, v in nodes if isinstance(v, dict)]
+            draw(st.sampled_from(containers))["zz_unknown"] = 1
+            continue
+        path, _ = draw(st.sampled_from(nodes))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "type":
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(WRONG_TYPES)))
+        else:
+            small = path in INTEGER_FIELDS
+            parent[path[-1]] = draw(st.sampled_from(SMALL_NUMBERS if small else BAD_NUMBERS))
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_load_or_name_the_field(doc):
+    # Through the JSON text, as the CLI reads a file: the document loads
+    # (and then round-trips), or the error names a dotted field of it.
+    text = json.dumps(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            loaded = load_problem(text)
+        except ProblemFileError as exc:
+            assert FIELD.match(exc.field), exc.field
+            assert str(exc).startswith(exc.field + ": ")
+            head = re.split(r"[.\[]", exc.field)[0]
+            assert head in set(doc) | {"timescale", "boundary", "objective", "constraint", "k"}
+            return
+    emitted = emit_problem(loaded)
+    assert emit_problem(load_problem(emitted)) == emitted
