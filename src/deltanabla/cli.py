@@ -21,6 +21,7 @@ from .expressions import EvaluationError, evaluate, make_lagrangian, to_str
 from .functional import bracket_values, eval_functional, iso_bracket, residual_pair
 from .oracle import identity_fuzz, verify_example
 from .problemfile import (
+    OPTION_FIELDS,
     LoadedProblem,
     emit_problem,
     load_options,
@@ -360,8 +361,7 @@ def _load(args: argparse.Namespace) -> LoadedProblem:
     """The problem file, with the solver flags merged into the same-named
     fields of its options block and validated as part of it."""
     loaded = load_problem(args.file)
-    flags = ("tol", "max_iter", "multistart", "seed", "spread")
-    overrides = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    overrides = {f: getattr(args, f) for f in OPTION_FIELDS if getattr(args, f) is not None}
     if not overrides:
         return loaded
     options = load_options({**loaded.document["options"], **overrides})

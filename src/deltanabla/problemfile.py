@@ -52,6 +52,17 @@ class LoadedProblem:
     document: dict
 
 
+def _object(doc, path: str, fields: tuple[str, ...]) -> dict:
+    """doc, checked to be an object with no key outside fields; an
+    unknown key is named by its dotted path."""
+    if not isinstance(doc, dict):
+        raise ProblemFileError(path, "expected an object")
+    for key in doc:
+        if key not in fields:
+            raise ProblemFileError(f"{path}.{key}" if path else key, "unknown field")
+    return doc
+
+
 def _require(doc: dict, field: str, path: str):
     if field not in doc:
         raise ProblemFileError(f"{path}.{field}" if path else field, "missing")
@@ -71,8 +82,7 @@ def _real(value, path: str) -> float:
 
 
 def _scale(doc, path: str) -> TimeScale:
-    if not isinstance(doc, dict):
-        raise ProblemFileError(path, "expected an object")
+    doc = _object(doc, path, ("points", "uniform"))
     has_points = "points" in doc
     has_uniform = "uniform" in doc
     if has_points == has_uniform:
@@ -85,9 +95,7 @@ def _scale(doc, path: str) -> TimeScale:
         points = np.array([_real(x, f"{field}[{i}]") for i, x in enumerate(pts)])
     else:
         field = f"{path}.uniform"
-        uni = doc["uniform"]
-        if not isinstance(uni, dict):
-            raise ProblemFileError(field, "expected an object")
+        uni = _object(doc["uniform"], field, ("a", "b", "n"))
         a = _real(_require(uni, "a", field), f"{field}.a")
         b = _real(_require(uni, "b", field), f"{field}.b")
         n = _require(uni, "n", field)
@@ -97,8 +105,12 @@ def _scale(doc, path: str) -> TimeScale:
             raise ProblemFileError(f"{field}.n", "needs interior point (n >= 3)")
         if not b > a:
             raise ProblemFileError(field, "b must exceed a")
-        with np.errstate(all="ignore"):  # b - a may overflow; TimeScale says so
-            points = np.linspace(a, b, n)
+        try:
+            with np.errstate(all="ignore"):  # b - a may overflow; TimeScale says so
+                points = np.linspace(a, b, n)
+        except (ValueError, IndexError, MemoryError) as exc:
+            # numpy refusing the array size; near 2^63 it raises IndexError
+            raise ProblemFileError(f"{field}.n", "too many points for an array") from exc
     try:
         return TimeScale(points)
     except ValueError as exc:
@@ -123,8 +135,7 @@ def _integrand(raw, path: str, measure: float):
 
 
 def _functional(doc, path: str, measure: float):
-    if not isinstance(doc, dict):
-        raise ProblemFileError(path, "expected an object")
+    doc = _object(doc, path, ("delta", "nabla"))
     raw_delta = _require(doc, "delta", path)
     raw_nabla = _require(doc, "nabla", path)
     l_delta, norm_delta = _integrand(raw_delta, f"{path}.delta", measure)
@@ -135,7 +146,7 @@ def _functional(doc, path: str, measure: float):
     }
 
 
-_OPTION_FIELDS = ("tol", "max_iter", "multistart", "seed", "spread")
+OPTION_FIELDS = ("tol", "max_iter", "multistart", "seed", "spread")
 
 
 def load_options(doc) -> SolverOptions:
@@ -144,11 +155,7 @@ def load_options(doc) -> SolverOptions:
     path = "options"
     if doc is None:
         return SolverOptions()
-    if not isinstance(doc, dict):
-        raise ProblemFileError(path, "expected an object")
-    for key in doc:
-        if key not in _OPTION_FIELDS:
-            raise ProblemFileError(f"{path}.{key}", "unknown option")
+    doc = _object(doc, path, OPTION_FIELDS)
     kwargs = {}
     if "tol" in doc:
         tol = _real(doc["tol"], f"{path}.tol")
@@ -183,17 +190,12 @@ def load_problem(source) -> LoadedProblem:
     if not isinstance(doc, dict):
         raise ProblemFileError("document", "top level must be an object")
 
-    known = {"timescale", "boundary", "objective", "constraint", "k", "options"}
-    for key in doc:
-        if key not in known:
-            raise ProblemFileError(key, "unknown field")
+    _object(doc, "", ("timescale", "boundary", "objective", "constraint", "k", "options"))
 
     scale = _scale(_require(doc, "timescale", ""), "timescale")
     measure = scale.b - scale.a
 
-    boundary = _require(doc, "boundary", "")
-    if not isinstance(boundary, dict):
-        raise ProblemFileError("boundary", "expected an object")
+    boundary = _object(_require(doc, "boundary", ""), "boundary", ("alpha", "beta"))
     alpha = _real(_require(boundary, "alpha", "boundary"), "boundary.alpha")
     beta = _real(_require(boundary, "beta", "boundary"), "boundary.beta")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, Generator, Literal, NamedTuple
 
 import numpy as np
 
@@ -175,7 +175,7 @@ class _Product:
     def breakdown(self) -> EvaluationBreakdown:
         return EvaluationBreakdown(self.tab.j_delta, self.tab.j_nabla, self.value)
 
-    def hessian(self, rows: list[int] | slice) -> np.ndarray:
+    def hessian(self, rows: list[int]) -> np.ndarray:
         """Exact Hessians in the interior values of the given rows of a
         stack, stacked: J_nabla * H_delta + J_delta * H_nabla, which is
         tridiagonal, plus the rank-2 grad_delta grad_nabla^T + its
@@ -232,10 +232,10 @@ def _product_or_undefined(
         return _Product(values, tab)
 
 
-def _take(stack: np.ndarray, rows: list[int] | slice) -> np.ndarray:
-    """The given rows of a stack: an increasing list of them, or a slice.
-    All rows are the stack itself and one row a view, not a copy."""
-    if isinstance(rows, slice) or len(rows) == len(stack):
+def _take(stack: np.ndarray, rows: list[int]) -> np.ndarray:
+    """The given rows of a stack, an increasing list of them.  All rows
+    are the stack itself and one row a view, not a copy."""
+    if len(rows) == len(stack):
         return stack
     if len(rows) == 1:
         return stack[rows[0] : rows[0] + 1]
@@ -253,14 +253,13 @@ class _System(NamedTuple):
     functionals at the function values(z) on the points: for a stack of
     points z and the products stacked over its rows, residual(z,
     products) gives f row by row and jacobian(z, products, rows) the
-    stacked Jacobians of f at the given rows (an increasing list, or a
-    slice for all of them)."""
+    stacked Jacobians of f at the given rows (an increasing list)."""
 
     functionals: tuple[DeltaNablaFunctional, ...]
     points: np.ndarray
     values: Callable[[np.ndarray], np.ndarray]
     residual: Callable[[np.ndarray, tuple[_Product, ...]], np.ndarray]
-    jacobian: Callable[[np.ndarray, tuple[_Product, ...], list[int] | slice], np.ndarray]
+    jacobian: Callable[[np.ndarray, tuple[_Product, ...], list[int]], np.ndarray]
 
 
 class _Evaluation(NamedTuple):
@@ -332,11 +331,10 @@ class _NewtonRun:
     products: tuple[_Product, ...] | None
 
 
-def _norms(x: np.ndarray) -> list[float]:
-    """||row|| of every row of x, computed as np.linalg.norm computes it
-    for one vector, sqrt(row . row): inf where the sum of squares
-    overflows."""
-    return [math.sqrt(row.dot(row)) for row in x]
+def _norm(x: np.ndarray) -> float:
+    """||x||, computed as np.linalg.norm computes it, sqrt(x . x): inf
+    where the sum of squares overflows."""
+    return math.sqrt(x.dot(x))
 
 
 def _steps(jac: np.ndarray, f: np.ndarray, min_norm: bool) -> list[np.ndarray | str]:
@@ -370,6 +368,65 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | str:
         return "singular"
 
 
+def _run(
+    z: np.ndarray, opts: SolverOptions
+) -> Generator[np.ndarray | int, object, _NewtonRun]:
+    """Damped Newton from the start z, as _newton describes it.  The run
+    yields each point it needs evaluated and is sent back (evaluation,
+    row of it) or, where the system is undefined there, the message; it
+    yields the row of the last evaluation at which it needs its step and
+    is sent back the step or the status that ends the run.  It returns
+    the end of the run."""
+    reply = yield z
+    if isinstance(reply, str):
+        return _NewtonRun(z, np.full(z.shape, np.inf), 0, f"error: {reply}", None)
+    ev, row = reply
+    f, norm = ev.f[row], _norm(ev.f[row])
+    alpha, iterations = 1.0, 0  # alpha: the step length of the next trial
+
+    def end(status: str) -> _NewtonRun:
+        return _NewtonRun(z, f, iterations, status, tuple(p.rows(row) for p in ev.products))
+
+    # A finite norm is a finite residual; an overflowing one may be.
+    if not (math.isfinite(norm) or np.isfinite(f).all()):
+        f = np.full(z.shape, np.inf)
+        return end("error: non-finite residual")
+    while iterations != opts.max_iter:
+        iterations += 1
+        if norm == 0.0:
+            return end("ok")
+        step = yield row
+        if isinstance(step, str):
+            return end(step)
+        if _norm(step) <= _EPS * _norm(z):
+            # A step below the rounding level of the iterate: the root is
+            # polished as far as it can be.
+            return end("stalled")
+        while True:
+            if alpha < _MIN_STEP:
+                # No direction of decrease at this resolution: either the
+                # root is polished to rounding level or the start is stuck.
+                return end("stalled")
+            z_try = z + alpha * step
+            if (z_try == z).all():
+                # The step rounds away, and so does every shorter one
+                # (alpha halves exactly and rounding is monotone): each
+                # would only evaluate f again.
+                return end("stalled")
+            reply = yield z_try
+            if not isinstance(reply, str):
+                ev_try, row_try = reply
+                norm_try = _norm(ev_try.f[row_try])
+                # A non-finite residual's norm is inf or NaN: no decrease.
+                if norm_try < norm:
+                    z, ev, row, norm = z_try, ev_try, row_try, norm_try
+                    f = ev.f[row]
+                    alpha = min(1.0, 2.0 * alpha)
+                    break
+            alpha *= 0.5
+    return end("maxiter")
+
+
 def _newton(
     system: _System,
     z0: np.ndarray,
@@ -388,126 +445,42 @@ def _newton(
     skips such trial points.  Each run keeps the products of the last
     iterate it evaluated.
 
-    The starts advance in lockstep.  Each round evaluates one trial
-    point of every start that is searching, all in one system call, then
-    builds the Jacobians of the starts that accepted theirs and solves
-    for their next steps, stacked.  No start's numbers depend on
-    another's, so each run is the one its start makes alone, bit for bit.
+    Each start is one _run, and the runs advance in lockstep rounds.  A
+    round first gives every run that asks for a step its step, from one
+    stacked Jacobian over the last evaluation's rows and one stacked
+    solve, then evaluates the point every run asks for, in start order,
+    in one system call.  No start's numbers depend on another's, so each
+    run is the one its start makes alone, bit for bit.
     """
     with np.errstate(all="ignore"):  # the runs catch the non-finite values numpy warns of
-        z = np.array(z0, dtype=float)
-        count = len(z)
-        f = np.full(z.shape, np.inf)
-        step = np.zeros(z.shape)
-        norm = [0.0] * count  # ||f|| at the iterate
-        alpha = [1.0] * count  # the step length of the next trial
-        iterations = [0] * count
-        status = ["maxiter"] * count
-        kept: list = [None] * count  # (stacked products, row) of each iterate
+        ends: list = [None] * len(z0)
+        waiting: dict = {}  # start: (its run, what the run asks for), in start order
 
-        ev = _evaluate(system, z.copy())  # z changes as the starts move
-        for start, message in ev.errors.items():
-            status[start] = f"error: {message}"
-        fresh = []  # (start, row of ev): the starts whose iterate ev just gave
-        for row, (start, f_row, f_norm) in enumerate(zip(ev.rows, ev.f, _norms(ev.f))):
-            kept[start] = (ev.products, row)
-            # A finite norm is a finite residual; an overflowing one may be.
-            if math.isfinite(f_norm) or np.isfinite(f_row).all():
-                f[start], norm[start] = f_row, f_norm
-                fresh.append((start, row))
-            else:
-                status[start] = "error: non-finite residual"
-        searching: list[int] = []
-        while fresh or searching:
-            # A new iteration for every start with a new iterate: its step.
-            going = []
-            for start, row in fresh:
-                if iterations[start] == opts.max_iter:
-                    continue
-                iterations[start] += 1
-                if norm[start] == 0.0:
-                    status[start] = "ok"
-                else:
-                    going.append((start, row))
-            if going:
-                rows = [row for _, row in going]
-                if len(rows) == len(ev.rows):
-                    rows = slice(None)  # every row (they increase): views, not copies
-                starts = [start for start, _ in going]
-                steps = _steps(
-                    system.jacobian(ev.z, ev.products, rows), _take(f, starts), min_norm
-                )
-                solved = []
-                for start, s in zip(starts, steps):
-                    if isinstance(s, str):
-                        status[start] = s
-                    else:
-                        step[start] = s
-                        solved.append(start)
-                for start, s_norm, z_norm in zip(
-                    solved, _norms(_take(step, solved)), _norms(_take(z, solved))
-                ):
-                    if s_norm <= _EPS * z_norm:
-                        # A step below the rounding level of the iterate:
-                        # the root is polished as far as it can be.
-                        status[start] = "stalled"
-                    else:
-                        searching.append(start)
+        def send(start: int, run: Generator, answer: object = None) -> None:
+            try:
+                waiting[start] = run, run.send(answer)
+            except StopIteration as stop:
+                del waiting[start]
+                ends[start] = stop.value
 
-            # One trial point of every searching start.
-            trials = []
-            for start in sorted(searching):
-                if alpha[start] >= _MIN_STEP:
-                    trials.append(start)
-                else:
-                    # No direction of decrease at this resolution: either the
-                    # root is polished to rounding level or the start is stuck.
-                    status[start] = "stalled"
-            fresh, searching = [], []
-            if not trials:
-                continue
-            z_at = _take(z, trials)
-            lengths = np.array([alpha[start] for start in trials])[:, None]
-            z_try = z_at + lengths * _take(step, trials)
-            rounds_away = (z_try == z_at).all(axis=1).tolist()
-            moving = []
-            for start, same in zip(trials, rounds_away):
-                if same:
-                    # The step rounds away, and so does every shorter one
-                    # (alpha halves exactly and rounding is monotone): each
-                    # would only evaluate f again.
-                    status[start] = "stalled"
-                else:
-                    moving.append(start)
-            if not moving:
-                continue
-            if len(moving) < len(trials):
-                z_try = z_try[[not same for same in rounds_away]]
-            ev = _evaluate(system, z_try)
-            decreased = {}
-            for row, (i, f_norm) in enumerate(zip(ev.rows, _norms(ev.f))):
-                # A non-finite residual's norm is inf or NaN: no decrease.
-                if f_norm < norm[moving[i]]:
-                    decreased[i] = (row, f_norm)
-            for i, start in enumerate(moving):
-                if i in decreased:
-                    row, norm[start] = decreased[i]
-                    z[start], f[start] = z_try[i], ev.f[row]
-                    kept[start] = (ev.products, row)
-                    alpha[start] = min(1.0, 2.0 * alpha[start])
-                    fresh.append((start, row))
-                else:
-                    alpha[start] *= 0.5
-                    searching.append(start)
-
-        runs = []
-        for start in range(count):
-            products = None
-            if kept[start] is not None:
-                stacked, row = kept[start]
-                products = tuple(product.rows(row) for product in stacked)
-            runs.append(_NewtonRun(z[start], f[start], iterations[start], status[start], products))
-        return runs
+        for start, z in enumerate(np.array(z0, dtype=float)):
+            send(start, _run(z, opts))
+        while waiting:
+            stepping = [(start, run, row) for start, (run, row) in waiting.items()
+                        if isinstance(row, int)]
+            if stepping:
+                rows = [row for _, _, row in stepping]
+                jac = system.jacobian(ev.z, ev.products, rows)
+                steps = _steps(jac, _take(ev.f, rows), min_norm)
+                for (start, run, _), step in zip(stepping, steps):
+                    send(start, run, step)
+            if waiting:  # every run still going asks for a point now
+                trying = list(waiting.items())
+                ev = _evaluate(system, np.array([point for _, (_, point) in trying]))
+                answers = {i: (ev, row) for row, i in enumerate(ev.rows)} | ev.errors
+                for i, (start, (run, _)) in enumerate(trying):
+                    send(start, run, answers[i])
+        return ends
 
 
 def _starts(p: IsoperimetricProblem, opts: SolverOptions) -> np.ndarray:
@@ -592,7 +565,7 @@ def _normal_system(p: IsoperimetricProblem) -> _System:
         return np.concatenate((obj.grad - z[:, n:] * con.grad, con.value - p.k), axis=1)
 
     def jacobian(
-        z: np.ndarray, products: tuple[_Product, ...], rows: list[int] | slice
+        z: np.ndarray, products: tuple[_Product, ...], rows: list[int]
     ) -> np.ndarray:
         obj, con = products
         lam = _take(z, rows)[:, n:, None]

@@ -105,6 +105,19 @@ def test_options_map_onto_solver_options():
         (lambda d: d["timescale"]["points"].__setitem__(2, 10**400), "timescale.points[2]"),
         (lambda d: d["boundary"].__setitem__("beta", -(10**400)), "boundary.beta"),
         (lambda d: d.__setitem__("k", 10**400), "k"),
+        # a point count too large for any array, refused before allocating
+        pytest.param(
+            lambda d: d.__setitem__("timescale", {"uniform": {"a": 0, "b": 1, "n": 10**400}}),
+            "timescale.uniform.n",
+            id="huge-n",
+        ),
+        # unknown keys, in every block
+        (lambda d: d["boundary"].__setitem__("gamma", 5), "boundary.gamma"),
+        (lambda d: d["timescale"].__setitem__("uniformm", 3), "timescale.uniformm"),
+        (lambda d: d.__setitem__("timescale", {"uniform": {"a": 0, "b": 2, "n": 3, "step": 1}}), "timescale.uniform.step"),
+        (lambda d: d["objective"].__setitem__("extra", 1), "objective.extra"),
+        (lambda d: d["constraint"].__setitem__("extra", 1), "constraint.extra"),
+        (lambda d: d.__setitem__("options", {"tries": 3}), "options.tries"),
     ],
 )
 def test_validation_errors_name_the_field(mutate, field):
@@ -245,6 +258,7 @@ def mutated_documents(draw):
 def test_mutated_documents_load_or_name_the_field(doc):
     # Through the JSON text, as the CLI reads a file: the document loads
     # (and then round-trips), or the error names a dotted field of it.
+    # A document that still has an unknown key never loads.
     text = json.dumps(doc)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -256,5 +270,6 @@ def test_mutated_documents_load_or_name_the_field(doc):
             head = re.split(r"[.\[]", exc.field)[0]
             assert head in set(doc) | {"timescale", "boundary", "objective", "constraint", "k"}
             return
+    assert '"zz_unknown"' not in text
     emitted = emit_problem(loaded)
     assert emit_problem(load_problem(emitted)) == emitted

@@ -4,6 +4,7 @@ iteration, abnormal-candidate search, and the built-in closed-form
 family."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -664,6 +665,65 @@ def _runs_match_each_start_alone(p, opts, min_norm, z0=None):
 )
 def test_fixed_batches_run_each_start_as_it_runs_alone(problem, opts, min_norm):
     _runs_match_each_start_alone(problem(), opts, min_norm)
+
+
+def _max_iter_cases():
+    """(system, options, min_norm, z0) of both searches on problems whose
+    starts converge, stall, hit a singular Jacobian, overflow or cannot
+    be evaluated at all."""
+    for problem, opts in (
+        (lambda: example_problem(8), SolverOptions(multistart=4)),
+        (_log_problem, SolverOptions(multistart=3, seed=5, spread=1.5)),
+        (_abnormal_document_problem, SolverOptions(multistart=4)),
+        (_undefined_objective_problem, SolverOptions(multistart=4)),
+        (_huge_power_problem, SolverOptions(spread=1e6)),
+    ):
+        p = problem()
+        for min_norm in (False, True):
+            z0 = solver._starts(p, opts)
+            if not min_norm:
+                z0 = np.concatenate((z0, np.zeros((len(z0), 1))), axis=1)
+            system = (solver._abnormal_system if min_norm else solver._normal_system)(p)
+            yield p, system, opts, min_norm, z0
+
+
+def _start_residual(system, start):
+    """The residual at the start, or None where the system is undefined."""
+    with np.errstate(all="ignore"):
+        ev = solver._evaluate(system, start[None])
+    return ev.f[0] if ev.rows else None
+
+
+def test_max_iter_0_ends_every_start_at_its_own_point():
+    # A start whose residual is finite ends "maxiter" after 0 iterations,
+    # where it started, with that residual; any other ends in an error.
+    for p, system, opts, min_norm, z0 in _max_iter_cases():
+        runs = _runs_match_each_start_alone(p, replace(opts, max_iter=0), min_norm, z0)
+        for start, run in zip(z0, runs):
+            f = _start_residual(system, start)
+            assert run.iterations == 0
+            assert run.z.tobytes() == start.tobytes()
+            if f is not None and np.isfinite(f).all():
+                assert run.status == "maxiter"
+                assert run.f.tobytes() == f.tobytes()
+            else:
+                assert run.status.startswith("error: ")
+
+
+def test_max_iter_1_ends_every_start_after_at_most_one_step():
+    # A start that runs out of iterations took its one step: it moved and
+    # its residual decreased.
+    statuses = set()
+    for p, system, opts, min_norm, z0 in _max_iter_cases():
+        runs = _runs_match_each_start_alone(p, replace(opts, max_iter=1), min_norm, z0)
+        for start, run in zip(z0, runs):
+            statuses.add(run.status)
+            assert run.iterations <= 1
+            if run.status == "maxiter":
+                assert run.iterations == 1
+                assert run.z.tobytes() != start.tobytes()
+                assert np.linalg.norm(run.f) < np.linalg.norm(_start_residual(system, start))
+    assert {"maxiter", "ok", "stalled", "singular"} <= statuses
 
 
 @pytest.mark.parametrize(
