@@ -3,10 +3,11 @@
 Everything here treats the functionals as black boxes: values come from
 eval_functional, which walks the integrand trees over whole slot arrays
 (with the per-point walk as its fallback), and gradients from the
-complex step Im J(y + i*h*e_j) / h at h = 1e-30, one complex walk of
-each value tree over the stack of all n perturbed copies of y.  Nothing
-is subtracted, so the gradient is exact to rounding (Squire & Trapp,
-SIAM Review 40(1), 1998).  Neither reads the symbolic partials or the
+complex step Im J(y + i*h*e_j) / h at h = 1e-30.  Each interior value
+enters only the two gaps around it, so one complex walk of each value
+tree over those 2(N - 2) slots gives every entry, in O(N).  Nothing is
+subtracted, so the gradient is exact to rounding (Squire & Trapp, SIAM
+Review 40(1), 1998).  Neither reads the symbolic partials or the
 compiled kernels the fast path uses.  The reports certify stationarity
 in the plain finite-dimensional (KKT) sense, which on a finite scale is
 the same statement as the bracket-constancy conditions.
@@ -34,9 +35,6 @@ from .timescale import (
 )
 
 _STEP = 1e-30
-# Complex slots per chunk of the perturbation stack; unchunked it holds
-# n * (N - 1) of them, 1.6 GB at N = 10^4.
-_CHUNK_SLOTS = 4096
 _OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
 
@@ -100,40 +98,40 @@ def kkt_check(p: IsoperimetricProblem, y: GridFunction, lam: float) -> KktReport
     """Stationarity and feasibility report from complex-step gradients.
 
     Both functionals are evaluated at y itself first, so the real walk
-    decides the domain: a point outside it raises EvaluationError.  The
+    decides the domain: a point outside it raises EvaluationError.  Their
+    factors there weight the two sides of every gradient entry.  The
     complex pass runs with numpy's warnings off; a gradient entry it
     cannot compute is not finite, and neither is the residual.
     """
-    eval_functional(p.objective, y)
-    gap = abs(eval_functional(p.constraint, y).product - p.k)
-    g_obj = _complex_step_gradient(p.objective, y)
-    g_con = _complex_step_gradient(p.constraint, y)
+    at_obj, at_con = eval_functional(p.objective, y), eval_functional(p.constraint, y)
+    gap = abs(at_con.product - p.k)
+    g_obj = _complex_step_gradient(p.objective, y, at_obj)
+    g_con = _complex_step_gradient(p.constraint, y, at_con)
     denom = float(g_con @ g_con)
     lambda_fit = float(g_obj @ g_con) / denom if denom > 0.0 else 0.0
     residual = float(np.max(np.abs(g_obj - lam * g_con)))
     return KktReport(g_obj, g_con, lambda_fit, residual, gap)
 
 
-def _complex_step_gradient(functional: DeltaNablaFunctional, y: GridFunction) -> np.ndarray:
-    """Gradient over the interior values of y: row j of the stack is
-    y + i*h*e_j, and entry j is Im(J_delta * J_nabla) / h of that row,
-    each factor the row's slot values summed against the gap widths."""
+def _complex_step_gradient(functional: DeltaNablaFunctional, y: GridFunction, at) -> np.ndarray:
+    """Gradient over the interior values of y, whose factors are at (an
+    EvaluationBreakdown).  y_j enters only gaps j - 1 and j, as the right
+    end of one and the left end of the other, so each value tree is
+    walked over those 2(N - 2) slots with y_j + i*h in them; a slot left
+    out would have imaginary part 0.  On each side dJ/dy_j is
+    Im(L(gap j - 1) * mu_{j-1} + L(gap j) * mu_j) / h, and entry j is
+    J_nabla * dJ_delta/dy_j + J_delta * dJ_nabla/dy_j."""
     t, v = y.scale.points, y.values
-    dt = t[1:] - t[:-1]
-    delta, nabla = functional.l_delta.value, functional.l_nabla.value
-    grad = np.empty(v.size - 2)
-    rows = max(1, _CHUNK_SLOTS // dt.size)
+    gap = np.arange(v.size - 2) + np.array([[0], [1]])  # rows: gaps j - 1, gaps j
+    right, left = v[1:][gap].astype(complex), v[:-1][gap].astype(complex)
+    right.imag[0] = left.imag[1] = _STEP
     with np.errstate(all="ignore"):
-        for first in range(1, v.size - 1, rows):
-            interior = np.arange(first, min(first + rows, v.size - 1))
-            stack = np.tile(v.astype(complex), (interior.size, 1))
-            stack.imag[np.arange(interior.size), interior] = _STEP
-            quot = (stack[:, 1:] - stack[:, :-1]) / dt
-            j_delta = _complex_walk(delta, {"t": t[:-1], "u": stack[:, 1:], "v": quot})
-            j_nabla = _complex_walk(nabla, {"t": t[1:], "u": stack[:, :-1], "v": quot})
-            product = np.sum(j_delta * dt, axis=-1) * np.sum(j_nabla * dt, axis=-1)
-            grad[interior - 1] = product.imag / _STEP
-    return grad
+        mu = (t[1:] - t[:-1])[gap]
+        quot = (right - left) / mu
+        delta = _complex_walk(functional.l_delta.value, {"t": t[:-1][gap], "u": right, "v": quot})
+        nabla = _complex_walk(functional.l_nabla.value, {"t": t[1:][gap], "u": left, "v": quot})
+        d_delta, d_nabla = (np.imag(side * mu).sum(axis=0) for side in (delta, nabla))
+        return (at.nabla_factor * d_delta + at.delta_factor * d_nabla) / _STEP
 
 
 def _complex_walk(e: Expr, slots: dict):

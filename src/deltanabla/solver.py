@@ -697,7 +697,13 @@ def example_problem(m: int) -> IsoperimetricProblem:
     y(m) = m."""
     if m < 2:
         raise ValueError("example needs m >= 2")
-    scale = TimeScale(np.arange(m + 1, dtype=float))
+    try:  # numpy refusing the array size, or from m = 2^63 - 2 returning none
+        points = np.arange(m + 1, dtype=float)
+        if points.size != m + 1:
+            raise ValueError("arange lost its length")
+    except (ValueError, IndexError, MemoryError) as exc:
+        raise ValueError(f"example m = {m}: too many points for an array") from exc
+    scale = TimeScale(points)
     objective = DeltaNablaFunctional(
         make_lagrangian("v^2"), make_lagrangian("v^2 + v")
     )

@@ -230,6 +230,17 @@ def test_verify_example_bad_m(capsys):
     assert "m >= 2" in err
 
 
+@pytest.mark.parametrize(
+    "m", [2**50, 2**63 - 2, 10**22, 10**400], ids=["2**50", "2**63-2", "10**22", "10**400"]
+)
+def test_verify_example_too_many_points(capsys, m):
+    rc = main(["verify", "example", "--M", str(m)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: example m = {m}: too many points for an array\n"
+
+
 def test_verify_identities(capsys):
     rc = main(["verify", "identities", "--seed", "5", "--count", "20"])
     out = capsys.readouterr().out

@@ -3,8 +3,12 @@ and complex-step gradients, black-box stationarity reports, the
 end-to-end example certification, and randomized structural-identity
 fuzzing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltanabla import (
     DeltaNablaFunctional,
@@ -19,6 +23,8 @@ from deltanabla import (
     make_lagrangian,
     verify_example,
 )
+from deltanabla import oracle
+from deltanabla.expressions import Const
 from deltanabla.functional import eval_functional
 from deltanabla.solver import (
     closed_form_example,
@@ -127,34 +133,190 @@ def test_complex_step_matches_discrete_gradient_on_the_example():
         _assert_matches_discrete_gradient(p, GridFunction(p.scale, vals))
 
 
-def test_complex_step_matches_discrete_gradient_through_every_node():
-    # all five functions, division, a negative power, negation, and an
-    # odd power past 100 of a negative base
-    p = IsoperimetricProblem(
+# All five functions, division, a negative power, negation, and an odd
+# power past 100 of a negative base; defined for u in [1, 2].
+_EVERY_NODE = (
+    "sin(u)*exp(-v^2/4) + log(u)/(1 + t)",
+    "sqrt(1 + v^2) + cos(t*u) - u^-2",
+    "exp(t)*v + ((u - 3)/2)^101",
+    "log(1 + u^2)",
+)
+
+
+def _every_node_problem():
+    return IsoperimetricProblem(
         scale=TimeScale(np.array([0.0, 0.2, 0.45, 0.5, 0.8, 1.0])),
         alpha=1.0,
         beta=2.0,
-        objective=_functional(
-            "sin(u)*exp(-v^2/4) + log(u)/(1 + t)", "sqrt(1 + v^2) + cos(t*u) - u^-2"
-        ),
-        constraint=_functional("exp(t)*v + ((u - 3)/2)^101", "log(1 + u^2)"),
+        objective=_functional(*_EVERY_NODE[:2]),
+        constraint=_functional(*_EVERY_NODE[2:]),
         k=1.0,
     )
+
+
+def test_complex_step_matches_discrete_gradient_through_every_node():
+    p = _every_node_problem()
     rng = np.random.default_rng(5)
     for _ in range(20):
         vals = np.concatenate(([1.0], rng.uniform(1.0, 2.0, 4), [2.0]))
         _assert_matches_discrete_gradient(p, GridFunction(p.scale, vals))
 
 
-def test_complex_step_spans_several_chunks():
-    # 127 interior points of 128 slots each: the stack is walked in
-    # several chunks, the last one shorter than the others
+def test_complex_step_matches_discrete_gradient_at_m_128():
+    # 127 interior points: the walk covers 254 slots, two per interior
+    # value, at the closed-form extremal and at a visibly bumped point
     p = example_problem(128)
     y, _ = closed_form_example(128)
     rng = np.random.default_rng(3)
     bumped = y.values + np.concatenate(([0.0], rng.uniform(-1.0, 1.0, 127), [0.0]))
     for vals in (y.values, bumped):
         _assert_matches_discrete_gradient(p, GridFunction(p.scale, vals))
+
+
+def _full_stack_gradient(functional, y):
+    """The complex step as one walk of each value tree over the whole
+    (N - 2, N - 1) stack of y + i*h*e_j, entry j the imaginary part of
+    row j's product over h: the reference the two-gap walk replaces.
+    Also the size of each entry's terms, the same sum in absolute values,
+    which bounds its rounding where the terms cancel."""
+    t, v = y.scale.points, y.values
+    dt = t[1:] - t[:-1]
+    interior = np.arange(1, v.size - 1)
+    stack = np.tile(v.astype(complex), (interior.size, 1))
+    stack.imag[np.arange(interior.size), interior] = 1e-30
+    with np.errstate(all="ignore"):
+        quot = (stack[:, 1:] - stack[:, :-1]) / dt
+        delta = dt * oracle._complex_walk(
+            functional.l_delta.value, {"t": t[:-1], "u": stack[:, 1:], "v": quot}
+        )
+        nabla = dt * oracle._complex_walk(
+            functional.l_nabla.value, {"t": t[1:], "u": stack[:, :-1], "v": quot}
+        )
+        j_delta, j_nabla = np.sum(delta, axis=-1), np.sum(nabla, axis=-1)
+        size = np.abs(j_nabla.real) * np.sum(np.abs(delta.imag), axis=-1)
+        size += np.abs(j_delta.real) * np.sum(np.abs(nabla.imag), axis=-1)
+    return (np.broadcast_to(x / 1e-30, interior.shape) for x in ((j_delta * j_nabla).imag, size))
+
+
+def _assert_matches_full_stack(report, p, y):
+    for got, functional in (
+        (report.grad_objective, p.objective),
+        (report.grad_constraint, p.constraint),
+    ):
+        want, size = _full_stack_gradient(functional, y)
+        assert got.shape == want.shape
+        # Agreement to 1e-14 of the largest entry's terms: where an
+        # entry's terms cancel (a v side across the two gaps of a flat
+        # y), it is 0 up to their rounding.  The stack's real parts carry
+        # the step's h^2, ~1e-60 where the exact gradient is 0.
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(size), 1e-40)
+
+
+# Integrands for the differential test: the every-node ones, the
+# example's, sides that are constant and sides that read t only.
+_SIDES = (
+    *(make_lagrangian(source) for source in _EVERY_NODE),
+    make_lagrangian("v^2"),
+    make_lagrangian("v^2 + v"),
+    make_lagrangian("t*v"),
+    make_lagrangian("2.5"),
+    constant_lagrangian(-0.75),
+    make_lagrangian("t^2 + sin(t)"),
+    make_lagrangian("exp(-t)"),
+)
+
+
+@st.composite
+def _gappy_cases(draw):
+    gaps = draw(st.lists(st.sampled_from([1e-3, 0.05, 0.3, 1.0, 4.0]), min_size=2, max_size=12))
+    points = np.cumsum([0.0, *gaps])
+    values = draw(st.lists(st.floats(1.0, 2.0), min_size=points.size, max_size=points.size))
+    delta, nabla, c_delta, c_nabla = (draw(st.sampled_from(_SIDES)) for _ in range(4))
+    p = IsoperimetricProblem(
+        scale=TimeScale(points),
+        alpha=values[0],
+        beta=values[-1],
+        objective=DeltaNablaFunctional(delta, nabla),
+        constraint=DeltaNablaFunctional(c_delta, c_nabla),
+        k=1.0,
+    )
+    return p, GridFunction(p.scale, np.array(values))
+
+
+_EVERY_NODE_Y = np.array([1.0, 1.3, 1.9, 1.2, 1.6, 2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gappy_cases())
+@example((_every_node_problem(), GridFunction(_every_node_problem().scale, _EVERY_NODE_Y)))
+def test_kkt_check_matches_the_full_stack_walk(case):
+    p, y = case
+    _assert_matches_full_stack(kkt_check(p, y, 0.5), p, y)
+
+
+def test_complex_step_walks_only_the_slots_each_value_enters(monkeypatch):
+    # y_j enters gaps j - 1 and j, so no array of the walk, slot or
+    # node, holds more than 2(N - 2) entries
+    sizes = []
+    walk = oracle._complex_walk
+
+    def spy(e, slots):
+        out = walk(e, slots)
+        sizes.extend(np.size(x) for x in (*slots.values(), out))
+        return out
+
+    monkeypatch.setattr(oracle, "_complex_walk", spy)
+    problems = [example_problem(m) for m in (2, 3, 8, 128)]
+    problems.append(_every_node_problem())
+    for p in problems:
+        sizes.clear()
+        y = GridFunction(p.scale, np.linspace(1.0, 2.0, len(p.scale)))
+        kkt_check(p, y, 0.5)
+        assert max(sizes) == 2 * (len(p.scale) - 2)
+
+
+class _Tripwire(Const):
+    """A derivative tree that fails any walk reaching it."""
+
+    def __init__(self):
+        pass  # nothing to store: value is the property below
+
+    @property
+    def value(self):
+        raise AssertionError("a derivative tree was walked")
+
+
+def test_kkt_check_reads_only_the_value_trees(monkeypatch):
+    from deltanabla import expressions, functional, solver
+
+    p = _every_node_problem()
+    y = GridFunction(p.scale, _EVERY_NODE_Y)
+    want = kkt_check(p, y, 0.5)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the fast path was used")
+
+    monkeypatch.setattr(expressions.Lagrangian, "tables", forbidden)
+    monkeypatch.setattr(functional, "kernel_tables", forbidden)
+    monkeypatch.setattr(solver, "_Product", forbidden)
+
+    def values_only(f):
+        trip = _Tripwire()
+        return DeltaNablaFunctional(
+            *(dataclasses.replace(side, d_u=trip, d_v=trip) for side in (f.l_delta, f.l_nabla))
+        )
+
+    blind = dataclasses.replace(
+        p, objective=values_only(p.objective), constraint=values_only(p.constraint)
+    )
+    got = kkt_check(blind, y, 0.5)
+    assert np.array_equal(got.grad_objective, want.grad_objective)
+    assert np.array_equal(got.grad_constraint, want.grad_constraint)
+    assert (got.lambda_fit, got.residual_inf_norm, got.feasibility_gap) == (
+        want.lambda_fit,
+        want.residual_inf_norm,
+        want.feasibility_gap,
+    )
 
 
 def test_kkt_check_outside_the_domain_is_an_evaluation_error():

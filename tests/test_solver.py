@@ -142,6 +142,16 @@ def test_example_needs_two_intervals():
         closed_form_example(1)
 
 
+# Past 2^53 points numpy cannot allocate (2^50: 8 PiB), at 2^63 - 2 its
+# float length wraps to no points, and past 2^64 it refuses the size.
+@pytest.mark.parametrize(
+    "m", [2**50, 2**63 - 2, 10**22, 10**400], ids=["2**50", "2**63-2", "10**22", "10**400"]
+)
+def test_example_too_large_for_an_array_names_m(m):
+    with pytest.raises(ValueError, match=f"^example m = {m}: too many points for an array$"):
+        example_problem(m)
+
+
 def test_problem_assemble_and_interior_count():
     p = example_problem(3)
     assert p.interior_count() == 2
