@@ -19,6 +19,7 @@ import numpy as np
 
 from .expressions import EvaluationError, evaluate, make_lagrangian, to_str
 from .functional import bracket_values, eval_functional, iso_bracket, residual_pair
+from .functional import row_tables, tables_bracket
 from .oracle import identity_fuzz, verify_example
 from .problemfile import (
     OPTION_FIELDS,
@@ -129,10 +130,9 @@ def _solve_row_data(loaded: LoadedProblem, result: SolveResult):
         bracket = result.bracket
     else:
         with np.errstate(all="ignore"):
-            try:
-                bracket = bracket_values(loaded.problem.objective, result.y)
-            except EvaluationError:  # the objective is undefined there
-                bracket = np.full(len(result.y) - 1, np.nan)
+            y = result.y
+            tab, _ = row_tables(loaded.problem.objective, y.scale.points, y.values[None])
+            bracket = tables_bracket(tab.rows(0))
     return _point_rows(result.y, bracket)
 
 

@@ -14,9 +14,10 @@ arrays, both by one set of rules.  Grammar, lowest precedence first:
     factor := '-'? atom ('^' integer)?
     atom   := number | 't' | 'u' | 'v' | func '(' expr ')' | '(' expr ')'
     func   := 'sin' | 'cos' | 'exp' | 'log' | 'sqrt'
+    number := (digits ('.' digits?)? | '.' digits) (('e' | 'E') ('+' | '-')? digits)?
 
-Exponents are integer literals only, and bind tighter than the unary
-minus: ``-v^2`` parses as ``-(v^2)``.
+Digits are ASCII 0-9.  Exponents are integer literals only, and bind
+tighter than the unary minus: ``-v^2`` parses as ``-(v^2)``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 import struct
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -109,6 +111,12 @@ VARIABLES = ("t", "u", "v")
 # Parsing
 
 
+# ASCII digits only (str.isdigit and float() take other scripts' digits
+# too).  An e without digits after it is not part of the number.
+_DIGITS = re.compile("[0-9]+")
+_NUMBER = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 class _Scanner:
     def __init__(self, text: str) -> None:
         self.text = text
@@ -133,35 +141,21 @@ class _Scanner:
             raise ParseError(f"expected {ch!r}", self.pos)
 
     def number(self) -> float:
-        start = self.pos
-        n = len(self.text)
-        while self.pos < n and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < n and self.text[self.pos] == ".":
-            self.pos += 1
-            while self.pos < n and self.text[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < n and self.text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < n and self.text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < n and self.text[self.pos].isdigit():
-                while self.pos < n and self.text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # not an exponent after all
-        return float(self.text[start : self.pos])
+        match = _NUMBER.match(self.text, self.pos)
+        if match is None:
+            raise ParseError("malformed number", self.pos)
+        self.pos = match.end()
+        return float(match.group())
 
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
+        match = _DIGITS.match(self.text, self.pos)
+        if match is None:
             raise ParseError("exponent must be an integer literal", self.pos)
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
+        self.pos = match.end()
         return int(self.text[start : self.pos])
 
     def word(self) -> str:
@@ -218,7 +212,7 @@ def _atom(s: _Scanner) -> Expr:
         e = _expr(s)
         s.expect(")")
         return e
-    if ch.isdigit() or ch == ".":
+    if ch and ch in "0123456789.":
         return Const(s.number())
     if ch.isalpha():
         pos = s.pos
@@ -351,10 +345,12 @@ def evaluate_slots(e: Expr, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.n
     in the last bit.  Constant subtrees stay Python floats, as in the
     walk.  The compiled kernels follow the same rules through the same
     helpers.  This walk decides nothing about a failing point: it raises
-    ZeroDivisionError at a zero divisor, and callers run it under
-    ``np.errstate(over/divide/invalid="raise")`` and rerun evaluate()
-    point by point on any ArithmeticError or ValueError.  Trees outside
-    what the parser and differentiate build raise ValueError.
+    ZeroDivisionError at a zero divisor and, like Python floats, at an
+    out-of-range ``**`` or math function, while + - * overflow to inf or
+    NaN (silently under ``np.errstate(over/invalid="ignore")``); callers
+    rerun evaluate() point by point on any ArithmeticError or
+    ValueError.  Trees outside what the parser and differentiate build
+    raise ValueError.
     """
     out = _slot_walk(e, {"t": t, "u": u, "v": v})
     return out if isinstance(out, np.ndarray) else np.full(t.shape, out)

@@ -14,13 +14,14 @@ The integrands are evaluated over whole slot arrays two ways, by the
 same rules and with the same bits: the solver's slot tables run each
 Lagrangian's compiled numpy kernel, and eval_functional, which the
 oracle sums with, walks each tree once (expressions.evaluate_slots).
-Both fall back to the per-point walk (expressions.evaluate) where their
-arithmetic fails.
+Both overflow to inf or NaN silently.  Only where their arithmetic
+fails does the per-point walk (_walk, over expressions.evaluate) run,
+to give the numbers or name the first undefined slot; for a stack of
+functions, row_tables names the undefined rows and reads NaN there.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -106,10 +107,9 @@ class SlotTables:
     partial that is undefined at a slot where the value and first
     partials are defined reads NaN there.
 
-    Tables of several functions on one scale (kernel_tables) have the
-    (rows, N-1) array the kernel computed over the stacked slot arrays
-    for each column that is not constant, and the factors as (rows, 1)
-    columns.
+    Tables of several functions on one scale (row_tables) have a
+    (rows, N-1) array for each column that is not constant, and the
+    factors as (rows, 1) columns.
     """
 
     weights: np.ndarray
@@ -160,29 +160,63 @@ def slot_tables_at(
     of a function on it, neither checked.
 
     One compiled kernel per integrand fills all its columns and sums its
-    factor left to right from 0.0 in the same pass; where their float
-    arithmetic fails, the tree walk evaluates point by point (see
-    _walk_columns).
+    factor left to right from 0.0 in the same pass.  Where their float
+    arithmetic fails, the per-point walk fills the values and first
+    partials, raising its EvaluationError where one is undefined, then
+    the second partials with numpy's warnings off, NaN where undefined.
     """
     try:
-        return kernel_tables(functional, points, values)
+        return _kernel_tables(functional, points, values)
     except (ArithmeticError, ValueError):
+        ld, ln = functional.l_delta, functional.l_nabla
         dt, quot = _slots(points, values)
-        columns = _walk_columns(functional.l_delta, functional.l_nabla, points, values, quot)
-        j_delta = _left_sum(columns[0], dt)
-        j_nabla = _left_sum(columns[6], dt)
-        return SlotTables(dt, *columns, float(j_delta), float(j_nabla))
+        first = _walk((ld.value, ld.d_u, ld.d_v), (ln.value, ln.d_u, ln.d_v), points, values, quot)
+        with np.errstate(all="ignore"):
+            second = _walk(ld.second, ln.second, points, values, quot, undefined=np.nan)
+            j_delta, j_nabla = _left_sum(first[0] * dt), _left_sum(first[3] * dt)
+        return SlotTables(dt, *first[:3], *second[:3], *first[3:], *second[3:], j_delta, j_nabla)
 
 
-def kernel_tables(
+def row_tables(
+    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
+) -> tuple[SlotTables, dict[int, str]]:
+    """slot_tables_at for each row of a (rows, N) stack of values on one
+    scale, stacked (see SlotTables), and {row: EvaluationError message}
+    for each row where an integrand is undefined, whose entries read NaN.
+
+    One kernel pass per integrand covers all rows, each row's numbers
+    those of a pass over it alone; where it fails, slot_tables_at
+    evaluates each row alone.
+    """
+    try:
+        return _kernel_tables(functional, points, values), {}
+    except (ArithmeticError, ValueError):
+        pass
+    dt = points[1:] - points[:-1]
+    undefined = SlotTables(dt, *[np.nan] * 14)
+    tables, errors = [], {}
+    for row, v in enumerate(values):
+        try:
+            tables.append(slot_tables_at(functional, points, v))
+        except EvaluationError as exc:
+            tables.append(undefined)
+            errors[row] = str(exc)
+    columns = [
+        np.stack([np.broadcast_to(getattr(tab, name), dt.shape) for tab in tables])
+        for name in COLUMNS
+    ]
+    j_delta = np.array([[tab.j_delta] for tab in tables])
+    j_nabla = np.array([[tab.j_nabla] for tab in tables])
+    return SlotTables(dt, *columns, j_delta, j_nabla), errors
+
+
+def _kernel_tables(
     functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
 ) -> SlotTables:
     """slot_tables_at from the kernels alone, for the values of one
-    function or for each row of a (rows, N) stack of values on one scale,
-    stacked (see SlotTables): one kernel pass per integrand over the slot
-    arrays of all rows, each row's numbers those of a pass over it alone.
-    Raises ArithmeticError or ValueError where the kernels' arithmetic
-    fails in any row, for slot_tables_at to decide row by row."""
+    function or stacked for a (rows, N) stack of them.  Raises
+    ArithmeticError or ValueError where the kernels' arithmetic fails in
+    any row."""
     dt, quot = _slots(points, values)
     *delta, j_delta = functional.l_delta.tables(points[:-1], values[..., 1:], quot, dt)
     *nabla, j_nabla = functional.l_nabla.tables(points[1:], values[..., :-1], quot, dt)
@@ -191,55 +225,34 @@ def kernel_tables(
     return SlotTables(dt, *delta, *nabla, j_delta, j_nabla)
 
 
-def stack_tables(tables: list[SlotTables]) -> SlotTables:
-    """Tables of single functions on one scale, stacked as kernel_tables
-    gives them."""
-    size = tables[0].weights.shape
-    columns = [
-        np.stack([np.broadcast_to(getattr(tab, name), size) for tab in tables])
-        for name in COLUMNS
-    ]
-    j_delta = np.array([[tab.j_delta] for tab in tables])
-    j_nabla = np.array([[tab.j_nabla] for tab in tables])
-    return SlotTables(tables[0].weights, *columns, j_delta, j_nabla)
-
-
-def _walk_columns(
-    ld: Lagrangian, ln: Lagrangian, t: np.ndarray, v: np.ndarray, quot: np.ndarray
+def _walk(
+    delta_trees: tuple[Expr, ...], nabla_trees: tuple[Expr, ...],
+    t: np.ndarray, v: np.ndarray, quot: np.ndarray, undefined: float | None = None,
 ) -> list[np.ndarray]:
-    """The twelve columns of SlotTables from the per-point walk.
-
-    The values and first partials are walked first, slot by slot, the
-    delta side before the nabla side, so that the walk alone decides
-    between an EvaluationError and numpy's inf there.  The second
-    partials follow with numpy's warnings off, NaN where the walk
-    cannot evaluate them.
-    """
-    slots = [
-        ((t[i], v[i + 1], quot[i]),) * 3 + ((t[i + 1], v[i], quot[i]),) * 3
-        for i in range(quot.size)
-    ]
-    first = [np.empty(quot.size) for _ in range(6)]
-    trees = (ld.value, ld.d_u, ld.d_v, ln.value, ln.d_u, ln.d_v)
-    for i, args in enumerate(slots):
-        for column, tree, point in zip(first, trees, args):
-            column[i] = evaluate(tree, *point)
-    second = [np.empty(quot.size) for _ in range(6)]
-    with np.errstate(all="ignore"):
-        for i, args in enumerate(slots):
-            for column, tree, point in zip(second, (*ld.second, *ln.second), args):
-                try:
-                    column[i] = evaluate(tree, *point)
-                except EvaluationError:
-                    column[i] = np.nan
-    return [*first[:3], *second[:3], *first[3:], *second[3:]]
+    """Each tree at every slot of its side by expressions.evaluate, one
+    column per tree, slot by slot, the delta trees before the nabla
+    trees.  The first tree it cannot evaluate raises its
+    EvaluationError, or reads ``undefined`` when one is given."""
+    trees = [(tree, 0) for tree in delta_trees] + [(tree, 1) for tree in nabla_trees]
+    columns = [np.empty(quot.size) for _ in trees]
+    for i in range(quot.size):
+        sides = ((t[i], v[i + 1], quot[i]), (t[i + 1], v[i], quot[i]))
+        for column, (tree, side) in zip(columns, trees):
+            try:
+                column[i] = evaluate(tree, *sides[side])
+            except EvaluationError:
+                if undefined is None:
+                    raise
+                column[i] = undefined
+    return columns
 
 
-def _left_sum(values: np.ndarray, weights: np.ndarray) -> float:
-    acc = 0.0
-    for x, w in zip(values.tolist(), weights.tolist()):
-        acc += x * w
-    return acc
+def _left_sum(products: np.ndarray) -> float:
+    """The sum of the products left to right from 0.0."""
+    total = 0.0
+    for x in products.tolist():
+        total += x
+    return total
 
 
 def eval_functional(
@@ -250,51 +263,25 @@ def eval_functional(
     Each integrand tree is walked once over the whole slot arrays of its
     side (expressions.evaluate_slots), never through the compiled
     kernels, so that the oracle, which sums with this function, rests on
-    no kernel; each factor is summed left to right from 0.0.  Where that
-    arithmetic fails or a factor is not finite, the per-point walk over
-    expressions.evaluate reruns the sums and decides between an
-    EvaluationError and numpy's inf, with its messages and warnings.
-    Both give the same numbers bit for bit, and slot_tables reports the
-    same factors from the kernels.
+    no kernel; each factor is summed left to right from 0.0.  Overflow
+    to inf or NaN is silent, as in the kernels.  Where the arithmetic
+    fails (a zero divisor, a math function or ** out of range), the
+    per-point walk (_walk) evaluates the value trees instead, and names
+    the first slot where an integrand is undefined by its
+    EvaluationError.  Both give the same numbers bit for bit, and
+    slot_tables reports the same factors from the kernels.
     """
-    t = y.scale.points
-    v = y.values
+    t, v = y.scale.points, y.values
     dt, quot = _slots(t, v)
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            j_delta = _factor(functional.l_delta.value, (t[:-1], v[1:], quot), dt)
-            j_nabla = _factor(functional.l_nabla.value, (t[1:], v[:-1], quot), dt)
-    except (ArithmeticError, ValueError):
-        j_delta, j_nabla = _walk_factors(functional, t, v, dt, quot)
+    ld, ln = functional.l_delta, functional.l_nabla
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            delta = evaluate_slots(ld.value, t[:-1], v[1:], quot)
+            nabla = evaluate_slots(ln.value, t[1:], v[:-1], quot)
+        except (ArithmeticError, ValueError):
+            delta, nabla = _walk((ld.value,), (ln.value,), t, v, quot)
+        j_delta, j_nabla = _left_sum(delta * dt), _left_sum(nabla * dt)
     return EvaluationBreakdown(j_delta, j_nabla, j_delta * j_nabla)
-
-
-def _factor(tree: Expr, slots: tuple[np.ndarray, ...], dt: np.ndarray) -> float:
-    total = 0.0
-    for x in (evaluate_slots(tree, *slots) * dt).tolist():
-        total += x
-    if not math.isfinite(total):
-        # The walk may warn on its way to inf or NaN; let it say so.
-        raise FloatingPointError("non-finite factor")
-    return total
-
-
-def _walk_factors(
-    functional: DeltaNablaFunctional,
-    t: np.ndarray,
-    v: np.ndarray,
-    dt: np.ndarray,
-    quot: np.ndarray,
-) -> tuple[float, float]:
-    """Both factors from the per-point walk, the reference."""
-    ld = functional.l_delta
-    ln = functional.l_nabla
-    j_delta = 0.0
-    j_nabla = 0.0
-    for i in range(dt.size):
-        j_delta += ld(t[i], v[i + 1], quot[i]) * dt[i]
-        j_nabla += ln(t[i + 1], v[i], quot[i]) * dt[i]
-    return float(j_delta), float(j_nabla)
 
 
 def bracket_values(

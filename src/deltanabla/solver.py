@@ -27,9 +27,8 @@ from .functional import (
     SlotTables,
     bracket_defect,
     eval_functional,
-    kernel_tables,
+    row_tables,
     slot_tables_at,
-    stack_tables,
     tables_bracket,
 )
 from .timescale import GridFunction, TimeScale
@@ -219,17 +218,12 @@ class _Product:
 def _product_or_undefined(
     functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
 ) -> _Product:
-    """The product at the point, or, where its integrands are undefined
-    there, one with NaN tables, so that every value, gradient and
-    bracket read from it is NaN.  numpy's warnings on the way to inf or
-    NaN are silenced."""
-    try:
-        with np.errstate(all="ignore"):
-            return _Product(values, slot_tables_at(functional, points, values))
-    except EvaluationError:
-        nan = np.full(points.size - 1, np.nan)
-        tab = SlotTables(points[1:] - points[:-1], *[nan] * 12, np.nan, np.nan)
-        return _Product(values, tab)
+    """The product at the point, whose every value, gradient and bracket
+    is NaN where its integrands are undefined (see row_tables); numpy's
+    warnings on the way to inf or NaN are silenced."""
+    with np.errstate(all="ignore"):
+        tab, _ = row_tables(functional, points, values[None])
+        return _Product(values, tab.rows(0))
 
 
 def _take(stack: np.ndarray, rows: list[int]) -> np.ndarray:
@@ -278,11 +272,8 @@ class _Evaluation(NamedTuple):
 def _evaluate(system: _System, z: np.ndarray) -> _Evaluation:
     """The system at every row of z where it is defined.  A row with a
     non-finite entry is not evaluated ("non-finite iterate").  Each
-    functional, one after the other, makes one kernel pass per integrand
-    over every row still defined, or, where that pass fails, slot_tables_at
-    evaluates row by row (its walk included); a row where a functional is
-    undefined is dropped with the EvaluationError's message, and the
-    functionals after it skip the row."""
+    functional in turn makes one row_tables call over the rows still
+    defined and drops those where it is undefined, with their messages."""
     if np.isfinite(z).all():
         rows, errors = list(range(len(z))), {}
     else:
@@ -294,22 +285,13 @@ def _evaluate(system: _System, z: np.ndarray) -> _Evaluation:
     for functional in system.functionals:
         if not rows:
             break
-        at = _take(values, rows)
-        try:
-            tables.append(kernel_tables(functional, system.points, at))
-            continue
-        except (ArithmeticError, ValueError):
-            pass
-        single, kept = [], []
-        for i, (row, v) in enumerate(zip(rows, at)):
-            try:
-                single.append(slot_tables_at(functional, system.points, v))
-                kept.append(i)
-            except EvaluationError as exc:
-                errors[row] = str(exc)
-        rows = [rows[i] for i in kept]
-        if rows:
-            tables = [tab.rows(kept) for tab in tables] + [stack_tables(single)]
+        tab, undefined = row_tables(functional, system.points, _take(values, rows))
+        tables.append(tab)
+        if undefined:
+            errors.update((rows[i], message) for i, message in undefined.items())
+            kept = [i for i in range(len(rows)) if i not in undefined]
+            rows = [rows[i] for i in kept]
+            tables = [tab.rows(kept) for tab in tables]
     at = _take(z, rows)
     if not rows:
         return _Evaluation(rows, at, np.empty((0, z.shape[1])), (), errors)
@@ -606,7 +588,10 @@ def solve_normal(
     the feasibility row constraint - k.  Starts are the boundary
     interpolant and seeded perturbations of it; among converged starts
     the one with smallest objective product is returned, with all
-    distinct stationary points kept as diagnostics.
+    distinct stationary points kept as diagnostics.  If none converged,
+    the finite iterate with the smallest residual is reported; if none
+    is finite (as where beta - alpha overflows), EvaluationError lists
+    every start's status.
     """
     opts = opts or SolverOptions()
     n = p.interior_count()
@@ -628,14 +613,15 @@ def solve_normal(
         lam = float(best.z[n])
         return _answer(p, *best.products, 1.0, lam, best.iterations, opts, tuple(points))
 
-    # No start converged: report the best iterate for inspection.
-    best = min(runs, key=lambda run: float(np.max(np.abs(run.f))))
+    # No start converged: report the best finite iterate for inspection.
+    statuses = "; ".join(f"start {i}: {run.status}" for i, run in enumerate(runs))
+    finite = [run for run in runs if np.isfinite(run.z).all()]
+    if not finite:
+        raise EvaluationError(f"no start has a finite iterate: {statuses}")
+    best = min(finite, key=lambda run: float(np.max(np.abs(run.f))))
     products = best.products or tuple(
         _product_or_undefined(functional, p.scale.points, p._values(best.z[:n]))
         for functional in (p.objective, p.constraint)
-    )
-    statuses = "; ".join(
-        f"start {i}: {run.status}" for i, run in enumerate(runs)
     )
     report = _answer(p, *products, 1.0, float(best.z[n]), best.iterations, opts)
     return replace(

@@ -519,3 +519,98 @@ def test_undefined_best_iterate_still_reports_every_start(tmp_path, capsys):
         else:
             assert proc.stdout.splitlines()[2].startswith("1.0,-1.3333333333333333,")
             assert proc.stdout.splitlines()[2].endswith(",nan,nan")
+
+
+def test_residual_csv(example_file, capsys):
+    rc = main(["residual", example_file, "--y", "0,2,3,3", "--lam", "-26", "--output", "csv"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines() == [
+        "t,y,y_delta,y_nabla,residual_EL1,residual_EL2",
+        "0.0,0.0,2.0,,,57.0",
+        "1.0,2.0,1.0,2.0,57.0,57.0",
+        "2.0,3.0,0.0,1.0,57.0,57.0",
+        "3.0,3.0,,0.0,57.0,",
+    ]
+
+
+def test_residual_emit_problem(example_file, capsys):
+    # the candidate is not evaluated: the document is printed and reloads
+    rc = main(["residual", example_file, "--y", "0,2,3,3", "--emit-problem"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    from deltanabla import emit_problem, load_problem
+
+    assert json.loads(out)["timescale"] == {"points": [0.0, 1.0, 2.0, 3.0]}
+    assert emit_problem(load_problem(out)) == out.rstrip("\n")
+
+
+def test_residual_malformed_y(example_file, capsys):
+    rc = main(["residual", example_file, "--y", "0,two,3,3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: --y expects comma-separated numbers\n"
+
+
+def test_verify_identities_structured(capsys):
+    rc = main(["verify", "identities", "--count", "5", "--output", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["command"] == "verify-identities"
+    assert (doc["seed"], doc["count"], doc["passed"], doc["failures"]) == (0, 5, True, [])
+    assert doc["identities"] > 0 and doc["max_rel_error"] <= 1e-12
+
+
+def test_solve_table_lists_abnormal_candidates(tmp_path, capsys):
+    # The constraint (sum v^2 mu)(sum v^2 nu) = 0 holds only at constant
+    # y, where its gradient vanishes: no normal start converges, and the
+    # table lists the one abnormal candidate.
+    doc = {
+        "timescale": {"points": [0.0, 0.4, 1.0, 1.3, 2.0]},
+        "boundary": {"alpha": 1.0, "beta": 1.0},
+        "objective": {"delta": "v^2 + u", "nabla": "v^2 + 1"},
+        "constraint": {"delta": "v^2", "nabla": "v^2"},
+        "k": 0.0,
+        "options": {"multistart": 4},
+    }
+    path = tmp_path / "abnormal.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["solve", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "abnormal candidates: 1\n  abnormal[0]: y = (1, 1, 1, 1, 1), defect 0\n" in out
+
+
+def _huge_boundary_doc():
+    # beta - alpha overflows, so the boundary interpolant, and every
+    # start perturbed from it, is inf
+    return {
+        "timescale": {"points": [0.0, 1.0, 2.0, 3.0]},
+        "boundary": {"alpha": -1e308, "beta": 1e308},
+        "objective": {"delta": "v^2", "nabla": "v^2"},
+        "constraint": {"delta": "t*v", "nabla": "1"},
+        "k": 1.0,
+    }
+
+
+def test_huge_boundary_values_are_a_numerical_failure(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_huge_boundary_doc()))
+    rc = main(["solve", str(path), "--output", "structured"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    statuses = "; ".join(f"start {i}: error: non-finite iterate" for i in range(9))
+    assert captured.err == f"numerical error: no start has a finite iterate: {statuses}\n"
+
+
+def test_malformed_number_is_an_input_error_naming_its_field(tmp_path, capsys):
+    doc = {**_huge_boundary_doc(), "boundary": {"alpha": 0.0, "beta": 1.0}}
+    doc["objective"] = {"delta": "v^2 + .", "nabla": "v^2"}
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: objective.delta: malformed number (at position 6)")

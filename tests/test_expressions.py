@@ -30,6 +30,14 @@ def test_parse_builds_expected_trees():
     assert parse("t - u - v") == Sub(Sub(Var("t"), Var("u")), Var("v"))
 
 
+def test_numbers_in_every_ascii_form():
+    for text, value in (("1.e5", 1e5), (".5", 0.5), ("5.", 5.0), ("2E+3", 2e3), ("007", 7.0)):
+        assert parse(text) == Const(value)
+    # an e without digits after it is not part of the number
+    with pytest.raises(ParseError, match="unexpected 'e'"):
+        parse("2e")
+
+
 @pytest.mark.parametrize(
     "text, pos",
     [
@@ -41,6 +49,15 @@ def test_parse_builds_expected_trees():
         ("(t + u", 6),
         ("", 0),
         ("sin t", 4),
+        # malformed numbers
+        (".", 0),
+        ("v + .", 4),
+        (".e5", 0),
+        ("2*.e-1", 2),
+        # digits other than ASCII 0-9
+        ("\u00b2", 0),  # superscript two
+        ("v^\u0662 + \u0663*u", 2),  # Arabic-Indic two and three
+        ("v^2 + \u0663*u", 6),
     ],
 )
 def test_parse_errors_carry_a_position(text, pos):

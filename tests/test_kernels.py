@@ -44,8 +44,8 @@ from deltanabla.expressions import (
 )
 from deltanabla.functional import (
     SlotTables,
+    _kernel_tables as kernel_tables,
     bracket_values,
-    kernel_tables,
     slot_tables,
     tables_bracket,
 )
@@ -203,6 +203,28 @@ def test_overflow_in_array_operations_is_silent():
             for i in range(2):
                 row = _column(col if isinstance(col, float) else col[i], len(ts))
                 assert _same(row, _reference(e, ts, us[i], vs[i]))
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        ("1e308*v*10", [0.0, 1.0, 2.0]),  # the array walk overflows to inf
+        ("v^400", [0.0, 10.0, 30.0]),  # Python's ** raises; the per-point walk runs
+        ("v^30*v^30 - u^30*u^30", [0.0, 1e6, 0.0]),  # inf - inf is NaN
+    ],
+)
+def test_eval_functional_overflows_silently(text, values):
+    # A factor that overflows is inf or NaN, the walk's bits, and numpy
+    # warns of nothing on the way, where warnings are errors.
+    functional = DeltaNablaFunctional(make_lagrangian(text), make_lagrangian("v^2 + u"))
+    y = GridFunction(TimeScale(np.arange(3.0)), np.array(values))
+    with np.errstate(all="ignore"):
+        want = _walk_breakdown(functional, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = eval_functional(functional, y)
+    assert not np.isfinite(b.delta_factor)
+    assert _same(want, (b.delta_factor, b.nabla_factor, b.product))
 
 
 def _walk(delta_trees, nabla_trees, y, undefined=None):

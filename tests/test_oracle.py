@@ -208,8 +208,9 @@ def _assert_matches_full_stack(report, p, y):
         # Agreement to 1e-14 of the largest entry's terms: where an
         # entry's terms cancel (a v side across the two gaps of a flat
         # y), it is 0 up to their rounding.  The stack's real parts carry
-        # the step's h^2, ~1e-60 where the exact gradient is 0.
-        assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(size), 1e-40)
+        # the step's h^2, ~1e-60 where the exact gradient is 0 (2.7e-54
+        # in _flat_case), below the absolute floor of 1e-40.
+        assert np.max(np.abs(got - want)) <= max(1e-14 * np.max(size), 1e-40)
 
 
 # Integrands for the differential test: the every-node ones, the
@@ -246,9 +247,24 @@ def _gappy_cases(draw):
 _EVERY_NODE_Y = np.array([1.0, 1.3, 1.9, 1.2, 1.6, 2.0])
 
 
+def _flat_case():
+    """A constant y, where the exact constraint gradient is -0: the
+    two-gap walk gives -0.0, and the full stack's h^2 terms 2.7e-54."""
+    p = IsoperimetricProblem(
+        scale=TimeScale(np.array([0.0, 4.0, 4.001, 8.001])),
+        alpha=1.0,
+        beta=1.0,
+        objective=_functional("v^2", "v^2"),
+        constraint=_functional("v^2", _EVERY_NODE[2]),
+        k=1.0,
+    )
+    return p, GridFunction(p.scale, np.ones(4))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_gappy_cases())
 @example((_every_node_problem(), GridFunction(_every_node_problem().scale, _EVERY_NODE_Y)))
+@example(_flat_case())
 def test_kkt_check_matches_the_full_stack_walk(case):
     p, y = case
     _assert_matches_full_stack(kkt_check(p, y, 0.5), p, y)
@@ -297,7 +313,8 @@ def test_kkt_check_reads_only_the_value_trees(monkeypatch):
         raise AssertionError("the fast path was used")
 
     monkeypatch.setattr(expressions.Lagrangian, "tables", forbidden)
-    monkeypatch.setattr(functional, "kernel_tables", forbidden)
+    monkeypatch.setattr(functional, "slot_tables_at", forbidden)
+    monkeypatch.setattr(functional, "row_tables", forbidden)
     monkeypatch.setattr(solver, "_Product", forbidden)
 
     def values_only(f):

@@ -90,6 +90,16 @@ def test_options_map_onto_solver_options():
             "timescale",
         ),
         (lambda d: d.__setitem__("objective", {"delta": "v^", "nabla": "v"}), "objective.delta"),
+        pytest.param(
+            lambda d: d.__setitem__("objective", {"delta": "v^2 + .", "nabla": "v"}),
+            "objective.delta",
+            id="malformed-number",
+        ),
+        pytest.param(
+            lambda d: d.__setitem__("objective", {"delta": "v", "nabla": "v^\u0662"}),
+            "objective.nabla",
+            id="non-ascii-digit",
+        ),
         (lambda d: d.__setitem__("constraint", {"delta": "w", "nabla": "v"}), "constraint.delta"),
         (lambda d: d.__setitem__("k", "one"), "k"),
         (lambda d: d.pop("k"), "k"),

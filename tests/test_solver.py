@@ -26,7 +26,7 @@ from deltanabla import (
     make_lagrangian,
     solve_normal,
 )
-from deltanabla import expressions, functional, solver
+from deltanabla import expressions, solver
 from deltanabla.functional import (
     EL2,
     bracket_defect,
@@ -394,13 +394,13 @@ def test_no_kernel_pass_after_the_newton_runs(monkeypatch):
     # its runs, and an abnormal answer evaluates only its objective, once.
     outside = []
     in_run = [False]
-    tables = functional.kernel_tables
+    tables = expressions.Lagrangian.tables
     newton = solver._newton
 
-    def counting(fn, points, values):
+    def counting(lag, *slots):
         if not in_run[0]:
-            outside.append(fn)
-        return tables(fn, points, values)
+            outside.append(lag)
+        return tables(lag, *slots)
 
     def running(*args, **kwargs):
         in_run[0] = True
@@ -409,17 +409,17 @@ def test_no_kernel_pass_after_the_newton_runs(monkeypatch):
         finally:
             in_run[0] = False
 
-    # Every kernel pass, whether of a stack (the runs) or of one point
-    # (slot_tables_at), goes through kernel_tables.
-    monkeypatch.setattr(solver, "kernel_tables", counting)
-    monkeypatch.setattr(functional, "kernel_tables", counting)
+    # Every kernel pass, whether of a stack (the runs) or of one point,
+    # is one Lagrangian.tables call per integrand.
+    monkeypatch.setattr(expressions.Lagrangian, "tables", counting)
     monkeypatch.setattr(solver, "_newton", running)
     assert solve_normal(example_problem(8)).converged
     assert outside == []
     p = _constraint_extremal_problem()
     found = find_abnormal(p)
     assert found
-    assert outside == [p.objective] * len(found)
+    objective = [id(p.objective.l_delta), id(p.objective.l_nabla)]
+    assert [id(lag) for lag in outside] == objective * len(found)
 
 
 def _undefined_objective_problem():
@@ -435,6 +435,20 @@ def _undefined_objective_problem():
         constraint=DeltaNablaFunctional(make_lagrangian("t*v"), make_lagrangian("1")),
         k=1.0,
     )
+
+
+def test_no_finite_start_is_an_evaluation_error():
+    # beta - alpha overflows, so the boundary interpolant and every start
+    # perturbed from it are inf: no start is evaluated, and with no
+    # finite iterate to report the solve raises, listing every start.
+    p = replace(_unsatisfiable_problem(), alpha=-1e308, beta=1e308)
+    statuses = "; ".join(f"start {i}: error: non-finite iterate" for i in range(9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError) as exc:
+            solve_normal(p)
+        assert find_abnormal(p) == []
+    assert str(exc.value) == f"no start has a finite iterate: {statuses}"
 
 
 @pytest.mark.parametrize("problem", [_unsatisfiable_problem, _undefined_objective_problem])
@@ -469,14 +483,15 @@ def test_one_slot_pass_per_product_per_point_and_one_compile_per_lagrangian(monk
     # Lagrangian compiles its one kernel once.
     passes, points, compiles = [], [], []
     in_jacobian = [False]
-    tables = functional.kernel_tables
+    tables = expressions.Lagrangian.tables
     evaluate = solver._evaluate
     compile_kernel = expressions._compile
 
-    def counting_tables(fn, t, values):
+    def counting_tables(lag, t, u, v, w):
+        # one entry per row of the slot arrays, and per function
         assert not in_jacobian[0]
-        passes.extend([fn] * len(values))
-        return tables(fn, t, values)
+        passes.extend([id(lag)] * (len(v) if v.ndim == 2 else 1))
+        return tables(lag, t, u, v, w)
 
     def counting_points(system, z):
         points.extend(z)
@@ -501,7 +516,7 @@ def test_one_slot_pass_per_product_per_point_and_one_compile_per_lagrangian(monk
 
         return make
 
-    monkeypatch.setattr(solver, "kernel_tables", counting_tables)
+    monkeypatch.setattr(expressions.Lagrangian, "tables", counting_tables)
     monkeypatch.setattr(solver, "_evaluate", counting_points)
     monkeypatch.setattr(expressions, "_compile", counting_compile)
     monkeypatch.setattr(solver, "_normal_system", counted(solver._normal_system))
@@ -509,16 +524,20 @@ def test_one_slot_pass_per_product_per_point_and_one_compile_per_lagrangian(monk
     p = example_problem(16)
     assert solve_normal(p).converged
     assert len(points) > 9
-    assert passes.count(p.objective) == passes.count(p.constraint) == len(points)
     lagrangians = (p.objective.l_delta, p.objective.l_nabla,
                    p.constraint.l_delta, p.constraint.l_nabla)
+    assert [passes.count(id(lag)) for lag in lagrangians] == [len(points)] * 4
+    assert len(passes) == 4 * len(points)
     assert len(compiles) == len(lagrangians)
     q = _constraint_extremal_problem()
     passes.clear()
     points.clear()
     found = find_abnormal(q)
     assert found
-    assert passes == [q.constraint] * len(points)
+    # and each abnormal answer one pass of the objective at its point
+    sides = (q.constraint.l_delta, q.constraint.l_nabla, q.objective.l_delta, q.objective.l_nabla)
+    assert [passes.count(id(lag)) for lag in sides] == [len(points)] * 2 + [len(found)] * 2
+    assert len(passes) == 2 * len(points) + 2 * len(found)
     assert len(compiles) == len(lagrangians) + 4
     solve_normal(p)
     find_abnormal(q)
