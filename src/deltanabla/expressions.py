@@ -305,13 +305,19 @@ def evaluate(e: Expr, t: float, u: float, v: float) -> float:
             )
         return num / den
     if isinstance(e, Pow):
-        base = evaluate(e.base, t, u, v)
+        # On a Python float whatever the caller passes, as in the kernels:
+        # 0.0 to a negative power raises, where a numpy scalar gives inf
+        # with a warning.  A power that overflows is the IEEE result, as
+        # in + - *, where Python raises.
+        base = float(evaluate(e.base, t, u, v))
         try:
-            return float(base ** e.exponent)
-        except (ZeroDivisionError, OverflowError) as exc:
+            return base ** e.exponent
+        except ZeroDivisionError as exc:
             raise EvaluationError(
                 f"cannot raise {base} to {e.exponent} in {to_str(e)}"
             ) from exc
+        except OverflowError:
+            return math.copysign(math.inf, base) if e.exponent % 2 else math.inf
     if isinstance(e, Call):
         arg = evaluate(e.arg, t, u, v)
         try:

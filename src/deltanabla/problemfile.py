@@ -174,7 +174,10 @@ def load_options(doc) -> SolverOptions:
         if spread < 0:
             raise ProblemFileError(f"{path}.spread", "must be nonnegative")
         kwargs["spread"] = spread
-    return SolverOptions(**kwargs)
+    try:
+        return SolverOptions(**kwargs)
+    except ValueError as exc:  # the one field SolverOptions checks itself
+        raise ProblemFileError(f"{path}.spread", str(exc)) from exc
 
 
 def load_problem(source) -> LoadedProblem:

@@ -76,11 +76,16 @@ class IsoperimetricProblem:
 class SolverOptions:
     """Newton and multistart controls.
 
-    feas_tol bounds |constraint - k|, stat_tol bounds the stationarity
-    rows and the bracket defect of an answer.  Multistart draws interior
-    perturbations uniformly from [-spread, spread] with the given seed;
-    the unperturbed linear interpolant is always tried first.  Each
-    start runs at most max_iter Newton steps.
+    feas_tol bounds |constraint - k|.  stat_tol is the floor of the bound
+    on the stationarity rows and the bracket defect of an answer: the
+    bound is max(stat_tol, rho), where rho is the rounding level of the
+    Newton run that found it (see _LEVEL_C), so that an answer is not
+    held to a tolerance its rounded point cannot meet.  Multistart draws
+    interior perturbations uniformly from [-spread, spread] with the
+    given seed; the unperturbed linear interpolant is always tried
+    first.  A spread whose width 2·spread overflows is a ValueError.
+    Each start runs at most max_iter Newton steps, and ends early at
+    its rounding level (see _newton).
     """
 
     feas_tol: float = 1e-8
@@ -89,6 +94,11 @@ class SolverOptions:
     multistart: int = 8
     seed: int = 0
     spread: float = 1.0
+
+    def __post_init__(self) -> None:
+        # rng.uniform(-spread, spread) raises OverflowError on an infinite width.
+        if not math.isfinite(2.0 * float(self.spread)):
+            raise ValueError(f"spread {self.spread!r} is too large: 2 * spread overflows")
 
 
 @dataclass(frozen=True)
@@ -240,6 +250,15 @@ _EPS = float(np.finfo(float).eps)
 _MIN_STEP = 1e-12
 """Shortest step length the step search tries: a component that is
 exactly 0.0 takes any nonzero step, so the search needs a floor."""
+_LEVEL_C = 8.0
+"""c of the rounding level rho = c·u·||J||∞·||z||∞ of a Newton system
+J s = -f at z, with u = 2^-52, the machine epsilon: the scale of the
+normwise backward error of a rounded z (Higham, Accuracy and Stability
+of Numerical Algorithms, ch. 7; Dennis and Schnabel, Numerical Methods
+for Unconstrained Optimization and Nonlinear Equations, 7.2).  At the
+float-rounded closed form of example_problem(m) the stationarity rows
+are 0.10 to 0.33 times u·||J||∞·||z||∞ for m from 32 to 4096, so c = 8
+leaves them a margin of 24 or more."""
 
 
 class _System(NamedTuple):
@@ -302,15 +321,17 @@ def _evaluate(system: _System, z: np.ndarray) -> _Evaluation:
 @dataclass
 class _NewtonRun:
     """The end of a run: the iterate z, its residual f (all inf if the
-    start is no iterate), and the products f was computed from, which
+    start is no iterate), the products f was computed from, which
     everything after the run reads instead of evaluating z again (None
-    if the start could not be evaluated)."""
+    if the start could not be evaluated), and the rounding level of the
+    last step the run was given (0.0 if none; see _levels)."""
 
     z: np.ndarray
     f: np.ndarray
     iterations: int
     status: str  # "ok", "stalled", "singular", "maxiter", "error"
     products: tuple[_Product, ...] | None
+    level: float = 0.0
 
 
 def _norm(x: np.ndarray) -> float:
@@ -319,14 +340,16 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _steps(jac: np.ndarray, f: np.ndarray, min_norm: bool) -> list[np.ndarray | str]:
+def _steps(
+    jac: np.ndarray, f: np.ndarray, min_norm: bool, finite: np.ndarray
+) -> list[np.ndarray | str]:
     """The Newton step for each stacked Jacobian and residual row, or the
-    status that ends its start: a non-finite Jacobian is an error, and a
-    singular one ends np.linalg.solve's step.  With min_norm the step is
-    the minimum-norm lstsq step, which no finite Jacobian ends."""
-    if not np.isfinite(jac).all():
-        finite = np.isfinite(jac).all(axis=(1, 2))
-        steps = iter(_steps(jac[finite], f[finite], min_norm))
+    status that ends its start: a Jacobian that is not finite (finite
+    marks those that are) is an error, and a singular one ends
+    np.linalg.solve's step.  With min_norm the step is the minimum-norm
+    lstsq step, which no finite Jacobian ends."""
+    if not finite.all():
+        steps = iter(_steps(jac[finite], f[finite], min_norm, finite[finite]))
         return [next(steps) if ok else "error: non-finite Jacobian" for ok in finite.tolist()]
     if min_norm:
         # lstsq does not stack.  Its step for a zero Jacobian (an affine
@@ -343,6 +366,31 @@ def _steps(jac: np.ndarray, f: np.ndarray, min_norm: bool) -> list[np.ndarray | 
         return [_solve(a, b) for a, b in zip(jac, f)]
 
 
+def _levels(
+    jac: np.ndarray, z: np.ndarray, norms: list[tuple[float, float]], top: np.ndarray
+) -> list[float]:
+    """The rounding level rho = c·u·||J||∞·||z||∞ (see _LEVEL_C) of each
+    stacked Newton system J s = -f at z where ||f||∞ can be at or below
+    it, else 0.0, as where rho is not finite.  norms gives each row's
+    (||f||₂, ||z||₂) and top each matrix's largest |J_ij|.  For n
+    unknowns ||J||∞ <= n·top and ||f||₂ <= √n·||f||∞, so a row whose
+    ||f||₂ exceeds √n·c·u·n·top·||z||₂ is above its level, which is then
+    not formed."""
+    n = jac.shape[-1]
+    bound = _LEVEL_C * _EPS * n * math.sqrt(n)
+    near = [
+        i for i, ((f_norm, z_norm), t) in enumerate(zip(norms, top.tolist()))
+        if f_norm <= bound * t * z_norm
+    ]
+    levels = [0.0] * len(jac)
+    if near:
+        z_max = np.abs(_take(z, near)).max(axis=1)
+        rho = _LEVEL_C * _EPS * z_max * np.abs(_take(jac, near)).sum(axis=2).max(axis=1)
+        for i, level in zip(near, rho.tolist()):
+            levels[i] = level if math.isfinite(level) else 0.0
+    return levels
+
+
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | str:
     try:
         return np.linalg.solve(a, -b)
@@ -352,22 +400,25 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | str:
 
 def _run(
     z: np.ndarray, opts: SolverOptions
-) -> Generator[np.ndarray | int, object, _NewtonRun]:
+) -> Generator[np.ndarray | tuple, object, _NewtonRun]:
     """Damped Newton from the start z, as _newton describes it.  The run
     yields each point it needs evaluated and is sent back (evaluation,
     row of it) or, where the system is undefined there, the message; it
-    yields the row of the last evaluation at which it needs its step and
-    is sent back the step or the status that ends the run.  It returns
-    the end of the run."""
+    yields the row of the last evaluation at which it needs its step,
+    with (||f||₂, ||z||₂) there, and is sent back the step, or the status
+    that ends the run, with the rounding level of the system there (see
+    _levels).  It returns the end of the run."""
     reply = yield z
     if isinstance(reply, str):
         return _NewtonRun(z, np.full(z.shape, np.inf), 0, f"error: {reply}", None)
     ev, row = reply
     f, norm = ev.f[row], _norm(ev.f[row])
     alpha, iterations = 1.0, 0  # alpha: the step length of the next trial
+    level, floor_steps = 0.0, 0
 
     def end(status: str) -> _NewtonRun:
-        return _NewtonRun(z, f, iterations, status, tuple(p.rows(row) for p in ev.products))
+        products = tuple(p.rows(row) for p in ev.products)
+        return _NewtonRun(z, f, iterations, status, products, level)
 
     # A finite norm is a finite residual; an overflowing one may be.
     if not (math.isfinite(norm) or np.isfinite(f).all()):
@@ -377,15 +428,21 @@ def _run(
         iterations += 1
         if norm == 0.0:
             return end("ok")
-        step = yield row
+        z_norm = _norm(z)
+        step, level = yield row, (norm, z_norm)
         if isinstance(step, str):
             return end(step)
-        if _norm(step) <= _EPS * _norm(z):
+        if _norm(step) <= _EPS * z_norm:
             # A step below the rounding level of the iterate: the root is
             # polished as far as it can be.
             return end("stalled")
+        # At its rounding level f is noise, which a short step cannot
+        # reduce: only the full and the half step are tried there.
+        floor = level > 0.0 and float(np.max(np.abs(f))) <= level
+        if floor:
+            alpha = 1.0
         while True:
-            if alpha < _MIN_STEP:
+            if alpha < (0.5 if floor else _MIN_STEP):
                 # No direction of decrease at this resolution: either the
                 # root is polished to rounding level or the start is stuck.
                 return end("stalled")
@@ -403,6 +460,9 @@ def _run(
                 if norm_try < norm:
                     z, ev, row, norm = z_try, ev_try, row_try, norm_try
                     f = ev.f[row]
+                    floor_steps += floor
+                    if floor_steps == 2:
+                        return end("stalled")
                     alpha = min(1.0, 2.0 * alpha)
                     break
             alpha *= 0.5
@@ -422,17 +482,21 @@ def _newton(
     halves it until ||f|| decreases (a trial whose ||f|| overflows never
     does).  A start iterates until its search fails or its step is below
     the rounding level of its iterate, which polishes roots to rounding
-    level.  A failed evaluation, or a non-finite iterate, residual or
-    Jacobian, ends the start with an "error" status; the step search
-    skips such trial points.  Each run keeps the products of the last
-    iterate it evaluated.
+    level.  Every step comes with the rounding level rho of its system
+    (see _levels); where ||f||∞ <= rho the search tries only the full
+    and the half step, and the start ends "stalled" when both fail or
+    after its second step taken there.  A failed evaluation, or a
+    non-finite iterate, residual or Jacobian, ends the start with an
+    "error" status; the step search skips such trial points.  Each run
+    keeps the products of the last iterate it evaluated and the level
+    of its last step.
 
     Each start is one _run, and the runs advance in lockstep rounds.  A
-    round first gives every run that asks for a step its step, from one
-    stacked Jacobian over the last evaluation's rows and one stacked
-    solve, then evaluates the point every run asks for, in start order,
-    in one system call.  No start's numbers depend on another's, so each
-    run is the one its start makes alone, bit for bit.
+    round first gives every run that asks for a step its step and level,
+    from one stacked Jacobian over the last evaluation's rows and one
+    stacked solve, then evaluates the point every run asks for, in start
+    order, in one system call.  No start's numbers depend on another's,
+    so each run is the one its start makes alone, bit for bit.
     """
     with np.errstate(all="ignore"):  # the runs catch the non-finite values numpy warns of
         ends: list = [None] * len(z0)
@@ -448,14 +512,17 @@ def _newton(
         for start, z in enumerate(np.array(z0, dtype=float)):
             send(start, _run(z, opts))
         while waiting:
-            stepping = [(start, run, row) for start, (run, row) in waiting.items()
-                        if isinstance(row, int)]
+            stepping = [(start, run, ask) for start, (run, ask) in waiting.items()
+                        if isinstance(ask, tuple)]
             if stepping:
-                rows = [row for _, _, row in stepping]
+                rows = [row for _, _, (row, _) in stepping]
                 jac = system.jacobian(ev.z, ev.products, rows)
-                steps = _steps(jac, _take(ev.f, rows), min_norm)
-                for (start, run, _), step in zip(stepping, steps):
-                    send(start, run, step)
+                top = np.abs(jac).max(axis=(1, 2))  # NaN or inf where J is not finite
+                steps = _steps(jac, _take(ev.f, rows), min_norm, np.isfinite(top))
+                norms = [ask[1] for _, _, ask in stepping]
+                levels = _levels(jac, _take(ev.z, rows), norms, top)
+                for (start, run, _), answer in zip(stepping, zip(steps, levels)):
+                    send(start, run, answer)
             if waiting:  # every run still going asks for a point now
                 trying = list(waiting.items())
                 ev = _evaluate(system, np.array([point for _, (_, point) in trying]))
@@ -479,12 +546,12 @@ def _starts(p: IsoperimetricProblem, opts: SolverOptions) -> np.ndarray:
 
 def _met(run: _NewtonRun, p: IsoperimetricProblem, opts: SolverOptions) -> bool:
     """Whether a run of either search ended with its stationarity rows
-    (the first n of f) within stat_tol and its kept constraint within
-    feas_tol of k."""
+    (the first n of f) within max(stat_tol, its rounding level) and its
+    kept constraint within feas_tol of k."""
     n = p.interior_count()
     return (
         run.products is not None
-        and float(np.max(np.abs(run.f[:n]))) <= opts.stat_tol
+        and float(np.max(np.abs(run.f[:n]))) <= max(opts.stat_tol, run.level)
         and abs(run.products[-1].value - p.k) <= opts.feas_tol
     )
 
@@ -497,6 +564,7 @@ def _answer(
     lam: float,
     iterations: int,
     opts: SolverOptions,
+    level: float,
     points: tuple[StationaryPoint, ...] = (),
 ) -> SolveResult:
     """The answer at the point where obj and con were evaluated, with
@@ -504,10 +572,10 @@ def _answer(
     values, the combined bracket and its defect (the same in both
     forms, which read one array), the exact KKT residual norm, and the
     normal/abnormal classification from the constraint's own bracket.
-    It is converged when the defect is within stat_tol and the
-    constraint gap within feas_tol, which a non-finite certificate
-    never is; numpy's warnings on the way to one are silenced for that
-    reason."""
+    It is converged when the defect is within max(stat_tol, level), the
+    rounding level of the run that found the point, and the constraint
+    gap within feas_tol, which a non-finite certificate never is;
+    numpy's warnings on the way to one are silenced for that reason."""
     y = GridFunction(p.scale, con.values)
     with np.errstate(all="ignore"):
         bracket_k = tables_bracket(con.tab)
@@ -515,7 +583,7 @@ def _answer(
         defect = bracket_defect(bracket)
         kkt = float(np.max(np.abs(lam0 * obj.grad - lam * con.grad)))
         abnormal = bracket_defect(bracket_k) <= opts.stat_tol
-    converged = defect <= opts.stat_tol and abs(con.value - p.k) <= opts.feas_tol
+    converged = defect <= max(opts.stat_tol, level) and abs(con.value - p.k) <= opts.feas_tol
     return SolveResult(
         y=y,
         lam=lam,
@@ -611,7 +679,9 @@ def solve_normal(
     if converged:
         best = min(converged, key=lambda run: run.products[0].value)
         lam = float(best.z[n])
-        return _answer(p, *best.products, 1.0, lam, best.iterations, opts, tuple(points))
+        return _answer(
+            p, *best.products, 1.0, lam, best.iterations, opts, best.level, tuple(points)
+        )
 
     # No start converged: report the best finite iterate for inspection.
     statuses = "; ".join(f"start {i}: {run.status}" for i, run in enumerate(runs))
@@ -623,7 +693,7 @@ def solve_normal(
         _product_or_undefined(functional, p.scale.points, p._values(best.z[:n]))
         for functional in (p.objective, p.constraint)
     )
-    report = _answer(p, *products, 1.0, float(best.z[n]), best.iterations, opts)
+    report = _answer(p, *products, 1.0, float(best.z[n]), best.iterations, opts, best.level)
     return replace(
         report, classification="unknown", converged=False, message=statuses, bracket=None
     )
@@ -638,10 +708,10 @@ def find_abnormal(
     of minimum norm, which a singular Hessian (low rank, or a line of
     extremals) does not stop, then keeps the points within feas_tol of
     the level k.  Every distinct one must also make the constraint's
-    bracket constant within stat_tol, the test of is_extremal_for_K,
-    read from the constraint as the run last evaluated it; only then is
-    the objective evaluated, once, for the answer.  An empty list means
-    no abnormal candidates were found.
+    bracket constant within max(stat_tol, the run's rounding level), the
+    test of is_extremal_for_K, read from the constraint as the run last
+    evaluated it; only then is the objective evaluated, once, for the
+    answer.  An empty list means no abnormal candidates were found.
     """
     opts = opts or SolverOptions()
     t = p.scale.points
@@ -654,12 +724,12 @@ def find_abnormal(
             continue
         [con] = run.products
         with np.errstate(all="ignore"):  # a non-finite bracket fails the test
-            if not bracket_defect(tables_bracket(con.tab)) <= opts.stat_tol:
+            if not bracket_defect(tables_bracket(con.tab)) <= max(opts.stat_tol, run.level):
                 continue
         # The candidate is abnormal whatever the objective does there; a
         # NaN certificate keeps it from converging.
         obj = _product_or_undefined(p.objective, t, con.values)
-        found.append(_answer(p, obj, con, 0.0, 1.0, run.iterations, opts))
+        found.append(_answer(p, obj, con, 0.0, 1.0, run.iterations, opts, run.level))
     return found
 
 

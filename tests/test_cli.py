@@ -323,9 +323,10 @@ def test_solver_flag_overrides_reach_the_options(example_file, capsys):
         ("--multistart", "-2", "options.multistart: expected a nonnegative integer"),
         ("--seed", "-5", "options.seed: expected a nonnegative integer"),
         ("--spread", "-1", "options.spread: must be nonnegative"),
+        ("--spread", "1e308", "options.spread: spread 1e+308 is too large: 2 * spread overflows"),
         ("--tol", "0", "options.tol: must be positive"),
     ],
-    ids=["max-iter", "multistart", "seed", "spread", "tol"],
+    ids=["max-iter", "multistart", "seed", "spread", "huge-spread", "tol"],
 )
 @pytest.mark.parametrize("emit", [False, True], ids=["solve", "emit"])
 def test_bad_solver_flags_are_input_errors(

@@ -2,6 +2,8 @@
 stationarity residual forms, combined multiplier residuals, and the
 degenerate reductions to single-integral problems."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from deltanabla import (
     EL1,
     EL2,
     DeltaNablaFunctional,
+    EvaluationError,
     GridFunction,
     TimeScale,
     constant_lagrangian,
@@ -71,6 +74,18 @@ def test_breakdown_scales_linearly_in_each_factor(m3):
     assert out.delta_factor == pytest.approx(3.0 * base.delta_factor, rel=1e-15)
     assert out.nabla_factor == base.nabla_factor
     assert out.product == pytest.approx(3.0 * base.product, rel=1e-15)
+
+
+def test_a_negative_power_of_zero_is_undefined_as_for_python_floats():
+    # v = 0 on the first gap: 0.0 ** -2 raises for Python floats, as
+    # `deltanabla eval "v^-2" --at 0,0,0` does, where numpy scalars give
+    # inf with a warning.  The per-point walk follows the Python rule.
+    f = DeltaNablaFunctional(make_lagrangian("v^-2"), make_lagrangian("v^2"))
+    y = GridFunction(TimeScale(np.array([0.0, 1.0, 2.0])), np.array([1.0, 1.0, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="cannot raise 0.0 to -2"):
+            eval_functional(f, y)
 
 
 def test_el_residual_forms_on_m3(m3):

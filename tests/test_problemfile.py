@@ -128,6 +128,8 @@ def test_options_map_onto_solver_options():
         (lambda d: d["objective"].__setitem__("extra", 1), "objective.extra"),
         (lambda d: d["constraint"].__setitem__("extra", 1), "constraint.extra"),
         (lambda d: d.__setitem__("options", {"tries": 3}), "options.tries"),
+        # 2 * spread overflows, the width the starts are drawn over
+        (lambda d: d.__setitem__("options", {"spread": 1e308}), "options.spread"),
     ],
 )
 def test_validation_errors_name_the_field(mutate, field):

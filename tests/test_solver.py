@@ -559,6 +559,17 @@ def test_undefined_second_partial_ends_its_start_at_the_jacobian():
     assert res.message == "start 0: error: non-finite Jacobian"
 
 
+def test_a_spread_whose_width_overflows_is_a_value_error():
+    # The starts are drawn by rng.uniform(-spread, spread), which raises
+    # OverflowError where 2 * spread is not finite; the widest spread
+    # below that still draws finite starts.
+    widest = np.finfo(float).max / 2
+    assert np.isfinite(solver._starts(example_problem(3), SolverOptions(spread=widest))).all()
+    for spread in (np.nextafter(widest, np.inf), 1e308, -1e308, np.inf, np.nan):
+        with pytest.raises(ValueError, match="2 [*] spread overflows"):
+            SolverOptions(spread=spread)
+
+
 def test_solver_options_thread_through():
     res = solve_normal(example_problem(3), SolverOptions(multistart=0))
     # multistart 0 still runs the base interpolant start
@@ -861,3 +872,98 @@ def test_example_family_needs_no_more_newton_iterations(m, fd_iterations):
     assert res.converged
     assert np.max(np.abs(res.y.values - want.values)) <= 1e-12
     assert res.iterations <= fd_iterations
+
+
+def _four_point_problem():
+    """A four-point problem of the random_small family whose answer, as
+    a start, sits at its rounding level."""
+    return IsoperimetricProblem(
+        scale=TimeScale(
+            np.array([0.4560237075676111, 1.1825602980866927, 2.771236072125544, 2.976069685744335])
+        ),
+        alpha=-0.854683302703358,
+        beta=-0.9642171582060495,
+        objective=DeltaNablaFunctional(
+            make_lagrangian("v^2 + 0.089961*u*v + 0.196215*u + -0.363457*t"),
+            make_lagrangian("v^2 + -0.187404*u + 0.215918*v + 1.401108"),
+        ),
+        constraint=DeltaNablaFunctional(
+            make_lagrangian("-0.158257*t*v + -0.261056*u + 1.375254"),
+            make_lagrangian("0.084983*v + -0.023412*u + 0.979305"),
+        ),
+        k=10.3485233083566,
+    )
+
+
+@pytest.mark.parametrize(
+    "problem", [lambda: example_problem(3), _four_point_problem], ids=["example", "random"]
+)
+def test_at_four_points_acceptance_is_the_absolute_test(problem):
+    # There every rounding level is far below stat_tol = 1e-8, so
+    # max(stat_tol, rho) is stat_tol: a run of either search counts, and
+    # an answer converges, exactly where the absolute tests say so.
+    p = problem()
+    opts = SolverOptions()
+    n = p.interior_count()
+    levels = []
+    for min_norm in (False, True):
+        for run in _runs_match_each_start_alone(p, opts, min_norm):
+            levels.append(run.level)
+            absolute = (
+                run.products is not None
+                and np.max(np.abs(run.f[:n])) <= opts.stat_tol
+                and abs(run.products[-1].value - p.k) <= opts.feas_tol
+            )
+            assert solver._met(run, p, opts) == absolute
+    assert 0.0 < max(levels) < 1e-3 * opts.stat_tol
+    res = solve_normal(p, opts)
+    gap = abs(res.constraint_value.product - p.k)
+    assert res.converged
+    assert res.el_defect <= opts.stat_tol and gap <= opts.feas_tol
+
+
+def test_a_start_at_its_answer_ends_at_its_rounding_level(monkeypatch):
+    # Started at its own answer, a run is at its rounding level at once:
+    # it tries the full and the half step at most twice and ends there,
+    # where the step search used to halve alpha through the noise.
+    p = _four_point_problem()
+    opts = SolverOptions()
+    res = solve_normal(p, opts)
+    z = np.concatenate((res.y.values[1:-1], [res.lam]))
+    evaluated = []
+    evaluate = solver._evaluate
+
+    def counting(system, points):
+        evaluated.append(len(points))
+        return evaluate(system, points)
+
+    monkeypatch.setattr(solver, "_evaluate", counting)
+    [run] = solver._newton(solver._normal_system(p), z[None], opts, False)
+    assert run.status == "stalled"
+    assert run.iterations <= 2
+    assert sum(evaluated) <= 3
+    assert np.max(np.abs(run.f)) <= run.level
+    assert solver._met(run, p, opts)
+
+
+def test_rounding_levels_are_formed_wherever_f_can_be_at_them():
+    # The level of a row is c·u·||J||∞·||z||∞ wherever ||f||∞ is at or
+    # below it; the cheap bound leaves 0.0 only at rows above it.
+    rng = np.random.default_rng(3)
+    jac = rng.standard_normal((6, 5, 5)) * np.array([1.0, 1e3, 1e-3, 1.0, 1.0, 1.0])[:, None, None]
+    z = rng.standard_normal((6, 5))
+    rho = solver._LEVEL_C * np.finfo(float).eps * np.abs(z).max(axis=1) * np.abs(jac).sum(axis=2).max(axis=1)
+    jac[4, 2, 2] = np.inf
+    for ratio in (0.0, 0.5, 1.0, 2.0, 1e3):
+        f = rng.standard_normal((6, 5))
+        f *= (ratio * rho / np.abs(f).max(axis=1))[:, None]
+        f[4] = 1e-300  # a non-finite Jacobian has no level
+        norms = [(np.linalg.norm(a), np.linalg.norm(b)) for a, b in zip(f, z)]
+        levels = solver._levels(jac, z, norms, np.abs(jac).max(axis=(1, 2)))
+        for i, level in enumerate(levels):
+            if i == 4:
+                assert level == 0.0
+            elif np.abs(f[i]).max() <= rho[i]:
+                assert level == rho[i]
+            else:
+                assert level in (0.0, rho[i])
