@@ -174,10 +174,13 @@ def load_options(doc) -> SolverOptions:
         if spread < 0:
             raise ProblemFileError(f"{path}.spread", "must be nonnegative")
         kwargs["spread"] = spread
-    try:
-        return SolverOptions(**kwargs)
-    except ValueError as exc:  # the one field SolverOptions checks itself
-        raise ProblemFileError(f"{path}.spread", str(exc)) from exc
+    for name, value in kwargs.items():  # one at a time, so that an error names its field
+        try:
+            SolverOptions(**{name: value})
+        except ValueError as exc:
+            key = "tol" if name.endswith("_tol") else name
+            raise ProblemFileError(f"{path}.{key}", str(exc)) from exc
+    return SolverOptions(**kwargs)
 
 
 def load_problem(source) -> LoadedProblem:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Generator, Literal, NamedTuple
 
 import numpy as np
@@ -83,9 +84,11 @@ class SolverOptions:
     held to a tolerance its rounded point cannot meet.  Multistart draws
     interior perturbations uniformly from [-spread, spread] with the
     given seed; the unperturbed linear interpolant is always tried
-    first.  A spread whose width 2·spread overflows is a ValueError.
-    Each start runs at most max_iter Newton steps, and ends early at
-    its rounding level (see _newton).
+    first.  Each start runs at most max_iter Newton steps, and ends
+    early at its rounding level (see _newton).  A ValueError names the
+    field that is out of range: a tolerance that is not positive and
+    finite, a negative count, seed or spread, or a spread whose width
+    2·spread overflows.
     """
 
     feas_tol: float = 1e-8
@@ -96,9 +99,19 @@ class SolverOptions:
     spread: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("feas_tol", "stat_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} {value!r} must be positive and finite")
+        for name in ("max_iter", "multistart", "seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} {value!r} must be nonnegative")
         # rng.uniform(-spread, spread) raises OverflowError on an infinite width.
         if not math.isfinite(2.0 * float(self.spread)):
             raise ValueError(f"spread {self.spread!r} is too large: 2 * spread overflows")
+        if self.spread < 0:
+            raise ValueError(f"spread {self.spread!r} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -178,8 +191,14 @@ class _Product:
 
     def rows(self, index: int | list[int]) -> _Product:
         """The product at the given rows of a stack: a list of rows stays
-        a stack, one row gives the product at its point."""
-        return _Product(self.values[index], self.tab.rows(index))
+        a stack, one row gives the product at its point, sliced from the
+        stack's own numbers (a factor's one-row gradient stays shared)."""
+        part = object.__new__(_Product)
+        part.values, part.tab = self.values[index], self.tab.rows(index)
+        part.value = part.tab.j_delta * part.tab.j_nabla
+        part.grad_delta, part.grad_nabla, part.grad = (
+            g if g.ndim == 1 else g[index] for g in (self.grad_delta, self.grad_nabla, self.grad))
+        return part
 
     def breakdown(self) -> EvaluationBreakdown:
         return EvaluationBreakdown(self.tab.j_delta, self.tab.j_nabla, self.value)
@@ -321,17 +340,25 @@ def _evaluate(system: _System, z: np.ndarray) -> _Evaluation:
 @dataclass
 class _NewtonRun:
     """The end of a run: the iterate z, its residual f (all inf if the
-    start is no iterate), the products f was computed from, which
-    everything after the run reads instead of evaluating z again (None
-    if the start could not be evaluated), and the rounding level of the
-    last step the run was given (0.0 if none; see _levels)."""
+    start is no iterate), the evaluation and row f is read from (ev None
+    if the start could not be evaluated), which later code reads instead
+    of evaluating z again (value(i) at the row, products sliced on first
+    read), and the rounding level of its last step (0.0 if none)."""
 
     z: np.ndarray
     f: np.ndarray
     iterations: int
     status: str  # "ok", "stalled", "singular", "maxiter", "error"
-    products: tuple[_Product, ...] | None
+    ev: _Evaluation | None
+    row: int = 0
     level: float = 0.0
+
+    def value(self, i: int) -> float:
+        return float(self.ev.products[i].value[self.row, 0])
+
+    @cached_property
+    def products(self) -> tuple[_Product, ...] | None:
+        return None if self.ev is None else tuple(p.rows(self.row) for p in self.ev.products)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -347,23 +374,40 @@ def _steps(
     status that ends its start: a Jacobian that is not finite (finite
     marks those that are) is an error, and a singular one ends
     np.linalg.solve's step.  With min_norm the step is the minimum-norm
-    lstsq step, which no finite Jacobian ends."""
+    step of _min_norm, which only a failed SVD ends."""
     if not finite.all():
         steps = iter(_steps(jac[finite], f[finite], min_norm, finite[finite]))
         return [next(steps) if ok else "error: non-finite Jacobian" for ok in finite.tolist()]
     if min_norm:
-        # lstsq does not stack.  Its step for a zero Jacobian (an affine
-        # K) is exactly zero: no SVD needed to find it.
-        return [
-            np.linalg.lstsq(a, -b, rcond=None)[0] if a.any() else np.zeros(b.size)
-            for a, b in zip(jac, f)
-        ]
+        # A zero Jacobian (an affine K) has the zero step: no SVD needed.
+        steps: list[np.ndarray | str] = list(np.zeros(f.shape))
+        nonzero = np.flatnonzero(jac.any(axis=(1, 2))).tolist()
+        if nonzero:
+            for i, step in zip(nonzero, _min_norm(_take(jac, nonzero), _take(f, nonzero))):
+                steps[i] = step
+        return steps
     try:
         return list(np.linalg.solve(jac, -f[:, :, None])[:, :, 0])
     except np.linalg.LinAlgError:
         # One singular matrix fails the whole stack: solve one by one, so
         # that it ends only its own start.
         return [_solve(a, b) for a, b in zip(jac, f)]
+
+
+def _min_norm(jac: np.ndarray, f: np.ndarray) -> list[np.ndarray | str]:
+    """The minimum-norm solution of each stacked J s = -f by one stacked
+    SVD (Golub and Van Loan, Matrix Computations, 5.5), with the cutoff
+    of lstsq(rcond=None), which does not stack: singular values at or
+    below eps·max(M, N)·sigma_max count as zero."""
+    try:
+        u, s, vt = np.linalg.svd(jac)
+    except np.linalg.LinAlgError as exc:  # solve one by one: it ends only its own start
+        return [f"error: {exc}"] if len(jac) == 1 else [
+            step for i in range(len(jac)) for step in _min_norm(jac[i : i + 1], f[i : i + 1])]
+    keep = s > _EPS * max(jac.shape[1:]) * s[:, :1]
+    coef = np.divide(np.swapaxes(u, 1, 2) @ -f[:, :, None], s[:, :, None],
+                     out=np.zeros(f.shape + (1,)), where=keep[:, :, None])
+    return list((np.swapaxes(vt, 1, 2) @ coef)[:, :, 0])
 
 
 def _levels(
@@ -417,8 +461,7 @@ def _run(
     level, floor_steps = 0.0, 0
 
     def end(status: str) -> _NewtonRun:
-        products = tuple(p.rows(row) for p in ev.products)
-        return _NewtonRun(z, f, iterations, status, products, level)
+        return _NewtonRun(z, f, iterations, status, ev, row, level)
 
     # A finite norm is a finite residual; an overflowing one may be.
     if not (math.isfinite(norm) or np.isfinite(f).all()):
@@ -477,19 +520,19 @@ def _newton(
 ) -> list[_NewtonRun]:
     """Damped Newton on a square system from every row of the stack z0:
     np.linalg.solve steps, which a singular Jacobian ends, or with
-    min_norm the minimum-norm lstsq step, which it does not.  Each step
-    search starts at twice the last accepted step length, at most 1, and
-    halves it until ||f|| decreases (a trial whose ||f|| overflows never
-    does).  A start iterates until its search fails or its step is below
-    the rounding level of its iterate, which polishes roots to rounding
-    level.  Every step comes with the rounding level rho of its system
-    (see _levels); where ||f||∞ <= rho the search tries only the full
-    and the half step, and the start ends "stalled" when both fail or
-    after its second step taken there.  A failed evaluation, or a
-    non-finite iterate, residual or Jacobian, ends the start with an
-    "error" status; the step search skips such trial points.  Each run
-    keeps the products of the last iterate it evaluated and the level
-    of its last step.
+    min_norm the minimum-norm step of _min_norm, which it does not.
+    Each step search starts at twice the last accepted step length, at
+    most 1, and halves it until ||f|| decreases (a trial whose ||f||
+    overflows never does).  A start iterates until its search fails or
+    its step is below the rounding level of its iterate, which polishes
+    roots to rounding level.  Every step comes with the rounding level
+    rho of its system (see _levels); where ||f||∞ <= rho the search
+    tries only the full and the half step, and the start ends "stalled"
+    when both fail or after its second step taken there.  A failed
+    evaluation, or a non-finite iterate, residual or Jacobian, ends the
+    start with an "error" status; the step search skips such trial
+    points.  Each run keeps the evaluation of the last iterate it
+    evaluated and the level of its last step.
 
     Each start is one _run, and the runs advance in lockstep rounds.  A
     round first gives every run that asks for a step its step and level,
@@ -534,13 +577,15 @@ def _newton(
 
 def _starts(p: IsoperimetricProblem, opts: SolverOptions) -> np.ndarray:
     """The stack of starts: the boundary interpolant, then its seeded
-    perturbations."""
+    perturbations.  A start that overflows is kept as it is, inf or NaN,
+    without numpy's warning: the runs end it ("non-finite iterate")."""
     t = p.scale.points
-    base = p.alpha + (p.beta - p.alpha) * (t[1:-1] - t[0]) / (t[-1] - t[0])
     rng = np.random.default_rng(opts.seed)
-    starts = [base]
-    for _ in range(opts.multistart):
-        starts.append(base + rng.uniform(-opts.spread, opts.spread, base.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = p.alpha + (p.beta - p.alpha) * (t[1:-1] - t[0]) / (t[-1] - t[0])
+        starts = [base]
+        for _ in range(opts.multistart):
+            starts.append(base + rng.uniform(-opts.spread, opts.spread, base.size))
     return np.array(starts)
 
 
@@ -550,9 +595,9 @@ def _met(run: _NewtonRun, p: IsoperimetricProblem, opts: SolverOptions) -> bool:
     kept constraint within feas_tol of k."""
     n = p.interior_count()
     return (
-        run.products is not None
+        run.ev is not None
         and float(np.max(np.abs(run.f[:n]))) <= max(opts.stat_tol, run.level)
-        and abs(run.products[-1].value - p.k) <= opts.feas_tol
+        and abs(run.value(-1) - p.k) <= opts.feas_tol
     )
 
 
@@ -674,10 +719,9 @@ def solve_normal(
         values = run.z[:n]
         if any(np.max(np.abs(values - sp.values)) <= 1e-6 for sp in points):
             continue
-        objective = run.products[0].value
-        points.append(StationaryPoint(values.copy(), float(run.z[n]), objective))
+        points.append(StationaryPoint(values.copy(), float(run.z[n]), run.value(0)))
     if converged:
-        best = min(converged, key=lambda run: run.products[0].value)
+        best = min(converged, key=lambda run: run.value(0))
         lam = float(best.z[n])
         return _answer(
             p, *best.products, 1.0, lam, best.iterations, opts, best.level, tuple(points)

@@ -606,6 +606,40 @@ def test_huge_boundary_values_are_a_numerical_failure(tmp_path, capsys):
     assert captured.err == f"numerical error: no start has a finite iterate: {statuses}\n"
 
 
+def _overflowing_start_doc(alpha, beta, spread=1.0):
+    return {
+        "timescale": {"points": [0, 1, 2, 3]},
+        "boundary": {"alpha": alpha, "beta": beta},
+        "objective": {"delta": "v^2", "nabla": "v^2 + v"},
+        "constraint": {"delta": "t*v", "nabla": {"constant_over_measure": True}},
+        "k": 1,
+        "options": {"spread": spread},
+    }
+
+
+def test_overflowing_starts_are_numerical_failures_without_warnings(tmp_path, capsys):
+    # Every start overflows at beta = 1.7e308: one numerical error line.
+    # At alpha = beta = 1.75e308 only perturbed starts overflow, and the
+    # solve reports its best finite iterate.  Neither writes a warning.
+    path = tmp_path / "every.json"
+    path.write_text(json.dumps(_overflowing_start_doc(0.0, 1.7e308)))
+    rc = main(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: no start has a finite iterate: ")
+    assert captured.err.count("\n") == 1
+    path = tmp_path / "some.json"
+    path.write_text(json.dumps(_overflowing_start_doc(1.75e308, 1.75e308, 5e307)))
+    rc = main(["solve", str(path), "--output", "structured"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ""
+    result = json.loads(captured.out)["result"]
+    assert result["converged"] is False
+    assert "error: non-finite iterate" in result["message"]
+
+
 def test_malformed_number_is_an_input_error_naming_its_field(tmp_path, capsys):
     doc = {**_huge_boundary_doc(), "boundary": {"alpha": 0.0, "beta": 1.0}}
     doc["objective"] = {"delta": "v^2 + .", "nabla": "v^2"}

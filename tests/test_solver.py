@@ -33,6 +33,7 @@ from deltanabla.functional import (
     el_residual,
     iso_bracket,
     iso_residual,
+    row_tables,
 )
 from deltanabla.solver import closed_form_example, example_problem
 from test_acceptance import _random_small_problem
@@ -274,20 +275,31 @@ def test_abnormal_candidate_keeps_an_undefined_objective_as_nan():
 
 def test_zero_hessian_takes_the_zero_step_without_lstsq(monkeypatch):
     # example_problem's constraint is affine in y, so its Hessian is
-    # zero: the abnormal search takes lstsq's zero step without calling
-    # it.  A constraint with a Hessian still goes through lstsq.
-    calls = []
-    lstsq = np.linalg.lstsq
+    # zero: the abnormal search takes the zero step without an SVD.  A
+    # constraint with a Hessian makes one stacked SVD per round for all
+    # its starts, and lstsq is never called.
+    calls = {"svd": 0, "rounds": 0}
+    svd, steps = np.linalg.svd, solver._steps
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return lstsq(*args, **kwargs)
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    def counting_steps(*args, **kwargs):
+        calls["rounds"] += 1
+        return steps(*args, **kwargs)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("lstsq called")
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    monkeypatch.setattr(solver, "_steps", counting_steps)
     assert find_abnormal(example_problem(8)) == []
-    assert calls == []
+    assert calls["svd"] == 0 and calls["rounds"] > 0
+    calls.update(svd=0, rounds=0)
     assert find_abnormal(_constraint_extremal_problem())
-    assert calls
+    assert 0 < calls["svd"] <= calls["rounds"]
 
 
 def _degenerate_abnormal_problem():
@@ -451,6 +463,36 @@ def test_no_finite_start_is_an_evaluation_error():
     assert str(exc.value) == f"no start has a finite iterate: {statuses}"
 
 
+def test_overflowing_starts_end_in_errors_without_warnings():
+    # With beta = 1.7e308 the interpolant overflows in (beta - alpha) *
+    # (t - a), so no start is finite; at alpha = beta = 1.75e308 the
+    # interpolant is finite and most of its 5e307 perturbations overflow.
+    # Each such start ends "non-finite iterate", numpy warns of nothing,
+    # and every finite start keeps its bits.
+    every = replace(example_problem(3), alpha=0.0, beta=1.7e308)
+    some = replace(example_problem(3), alpha=1.75e308, beta=1.75e308)
+    opts = SolverOptions(spread=5e307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="no start has a finite iterate"):
+            solve_normal(every)
+        assert find_abnormal(every) == []
+        starts = solver._starts(some, opts)
+        res = solve_normal(some, opts)
+        assert find_abnormal(some, opts) == []
+    finite = np.isfinite(starts).all(axis=1)
+    assert finite[0] and not finite.all()
+    rng = np.random.default_rng(opts.seed)
+    for start, ok in zip(starts[1:], finite[1:]):
+        draw = rng.uniform(-opts.spread, opts.spread, start.size)
+        if ok:
+            assert start.tobytes() == (starts[0] + draw).tobytes()
+    statuses = res.message.split("; ")
+    assert not res.converged
+    for i in np.flatnonzero(~finite):
+        assert statuses[i] == f"start {i}: error: non-finite iterate"
+
+
 @pytest.mark.parametrize("problem", [_unsatisfiable_problem, _undefined_objective_problem])
 def test_non_converged_report_values_are_the_functionals_at_its_y(problem):
     # The report's breakdowns are eval_functional's at its y bit for bit,
@@ -568,6 +610,21 @@ def test_a_spread_whose_width_overflows_is_a_value_error():
     for spread in (np.nextafter(widest, np.inf), 1e308, -1e308, np.inf, np.nan):
         with pytest.raises(ValueError, match="2 [*] spread overflows"):
             SolverOptions(spread=spread)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("feas_tol", 0.0), ("stat_tol", -1e-8), ("feas_tol", np.inf), ("stat_tol", np.nan),
+        ("max_iter", -1), ("multistart", -3), ("seed", -1), ("spread", -0.5),
+    ],
+)
+def test_out_of_range_solver_options_are_value_errors_naming_the_field(field, value):
+    # max_iter = -1 would lift the iteration cap (a run stops at
+    # iterations == max_iter), multistart = -3 would run one start, and a
+    # negative seed would fail only at solve time.
+    with pytest.raises(ValueError, match=f"^{field} "):
+        SolverOptions(**{field: value})
 
 
 def test_solver_options_thread_through():
@@ -705,6 +762,138 @@ def _runs_match_each_start_alone(p, opts, min_norm, z0=None):
 )
 def test_fixed_batches_run_each_start_as_it_runs_alone(problem, opts, min_norm):
     _runs_match_each_start_alone(problem(), opts, min_norm)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_min_norm_steps_match_lstsq(n):
+    # Each stack holds a matrix of every rank 0 to n, with singular
+    # values spread over six decades from matrix to matrix: each step of
+    # the one stacked SVD is lstsq's minimum-norm step, and the zero
+    # matrix's step is zero.
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        stack = []
+        for rank in range(n + 1):
+            q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            s = np.zeros(n)
+            s[:rank] = rng.uniform(0.5, 2.0, rank) * 10.0 ** rng.integers(-3, 4)
+            stack.append((q1 * s) @ q2.T)
+        jac, f = np.array(stack), rng.standard_normal((n + 1, n))
+        steps = solver._steps(jac, f, True, np.ones(n + 1, dtype=bool))
+        for a, b, step in zip(jac, f, steps):
+            want = np.linalg.lstsq(a, -b, rcond=None)[0]
+            assert np.linalg.norm(step - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _eager_rows(product, index):
+    """The product at the given rows of a stack, every number computed
+    again from the sliced tables (as the runs did, with numpy's warnings
+    on the way to inf or NaN silenced)."""
+    with np.errstate(all="ignore"):
+        return solver._Product(product.values[index], product.tab.rows(index))
+
+
+def _assert_same_product(a, b):
+    for name in ("values", "value", "grad_delta", "grad_nabla", "grad"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert type(x) is type(y)
+        assert np.shape(x) == np.shape(y)
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize(
+    "problem", [lambda: example_problem(6), _log_problem, _degenerate_abnormal_problem],
+    ids=["example", "log", "degenerate"],
+)
+def test_product_rows_slice_what_the_stack_computed(problem):
+    # Bit for bit the product computed from the sliced tables, for one
+    # row, a list of one and lists of several, and for a factor whose
+    # gradient is one row for the whole stack.
+    p = problem()
+    values = p._values(solver._starts(p, SolverOptions(multistart=3, seed=2, spread=0.2)))
+    shared = 0
+    for functional in (p.objective, p.constraint):
+        tab, undefined = row_tables(functional, p.scale.points, values)
+        assert not undefined
+        stack = solver._Product(values, tab)
+        shared += stack.grad_delta.ndim == 1 or stack.grad_nabla.ndim == 1
+        for index in (0, 3, [2], [0, 3], [1, 2, 3], [0, 1, 2, 3]):
+            _assert_same_product(stack.rows(index), _eager_rows(stack, index))
+    assert shared  # the constraint's constant nabla side
+
+
+@pytest.mark.parametrize(
+    "problem, opts",
+    [
+        (_log_problem, SolverOptions(multistart=3, seed=5, spread=1.5)),
+        (_undefined_objective_problem, SolverOptions(multistart=2)),
+        (_huge_power_problem, SolverOptions(spread=1e6)),
+    ],
+    ids=["log", "undefined-start", "non-finite-residual"],
+)
+def test_runs_slice_their_products_only_when_read(problem, opts, monkeypatch):
+    # A run keeps its last evaluation and row; no product is sliced
+    # during the runs.  Read, its products are the ones sliced eagerly
+    # at its end (None where the start was not evaluated), and value(i)
+    # is their value, read without slicing.
+    sliced = []
+    rows = solver._Product.rows
+
+    def counting(product, index):
+        sliced.append(index)
+        return rows(product, index)
+
+    monkeypatch.setattr(solver._Product, "rows", counting)
+    p = problem()
+    for min_norm in (False, True):
+        z0 = solver._starts(p, opts)
+        if not min_norm:
+            z0 = np.concatenate((z0, np.zeros((len(z0), 1))), axis=1)
+        system = (solver._abnormal_system if min_norm else solver._normal_system)(p)
+        runs = solver._newton(system, z0, opts, min_norm)
+        assert sliced == []
+        for run in runs:
+            if run.ev is None:
+                assert run.products is None
+                continue
+            eager = [_eager_rows(product, run.row) for product in run.ev.products]
+            assert [run.value(i) for i in range(len(eager))] == [e.value for e in eager]
+            for lazy, want in zip(run.products, eager):
+                _assert_same_product(lazy, want)
+            assert run.products is run.products
+        sliced.clear()
+
+
+def test_a_failed_svd_ends_only_its_own_start(monkeypatch):
+    # One matrix whose SVD fails fails the round's stacked SVD, which is
+    # then made one matrix at a time: that start ends with an error, and
+    # every other run is the one it makes when no SVD fails.
+    p = _constraint_extremal_problem()
+    opts = SolverOptions()
+    system, z0 = solver._abnormal_system(p), solver._starts(p, opts)
+    unpatched = solver._newton(system, z0, opts, True)
+    svd = np.linalg.svd
+    marked = []
+
+    def failing(a, *args, **kwargs):
+        if not marked:
+            marked.append(a[2].copy())  # the third matrix of the first stack
+        if any(np.array_equal(m, marked[0]) for m in a):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    runs = solver._newton(system, z0, opts, True)
+    ended = [i for i, run in enumerate(runs) if run.status.startswith("error")]
+    assert len(ended) == 1
+    assert runs[ended[0]].status == "error: SVD did not converge"
+    assert runs[ended[0]].iterations == 1
+    for i, (run, alone) in enumerate(zip(runs, unpatched)):
+        if i != ended[0]:
+            assert run.z.tobytes() == alone.z.tobytes()
+            assert (run.iterations, run.status) == (alone.iterations, alone.status)
+    assert find_abnormal(p, opts)
 
 
 def _max_iter_cases():
