@@ -607,13 +607,6 @@ def _compile(roots: tuple[Expr, ...]) -> Callable:
     return _factory(_kernel_text(src, names))(*src.consts)
 
 
-def _row_sums(products: np.ndarray) -> np.ndarray:
-    """Each row's sum (along the last axis) left to right from 0.0, as
-    an (..., 1) array: adding 0.0 to accumulate's last entry turns the
-    -0.0 of a row of negative zeros into 0.0 and changes nothing else."""
-    return np.add.accumulate(products, axis=-1)[..., -1:] + 0.0
-
-
 # ---------------------------------------------------------------------------
 # Integrand bundles
 
@@ -664,20 +657,17 @@ class Lagrangian:
             return None
 
     def tables(
-        self, t: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
+        self, t: np.ndarray, u: np.ndarray, v: np.ndarray
     ) -> tuple[np.ndarray | float, ...]:
         """Value, d_u, d_v, d_uu, d_uv and d_vv at every slot of u and v,
         whose rows may be the slots of several functions on one scale (t
         may be the one row of times they share): each a fresh array of
-        the shape of v or, for a tree without variables, a float.  Then
-        each row's sum of value * w, left to right from 0.0, (..., 1)."""
+        the shape of v or, for a tree without variables, a float."""
         kernel = self._tables_kernel
         if kernel is None:
             raise ValueError("no kernel for these trees; evaluate() handles them")
         with np.errstate(over="ignore", invalid="ignore"):
-            columns = kernel(t if t.shape == v.shape else _fill(t, v.shape), u, v)
-            products = np.multiply(columns[0], w, out=np.empty(v.shape))
-            return (*columns, _row_sums(products))
+            return kernel(t if t.shape == v.shape else _fill(t, v.shape), u, v)
 
     def __getstate__(self) -> dict:
         # The compiled kernel does not pickle; it is rebuilt on first use.

@@ -14,10 +14,11 @@ The integrands are evaluated over whole slot arrays two ways, by the
 same rules and with the same bits: the solver's slot tables run each
 Lagrangian's compiled numpy kernel, and eval_functional, which the
 oracle sums with, walks each tree once (expressions.evaluate_slots).
-Both overflow to inf or NaN silently.  Only where their arithmetic
-fails does the per-point walk (_walk, over expressions.evaluate) run,
-to give the numbers or name the first undefined slot; for a stack of
-functions, row_tables names the undefined rows and reads NaN there.
+Both overflow to inf or NaN silently, and _factor sums the factors of
+both.  Only where their arithmetic fails does the per-point walk
+(_walk, over expressions.evaluate) run, to give the numbers or name the
+first undefined slot; for a stack of functions, row_tables names the
+undefined rows and reads NaN there.
 """
 
 from __future__ import annotations
@@ -88,15 +89,15 @@ Column = np.ndarray | float
 COLUMNS = tuple(
     f"{side}_{part}"
     for side in ("delta", "nabla")
-    for part in ("value", "du", "dv", "uu", "uv", "vv")
+    for part in ("du", "dv", "uu", "uv", "vv")
 )
-"""The names of the twelve SlotTables columns, in field order."""
+"""The names of the ten SlotTables columns, in field order."""
 
 
 @dataclass(frozen=True)
 class SlotTables:
-    """Integrand values, first and second partials on the two slot
-    sequences.
+    """First and second partials of the integrands on the two slot
+    sequences, and the two factors.
 
     Delta entries are indexed by the left point of each gap
     (positions 0..N-2), nabla entries by the right point
@@ -113,13 +114,11 @@ class SlotTables:
     """
 
     weights: np.ndarray
-    delta_value: Column
     delta_du: Column
     delta_dv: Column
     delta_uu: Column
     delta_uv: Column
     delta_vv: Column
-    nabla_value: Column
     nabla_du: Column
     nabla_dv: Column
     nabla_uu: Column
@@ -159,11 +158,11 @@ def slot_tables_at(
     """slot_tables on bare arrays: the points of a scale and the values
     of a function on it, neither checked.
 
-    One compiled kernel per integrand fills all its columns and sums its
-    factor left to right from 0.0 in the same pass.  Where their float
-    arithmetic fails, the per-point walk fills the values and first
-    partials, raising its EvaluationError where one is undefined, then
-    the second partials with numpy's warnings off, NaN where undefined.
+    One compiled kernel per integrand fills all its columns, and _factor
+    sums the value column.  Where their float arithmetic fails, the
+    per-point walk evaluates the values and first partials, raising its
+    EvaluationError where one is undefined, then the second partials
+    with numpy's warnings off, NaN where undefined.
     """
     try:
         return _kernel_tables(functional, points, values)
@@ -173,8 +172,8 @@ def slot_tables_at(
         first = _walk((ld.value, ld.d_u, ld.d_v), (ln.value, ln.d_u, ln.d_v), points, values, quot)
         with np.errstate(all="ignore"):
             second = _walk(ld.second, ln.second, points, values, quot, undefined=np.nan)
-            j_delta, j_nabla = _left_sum(first[0] * dt), _left_sum(first[3] * dt)
-        return SlotTables(dt, *first[:3], *second[:3], *first[3:], *second[3:], j_delta, j_nabla)
+            j_delta, j_nabla = _factor(first[0], dt, dt.shape), _factor(first[3], dt, dt.shape)
+        return SlotTables(dt, *first[1:3], *second[:3], *first[4:], *second[3:], j_delta, j_nabla)
 
 
 def row_tables(
@@ -193,7 +192,7 @@ def row_tables(
     except (ArithmeticError, ValueError):
         pass
     dt = points[1:] - points[:-1]
-    undefined = SlotTables(dt, *[np.nan] * 14)
+    undefined = SlotTables(dt, *[np.nan] * 12)
     tables, errors = [], {}
     for row, v in enumerate(values):
         try:
@@ -218,11 +217,11 @@ def _kernel_tables(
     ArithmeticError or ValueError where the kernels' arithmetic fails in
     any row."""
     dt, quot = _slots(points, values)
-    *delta, j_delta = functional.l_delta.tables(points[:-1], values[..., 1:], quot, dt)
-    *nabla, j_nabla = functional.l_nabla.tables(points[1:], values[..., :-1], quot, dt)
-    if values.ndim == 1:
-        j_delta, j_nabla = float(j_delta[0]), float(j_nabla[0])
-    return SlotTables(dt, *delta, *nabla, j_delta, j_nabla)
+    delta_value, *delta = functional.l_delta.tables(points[:-1], values[..., 1:], quot)
+    nabla_value, *nabla = functional.l_nabla.tables(points[1:], values[..., :-1], quot)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = _factor(delta_value, dt, quot.shape), _factor(nabla_value, dt, quot.shape)
+    return SlotTables(dt, *delta, *nabla, *factors)
 
 
 def _walk(
@@ -247,12 +246,15 @@ def _walk(
     return columns
 
 
-def _left_sum(products: np.ndarray) -> float:
-    """The sum of the products left to right from 0.0."""
-    total = 0.0
-    for x in products.tolist():
-        total += x
-    return total
+def _factor(value: Column, dt: np.ndarray, shape: tuple[int, ...]) -> float | np.ndarray:
+    """The factor of an integrand's value column over slots of the given
+    shape: each row's sum of value * dt, left to right from 0.0, a float
+    for one function and a (rows, 1) array for a stack.  Adding 0.0 to
+    accumulate's last entry turns the -0.0 of a row of negative zeros
+    into 0.0 and changes nothing else; callers silence overflow."""
+    products = np.multiply(value, dt, out=np.empty(shape))
+    total = np.add.accumulate(products, axis=-1)[..., -1:] + 0.0
+    return float(total[0]) if len(shape) == 1 else total
 
 
 def eval_functional(
@@ -263,12 +265,12 @@ def eval_functional(
     Each integrand tree is walked once over the whole slot arrays of its
     side (expressions.evaluate_slots), never through the compiled
     kernels, so that the oracle, which sums with this function, rests on
-    no kernel; each factor is summed left to right from 0.0.  Overflow
-    to inf or NaN is silent, as in the kernels.  Where the arithmetic
-    fails (a zero divisor, a math function or ** out of range), the
-    per-point walk (_walk) evaluates the value trees instead, and names
-    the first slot where an integrand is undefined by its
-    EvaluationError.  Both give the same numbers bit for bit, and
+    no kernel; _factor sums each factor, as for the slot tables.
+    Overflow to inf or NaN is silent, as in the kernels.  Where the
+    arithmetic fails (a zero divisor, a math function or ** out of
+    range), the per-point walk (_walk) evaluates the value trees
+    instead, and names the first slot where an integrand is undefined by
+    its EvaluationError.  Both give the same numbers bit for bit, and
     slot_tables reports the same factors from the kernels.
     """
     t, v = y.scale.points, y.values
@@ -280,7 +282,7 @@ def eval_functional(
             nabla = evaluate_slots(ln.value, t[1:], v[:-1], quot)
         except (ArithmeticError, ValueError):
             delta, nabla = _walk((ld.value,), (ln.value,), t, v, quot)
-        j_delta, j_nabla = _left_sum(delta * dt), _left_sum(nabla * dt)
+        j_delta, j_nabla = _factor(delta, dt, dt.shape), _factor(nabla, dt, dt.shape)
     return EvaluationBreakdown(j_delta, j_nabla, j_delta * j_nabla)
 
 
@@ -318,6 +320,9 @@ def bracket_defect(values: np.ndarray) -> float:
 
 
 def _report(values: np.ndarray, points: np.ndarray, form: Form) -> ResidualReport:
+    i = int(np.argmin(np.isfinite(values)))  # an overflowed bracket's first non-finite entry
+    if not np.isfinite(values[i]):
+        raise EvaluationError(f"{form} residual is {float(values[i])!r} at t={float(points[i])!r}")
     residual = GridFunction(TimeScale(points), values)
     return ResidualReport(
         form=form,

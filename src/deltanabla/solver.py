@@ -87,8 +87,9 @@ class SolverOptions:
     first.  Each start runs at most max_iter Newton steps, and ends
     early at its rounding level (see _newton).  A ValueError names the
     field that is out of range: a tolerance that is not positive and
-    finite, a negative count, seed or spread, or a spread whose width
-    2·spread overflows.
+    finite, a count or seed that is not an int (a bool included), a
+    negative count, seed or spread, or a spread whose width 2·spread
+    overflows.
     """
 
     feas_tol: float = 1e-8
@@ -105,6 +106,8 @@ class SolverOptions:
                 raise ValueError(f"{name} {value!r} must be positive and finite")
         for name in ("max_iter", "multistart", "seed"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} {value!r} must be an int")
             if value < 0:
                 raise ValueError(f"{name} {value!r} must be nonnegative")
         # rng.uniform(-spread, spread) raises OverflowError on an infinite width.

@@ -554,6 +554,30 @@ def test_residual_malformed_y(example_file, capsys):
     assert captured.err == "error: --y expects comma-separated numbers\n"
 
 
+def test_residual_whose_bracket_overflows_is_a_numerical_error(tmp_path, capsys):
+    # |y| = 1e200 overflows the factors of v^2 and so the bracket: a
+    # numerical failure (exit 2) naming the form and its first
+    # non-finite point, where it used to be the input error "grid
+    # function values must be finite" (exit 1).  A non-finite --y value
+    # is still an input error.
+    doc = {
+        "timescale": {"points": [0, 1, 2, 3]},
+        "boundary": {"alpha": 0, "beta": 1},
+        "objective": {"delta": "v^2", "nabla": "v^2"},
+        "constraint": {"delta": "t*v", "nabla": "1"},
+        "k": 1,
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    for flags in ([], ["--lam", "1"], ["--output", "structured"]):
+        rc = main(["residual", str(path), "--y", "0,1e200,-1e200,1", *flags])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == "numerical error: EL1 residual is inf at t=1.0\n"
+    rc = main(["residual", str(path), "--y", "0,inf,-1e200,1"])
+    assert (rc, capsys.readouterr().err) == (1, "error: grid function values must be finite\n")
+
+
 def test_verify_identities_structured(capsys):
     rc = main(["verify", "identities", "--count", "5", "--output", "structured"])
     doc = json.loads(capsys.readouterr().out)

@@ -129,6 +129,35 @@ def test_el_residual_needs_an_interior_point():
         el_residual(F, y, EL2)
 
 
+def test_an_overflowing_bracket_is_an_evaluation_error_naming_form_and_point():
+    # A bracket that overflows is a numerical failure, an EvaluationError
+    # (exit 2 from the CLI) that names the form and its first non-finite
+    # point, not the ValueError (an input error) of a residual grid
+    # function with non-finite values.  |y| = 1e200 overflows both
+    # factors of v^2 and so every entry; d_v = -1/v^2 of 1/v overflows
+    # only in the middle gap, whose difference quotient is about 1e-160.
+    scale = TimeScale(np.arange(4.0))
+    square = DeltaNablaFunctional(make_lagrangian("v^2"), make_lagrangian("v^2"))
+    y = GridFunction(scale, np.array([0.0, 1e200, -1e200, 1.0]))
+    K = DeltaNablaFunctional(make_lagrangian("t*v"), make_lagrangian("1"))
+    for call, message in [
+        (lambda: el_residual(square, y, EL2), "EL2 residual is inf at t=0.0"),
+        (lambda: el_residual(square, y, EL1), "EL1 residual is inf at t=1.0"),
+        (lambda: iso_residual(square, K, y, 1.0, 1.0, EL2), "EL2 residual is inf at t=0.0"),
+        (lambda: is_extremal_for_K(square, y), "EL1 residual is inf at t=1.0"),
+    ]:
+        with pytest.raises(EvaluationError) as info:
+            call()
+        assert str(info.value) == message
+    inverse = DeltaNablaFunctional(make_lagrangian("1/v"), make_lagrangian("1"))
+    y = GridFunction(scale, np.array([1e-150, 2e-150, 2e-150 + 1e-160, 1.0]))
+    for form, message in [(EL1, "EL1 residual is -inf at t=2.0"),
+                          (EL2, "EL2 residual is -inf at t=1.0")]:
+        with pytest.raises(EvaluationError) as info:
+            el_residual(inverse, y, form)
+        assert str(info.value) == message
+
+
 def test_iso_residual_constant_at_the_extremal(m3):
     p, y, meta = m3
     assert meta.lam == -26.0

@@ -1,10 +1,10 @@
 """Tests for the compiled integrand kernel: bit-for-bit agreement with the
 reference tree walk (expressions.evaluate) on random trees and points,
 for the value, both partials and the three second partials in one pass
-over whole slot arrays, stacked rows each as if alone, the walk as
-fallback wherever kernel arithmetic fails, silent overflow, shared
-subtrees and code objects, and pickling of problems whose kernels were
-built."""
+over whole slot arrays, stacked rows each as if alone, the one factor
+sum against a left-to-right loop, the walk as fallback wherever kernel
+arithmetic fails, silent overflow, shared subtrees and code objects,
+and pickling of problems whose kernels were built."""
 
 import copy
 import math
@@ -44,8 +44,10 @@ from deltanabla.expressions import (
 )
 from deltanabla.functional import (
     SlotTables,
+    _factor,
     _kernel_tables as kernel_tables,
     bracket_values,
+    row_tables,
     slot_tables,
     tables_bracket,
 )
@@ -118,10 +120,9 @@ def _reference(e, ts, us, vs):
 def test_kernel_matches_evaluate_bitwise(tree, slots):
     lag = make_lagrangian(tree)
     ts, us, vs = (list(c) for c in zip(*slots))
-    weights = [0.5, 1.0, 0.25, 2.0][: len(ts)]
     refs = [_reference(e, ts, us, vs) for e in (lag.value, lag.d_u, lag.d_v, *lag.second)]
     try:
-        *got, [total] = _tables(lag, ts, us, vs, weights)
+        got = _tables(lag, ts, us, vs)
     except (ArithmeticError, ValueError):
         event("kernel raised")
         return  # the callers fall back to the walk; checked below
@@ -129,16 +130,10 @@ def test_kernel_matches_evaluate_bitwise(tree, slots):
     assert all(r is not None for ref in refs for r in ref)
     for ref, col in zip(refs, got):
         assert _same(ref, _column(col, len(ts)))
-    want = 0.0
-    for value, w in zip(refs[0], weights):
-        want += float(value) * w
-    assert _same([want], [total])
-    # The same slots twice over, as two rows: the same columns, and each
-    # row's sum from 0.0.
-    *twice, sums = _tables(lag, ts, [us, us], [vs, vs], weights)
+    # The same slots twice over, as two rows: the same columns.
+    twice = _tables(lag, ts, [us, us], [vs, vs])
     for col, col2 in zip(got, twice):
         assert _same(_column(col, len(ts)) * 2, _column(col2, 2 * len(ts)))
-    assert _same([total, total], _column(sums, 2))
 
 
 def _stack_of_rows(m):
@@ -152,21 +147,20 @@ def test_stacked_rows_match_each_row_alone_and_the_walk(tree, stack):
     # Rows of different slots on one shared row of times, as
     # kernel_tables stacks the points of a Newton round: the stack
     # raises if and only if some row alone raises, and otherwise each
-    # row of every column and of the sums is that row's own, and the
-    # walk's, bit for bit.
+    # row of every column is that row's own, and the walk's, bit for
+    # bit.  The factors are checked on row_tables below.
     lag = make_lagrangian(tree)
     ts, rows = stack
     us = [[u for u, _ in row] for row in rows]
     vs = [[v for _, v in row] for row in rows]
-    weights = [0.5, 1.0, 0.25, 2.0][: len(ts)]
     alone = []
     for u, v in zip(us, vs):
         try:
-            alone.append(_tables(lag, ts, u, v, weights))
+            alone.append(_tables(lag, ts, u, v))
         except (ArithmeticError, ValueError):
             alone.append(None)
     try:
-        *got, sums = _tables(lag, ts, us, vs, weights)
+        got = _tables(lag, ts, us, vs)
     except (ArithmeticError, ValueError):
         assert None in alone
         event("stack raised")
@@ -178,27 +172,68 @@ def test_stacked_rows_match_each_row_alone_and_the_walk(tree, stack):
             row = _column(col if isinstance(col, float) else col[i], len(ts))
             assert _same(row, _column(own_col, len(ts)))
             assert _same(row, _reference(e, ts, u, v))
-        assert _same([sums[i, 0]], own[-1])
+
+
+# Entries of a factor's value column: signed zeros, infinities, NaN,
+# the largest finite floats and the smallest subnormals among any floats.
+entries = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308,
+                     5e-324, -5e-324, 1.0, -1.0]),
+    st.floats(width=64),
+)
+gap_widths = st.one_of(st.sampled_from([1.0, 0.5, 2.0, 1e-300, 1e300]),
+                       st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+
+
+def _loop(values, dt):
+    """A factor summed by a Python loop, left to right from 0.0."""
+    total = 0.0
+    for x, w in zip(values, dt):
+        total += x * w
+    return total
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(entries, min_size=m, max_size=m), min_size=1, max_size=4),
+    st.lists(gap_widths, min_size=m, max_size=m),
+    entries,
+)))
+def test_factor_is_the_left_to_right_loop(case):
+    # The one factor sum, for one row (a float), for stacked rows (a
+    # (rows, 1) array, each row its own loop) and for a constant column
+    # over a stack, against the loop bit for bit, signed zeros included.
+    rows, dt, constant = case
+    dt = np.array(dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        one = _factor(np.array(rows[0]), dt, dt.shape)
+        stacked = _factor(np.array(rows), dt, (len(rows), dt.size))
+        flat = _factor(constant, dt, (len(rows), dt.size))
+    assert type(one) is float and _same([_loop(rows[0], dt.tolist())], [one])
+    assert stacked.shape == flat.shape == (len(rows), 1)
+    assert _same([_loop(row, dt.tolist()) for row in rows], _column(stacked, len(rows)))
+    assert _same([_loop([constant] * dt.size, dt.tolist())] * len(rows), _column(flat, len(rows)))
 
 
 def test_overflow_in_array_operations_is_silent():
     # v^30 is finite at |v| = 1e6, and v^30*v^30 overflows there, as
     # does its difference with u^30*u^30 (inf - inf): the array
     # operations overflow to inf or NaN silently, as Python floats do,
-    # and no numpy RuntimeWarning escapes where warnings are errors.
-    # The columns are the walk's numbers.
+    # and no numpy RuntimeWarning escapes where warnings are errors,
+    # nor where the factor of the stacked tables overflows.  The columns
+    # are the walk's numbers.
     ts, us, vs = [0.0, 1.0, 2.0], [[1e6, 2.0, 1.0], [-1e6, 1e6, 1.0]], [[1e6, 2.0, -1e6]] * 2
     v2 = make_lagrangian("v^2")
     for text in ("v^30*v^30", "v^30*v^30 - u^30*u^30"):
         lag = make_lagrangian(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            *got, sums = _tables(lag, ts, us, vs, [1.0, 1.0, 1.0])
+            got = _tables(lag, ts, us, vs)
             stacked = kernel_tables(
                 DeltaNablaFunctional(lag, v2), np.arange(4.0), np.array([[0.0, 1e6, 0.0, 1e6]] * 2)
             )
-        assert not np.isfinite(got[0]).all() and not np.isfinite(sums).all()
-        assert not np.isfinite(stacked.delta_value).all()
+        assert not np.isfinite(got[0]).all()
+        assert not np.isfinite(stacked.j_delta).all()
         for col, e in zip(got, (lag.value, lag.d_u, lag.d_v, *lag.second)):
             for i in range(2):
                 row = _column(col if isinstance(col, float) else col[i], len(ts))
@@ -250,20 +285,20 @@ def _walk(delta_trees, nabla_trees, y, undefined=None):
 
 
 def _walk_tables(functional, y):
-    """The twelve SlotTables columns in field order and both factors:
-    the values and first partials as the walk gives them, then the
-    second partials, NaN where undefined."""
+    """The ten SlotTables columns in field order and both factors: the
+    first partials as the walk gives them (which raises where a value is
+    undefined), then the second partials, NaN where undefined."""
     ld, ln = functional.l_delta, functional.l_nabla
     first = _walk((ld.value, ld.d_u, ld.d_v), (ln.value, ln.d_u, ln.d_v), y)
     with np.errstate(all="ignore"):
         second = _walk(ld.second, ln.second, y, undefined=np.nan)
-    cols = [*first[:3], *second[:3], *first[3:], *second[3:]]
+    cols = [*first[1:3], *second[:3], *first[4:], *second[3:]]
     # both factors summed left to right from 0.0, as eval_functional sums
     return cols, *_walk_breakdown(functional, y)[:2]
 
 
-_COLUMNS = ("delta_value", "delta_du", "delta_dv", "delta_uu", "delta_uv", "delta_vv",
-            "nabla_value", "nabla_du", "nabla_dv", "nabla_uu", "nabla_uv", "nabla_vv")
+_COLUMNS = ("delta_du", "delta_dv", "delta_uu", "delta_uv", "delta_vv",
+            "nabla_du", "nabla_dv", "nabla_uu", "nabla_uv", "nabla_vv")
 
 
 def _walk_breakdown(functional, y):
@@ -289,7 +324,7 @@ def _check_against_walk(functional, y):
     ref = _outcome(lambda: _walk_tables(functional, y))
     got = _outcome(lambda: slot_tables(functional, y))
     if ref[0] == "ok":
-        # The bracket reads only the values, first partials and sums.
+        # The bracket reads only the first partials and the factors.
         cols, j_delta, j_nabla = ref[1]
         want = _outcome(lambda: tables_bracket(
             SlotTables(np.diff(y.scale.points), *cols, j_delta, j_nabla)))
@@ -333,6 +368,34 @@ def test_slot_tables_and_eval_functional_match_the_walk(delta, nabla, grid):
     event(f"walk {outcome}")
 
 
+@settings(max_examples=200, deadline=None)
+@given(trees, trees, st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n),
+    st.lists(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n), min_size=1, max_size=4),
+)))
+def test_row_tables_factors_are_each_rows_own(delta, nabla, grid):
+    # The factors of stacked tables, as a Newton round reads them: each
+    # row's is that of slot_tables over the row alone and the walk's
+    # left-to-right loop, bit for bit, or NaN where slot_tables names an
+    # undefined value or first partial.
+    gaps, rows = grid
+    t = np.cumsum(gaps) - gaps[0]
+    functional = DeltaNablaFunctional(make_lagrangian(delta), make_lagrangian(nabla))
+    with np.errstate(all="ignore"):
+        tab, errors = row_tables(functional, t, np.array(rows))
+    assert tab.j_delta.shape == tab.j_nabla.shape == (len(rows), 1)
+    for i, row in enumerate(rows):
+        y = GridFunction(TimeScale(t), np.array(row))
+        outcome, alone = _outcome(lambda: slot_tables(functional, y))
+        got = (tab.j_delta[i, 0], tab.j_nabla[i, 0])
+        if outcome == "raised":
+            assert errors[i] == alone and np.isnan(got).all()
+            continue
+        assert i not in errors and _same(got, (alone.j_delta, alone.j_nabla))
+        assert _same(_outcome(lambda: _walk_breakdown(functional, y))[1][:2], got)
+    event(f"{len(errors)} of {len(rows)} rows undefined")
+
+
 @pytest.mark.parametrize(
     "text, values",
     [
@@ -362,10 +425,10 @@ def test_undefined_second_partial_reads_nan():
     y = GridFunction(TimeScale(np.arange(3.0)), np.array([0.0, 1e-170, 2e-170]))
     lag = make_lagrangian("log(u)")
     with pytest.raises(ZeroDivisionError):
-        _tables(lag, [0.0], [1e-170], [1e-170], [1.0])
+        _tables(lag, [0.0], [1e-170], [1e-170])
     tab = slot_tables(DeltaNablaFunctional(lag, make_lagrangian("v^2 + u")), y)
     assert np.isnan(tab.delta_uu).all()
-    assert np.isfinite([tab.delta_value, tab.delta_du, tab.delta_dv]).all()
+    assert np.isfinite([tab.delta_du, tab.delta_dv]).all()
     assert np.array_equal(tab.delta_du, [1e170, 5e169])
     assert np.isfinite([tab.j_delta, tab.j_nabla]).all()
 
@@ -378,22 +441,25 @@ def test_constant_roots_are_returned_as_their_floats():
     # a fresh array of the slots' shape.  slot_tables keeps the floats.
     const = constant_lagrangian(0.5)
     square = make_lagrangian("v^2")
-    *roots, sums = _tables(const, [0.0, 1.0], [[1.0, 2.0]] * 3, [[3.0, -4.0]] * 3, [1.0, 2.0])
-    assert roots == [0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
+    roots = _tables(const, [0.0, 1.0], [[1.0, 2.0]] * 3, [[3.0, -4.0]] * 3)
+    assert roots == (0.5, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert all(type(x) is float for x in roots)
-    assert sums.tolist() == [[1.5]] * 3
-    *roots, sums = _tables(square, [0.0, 1.0], [1.0, 2.0], [3.0, -4.0], [1.0, 1.0])
-    assert roots[3:] == [0.0, 0.0, 2.0] and sums.tolist() == [25.0]
+    assert _tables(square, [0.0, 1.0], [1.0, 2.0], [3.0, -4.0])[3:] == (0.0, 0.0, 2.0)
     t, u, v = np.array([0.0, 1.0]), np.array([[1.0, 2.0]] * 2), np.array([[3.0, -4.0]] * 2)
     for lag, root in ((make_lagrangian("t*v"), t), (make_lagrangian("u*v"), u)):
-        d_v = lag.tables(t, u, v, np.ones(2))[2]
+        d_v = lag.tables(t, u, v)[2]
         assert d_v.shape == v.shape and d_v.flags.c_contiguous and d_v.flags.writeable
         assert not np.shares_memory(d_v, root)
         assert np.array_equal(d_v, np.broadcast_to(root, v.shape))
     y = GridFunction(TimeScale(np.array([0.0, 0.5, 2.0, 2.25])), np.array([1.0, -2.0, 0.5, 3.0]))
     tab = slot_tables(DeltaNablaFunctional(const, square), y)
-    assert (tab.delta_value, tab.delta_du, tab.nabla_uu, tab.nabla_vv) == (0.5, 0.0, 0.0, 2.0)
-    assert all(isinstance(x, float) for x in (tab.delta_value, tab.nabla_vv))
+    assert (tab.delta_du, tab.delta_dv, tab.nabla_uu, tab.nabla_vv) == (0.0, 0.0, 0.0, 2.0)
+    assert all(isinstance(x, float) for x in (tab.delta_du, tab.nabla_vv, tab.j_delta))
+    assert tab.j_delta == 1.125  # 0.5 * (0.5 + 1.5 + 0.25)
+    stacked, errors = row_tables(DeltaNablaFunctional(const, square), y.scale.points,
+                                 np.stack([y.values] * 3))
+    assert errors == {} and stacked.j_delta.tolist() == [[1.125]] * 3
+    assert stacked.j_nabla.tolist() == [[tab.j_nabla]] * 3
     assert _check_against_walk(DeltaNablaFunctional(const, square), y) == "ok"
     assert _check_against_walk(DeltaNablaFunctional(square, const), y) == "ok"
 
@@ -437,7 +503,7 @@ def test_signed_zero_constants_stay_apart():
     u = Var("u")
     lag = Lagrangian(Mul(Const(-0.0), u), Mul(Const(0.0), u), Const(-0.0))
     assert Const(0.0) == Const(-0.0)  # why sharing cannot key on equality
-    value, du, dv, *_ = _tables(lag, [0.0], [1.0], [1.0], [1.0])
+    value, du, dv, *_ = _tables(lag, [0.0], [1.0], [1.0])
     assert dv == -0.0 and isinstance(dv, float)  # a constant root
     assert [math.copysign(1.0, x) for x in (value[0], du[0], dv)] == [-1.0, 1.0, -1.0]
 
@@ -447,14 +513,14 @@ def test_long_sum_compiles_without_nesting():
     lag = make_lagrangian(text)
     y = GridFunction(TimeScale(np.arange(4.0)), np.array([0.0, 1.0, 3.0, 2.0]))
     _check_against_walk(DeltaNablaFunctional(lag, make_lagrangian(text + " + u")), y)
-    assert _tables(lag, [0.0], [0.0], [1.5], [1.0])[0].tolist() == [evaluate(lag.value, 0.0, 0.0, 1.5)]
+    assert _tables(lag, [0.0], [0.0], [1.5])[0].tolist() == [evaluate(lag.value, 0.0, 0.0, 1.5)]
 
 
 def test_same_shape_shares_code_objects():
     a = make_lagrangian("v^2 + 0.25*u*v + sin(t)")
     b = make_lagrangian("v^2 + 0.75*u*v + sin(t)")
     assert a._tables_kernel.__code__ is b._tables_kernel.__code__
-    assert _tables(a, [1.0], [2.0], [3.0], [1.0])[0] != _tables(b, [1.0], [2.0], [3.0], [1.0])[0]
+    assert _tables(a, [1.0], [2.0], [3.0])[0] != _tables(b, [1.0], [2.0], [3.0])[0]
 
 
 def test_problem_pickles_after_a_solve():
@@ -486,7 +552,7 @@ def test_trees_the_compiler_does_not_cover_use_the_walk(monkeypatch):
     lag = Lagrangian(Pow(Mul(Const(3), v), 2.0), Const(0), Mul(Const(3), v))
     for _ in range(2):
         with pytest.raises(ValueError):
-            _tables(lag, [0.0], [0.0], [1.0], [1.0])
+            _tables(lag, [0.0], [0.0], [1.0])
     assert len(compiles) == 1
     y = GridFunction(TimeScale(np.arange(3.0)), np.array([0.0, 1.0, 3.0]))
     assert _check_against_walk(DeltaNablaFunctional(lag, lag), y) == "ok"

@@ -529,11 +529,11 @@ def test_one_slot_pass_per_product_per_point_and_one_compile_per_lagrangian(monk
     evaluate = solver._evaluate
     compile_kernel = expressions._compile
 
-    def counting_tables(lag, t, u, v, w):
+    def counting_tables(lag, t, u, v):
         # one entry per row of the slot arrays, and per function
         assert not in_jacobian[0]
         passes.extend([id(lag)] * (len(v) if v.ndim == 2 else 1))
-        return tables(lag, t, u, v, w)
+        return tables(lag, t, u, v)
 
     def counting_points(system, z):
         points.extend(z)
@@ -617,14 +617,30 @@ def test_a_spread_whose_width_overflows_is_a_value_error():
     [
         ("feas_tol", 0.0), ("stat_tol", -1e-8), ("feas_tol", np.inf), ("stat_tol", np.nan),
         ("max_iter", -1), ("multistart", -3), ("seed", -1), ("spread", -0.5),
+        ("max_iter", 2.5), ("max_iter", np.inf), ("multistart", 2.5), ("seed", 1.5),
+        ("max_iter", True), ("multistart", False), ("seed", "1"), ("seed", None),
     ],
 )
 def test_out_of_range_solver_options_are_value_errors_naming_the_field(field, value):
     # max_iter = -1 would lift the iteration cap (a run stops at
-    # iterations == max_iter), multistart = -3 would run one start, and a
-    # negative seed would fail only at solve time.
+    # iterations == max_iter), and so would 2.5 or inf, which it never
+    # meets; multistart = -3 would run one start; a negative seed, and
+    # multistart = 2.5 or seed = 1.5 (a TypeError), would fail only at
+    # solve time; max_iter = True would run as 1.
     with pytest.raises(ValueError, match=f"^{field} "):
         SolverOptions(**{field: value})
+
+
+def test_solver_option_messages_are_unchanged_for_ints():
+    # A count that is not an int has a message of its own.
+    for field in ("max_iter", "multistart", "seed"):
+        with pytest.raises(ValueError) as info:
+            SolverOptions(**{field: -1})
+        assert str(info.value) == f"{field} -1 must be nonnegative"
+        with pytest.raises(ValueError) as info:
+            SolverOptions(**{field: 2.5})
+        assert str(info.value) == f"{field} 2.5 must be an int"
+        assert getattr(SolverOptions(**{field: 3}), field) == 3
 
 
 def test_solver_options_thread_through():
