@@ -3,8 +3,13 @@
 Commands: solve (run the solver on a problem file), verify (built-in
 example end-to-end, or randomized identity checks), residual (evaluate
 stationarity residuals for a candidate y), eval and diff (expression
-utilities).  Output modes: table (default), csv, structured (JSON).
-Exit codes: 0 success, 1 input error, 2 numerical failure.
+utilities).  Output modes: table (default), csv (solve and residual),
+structured (JSON).  Exit codes: 0 success, 1 input error (a usage error
+included), 2 numerical failure.
+
+Each command builds its structured payload, its table lines and its
+rows, and _emit prints the one its output mode asks for; main alone
+reports a failure and picks the exit code.
 """
 
 from __future__ import annotations
@@ -21,14 +26,7 @@ from .expressions import EvaluationError, evaluate, make_lagrangian, to_str
 from .functional import bracket_values, eval_functional, iso_bracket, residual_pair
 from .functional import row_tables, tables_bracket
 from .oracle import identity_fuzz, verify_example
-from .problemfile import (
-    OPTION_FIELDS,
-    LoadedProblem,
-    emit_problem,
-    load_options,
-    load_problem,
-    options_document,
-)
+from .problemfile import OPTION_FIELDS, LoadedProblem, load_problem
 from .solver import SolveResult, find_abnormal, solve_normal
 from .timescale import GridFunction
 
@@ -39,10 +37,6 @@ EXIT_NUMERIC = 2
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _structured(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def _point_rows(y: GridFunction, bracket: np.ndarray) -> list[dict]:
@@ -73,24 +67,38 @@ def _point_rows(y: GridFunction, bracket: np.ndarray) -> list[dict]:
 _CSV_COLUMNS = ("t", "y", "y_delta", "y_nabla", "residual_EL1", "residual_EL2")
 
 
-def _emit_csv(rows: list[dict]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            ["" if row[c] is None else repr(row[c]) for c in _CSV_COLUMNS]
-        )
+def _emit(
+    output: str, payload: dict | None, lines: list[str], rows: list[dict] | None = None
+) -> None:
+    """Print a command's result, the one place that does: in structured
+    output the payload as JSON with sorted keys, in csv the rows, and in
+    a table the lines, then a blank line and the rows when there are
+    any."""
+    if output == "structured":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    elif output == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
+        for row in rows:
+            writer.writerow(
+                ["" if row[c] is None else repr(row[c]) for c in _CSV_COLUMNS]
+            )
+    else:
+        if rows:
+            lines = lines + [""] + _table_lines(rows)
+        for line in lines:
+            print(line)
 
 
-def _print_rows(rows: list[dict]) -> None:
+def _table_lines(rows: list[dict]) -> list[str]:
+    """The rows as left-aligned columns under a header line."""
     table = [_CSV_COLUMNS]
     for row in rows:
         table.append(
             ["-" if row[c] is None else _fmt(row[c]) for c in _CSV_COLUMNS]
         )
     widths = [max(len(line[i]) for line in table) for i in range(len(_CSV_COLUMNS))]
-    for line in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
+    return ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in table]
 
 
 def _result_payload(result: SolveResult, k: float) -> dict:
@@ -129,90 +137,70 @@ def _solve_row_data(loaded: LoadedProblem, result: SolveResult):
     if result.converged:
         bracket = result.bracket
     else:
-        with np.errstate(all="ignore"):
-            y = result.y
-            tab, _ = row_tables(loaded.problem.objective, y.scale.points, y.values[None])
-            bracket = tables_bracket(tab.rows(0))
+        y = result.y
+        tab, _ = row_tables(loaded.problem.objective, y.scale.points, y.values[None])
+        bracket = tables_bracket(tab.rows(0))
     return _point_rows(result.y, bracket)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     loaded = _load(args)
-    if args.emit_problem:
-        print(emit_problem(loaded))
-        return EXIT_OK
-    result = solve_normal(loaded.problem, loaded.options)
-    abnormal = find_abnormal(loaded.problem, loaded.options)
+    p = loaded.problem
+    result = solve_normal(p, loaded.options)
+    abnormal = find_abnormal(p, loaded.options)
     rows = _solve_row_data(loaded, result)
-
-    if args.output == "structured":
-        payload = {
-            "command": "solve",
-            "problem": loaded.document,
-            "result": _result_payload(result, loaded.problem.k),
-            "abnormal": [
-                _result_payload(r, loaded.problem.k) for r in abnormal
-            ],
-            "rows": rows,
-        }
-        print(_structured(payload))
-    elif args.output == "csv":
-        _emit_csv(rows)
-    else:
-        p = loaded.problem
-        print(
-            f"scale: {len(p.scale)} points on "
-            f"[{_fmt(p.scale.a)}, {_fmt(p.scale.b)}]"
-        )
-        print(f"converged: {'yes' if result.converged else 'no'} "
-              f"({result.iterations} iterations)")
-        if result.message:
-            print(f"note: {result.message}")
-        print(f"classification: {result.classification}")
-        print(f"lambda0: {_fmt(result.lam0)}")
-        print(f"lambda: {_fmt(result.lam)}")
-        obj = result.objective_value
-        con = result.constraint_value
-        print(
-            f"objective: delta {_fmt(obj.delta_factor)} "
-            f"nabla {_fmt(obj.nabla_factor)} product {_fmt(obj.product)}"
-        )
-        print(
-            f"constraint: product {_fmt(con.product)} "
-            f"(k = {_fmt(p.k)}, gap {_fmt(abs(con.product - p.k))})"
-        )
-        print(f"bracket defect: {_fmt(result.el_defect)}")
-        print(f"kkt residual: {_fmt(result.kkt_residual_norm)}")
-        print(f"stationary points found: {len(result.stationary_points)}")
-        print(f"abnormal candidates: {len(abnormal)}")
-        for i, r in enumerate(abnormal):
-            vals = ", ".join(_fmt(v) for v in r.y.values)
-            print(f"  abnormal[{i}]: y = ({vals}), defect {_fmt(r.el_defect)}")
-        print()
-        _print_rows(rows)
+    payload = {
+        "command": "solve",
+        "problem": loaded.document,
+        "result": _result_payload(result, p.k),
+        "abnormal": [_result_payload(r, p.k) for r in abnormal],
+        "rows": rows,
+    }
+    obj = result.objective_value
+    con = result.constraint_value
+    lines = [
+        f"scale: {len(p.scale)} points on "
+        f"[{_fmt(p.scale.a)}, {_fmt(p.scale.b)}]"
+    ]
+    lines.append(f"converged: {'yes' if result.converged else 'no'} "
+                 f"({result.iterations} iterations)")
+    if result.message:
+        lines.append(f"note: {result.message}")
+    lines.append(f"classification: {result.classification}")
+    lines.append(f"lambda0: {_fmt(result.lam0)}")
+    lines.append(f"lambda: {_fmt(result.lam)}")
+    lines.append(
+        f"objective: delta {_fmt(obj.delta_factor)} "
+        f"nabla {_fmt(obj.nabla_factor)} product {_fmt(obj.product)}"
+    )
+    lines.append(
+        f"constraint: product {_fmt(con.product)} "
+        f"(k = {_fmt(p.k)}, gap {_fmt(abs(con.product - p.k))})"
+    )
+    lines.append(f"bracket defect: {_fmt(result.el_defect)}")
+    lines.append(f"kkt residual: {_fmt(result.kkt_residual_norm)}")
+    lines.append(f"stationary points found: {len(result.stationary_points)}")
+    lines.append(f"abnormal candidates: {len(abnormal)}")
+    for i, r in enumerate(abnormal):
+        vals = ", ".join(_fmt(v) for v in r.y.values)
+        lines.append(f"  abnormal[{i}]: y = ({vals}), defect {_fmt(r.el_defect)}")
+    _emit(args.output, payload, lines, rows)
     return EXIT_OK if result.converged else EXIT_NUMERIC
 
 
 def cmd_residual(args: argparse.Namespace) -> int:
     loaded = _load(args)
-    if args.emit_problem:
-        print(emit_problem(loaded))
-        return EXIT_OK
     p = loaded.problem
     try:
         values = np.array([float(x) for x in args.y.split(",")])
     except ValueError:
-        print("error: --y expects comma-separated numbers", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--y expects comma-separated numbers") from None
     if values.size != len(p.scale):
-        print(
-            f"error: expected {len(p.scale)} values for this scale, "
-            f"got {values.size}",
-            file=sys.stderr,
+        raise ValueError(
+            f"expected {len(p.scale)} values for this scale, "
+            f"got {values.size}"
         )
-        return EXIT_INPUT
     y = GridFunction(p.scale, values)
-    tol = loaded.options.stat_tol
 
     with_multiplier = args.lam is not None
     if with_multiplier:
@@ -223,150 +211,120 @@ def cmd_residual(args: argparse.Namespace) -> int:
     con = eval_functional(p.constraint, y)
     gap = abs(con.product - p.k)
     feasible = gap <= loaded.options.feas_tol
-    stationary = (
-        with_multiplier and r1.defect <= tol and r2.defect <= tol
-    )
+    classification = None
+    if with_multiplier:
+        tol = loaded.options.stat_tol
+        stationary = r1.defect <= tol and r2.defect <= tol
+        classification = "stationary" if stationary else "not stationary"
     rows = _point_rows(y, bracket)
-
-    if args.output == "structured":
-        payload = {
-            "command": "residual",
-            "problem": loaded.document,
-            "with_multiplier": with_multiplier,
-            "lambda0": args.lam0 if with_multiplier else None,
-            "lambda": args.lam,
-            "constraint": {
-                **dataclasses.asdict(con),
-                "k": p.k,
-                "gap": gap,
-                "feasible": feasible,
-            },
-            "EL1": {
-                "defect": r1.defect,
-                "constant_estimate": r1.constant_estimate,
-            },
-            "EL2": {
-                "defect": r2.defect,
-                "constant_estimate": r2.constant_estimate,
-            },
-            "classification": (
-                ("stationary" if stationary else "not stationary")
-                if with_multiplier
-                else None
-            ),
-            "rows": rows,
-        }
-        print(_structured(payload))
-    elif args.output == "csv":
-        _emit_csv(rows)
+    payload = {
+        "command": "residual",
+        "problem": loaded.document,
+        "with_multiplier": with_multiplier,
+        "lambda0": args.lam0 if with_multiplier else None,
+        "lambda": args.lam,
+        "constraint": {
+            **dataclasses.asdict(con),
+            "k": p.k,
+            "gap": gap,
+            "feasible": feasible,
+        },
+        "EL1": {
+            "defect": r1.defect,
+            "constant_estimate": r1.constant_estimate,
+        },
+        "EL2": {
+            "defect": r2.defect,
+            "constant_estimate": r2.constant_estimate,
+        },
+        "classification": classification,
+        "rows": rows,
+    }
+    if with_multiplier:
+        lines = [f"multipliers: lambda0 {_fmt(args.lam0)} lambda {_fmt(args.lam)}"]
     else:
-        if with_multiplier:
-            print(
-                f"multipliers: lambda0 {_fmt(args.lam0)} lambda {_fmt(args.lam)}"
-            )
-        else:
-            print("multipliers: none (raw objective residuals)")
-        print(
-            f"constraint: product {_fmt(con.product)} "
-            f"(k = {_fmt(p.k)}, gap {_fmt(gap)})"
-        )
-        if not feasible:
-            print(f"warning: constraint gap {_fmt(gap)} exceeds tol {_fmt(loaded.options.feas_tol)}")
-        print(
-            f"EL1: defect {_fmt(r1.defect)} "
-            f"constant {_fmt(r1.constant_estimate)}"
-        )
-        print(
-            f"EL2: defect {_fmt(r2.defect)} "
-            f"constant {_fmt(r2.constant_estimate)}"
-        )
-        if with_multiplier:
-            print(
-                "classification: "
-                + ("stationary" if stationary else "not stationary")
-            )
-        print()
-        _print_rows(rows)
+        lines = ["multipliers: none (raw objective residuals)"]
+    lines.append(
+        f"constraint: product {_fmt(con.product)} "
+        f"(k = {_fmt(p.k)}, gap {_fmt(gap)})"
+    )
+    if not feasible:
+        lines.append(f"warning: constraint gap {_fmt(gap)} exceeds tol "
+                     f"{_fmt(loaded.options.feas_tol)}")
+    lines.append(
+        f"EL1: defect {_fmt(r1.defect)} "
+        f"constant {_fmt(r1.constant_estimate)}"
+    )
+    lines.append(
+        f"EL2: defect {_fmt(r2.defect)} "
+        f"constant {_fmt(r2.constant_estimate)}"
+    )
+    if with_multiplier:
+        lines.append(f"classification: {classification}")
+    _emit(args.output, payload, lines, rows)
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    if args.what == "example":
-        report = verify_example(args.M)
-        if args.output == "structured":
-            payload = {
-                "command": "verify-example",
-                "m": report.m,
-                "passed": report.passed,
-                "lambda_fit": report.lambda_fit,
-                "checks": [dataclasses.asdict(c) for c in report.checks],
-            }
-            print(_structured(payload))
-        else:
-            print(f"example m={report.m}")
-            for c in report.checks:
-                tag = "PASS" if c.passed else "FAIL"
-                print(
-                    f"{tag} {c.name}: measured {_fmt(c.measured)} "
-                    f"(bound {_fmt(c.bound)})"
-                )
-            print(f"lambda_fit: {_fmt(report.lambda_fit)}")
-            print(f"result: {'PASS' if report.passed else 'FAIL'}")
-        return EXIT_OK if report.passed else EXIT_NUMERIC
-
-    fuzz = identity_fuzz(seed=args.seed, count=args.count)
-    if args.output == "structured":
-        payload = {
-            "command": "verify-identities",
-            "seed": fuzz.seed,
-            "count": fuzz.count,
-            "identities": fuzz.identities,
-            "max_rel_error": fuzz.max_rel_error,
-            "passed": fuzz.passed,
-            "failures": list(fuzz.failures),
-        }
-        print(_structured(payload))
-    else:
-        print(
-            f"identity fuzz: seed {fuzz.seed}, {fuzz.count} scales, "
-            f"{fuzz.identities} identities"
+def cmd_verify_example(args: argparse.Namespace) -> int:
+    report = verify_example(args.M)
+    payload = {"command": "verify-example", **dataclasses.asdict(report)}
+    lines = [f"example m={report.m}"]
+    for c in report.checks:
+        tag = "PASS" if c.passed else "FAIL"
+        lines.append(
+            f"{tag} {c.name}: measured {_fmt(c.measured)} "
+            f"(bound {_fmt(c.bound)})"
         )
-        print(f"max relative error: {_fmt(fuzz.max_rel_error)}")
-        for line in fuzz.failures:
-            print(f"FAIL {line}")
-        print(f"result: {'PASS' if fuzz.passed else 'FAIL'}")
+    lines.append(f"lambda_fit: {_fmt(report.lambda_fit)}")
+    lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
+    _emit(args.output, payload, lines)
+    return EXIT_OK if report.passed else EXIT_NUMERIC
+
+
+def cmd_verify_identities(args: argparse.Namespace) -> int:
+    fuzz = identity_fuzz(seed=args.seed, count=args.count)
+    payload = {"command": "verify-identities", **dataclasses.asdict(fuzz)}
+    lines = [
+        f"identity fuzz: seed {fuzz.seed}, {fuzz.count} scales, "
+        f"{fuzz.identities} identities"
+    ]
+    lines.append(f"max relative error: {_fmt(fuzz.max_rel_error)}")
+    for line in fuzz.failures:
+        lines.append(f"FAIL {line}")
+    lines.append(f"result: {'PASS' if fuzz.passed else 'FAIL'}")
+    _emit(args.output, payload, lines)
     return EXIT_OK if fuzz.passed else EXIT_NUMERIC
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     parts = args.at.split(",")
     if len(parts) != 3:
-        print("error: --at expects t,u,v", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--at expects t,u,v")
     t, u, v = (float(x) for x in parts)
     lag = make_lagrangian(args.expression)
-    print(repr(evaluate(lag.value, t, u, v)))
+    _emit("table", None, [repr(evaluate(lag.value, t, u, v))])
     return EXIT_OK
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
     lag = make_lagrangian(args.expression)
-    print(f"value: {to_str(lag.value)}")
-    print(f"d_u: {to_str(lag.d_u)}")
-    print(f"d_v: {to_str(lag.d_v)}")
+    lines = [f"value: {to_str(lag.value)}"]
+    lines.append(f"d_u: {to_str(lag.d_u)}")
+    lines.append(f"d_v: {to_str(lag.d_v)}")
+    _emit("table", None, lines)
     return EXIT_OK
 
 
 def _load(args: argparse.Namespace) -> LoadedProblem:
     """The problem file, with the solver flags merged into the same-named
-    fields of its options block and validated as part of it."""
+    fields of its normalized options block, loaded again so that they are
+    validated as part of it."""
     loaded = load_problem(args.file)
     overrides = {f: getattr(args, f) for f in OPTION_FIELDS if getattr(args, f) is not None}
     if not overrides:
         return loaded
-    options = load_options({**loaded.document["options"], **overrides})
-    document = {**loaded.document, "options": options_document(options)}
-    return LoadedProblem(problem=loaded.problem, options=options, document=document)
+    options = {**loaded.document["options"], **overrides}
+    return load_problem({**loaded.document, "options": options})
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -381,12 +339,10 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     _add_output_flag(sub)
 
 
-def _add_output_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--output",
-        choices=("table", "csv", "structured"),
-        default="table",
-    )
+def _add_output_flag(
+    sub: argparse.ArgumentParser, choices: tuple[str, ...] = ("table", "csv", "structured")
+) -> None:
+    sub.add_argument("--output", choices=choices, default="table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify_sub = p_verify.add_subparsers(dest="what", required=True)
     p_ex = verify_sub.add_parser("example", help="end-to-end example check")
     p_ex.add_argument("--M", type=int, required=True)
-    _add_output_flag(p_ex)
-    p_ex.set_defaults(func=cmd_verify)
+    _add_output_flag(p_ex, ("table", "structured"))
+    p_ex.set_defaults(func=cmd_verify_example)
     p_id = verify_sub.add_parser("identities", help="randomized identity checks")
     p_id.add_argument("--seed", type=int, default=0)
     p_id.add_argument("--count", type=int, default=100)
-    _add_output_flag(p_id)
-    p_id.set_defaults(func=cmd_verify)
+    _add_output_flag(p_id, ("table", "structured"))
+    p_id.set_defaults(func=cmd_verify_identities)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression")
     p_eval.add_argument("expression")
@@ -438,11 +394,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the one place that reports a failure and picks
+    the exit code.  argparse prints its own usage text."""
     try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error, or --help (code 0)
+        return EXIT_INPUT if exc.code else EXIT_OK
+    try:
+        if getattr(args, "emit_problem", False):
+            _emit("structured", _load(args).document, [])
+            return EXIT_OK
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EvaluationError as exc:

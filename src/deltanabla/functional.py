@@ -147,7 +147,7 @@ def slot_tables(functional: DeltaNablaFunctional, y: GridFunction) -> SlotTables
 
 def _slots(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
     """Gap widths and the difference quotient of every gap (of every row
-    of a stack of values)."""
+    of a stack of values); callers silence overflow."""
     dt = points[1:] - points[:-1]  # np.diff's arithmetic, without its call overhead
     return dt, (values[..., 1:] - values[..., :-1]) / dt
 
@@ -161,16 +161,18 @@ def slot_tables_at(
     One compiled kernel per integrand fills all its columns, and _factor
     sums the value column.  Where their float arithmetic fails, the
     per-point walk evaluates the values and first partials, raising its
-    EvaluationError where one is undefined, then the second partials
-    with numpy's warnings off, NaN where undefined.
+    EvaluationError where one is undefined, then the second partials,
+    NaN where undefined; numpy's warnings are off throughout.
     """
     try:
         return _kernel_tables(functional, points, values)
     except (ArithmeticError, ValueError):
         ld, ln = functional.l_delta, functional.l_nabla
-        dt, quot = _slots(points, values)
-        first = _walk((ld.value, ld.d_u, ld.d_v), (ln.value, ln.d_u, ln.d_v), points, values, quot)
         with np.errstate(all="ignore"):
+            dt, quot = _slots(points, values)
+            first = _walk(
+                (ld.value, ld.d_u, ld.d_v), (ln.value, ln.d_u, ln.d_v), points, values, quot
+            )
             second = _walk(ld.second, ln.second, points, values, quot, undefined=np.nan)
             j_delta, j_nabla = _factor(first[0], dt, dt.shape), _factor(first[3], dt, dt.shape)
         return SlotTables(dt, *first[1:3], *second[:3], *first[4:], *second[3:], j_delta, j_nabla)
@@ -216,10 +218,10 @@ def _kernel_tables(
     function or stacked for a (rows, N) stack of them.  Raises
     ArithmeticError or ValueError where the kernels' arithmetic fails in
     any row."""
-    dt, quot = _slots(points, values)
-    delta_value, *delta = functional.l_delta.tables(points[:-1], values[..., 1:], quot)
-    nabla_value, *nabla = functional.l_nabla.tables(points[1:], values[..., :-1], quot)
     with np.errstate(over="ignore", invalid="ignore"):
+        dt, quot = _slots(points, values)
+        delta_value, *delta = functional.l_delta.tables(points[:-1], values[..., 1:], quot)
+        nabla_value, *nabla = functional.l_nabla.tables(points[1:], values[..., :-1], quot)
         factors = _factor(delta_value, dt, quot.shape), _factor(nabla_value, dt, quot.shape)
     return SlotTables(dt, *delta, *nabla, *factors)
 
@@ -231,7 +233,8 @@ def _walk(
     """Each tree at every slot of its side by expressions.evaluate, one
     column per tree, slot by slot, the delta trees before the nabla
     trees.  The first tree it cannot evaluate raises its
-    EvaluationError, or reads ``undefined`` when one is given."""
+    EvaluationError, or reads ``undefined`` when one is given; callers
+    silence overflow."""
     trees = [(tree, 0) for tree in delta_trees] + [(tree, 1) for tree in nabla_trees]
     columns = [np.empty(quot.size) for _ in trees]
     for i in range(quot.size):
@@ -274,9 +277,9 @@ def eval_functional(
     slot_tables reports the same factors from the kernels.
     """
     t, v = y.scale.points, y.values
-    dt, quot = _slots(t, v)
     ld, ln = functional.l_delta, functional.l_nabla
     with np.errstate(over="ignore", invalid="ignore"):
+        dt, quot = _slots(t, v)
         try:
             delta = evaluate_slots(ld.value, t[:-1], v[1:], quot)
             nabla = evaluate_slots(ln.value, t[1:], v[:-1], quot)
@@ -305,13 +308,14 @@ def tables_bracket(tab: SlotTables) -> np.ndarray:
 
     Read on points 0..N-2 this is the EL2 residual; the EL1 residual is
     the same array read on points 1..N-1.  The inner sums are prefix
-    sums computed once.
+    sums computed once.  Overflow to inf or NaN is silent.
     """
-    delta_prefix = np.concatenate(([0.0], np.cumsum(tab.delta_du * tab.weights)))
-    delta_bracket = tab.delta_dv - delta_prefix[:-1]
-    nabla_prefix = np.cumsum(tab.nabla_du * tab.weights)
-    nabla_bracket = tab.nabla_dv - nabla_prefix
-    return tab.j_nabla * delta_bracket + tab.j_delta * nabla_bracket
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta_prefix = np.concatenate(([0.0], np.cumsum(tab.delta_du * tab.weights)))
+        delta_bracket = tab.delta_dv - delta_prefix[:-1]
+        nabla_prefix = np.cumsum(tab.nabla_du * tab.weights)
+        nabla_bracket = tab.nabla_dv - nabla_prefix
+        return tab.j_nabla * delta_bracket + tab.j_delta * nabla_bracket
 
 
 def bracket_defect(values: np.ndarray) -> float:
@@ -369,14 +373,17 @@ def iso_bracket(
     lam: float,
 ) -> np.ndarray:
     """Combined bracket lambda0 * B_obj - lam * B_con, one value per gap,
-    read like bracket_values in either form."""
+    read like bracket_values in either form; overflow is silent."""
+    for name, value in (("lambda0", lambda0), ("lambda", lam)):
+        if not np.isfinite(value):
+            raise ValueError(f"multiplier {name} must be finite, got {value!r}")
     if lambda0 == 0.0 and lam == 0.0:
         raise ValueError("multipliers (lambda0, lambda) must not both be zero")
     if len(y) < 3:
         raise ValueError("residual evaluation needs at least 3 points")
-    return lambda0 * bracket_values(objective, y) - lam * bracket_values(
-        constraint, y
-    )
+    b_obj, b_con = bracket_values(objective, y), bracket_values(constraint, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return lambda0 * b_obj - lam * b_con
 
 
 def iso_residual(

@@ -184,7 +184,10 @@ def load_options(doc) -> SolverOptions:
 
 
 def load_problem(source) -> LoadedProblem:
-    """Load and validate a problem from a path, JSON text, or dict."""
+    """Load and validate a problem from a path, JSON text, or dict.
+
+    This is the one builder of the normalized document, and a normalized
+    document loads back to the same document and problem."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -228,20 +231,15 @@ def load_problem(source) -> LoadedProblem:
         "objective": norm_objective,
         "constraint": norm_constraint,
         "k": k,
-        "options": options_document(options),
+        "options": {
+            "tol": options.stat_tol,
+            "max_iter": options.max_iter,
+            "multistart": options.multistart,
+            "seed": options.seed,
+            "spread": options.spread,
+        },
     }
     return LoadedProblem(problem=problem, options=options, document=document)
-
-
-def options_document(options: SolverOptions) -> dict:
-    """The normalized "options" block of a document for these options."""
-    return {
-        "tol": options.stat_tol,
-        "max_iter": options.max_iter,
-        "multistart": options.multistart,
-        "seed": options.seed,
-        "spread": options.spread,
-    }
 
 
 def _looks_like_json(source) -> bool:

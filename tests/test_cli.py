@@ -673,3 +673,99 @@ def test_malformed_number_is_an_input_error_naming_its_field(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error: objective.delta: malformed number (at position 6)")
+
+
+_SQUARE_DOC = {
+    "timescale": {"points": [0, 1, 2, 3]},
+    "boundary": {"alpha": 0, "beta": 1},
+    "objective": {"delta": "v^2", "nabla": "v^2"},
+    "constraint": {"delta": "t*v", "nabla": "1"},
+    "k": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "doc, flags, message",
+    [
+        # the gap difference overflows, and so does the per-point walk
+        (_SQUARE_DOC, ["--y", "0,1.7e308,-1.7e308,1"], "EL1 residual is inf at t=1.0"),
+        # 0 * inf: the objective's overflowed bracket weighted by lambda0 = 0
+        (_SQUARE_DOC, ["--y", "0,1e200,-1e200,1", "--lam", "1", "--lam0", "0"],
+         "EL1 residual is nan at t=1.0"),
+        # the prefix sums and factor products of 1e308*u
+        ({**_SQUARE_DOC, "timescale": {"points": [0, 1, 2, 3, 4]},
+          "objective": {"delta": "1e308*u", "nabla": "1"}},
+         ["--y", "0,1,2,3,4"], "EL1 residual is nan at t=1.0"),
+    ],
+    ids=["gap", "zero-weight", "prefix-sum"],
+)
+def test_an_overflowing_residual_writes_one_stderr_line(tmp_path, capsys, doc, flags, message):
+    # Tier-1 turns a numpy warning into an error, so in-process these
+    # calls check that none is issued; the console run checks stderr.
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    for output in ("table", "csv", "structured"):
+        rc = main(["residual", str(path), *flags, "--output", output])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (2, "", f"numerical error: {message}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltanabla", "residual", str(path), *flags],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"numerical error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lam0", "nan", "--lam", "1"], "multiplier lambda0 must be finite, got nan"),
+        (["--lam", "inf"], "multiplier lambda must be finite, got inf"),
+        (["--lam=-inf", "--lam0", "0"], "multiplier lambda must be finite, got -inf"),
+    ],
+    ids=["lambda0-nan", "lambda-inf", "lambda-minus-inf"],
+)
+def test_non_finite_multipliers_are_input_errors(tmp_path, capsys, flags, message):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(_SQUARE_DOC))
+    rc = main(["residual", str(path), "--y", "0,1,2,1", *flags])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
+def test_a_directory_as_the_problem_file_is_an_input_error(tmp_path, capsys):
+    rc = main(["solve", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err.startswith("error: [Errno ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["solve"],
+        ["bogus"],
+        ["solve", "problem.json", "--tol", "abc"],
+        ["residual", "problem.json"],
+        ["verify", "example"],
+        ["verify", "example", "--M", "8", "--output", "csv"],
+        ["verify", "identities", "--output", "csv"],
+        ["eval", "v"],
+    ],
+    ids=["no-command", "solve-no-file", "unknown-command", "bad-float", "residual-no-y",
+         "verify-no-m", "verify-example-csv", "verify-identities-csv", "eval-no-at"],
+)
+def test_usage_errors_are_input_errors(capsys, argv):
+    # argparse prints its usage text; the exit code is 1 (input), not
+    # its own 2, which reads as a numerical failure.
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err.startswith("usage: deltanabla")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["verify", "example", "-h"]])
+def test_help_exits_zero(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: deltanabla")

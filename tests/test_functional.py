@@ -21,7 +21,7 @@ from deltanabla import (
     iso_residual,
     make_lagrangian,
 )
-from deltanabla.solver import closed_form_example, example_problem
+from deltanabla.solver import closed_form_example, discrete_gradient, example_problem
 
 
 @pytest.fixture
@@ -156,6 +156,54 @@ def test_an_overflowing_bracket_is_an_evaluation_error_naming_form_and_point():
         with pytest.raises(EvaluationError) as info:
             el_residual(inverse, y, form)
         assert str(info.value) == message
+
+
+def test_overflowing_brackets_raise_without_numpy_warnings():
+    # Tier-1 turns every RuntimeWarning into an error, so each call below
+    # would fail with the warning instead of the EvaluationError: the gap
+    # difference 1.7e308 - (-1.7e308) and the squares in the per-point
+    # walk; 0 * inf when the objective's overflowed bracket is weighted
+    # by lambda0 = 0; the prefix sums and factor products of 1e308*u.
+    scale = TimeScale(np.arange(4.0))
+    square = DeltaNablaFunctional(make_lagrangian("v^2"), make_lagrangian("v^2"))
+    K = DeltaNablaFunctional(make_lagrangian("t*v"), make_lagrangian("1"))
+    huge = GridFunction(scale, np.array([0.0, 1.7e308, -1.7e308, 1.0]))
+    large = GridFunction(scale, np.array([0.0, 1e200, -1e200, 1.0]))
+    F = DeltaNablaFunctional(make_lagrangian("1e308*u"), make_lagrangian("1"))
+    ramp = GridFunction(TimeScale(np.arange(5.0)), np.arange(5.0))
+    for call, message in [
+        (lambda: el_residual(square, huge, EL1), "EL1 residual is inf at t=1.0"),
+        (lambda: iso_residual(square, K, large, 0.0, 1.0, EL1), "EL1 residual is nan at t=1.0"),
+        (lambda: el_residual(F, ramp, EL1), "EL1 residual is nan at t=1.0"),
+    ]:
+        with pytest.raises(EvaluationError) as info:
+            call()
+        assert str(info.value) == message
+    out = eval_functional(K, huge)
+    assert np.isnan(out.delta_factor) and out.nabla_factor == 3.0
+
+
+def test_functional_and_gradient_overflow_silently(m3):
+    # The example at a point whose gaps overflow: the same numbers as
+    # with numpy's warnings on, and no warning.
+    p, _, _ = m3
+    y = GridFunction(p.scale, np.array([0.0, 1.7e308, -1.7e308, 3.0]))
+    out = eval_functional(p.objective, y)
+    assert out.delta_factor == np.inf
+    assert np.isnan(out.nabla_factor) and np.isnan(out.product)
+    assert np.isnan(discrete_gradient(p.objective, y)).all()
+    assert np.isnan(discrete_gradient(p.constraint, y)).all()
+
+
+@pytest.mark.parametrize("lambda0, lam, name", [
+    (np.nan, 1.0, "lambda0"), (np.inf, 1.0, "lambda0"),
+    (1.0, np.inf, "lambda"), (1.0, -np.inf, "lambda"), (0.0, np.nan, "lambda"),
+])
+def test_non_finite_multipliers_are_value_errors_naming_the_multiplier(m3, lambda0, lam, name):
+    # An input error (CLI exit 1), not a NaN residual (a numerical error).
+    p, y, _ = m3
+    with pytest.raises(ValueError, match=f"^multiplier {name} must be finite, got "):
+        iso_residual(p.objective, p.constraint, y, lambda0, lam, EL2)
 
 
 def test_iso_residual_constant_at_the_extremal(m3):
