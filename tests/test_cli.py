@@ -700,8 +700,9 @@ _SQUARE_DOC = {
     ids=["gap", "zero-weight", "prefix-sum"],
 )
 def test_an_overflowing_residual_writes_one_stderr_line(tmp_path, capsys, doc, flags, message):
-    # Tier-1 turns a numpy warning into an error, so in-process these
-    # calls check that none is issued; the console run checks stderr.
+    # pyproject's filterwarnings setting turns a numpy warning into an
+    # error, so in-process these calls check that none is issued; the
+    # console run checks stderr.
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
     for output in ("table", "csv", "structured"):

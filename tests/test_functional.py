@@ -159,11 +159,12 @@ def test_an_overflowing_bracket_is_an_evaluation_error_naming_form_and_point():
 
 
 def test_overflowing_brackets_raise_without_numpy_warnings():
-    # Tier-1 turns every RuntimeWarning into an error, so each call below
-    # would fail with the warning instead of the EvaluationError: the gap
-    # difference 1.7e308 - (-1.7e308) and the squares in the per-point
-    # walk; 0 * inf when the objective's overflowed bracket is weighted
-    # by lambda0 = 0; the prefix sums and factor products of 1e308*u.
+    # pyproject's filterwarnings setting turns every RuntimeWarning into
+    # an error, so each call below would fail with the warning instead of
+    # the EvaluationError: the gap difference 1.7e308 - (-1.7e308) and the
+    # squares in the per-point walk; 0 * inf when the objective's
+    # overflowed bracket is weighted by lambda0 = 0; the prefix sums and
+    # factor products of 1e308*u.
     scale = TimeScale(np.arange(4.0))
     square = DeltaNablaFunctional(make_lagrangian("v^2"), make_lagrangian("v^2"))
     K = DeltaNablaFunctional(make_lagrangian("t*v"), make_lagrangian("1"))

@@ -352,13 +352,13 @@ def test_kkt_check_outside_the_domain_is_an_evaluation_error():
 
 def test_kkt_check_at_overflowing_gaps_is_not_finite_without_warnings(m3):
     # The gap difference 1.7e308 - (-1.7e308) overflows in the real walk
-    # that decides the domain; tier-1 turns its warning into an error.
+    # that decides the domain; pyproject's filterwarnings setting turns a
+    # numpy warning there into an error.
     p, _ = m3
     y = GridFunction(p.scale, np.array([0.0, 1.7e308, -1.7e308, 3.0]))
     report = kkt_check(p, y, 1.0)
     assert np.isnan(report.residual_inf_norm)
     assert np.isnan(report.feasibility_gap)
-    assert report.lambda_fit == 0.0
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 32, 48, 128, 256])
