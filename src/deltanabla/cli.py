@@ -24,7 +24,7 @@ import numpy as np
 
 from .expressions import EvaluationError, evaluate, make_lagrangian, to_str
 from .functional import bracket_values, eval_functional, iso_bracket, residual_pair
-from .functional import row_tables, tables_bracket
+from .functional import tables_bracket, tables_or_nan
 from .oracle import identity_fuzz, verify_example
 from .problemfile import OPTION_FIELDS, LoadedProblem, load_problem
 from .solver import SolveResult, find_abnormal, solve_normal
@@ -134,13 +134,11 @@ def _solve_row_data(loaded: LoadedProblem, result: SolveResult):
     """Rows of the answer's combined bracket, or of the objective's raw
     bracket at the best iterate of a solve that did not converge, which
     may be inf or NaN there, or undefined and shown as NaN."""
+    y = result.y
     if result.converged:
-        bracket = result.bracket
-    else:
-        y = result.y
-        tab, _ = row_tables(loaded.problem.objective, y.scale.points, y.values[None])
-        bracket = tables_bracket(tab.rows(0))
-    return _point_rows(result.y, bracket)
+        return _point_rows(y, result.bracket)
+    tab = tables_or_nan(loaded.problem.objective, y.scale.points, y.values)
+    return _point_rows(y, tables_bracket(tab))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -297,10 +295,10 @@ def cmd_verify_identities(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    parts = args.at.split(",")
-    if len(parts) != 3:
-        raise ValueError("--at expects t,u,v")
-    t, u, v = (float(x) for x in parts)
+    try:
+        t, u, v = (float(x) for x in args.at.split(","))
+    except ValueError:
+        raise ValueError("--at expects t,u,v") from None
     lag = make_lagrangian(args.expression)
     _emit("table", None, [repr(evaluate(lag.value, t, u, v))])
     return EXIT_OK

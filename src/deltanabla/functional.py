@@ -94,10 +94,15 @@ COLUMNS = tuple(
 """The names of the ten SlotTables columns, in field order."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class SlotTables:
-    """First and second partials of the integrands on the two slot
-    sequences, and the two factors.
+    """A product functional at one function (values, a bare array), or
+    at each row of a (rows, N) stack of them on one scale: the partials
+    of its integrands on the two slot sequences, the two factors, and
+    what is read from them: the value, the factors' gradients
+    (grad_delta, grad_nabla), the gradient in the interior values
+    (grad), the breakdown, the Hessians (hessian) and the bracket
+    (tables_bracket).
 
     Delta entries are indexed by the left point of each gap
     (positions 0..N-2), nabla entries by the right point
@@ -106,13 +111,20 @@ class SlotTables:
     is a constant is that float, which numpy broadcasts like the array
     it stands for; every other column is an array of its own.  A second
     partial that is undefined at a slot where the value and first
-    partials are defined reads NaN there.
+    partials are defined reads NaN there.  A stack has a (rows, N-1)
+    array for each column that is not constant and the factors as
+    (rows, 1) columns; every row's numbers are those of its function
+    alone.
 
-    Tables of several functions on one scale (row_tables) have a
-    (rows, N-1) array for each column that is not constant, and the
-    factors as (rows, 1) columns.
+    Each interior value y_j enters two delta slots (as shifted value and
+    in two difference quotients) and two nabla slots, and the product
+    rule gives grad = J_nabla * grad_delta + J_delta * grad_nabla.  The
+    value and gradients are computed when the tables are made, unless
+    given (as rows gives them), under their maker's numpy error state;
+    every maker in this module silences overflow.
     """
 
+    values: np.ndarray
     weights: np.ndarray
     delta_du: Column
     delta_dv: Column
@@ -126,10 +138,25 @@ class SlotTables:
     nabla_vv: Column
     j_delta: float | np.ndarray
     j_nabla: float | np.ndarray
+    grad_delta: np.ndarray | None = None
+    grad_nabla: np.ndarray | None = None
+    grad: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        self.value = self.j_delta * self.j_nabla
+        if self.grad is None:
+            w = self.weights
+            (du, _), (dv, dv_next) = _ends(self.delta_du), _ends(self.delta_dv)
+            (_, nu), (nv_prev, nv) = _ends(self.nabla_du), _ends(self.nabla_dv)
+            self.grad_delta = du * w[:-1] + dv - dv_next
+            self.grad_nabla = nu * w[1:] - nv + nv_prev
+            self.grad = self.j_nabla * self.grad_delta + self.j_delta * self.grad_nabla
 
     def rows(self, index: int | list[int]) -> SlotTables:
-        """The tables of the given rows of stacked tables: a list of
-        rows stays stacked, one row gives the single function's tables."""
+        """The given rows of a stack: a list of rows stays a stack, one
+        row gives its function's tables.  The gradients the stack has
+        computed are sliced, not computed again, and a factor's gradient
+        that is one row for the whole stack stays shared."""
         columns = [
             c if isinstance(c, float) else c[index]
             for c in (getattr(self, name) for name in COLUMNS)
@@ -137,7 +164,63 @@ class SlotTables:
         j_delta, j_nabla = self.j_delta[index], self.j_nabla[index]
         if isinstance(index, int):
             j_delta, j_nabla = float(j_delta[0]), float(j_nabla[0])
-        return SlotTables(self.weights, *columns, j_delta, j_nabla)
+        grads = (g if g.ndim == 1 else g[index]
+                 for g in (self.grad_delta, self.grad_nabla, self.grad))
+        return SlotTables(self.values[index], self.weights, *columns, j_delta, j_nabla, *grads)
+
+    def breakdown(self) -> EvaluationBreakdown:
+        return EvaluationBreakdown(self.j_delta, self.j_nabla, self.value)
+
+    def hessian(self, rows: list[int]) -> np.ndarray:
+        """Exact Hessians in the interior values of the given rows of a
+        stack (an increasing list), stacked: J_nabla * H_delta + J_delta
+        * H_nabla, which is tridiagonal, plus the rank-2 grad_delta
+        grad_nabla^T + its transpose.
+
+        Gap i's integrand sees its end values y_i, y_(i+1) only through
+        u (y_(i+1) on the delta side, y_i on the nabla side) and
+        v = (y_(i+1) - y_i) / w_i, so each gap adds a 2x2 block of
+        weighted second partials; interior point j is the right end of
+        gap j-1 and the left end of gap j.
+        """
+        w = self.weights
+        d_vv = self.delta_vv / w
+        n_vv = self.nabla_vv / w
+        jd, jn = self.j_delta, self.j_nabla
+        left = jn * d_vv + jd * (self.nabla_uu * w - 2.0 * self.nabla_uv + n_vv)
+        cross = jn * -(self.delta_uv + d_vv) + jd * (self.nabla_uv - n_vv)
+        right = jn * (self.delta_uu * w + 2.0 * self.delta_uv + d_vv) + jd * n_vv
+        n = w.size - 1
+        diagonal = _take(right, rows)[:, :-1] + _take(left, rows)[:, 1:]
+        off = _take(cross, rows)[:, 1:-1]
+        # A factor's gradient is one row, the same for every row of the
+        # stack, when its d_u and d_v are constants.
+        gd, gn = (g if g.ndim == 1 else _take(g, rows) for g in (self.grad_delta, self.grad_nabla))
+        rank2 = gd[..., :, None] * gn[..., None, :]
+        h = rank2 + np.swapaxes(rank2, -1, -2)
+        if h.ndim == 2:
+            h = np.repeat(h[None], len(diagonal), axis=0)
+        flat = h.reshape(len(diagonal), n * n)
+        flat[:, :: n + 1] += diagonal
+        flat[:, 1 :: n + 1] += off
+        flat[:, n :: n + 1] += off
+        return h
+
+
+def _ends(column: Column) -> tuple[Column, Column]:
+    """A column's slots but the last and its slots but the first (of
+    every row); a constant stands for all of them."""
+    return (column, column) if isinstance(column, float) else (column[..., :-1], column[..., 1:])
+
+
+def _take(stack: np.ndarray, rows: list[int]) -> np.ndarray:
+    """The given rows of a stack, an increasing list of them.  All rows
+    are the stack itself and one row a view, not a copy."""
+    if len(rows) == len(stack):
+        return stack
+    if len(rows) == 1:
+        return stack[rows[0] : rows[0] + 1]
+    return stack[rows]
 
 
 def slot_tables(functional: DeltaNablaFunctional, y: GridFunction) -> SlotTables:
@@ -175,7 +258,9 @@ def slot_tables_at(
             )
             second = _walk(ld.second, ln.second, points, values, quot, undefined=np.nan)
             j_delta, j_nabla = _factor(first[0], dt, dt.shape), _factor(first[3], dt, dt.shape)
-        return SlotTables(dt, *first[1:3], *second[:3], *first[4:], *second[3:], j_delta, j_nabla)
+            return SlotTables(
+                values, dt, *first[1:3], *second[:3], *first[4:], *second[3:], j_delta, j_nabla
+            )
 
 
 def row_tables(
@@ -194,13 +279,12 @@ def row_tables(
     except (ArithmeticError, ValueError):
         pass
     dt = points[1:] - points[:-1]
-    undefined = SlotTables(dt, *[np.nan] * 12)
     tables, errors = [], {}
     for row, v in enumerate(values):
         try:
             tables.append(slot_tables_at(functional, points, v))
         except EvaluationError as exc:
-            tables.append(undefined)
+            tables.append(SlotTables(v, dt, *[np.nan] * 12))
             errors[row] = str(exc)
     columns = [
         np.stack([np.broadcast_to(getattr(tab, name), dt.shape) for tab in tables])
@@ -208,7 +292,19 @@ def row_tables(
     ]
     j_delta = np.array([[tab.j_delta] for tab in tables])
     j_nabla = np.array([[tab.j_nabla] for tab in tables])
-    return SlotTables(dt, *columns, j_delta, j_nabla), errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SlotTables(values, dt, *columns, j_delta, j_nabla), errors
+
+
+def tables_or_nan(
+    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
+) -> SlotTables:
+    """slot_tables_at of one function whose every column, factor,
+    gradient and bracket reads NaN where its integrands are undefined
+    (see row_tables); numpy's warnings on the way to inf or NaN are
+    silenced."""
+    with np.errstate(all="ignore"):
+        return row_tables(functional, points, values[None])[0].rows(0)
 
 
 def _kernel_tables(
@@ -223,7 +319,7 @@ def _kernel_tables(
         delta_value, *delta = functional.l_delta.tables(points[:-1], values[..., 1:], quot)
         nabla_value, *nabla = functional.l_nabla.tables(points[1:], values[..., :-1], quot)
         factors = _factor(delta_value, dt, quot.shape), _factor(nabla_value, dt, quot.shape)
-    return SlotTables(dt, *delta, *nabla, *factors)
+        return SlotTables(values, dt, *delta, *nabla, *factors)
 
 
 def _walk(

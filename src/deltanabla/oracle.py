@@ -43,8 +43,9 @@ class KktReport:
     """Complex-step stationarity report at a candidate point.
 
     lambda_fit is the least-squares multiplier fitting
-    grad(objective) ~ lambda * grad(constraint); residual_inf_norm uses
-    the caller's multiplier, not the fitted one.
+    grad(objective) ~ lambda * grad(constraint): 0.0 where the constraint
+    gradient is exactly zero, NaN where the sum of its squares is NaN;
+    residual_inf_norm uses the caller's multiplier, not the fitted one.
     """
 
     grad_objective: np.ndarray
@@ -108,7 +109,7 @@ def kkt_check(p: IsoperimetricProblem, y: GridFunction, lam: float) -> KktReport
     g_obj = _complex_step_gradient(p.objective, y, at_obj)
     g_con = _complex_step_gradient(p.constraint, y, at_con)
     denom = float(g_con @ g_con)
-    lambda_fit = float(g_obj @ g_con) / denom if denom > 0.0 else 0.0
+    lambda_fit = float(g_obj @ g_con) / denom if denom != 0.0 else 0.0
     residual = float(np.max(np.abs(g_obj - lam * g_con)))
     return KktReport(g_obj, g_con, lambda_fit, residual, gap)
 

@@ -22,15 +22,16 @@ import numpy as np
 
 from .expressions import EvaluationError, constant_lagrangian, make_lagrangian
 from .functional import (
-    Column,
     DeltaNablaFunctional,
     EvaluationBreakdown,
     SlotTables,
+    _take,
     bracket_defect,
     eval_functional,
     row_tables,
     slot_tables_at,
     tables_bracket,
+    tables_or_nan,
 )
 from .timescale import GridFunction, TimeScale
 
@@ -147,125 +148,11 @@ class SolveResult:
 def discrete_gradient(
     functional: DeltaNablaFunctional, y: GridFunction
 ) -> np.ndarray:
-    """Exact gradient of the product functional in the interior values.
-
-    Product rule: grad = J_nabla * grad(J_delta) + J_delta *
-    grad(J_nabla), where each interior value y(t_i) enters two delta
-    slots (as shifted value and in two difference quotients) and two
-    nabla slots.
-    """
+    """Exact gradient of the product functional in the interior values
+    (see SlotTables)."""
     if len(y) < 3:
         raise ValueError("gradient needs at least one interior point")
-    return _Product(y.values, slot_tables_at(functional, y.scale.points, y.values)).grad
-
-
-def _cut(column: Column, part: slice) -> Column:
-    """The part of a column's slots (of every row); a constant stands for
-    all of them."""
-    return column if isinstance(column, float) else column[..., part]
-
-
-_HEAD = slice(None, -1)
-_TAIL = slice(1, None)
-
-
-class _Product:
-    """A product functional at one point (all values of the function, as
-    a bare array), or at each row of a stack of them on one scale, read
-    from its slot tables (stacked for a stack): the value, the factors'
-    gradients and the gradient in the interior values, and, for a stack,
-    the Hessians on request, every row's numbers those of its point
-    alone."""
-
-    def __init__(self, values: np.ndarray, tab: SlotTables) -> None:
-        self.values = values
-        self.tab = tab
-        w = tab.weights
-        self.value = tab.j_delta * tab.j_nabla
-        self.grad_delta = (
-            _cut(tab.delta_du, _HEAD) * w[:-1] + _cut(tab.delta_dv, _HEAD)
-            - _cut(tab.delta_dv, _TAIL)
-        )
-        self.grad_nabla = (
-            _cut(tab.nabla_du, _TAIL) * w[1:] - _cut(tab.nabla_dv, _TAIL)
-            + _cut(tab.nabla_dv, _HEAD)
-        )
-        self.grad = tab.j_nabla * self.grad_delta + tab.j_delta * self.grad_nabla
-
-    def rows(self, index: int | list[int]) -> _Product:
-        """The product at the given rows of a stack: a list of rows stays
-        a stack, one row gives the product at its point, sliced from the
-        stack's own numbers (a factor's one-row gradient stays shared)."""
-        part = object.__new__(_Product)
-        part.values, part.tab = self.values[index], self.tab.rows(index)
-        part.value = part.tab.j_delta * part.tab.j_nabla
-        part.grad_delta, part.grad_nabla, part.grad = (
-            g if g.ndim == 1 else g[index] for g in (self.grad_delta, self.grad_nabla, self.grad))
-        return part
-
-    def breakdown(self) -> EvaluationBreakdown:
-        return EvaluationBreakdown(self.tab.j_delta, self.tab.j_nabla, self.value)
-
-    def hessian(self, rows: list[int]) -> np.ndarray:
-        """Exact Hessians in the interior values of the given rows of a
-        stack, stacked: J_nabla * H_delta + J_delta * H_nabla, which is
-        tridiagonal, plus the rank-2 grad_delta grad_nabla^T + its
-        transpose.
-
-        Gap i's integrand sees its end values y_i, y_(i+1) only through
-        u (y_(i+1) on the delta side, y_i on the nabla side) and
-        v = (y_(i+1) - y_i) / w_i, so each gap adds a 2x2 block of
-        weighted second partials; interior point j is the right end of
-        gap j-1 and the left end of gap j.
-        """
-        tab = self.tab
-        w = tab.weights
-        d_vv = tab.delta_vv / w
-        n_vv = tab.nabla_vv / w
-        jd, jn = tab.j_delta, tab.j_nabla
-        left = jn * d_vv + jd * (tab.nabla_uu * w - 2.0 * tab.nabla_uv + n_vv)
-        cross = jn * -(tab.delta_uv + d_vv) + jd * (tab.nabla_uv - n_vv)
-        right = jn * (tab.delta_uu * w + 2.0 * tab.delta_uv + d_vv) + jd * n_vv
-        n = w.size - 1
-        diagonal = _take(right, rows)[:, :-1] + _take(left, rows)[:, 1:]
-        off = _take(cross, rows)[:, 1:-1]
-        # A factor's gradient is one row, the same for every row of the
-        # stack, when its d_u and d_v are constants.
-        gd, gn = self.grad_delta, self.grad_nabla
-        if gd.ndim == 2:
-            gd = _take(gd, rows)
-        if gn.ndim == 2:
-            gn = _take(gn, rows)
-        rank2 = gd[..., :, None] * gn[..., None, :]
-        h = rank2 + np.swapaxes(rank2, -1, -2)
-        if h.ndim == 2:
-            h = np.repeat(h[None], len(diagonal), axis=0)
-        flat = h.reshape(len(diagonal), n * n)
-        flat[:, :: n + 1] += diagonal
-        flat[:, 1 :: n + 1] += off
-        flat[:, n :: n + 1] += off
-        return h
-
-
-def _product_or_undefined(
-    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
-) -> _Product:
-    """The product at the point, whose every value, gradient and bracket
-    is NaN where its integrands are undefined (see row_tables); numpy's
-    warnings on the way to inf or NaN are silenced."""
-    with np.errstate(all="ignore"):
-        tab, _ = row_tables(functional, points, values[None])
-        return _Product(values, tab.rows(0))
-
-
-def _take(stack: np.ndarray, rows: list[int]) -> np.ndarray:
-    """The given rows of a stack, an increasing list of them.  All rows
-    are the stack itself and one row a view, not a copy."""
-    if len(rows) == len(stack):
-        return stack
-    if len(rows) == 1:
-        return stack[rows[0] : rows[0] + 1]
-    return stack[rows]
+    return slot_tables_at(functional, y.scale.points, y.values).grad
 
 
 _EPS = float(np.finfo(float).eps)
@@ -284,29 +171,29 @@ leaves them a margin of 24 or more."""
 
 
 class _System(NamedTuple):
-    """A square Newton system in z, read from the products of its
+    """A square Newton system in z, read from the slot tables of its
     functionals at the function values(z) on the points: for a stack of
-    points z and the products stacked over its rows, residual(z,
-    products) gives f row by row and jacobian(z, products, rows) the
-    stacked Jacobians of f at the given rows (an increasing list)."""
+    points z and the tables stacked over its rows, residual(z, tables)
+    gives f row by row and jacobian(z, tables, rows) the stacked
+    Jacobians of f at the given rows (an increasing list)."""
 
     functionals: tuple[DeltaNablaFunctional, ...]
     points: np.ndarray
     values: Callable[[np.ndarray], np.ndarray]
-    residual: Callable[[np.ndarray, tuple[_Product, ...]], np.ndarray]
-    jacobian: Callable[[np.ndarray, tuple[_Product, ...], list[int]], np.ndarray]
+    residual: Callable[[np.ndarray, tuple[SlotTables, ...]], np.ndarray]
+    jacobian: Callable[[np.ndarray, tuple[SlotTables, ...], list[int]], np.ndarray]
 
 
 class _Evaluation(NamedTuple):
     """A system at the rows of a stack of points that it could evaluate:
     those rows (indices into the stack), their points z, residuals f and
-    the products f was computed from, stacked over those rows (the
+    the tables f was computed from, stacked over those rows (the
     constraint's last).  errors maps every other row to what stopped it."""
 
     rows: list[int]
     z: np.ndarray
     f: np.ndarray
-    products: tuple[_Product, ...]
+    tables: tuple[SlotTables, ...]
     errors: dict[int, str]
 
 
@@ -333,11 +220,10 @@ def _evaluate(system: _System, z: np.ndarray) -> _Evaluation:
             kept = [i for i in range(len(rows)) if i not in undefined]
             rows = [rows[i] for i in kept]
             tables = [tab.rows(kept) for tab in tables]
-    at = _take(z, rows)
+    at, tables = _take(z, rows), tuple(tables)
     if not rows:
         return _Evaluation(rows, at, np.empty((0, z.shape[1])), (), errors)
-    products = tuple(_Product(_take(values, rows), tab) for tab in tables)
-    return _Evaluation(rows, at, system.residual(at, products), products, errors)
+    return _Evaluation(rows, at, system.residual(at, tables), tables, errors)
 
 
 @dataclass
@@ -345,7 +231,7 @@ class _NewtonRun:
     """The end of a run: the iterate z, its residual f (all inf if the
     start is no iterate), the evaluation and row f is read from (ev None
     if the start could not be evaluated), which later code reads instead
-    of evaluating z again (value(i) at the row, products sliced on first
+    of evaluating z again (value(i) at the row, tables sliced on first
     read), and the rounding level of its last step (0.0 if none)."""
 
     z: np.ndarray
@@ -357,11 +243,11 @@ class _NewtonRun:
     level: float = 0.0
 
     def value(self, i: int) -> float:
-        return float(self.ev.products[i].value[self.row, 0])
+        return float(self.ev.tables[i].value[self.row, 0])
 
     @cached_property
-    def products(self) -> tuple[_Product, ...] | None:
-        return None if self.ev is None else tuple(p.rows(self.row) for p in self.ev.products)
+    def tables(self) -> tuple[SlotTables, ...] | None:
+        return None if self.ev is None else tuple(tab.rows(self.row) for tab in self.ev.tables)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -562,7 +448,7 @@ def _newton(
                         if isinstance(ask, tuple)]
             if stepping:
                 rows = [row for _, _, (row, _) in stepping]
-                jac = system.jacobian(ev.z, ev.products, rows)
+                jac = system.jacobian(ev.z, ev.tables, rows)
                 top = np.abs(jac).max(axis=(1, 2))  # NaN or inf where J is not finite
                 steps = _steps(jac, _take(ev.f, rows), min_norm, np.isfinite(top))
                 norms = [ask[1] for _, _, ask in stepping]
@@ -606,8 +492,8 @@ def _met(run: _NewtonRun, p: IsoperimetricProblem, opts: SolverOptions) -> bool:
 
 def _answer(
     p: IsoperimetricProblem,
-    obj: _Product,
-    con: _Product,
+    obj: SlotTables,
+    con: SlotTables,
     lam0: float,
     lam: float,
     iterations: int,
@@ -616,7 +502,7 @@ def _answer(
     points: tuple[StationaryPoint, ...] = (),
 ) -> SolveResult:
     """The answer at the point where obj and con were evaluated, with
-    the multiplier pair (lam0, lam), from those products alone: both
+    the multiplier pair (lam0, lam), from their tables alone: both
     values, the combined bracket and its defect (the same in both
     forms, which read one array), the exact KKT residual norm, and the
     normal/abnormal classification from the constraint's own bracket.
@@ -626,8 +512,8 @@ def _answer(
     numpy's warnings on the way to one are silenced for that reason."""
     y = GridFunction(p.scale, con.values)
     with np.errstate(all="ignore"):
-        bracket_k = tables_bracket(con.tab)
-        bracket = lam0 * tables_bracket(obj.tab) - lam * bracket_k
+        bracket_k = tables_bracket(con)
+        bracket = lam0 * tables_bracket(obj) - lam * bracket_k
         defect = bracket_defect(bracket)
         kkt = float(np.max(np.abs(lam0 * obj.grad - lam * con.grad)))
         abnormal = bracket_defect(bracket_k) <= opts.stat_tol
@@ -658,14 +544,14 @@ def _normal_system(p: IsoperimetricProblem) -> _System:
     -grad(constraint) on the right and grad(constraint) below."""
     n = p.interior_count()
 
-    def residual(z: np.ndarray, products: tuple[_Product, ...]) -> np.ndarray:
-        obj, con = products
+    def residual(z: np.ndarray, tables: tuple[SlotTables, ...]) -> np.ndarray:
+        obj, con = tables
         return np.concatenate((obj.grad - z[:, n:] * con.grad, con.value - p.k), axis=1)
 
     def jacobian(
-        z: np.ndarray, products: tuple[_Product, ...], rows: list[int]
+        z: np.ndarray, tables: tuple[SlotTables, ...], rows: list[int]
     ) -> np.ndarray:
-        obj, con = products
+        obj, con = tables
         lam = _take(z, rows)[:, n:, None]
         jac = np.zeros((len(lam), n + 1, n + 1))
         jac[:, :n, :n] = obj.hessian(rows)
@@ -689,8 +575,8 @@ def _abnormal_system(p: IsoperimetricProblem) -> _System:
     whose Jacobian is the constraint's Hessian."""
     return _System(
         (p.constraint,), p.scale.points, p._values,
-        lambda z, products: products[0].grad,
-        lambda z, products, rows: products[0].hessian(rows),
+        lambda z, tables: tables[0].grad,
+        lambda z, tables, rows: tables[0].hessian(rows),
     )
 
 
@@ -727,7 +613,7 @@ def solve_normal(
         best = min(converged, key=lambda run: run.value(0))
         lam = float(best.z[n])
         return _answer(
-            p, *best.products, 1.0, lam, best.iterations, opts, best.level, tuple(points)
+            p, *best.tables, 1.0, lam, best.iterations, opts, best.level, tuple(points)
         )
 
     # No start converged: report the best finite iterate for inspection.
@@ -736,11 +622,11 @@ def solve_normal(
     if not finite:
         raise EvaluationError(f"no start has a finite iterate: {statuses}")
     best = min(finite, key=lambda run: float(np.max(np.abs(run.f))))
-    products = best.products or tuple(
-        _product_or_undefined(functional, p.scale.points, p._values(best.z[:n]))
+    tables = best.tables or tuple(
+        tables_or_nan(functional, p.scale.points, p._values(best.z[:n]))
         for functional in (p.objective, p.constraint)
     )
-    report = _answer(p, *products, 1.0, float(best.z[n]), best.iterations, opts, best.level)
+    report = _answer(p, *tables, 1.0, float(best.z[n]), best.iterations, opts, best.level)
     return replace(
         report, classification="unknown", converged=False, message=statuses, bracket=None
     )
@@ -769,13 +655,13 @@ def find_abnormal(
             continue
         if any(np.max(np.abs(run.z - r.y.values[1:-1])) <= 1e-6 for r in found):
             continue
-        [con] = run.products
+        [con] = run.tables
         with np.errstate(all="ignore"):  # a non-finite bracket fails the test
-            if not bracket_defect(tables_bracket(con.tab)) <= max(opts.stat_tol, run.level):
+            if not bracket_defect(tables_bracket(con)) <= max(opts.stat_tol, run.level):
                 continue
         # The candidate is abnormal whatever the objective does there; a
         # NaN certificate keeps it from converging.
-        obj = _product_or_undefined(p.objective, t, con.values)
+        obj = tables_or_nan(p.objective, t, con.values)
         found.append(_answer(p, obj, con, 0.0, 1.0, run.iterations, opts, run.level))
     return found
 

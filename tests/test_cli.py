@@ -280,8 +280,11 @@ def test_eval_parse_error(capsys):
 
 
 def test_eval_bad_at_shape(capsys):
-    rc = main(["eval", "v", "--at", "1,2"])
-    assert rc == 1
+    # A wrong count and a value that is no number read alike.
+    for at in ("1,2", "0,a,1"):
+        rc = main(["eval", "v", "--at", at])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --at expects t,u,v\n"
 
 
 def test_diff(capsys):

@@ -327,7 +327,7 @@ def _check_against_walk(functional, y):
         # The bracket reads only the first partials and the factors.
         cols, j_delta, j_nabla = ref[1]
         want = _outcome(lambda: tables_bracket(
-            SlotTables(np.diff(y.scale.points), *cols, j_delta, j_nabla)))
+            SlotTables(y.values, np.diff(y.scale.points), *cols, j_delta, j_nabla)))
         assert _same(want[1], _outcome(lambda: bracket_values(functional, y))[1])
     assert got[0] == ref[0]
     if ref[0] == "raised":

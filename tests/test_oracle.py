@@ -303,7 +303,7 @@ class _Tripwire(Const):
 
 
 def test_kkt_check_reads_only_the_value_trees(monkeypatch):
-    from deltanabla import expressions, functional, solver
+    from deltanabla import expressions, functional
 
     p = _every_node_problem()
     y = GridFunction(p.scale, _EVERY_NODE_Y)
@@ -315,7 +315,7 @@ def test_kkt_check_reads_only_the_value_trees(monkeypatch):
     monkeypatch.setattr(expressions.Lagrangian, "tables", forbidden)
     monkeypatch.setattr(functional, "slot_tables_at", forbidden)
     monkeypatch.setattr(functional, "row_tables", forbidden)
-    monkeypatch.setattr(solver, "_Product", forbidden)
+    monkeypatch.setattr(functional, "SlotTables", forbidden)
 
     def values_only(f):
         trip = _Tripwire()
@@ -353,12 +353,15 @@ def test_kkt_check_outside_the_domain_is_an_evaluation_error():
 def test_kkt_check_at_overflowing_gaps_is_not_finite_without_warnings(m3):
     # The gap difference 1.7e308 - (-1.7e308) overflows in the real walk
     # that decides the domain; pyproject's filterwarnings setting turns a
-    # numpy warning there into an error.
+    # numpy warning there into an error.  Both gradients read NaN, and so
+    # does the fitted multiplier, not the 0.0 of a flat constraint.
     p, _ = m3
     y = GridFunction(p.scale, np.array([0.0, 1.7e308, -1.7e308, 3.0]))
     report = kkt_check(p, y, 1.0)
     assert np.isnan(report.residual_inf_norm)
     assert np.isnan(report.feasibility_gap)
+    assert np.isnan(report.grad_constraint).all()
+    assert np.isnan(report.lambda_fit)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 32, 48, 128, 256])

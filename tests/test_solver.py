@@ -28,12 +28,15 @@ from deltanabla import (
 )
 from deltanabla import expressions, solver
 from deltanabla.functional import (
+    COLUMNS,
     EL2,
+    SlotTables,
     bracket_defect,
     el_residual,
     iso_bracket,
     iso_residual,
     row_tables,
+    tables_bracket,
 )
 from deltanabla.solver import closed_form_example, example_problem
 from test_acceptance import _random_small_problem
@@ -401,7 +404,7 @@ def test_answers_agree_bitwise_with_the_certificate_functions():
 
 
 def test_no_kernel_pass_after_the_newton_runs(monkeypatch):
-    # Both searches read their answers from the products each run kept
+    # Both searches read their answers from the tables each run kept
     # of its final iterate: a converged solve evaluates nothing after
     # its runs, and an abnormal answer evaluates only its objective, once.
     outside = []
@@ -802,16 +805,17 @@ def test_stacked_min_norm_steps_match_lstsq(n):
             assert np.linalg.norm(step - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def _eager_rows(product, index):
-    """The product at the given rows of a stack, every number computed
-    again from the sliced tables (as the runs did, with numpy's warnings
-    on the way to inf or NaN silenced)."""
+def _eager_rows(tab, index):
+    """The tables at the given rows of a stack, the value and every
+    gradient computed again from the sliced columns (as the runs did,
+    with numpy's warnings on the way to inf or NaN silenced)."""
     with np.errstate(all="ignore"):
-        return solver._Product(product.values[index], product.tab.rows(index))
+        return replace(tab.rows(index), grad_delta=None, grad_nabla=None, grad=None)
 
 
-def _assert_same_product(a, b):
-    for name in ("values", "value", "grad_delta", "grad_nabla", "grad"):
+def _assert_same_tables(a, b):
+    for name in ("values", *COLUMNS, "j_delta", "j_nabla", "value", "grad_delta", "grad_nabla",
+                 "grad"):
         x, y = getattr(a, name), getattr(b, name)
         assert type(x) is type(y)
         assert np.shape(x) == np.shape(y)
@@ -819,23 +823,44 @@ def _assert_same_product(a, b):
 
 
 @pytest.mark.parametrize(
-    "problem", [lambda: example_problem(6), _log_problem, _degenerate_abnormal_problem],
-    ids=["example", "log", "degenerate"],
+    "problem, undefined_row",
+    [
+        (lambda: example_problem(6), None),
+        (_log_problem, None),
+        (_degenerate_abnormal_problem, None),
+        (_log_problem, 2),
+    ],
+    ids=["example", "log", "degenerate", "undefined-row"],
 )
-def test_product_rows_slice_what_the_stack_computed(problem):
-    # Bit for bit the product computed from the sliced tables, for one
-    # row, a list of one and lists of several, and for a factor whose
-    # gradient is one row for the whole stack.
+def test_product_rows_slice_what_the_stack_computed(problem, undefined_row):
+    # Bit for bit the tables whose value and gradients are computed from
+    # the sliced columns, for one row, a list of one and lists of
+    # several, and for a factor whose gradient is one row for the whole
+    # stack.  Each row's Hessian and bracket are those of the tables of
+    # its function alone, and a row where log(u) is undefined (u = -1)
+    # reads NaN in both, as in its value and gradient.
     p = problem()
     values = p._values(solver._starts(p, SolverOptions(multistart=3, seed=2, spread=0.2)))
+    if undefined_row is not None:
+        values[undefined_row, 1] = -1.0
     shared = 0
     for functional in (p.objective, p.constraint):
         tab, undefined = row_tables(functional, p.scale.points, values)
-        assert not undefined
-        stack = solver._Product(values, tab)
-        shared += stack.grad_delta.ndim == 1 or stack.grad_nabla.ndim == 1
+        defined = undefined_row is None or functional is p.constraint
+        assert list(undefined) == ([] if defined else [undefined_row])
+        shared += tab.grad_delta.ndim == 1 or tab.grad_nabla.ndim == 1
         for index in (0, 3, [2], [0, 3], [1, 2, 3], [0, 1, 2, 3]):
-            _assert_same_product(stack.rows(index), _eager_rows(stack, index))
+            _assert_same_tables(tab.rows(index), _eager_rows(tab, index))
+        for i in range(len(values)):
+            alone = row_tables(functional, p.scale.points, values[i : i + 1])[0]
+            got = (tab.hessian([i]), tab.rows([i]).hessian([0]), tables_bracket(tab.rows(i)))
+            want = (alone.hessian([0]), alone.hessian([0]), tables_bracket(alone.rows(0)))
+            if i in undefined:
+                row = tab.rows(i)
+                assert np.isnan(row.value) and np.isnan(row.grad).all()
+                assert all(np.isnan(x).all() for x in got + want)
+            else:
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
     assert shared  # the constraint's constant nabla side
 
 
@@ -849,18 +874,21 @@ def test_product_rows_slice_what_the_stack_computed(problem):
     ids=["log", "undefined-start", "non-finite-residual"],
 )
 def test_runs_slice_their_products_only_when_read(problem, opts, monkeypatch):
-    # A run keeps its last evaluation and row; no product is sliced
-    # during the runs.  Read, its products are the ones sliced eagerly
-    # at its end (None where the start was not evaluated), and value(i)
-    # is their value, read without slicing.
+    # A run keeps its last evaluation and row; no tables are sliced to
+    # one row during the runs (an evaluation drops the rows where a
+    # functional is undefined by a list of the rows it keeps).  Read, a
+    # run's tables are the ones sliced eagerly at its end (None where
+    # the start was not evaluated), and value(i) is their value, read
+    # without slicing.
     sliced = []
-    rows = solver._Product.rows
+    rows = SlotTables.rows
 
-    def counting(product, index):
-        sliced.append(index)
-        return rows(product, index)
+    def counting(tab, index):
+        if isinstance(index, int):
+            sliced.append(index)
+        return rows(tab, index)
 
-    monkeypatch.setattr(solver._Product, "rows", counting)
+    monkeypatch.setattr(SlotTables, "rows", counting)
     p = problem()
     for min_norm in (False, True):
         z0 = solver._starts(p, opts)
@@ -871,13 +899,13 @@ def test_runs_slice_their_products_only_when_read(problem, opts, monkeypatch):
         assert sliced == []
         for run in runs:
             if run.ev is None:
-                assert run.products is None
+                assert run.tables is None
                 continue
-            eager = [_eager_rows(product, run.row) for product in run.ev.products]
+            eager = [_eager_rows(tab, run.row) for tab in run.ev.tables]
             assert [run.value(i) for i in range(len(eager))] == [e.value for e in eager]
-            for lazy, want in zip(run.products, eager):
-                _assert_same_product(lazy, want)
-            assert run.products is run.products
+            for lazy, want in zip(run.tables, eager):
+                _assert_same_tables(lazy, want)
+            assert run.tables is run.tables
         sliced.clear()
 
 
@@ -1040,7 +1068,7 @@ def test_newton_jacobians_match_central_differences(case):
     for system, at in ((solver._normal_system(p), z), (solver._abnormal_system(p), z[:-1])):
         ev = solver._evaluate(system, at[None])
         f = ev.f[0]
-        jac = system.jacobian(ev.z, ev.products, [0])[0]
+        jac = system.jacobian(ev.z, ev.tables, [0])[0]
         fd = np.empty_like(jac)
         for j in range(at.size):
             h = 1e-6 * (1.0 + abs(at[j]))
@@ -1115,9 +1143,9 @@ def test_at_four_points_acceptance_is_the_absolute_test(problem):
         for run in _runs_match_each_start_alone(p, opts, min_norm):
             levels.append(run.level)
             absolute = (
-                run.products is not None
+                run.tables is not None
                 and np.max(np.abs(run.f[:n])) <= opts.stat_tol
-                and abs(run.products[-1].value - p.k) <= opts.feas_tol
+                and abs(run.tables[-1].value - p.k) <= opts.feas_tol
             )
             assert solver._met(run, p, opts) == absolute
     assert 0.0 < max(levels) < 1e-3 * opts.stat_tol
