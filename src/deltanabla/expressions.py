@@ -611,6 +611,19 @@ def _compile(roots: tuple[Expr, ...]) -> Callable:
 # Integrand bundles
 
 
+def _reads_state(e: Expr) -> bool:
+    """Whether a tree reads u or v."""
+    if isinstance(e, Var):
+        return e.name != "t"
+    if isinstance(e, (Neg, Call)):
+        return _reads_state(e.arg)
+    if isinstance(e, Pow):
+        return _reads_state(e.base)
+    if isinstance(e, Const):
+        return False
+    return _reads_state(e.left) or _reads_state(e.right)
+
+
 @dataclass(frozen=True)
 class Lagrangian:
     """Integrand together with its two symbolic partials.
@@ -646,6 +659,17 @@ class Lagrangian:
             differentiate(self.d_u, "v"),
             differentiate(self.d_v, "v"),
         )
+
+    @functools.cached_property
+    def affine(self) -> bool:
+        """Whether the integrand is affine in (u, v) with slopes that are
+        functions of t alone: d_u and d_v read neither u nor v.  Every
+        second partial then folds to an exact zero, and the d_u and d_v
+        columns on a scale are the same bits at every function.  A tree
+        such as u*(v + 1) - u*v, whose second partials fold to zero but
+        whose d_u reads v, does not count: its slope (v + 1) - v rounds
+        differently at different v."""
+        return not (_reads_state(self.d_u) or _reads_state(self.d_v))
 
     # None marks trees the compiler does not cover, so they are rejected
     # once rather than on every call.

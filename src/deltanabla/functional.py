@@ -23,7 +23,7 @@ undefined rows and reads NaN there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -93,6 +93,8 @@ COLUMNS = tuple(
 )
 """The names of the ten SlotTables columns, in field order."""
 
+_GRADIENTS = ("grad_delta", "grad_nabla", "grad")
+
 
 @dataclass
 class SlotTables:
@@ -119,9 +121,10 @@ class SlotTables:
     Each interior value y_j enters two delta slots (as shifted value and
     in two difference quotients) and two nabla slots, and the product
     rule gives grad = J_nabla * grad_delta + J_delta * grad_nabla.  The
-    value and gradients are computed when the tables are made, unless
-    given (as rows gives them), under their maker's numpy error state;
-    every maker in this module silences overflow.
+    value and the gradients, unless given (rows passes on those a stack
+    has computed), are computed together on the first read of any of
+    them, with numpy's overflow and invalid-value warnings off, so that
+    tables read only for their bracket never compute them.
     """
 
     values: np.ndarray
@@ -138,25 +141,40 @@ class SlotTables:
     nabla_vv: Column
     j_delta: float | np.ndarray
     j_nabla: float | np.ndarray
-    grad_delta: np.ndarray | None = None
-    grad_nabla: np.ndarray | None = None
-    grad: np.ndarray | None = None
+    # No class attribute (a default_factory leaves none), so that a
+    # gradient not given is found by __getattr__ on first read.
+    grad_delta: np.ndarray | None = field(default_factory=lambda: None)
+    grad_nabla: np.ndarray | None = field(default_factory=lambda: None)
+    grad: np.ndarray | None = field(default_factory=lambda: None)
 
     def __post_init__(self) -> None:
-        self.value = self.j_delta * self.j_nabla
-        if self.grad is None:
-            w = self.weights
-            (du, _), (dv, dv_next) = _ends(self.delta_du), _ends(self.delta_dv)
-            (_, nu), (nv_prev, nv) = _ends(self.nabla_du), _ends(self.nabla_dv)
-            self.grad_delta = du * w[:-1] + dv - dv_next
-            self.grad_nabla = nu * w[1:] - nv + nv_prev
-            self.grad = self.j_nabla * self.grad_delta + self.j_delta * self.grad_nabla
+        for name in _GRADIENTS:
+            if self.__dict__[name] is None:
+                del self.__dict__[name]
+
+    def __getattr__(self, name: str) -> float | np.ndarray:
+        """The value and the gradients not given, all computed on the
+        first read of any of them (one error state for all) and kept."""
+        if name != "value" and name not in _GRADIENTS:
+            raise AttributeError(name)
+        known = self.__dict__
+        with np.errstate(over="ignore", invalid="ignore"):
+            known["value"] = self.j_delta * self.j_nabla
+            if "grad" not in known:
+                w = self.weights
+                (du, _), (dv, dv_next) = _ends(self.delta_du), _ends(self.delta_dv)
+                (_, nu), (nv_prev, nv) = _ends(self.nabla_du), _ends(self.nabla_dv)
+                gd = known["grad_delta"] = du * w[:-1] + dv - dv_next
+                gn = known["grad_nabla"] = nu * w[1:] - nv + nv_prev
+                known["grad"] = self.j_nabla * gd + self.j_delta * gn
+        return known[name]
 
     def rows(self, index: int | list[int]) -> SlotTables:
         """The given rows of a stack: a list of rows stays a stack, one
         row gives its function's tables.  The gradients the stack has
         computed are sliced, not computed again, and a factor's gradient
-        that is one row for the whole stack stays shared."""
+        that is one row for the whole stack stays shared; gradients the
+        stack has not computed are left to the first read."""
         columns = [
             c if isinstance(c, float) else c[index]
             for c in (getattr(self, name) for name in COLUMNS)
@@ -164,9 +182,9 @@ class SlotTables:
         j_delta, j_nabla = self.j_delta[index], self.j_nabla[index]
         if isinstance(index, int):
             j_delta, j_nabla = float(j_delta[0]), float(j_nabla[0])
-        grads = (g if g.ndim == 1 else g[index]
-                 for g in (self.grad_delta, self.grad_nabla, self.grad))
-        return SlotTables(self.values[index], self.weights, *columns, j_delta, j_nabla, *grads)
+        grads = {name: g if g.ndim == 1 else g[index]
+                 for name, g in self.__dict__.items() if name in _GRADIENTS}
+        return SlotTables(self.values[index], self.weights, *columns, j_delta, j_nabla, **grads)
 
     def breakdown(self) -> EvaluationBreakdown:
         return EvaluationBreakdown(self.j_delta, self.j_nabla, self.value)
@@ -292,8 +310,7 @@ def row_tables(
     ]
     j_delta = np.array([[tab.j_delta] for tab in tables])
     j_nabla = np.array([[tab.j_nabla] for tab in tables])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return SlotTables(values, dt, *columns, j_delta, j_nabla), errors
+    return SlotTables(values, dt, *columns, j_delta, j_nabla), errors
 
 
 def tables_or_nan(

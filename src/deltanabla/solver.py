@@ -632,25 +632,94 @@ def solve_normal(
     )
 
 
+def _none_met(p: IsoperimetricProblem, opts: SolverOptions, starts: np.ndarray) -> bool:
+    """Whether no run of the abnormal search from these starts can meet
+    _met, decided without a Newton step; False where it cannot decide.
+
+    Where both constraint integrands are affine (Lagrangian.affine), the
+    factors A and B are affine in the interior values y, with gradients
+    a and b that are the same bits at every y.  So grad K = B·a + A·b
+    and the Hessian of K is H = a·bᵀ + b·aᵀ.  One kernel pass over the
+    starts, which the search's first evaluation repeats bit for bit,
+    gives a, b and grad K at each start; an undefined or non-finite
+    start, factor or gradient leaves the question to the search.
+
+    - a = 0 or b = 0 (b = 0 where the nabla factor is a constant, as in
+      example_problem): the computed H is exactly zero, so every run
+      takes the zero step and ends at its start with rounding level 0.
+      _met accepts a start only where ||grad K||∞ <= stat_tol there, so
+      where every start's exceeds stat_tol, no run is met.
+    - a and b independent, with the smallest singular value sigma of
+      [a b] above 16·n·u times the largest: grad K = [a b](B, A)ᵀ, so
+      every y has ||(A, B)||₂ <= √n·||grad K||∞/sigma and
+      |K| <= n·||grad K||∞²/(2·sigma²).  The cutoff keeps the rounding
+      of the computed grad K and K within the factor 2 of the bound
+      n·tau²/sigma² used here.  _met accepts a run only where
+      ||grad K||∞ <= tau = max(stat_tol, rho), rho the run's rounding
+      level c·u·||H||∞·||y||∞ (see _levels), where ||H||∞ <= √n·||H||₂
+      is at most 2·√n times the square of the largest singular value.
+      The minimum-norm steps move y in the span of a and b while
+      ||grad K||₂ falls, so a run from y0 stays within
+      2·||grad K(y0)||₂/sigma² of y0; rho is bounded over that reach,
+      with a factor 2 for rounding.  Where |k| - feas_tol exceeds the
+      bound, no run ends within feas_tol of k.
+
+    Everything else is left to the search: k near 0, b a multiple of a,
+    a = b = 0, and factors that are not affine.
+    """
+    con = p.constraint
+    if not (con.l_delta.affine and con.l_nabla.affine and np.isfinite(starts).all()):
+        return False
+    n = p.interior_count()
+    tab, undefined = row_tables(con, p.scale.points, p._values(starts))
+    with np.errstate(all="ignore"):
+        grad = tab.grad
+        # A finite grad K at every start means finite factors and slopes.
+        if undefined or not np.isfinite(grad).all():
+            return False
+        a, b = (g if g.ndim == 1 else g[0] for g in (tab.grad_delta, tab.grad_nabla))
+        if not (a.any() and b.any()):
+            return bool((np.abs(grad).max(axis=1) > opts.stat_tol).all())
+        if n < 2:
+            return False
+        s = np.linalg.svd(np.stack((a, b), axis=1), compute_uv=False)
+        if not s[1] > 16.0 * n * _EPS * s[0]:
+            return False
+        sigma2 = s[1] * s[1]  # a numpy float: it may underflow to 0.0
+        reach = np.abs(starts).max() + 4.0 * np.sqrt((grad * grad).sum(axis=1).max()) / sigma2
+        h_norm = 2.0 * math.sqrt(n) * s[0] * s[0]
+        tau = max(opts.stat_tol, 2.0 * _LEVEL_C * _EPS * h_norm * reach)
+        return bool(abs(p.k) - opts.feas_tol > n * tau * tau / sigma2)
+
+
 def find_abnormal(
     p: IsoperimetricProblem, opts: SolverOptions | None = None
 ) -> list[SolveResult]:
     """Search for functions that are extremal for the constraint itself.
 
-    Solves grad(constraint) = 0 for the interior values by Newton steps
-    of minimum norm, which a singular Hessian (low rank, or a line of
-    extremals) does not stop, then keeps the points within feas_tol of
-    the level k.  Every distinct one must also make the constraint's
-    bracket constant within max(stat_tol, the run's rounding level), the
-    test of is_extremal_for_K, read from the constraint as the run last
+    Where both constraint integrands are affine, _none_met first decides
+    from the factor structure alone whether the search can find a
+    point; where it proves that none can, the list is empty without a
+    Newton step.  Otherwise the search solves grad(constraint) = 0 for
+    the interior values by Newton steps of minimum norm, which a
+    singular Hessian (low rank, or a line of extremals) does not stop,
+    then keeps the points within feas_tol of the level k.  Every
+    distinct one must also make the constraint's bracket constant within
+    max(stat_tol, the run's rounding level), the test of
+    is_extremal_for_K, read from the constraint as the run last
     evaluated it; only then is the objective evaluated, once, for the
-    answer.  An empty list means no abnormal candidates were found.
+    answer.  An empty list from the decision is a proof that no start
+    can end at an abnormal point; from the search it means only that no
+    start found one.
     """
     opts = opts or SolverOptions()
     t = p.scale.points
+    starts = _starts(p, opts)
+    if _none_met(p, opts, starts):
+        return []
 
     found: list[SolveResult] = []
-    for run in _newton(_abnormal_system(p), _starts(p, opts), opts, min_norm=True):
+    for run in _newton(_abnormal_system(p), starts, opts, min_norm=True):
         if not _met(run, p, opts):
             continue
         if any(np.max(np.abs(run.z - r.y.values[1:-1])) <= 1e-6 for r in found):

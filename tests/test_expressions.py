@@ -208,3 +208,22 @@ def test_constant_lagrangian():
     assert C(9.0, -9.0, 9.0) == 0.25
     assert C.du(0.0, 0.0, 0.0) == 0.0
     assert C.dv(0.0, 0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "lagrangian, affine",
+    [
+        (make_lagrangian("2*u + t*v"), True),
+        (make_lagrangian("-t*v + sin(t)*u + 1"), True),
+        (constant_lagrangian(0.25), True),
+        (make_lagrangian("u*v"), False),
+        (make_lagrangian("v^2"), False),
+        (make_lagrangian("sin(u)"), False),
+        # Second partials that fold to zero, but d_u reads v.
+        (make_lagrangian("u*(v + 1) - u*v"), False),
+    ],
+)
+def test_affine_means_slopes_in_t_alone(lagrangian, affine):
+    assert lagrangian.affine is affine
+    if affine:
+        assert all(isinstance(e, Const) and e.value == 0.0 for e in lagrangian.second)

@@ -4,7 +4,8 @@ iteration, abnormal-candidate search, and the built-in closed-form
 family."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -278,7 +279,8 @@ def test_abnormal_candidate_keeps_an_undefined_objective_as_nan():
 
 def test_zero_hessian_takes_the_zero_step_without_lstsq(monkeypatch):
     # example_problem's constraint is affine in y, so its Hessian is
-    # zero: the abnormal search takes the zero step without an SVD.  A
+    # zero: the abnormal search's Newton runs take the zero step without
+    # an SVD (find_abnormal decides this problem without them).  A
     # constraint with a Hessian makes one stacked SVD per round for all
     # its starts, and lstsq is never called.
     calls = {"svd": 0, "rounds": 0}
@@ -298,7 +300,9 @@ def test_zero_hessian_takes_the_zero_step_without_lstsq(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
     monkeypatch.setattr(solver, "_steps", counting_steps)
-    assert find_abnormal(example_problem(8)) == []
+    p, opts = example_problem(8), SolverOptions()
+    runs = solver._newton(solver._abnormal_system(p), solver._starts(p, opts), opts, min_norm=True)
+    assert not any(solver._met(run, p, opts) for run in runs)
     assert calls["svd"] == 0 and calls["rounds"] > 0
     calls.update(svd=0, rounds=0)
     assert find_abnormal(_constraint_extremal_problem())
@@ -342,24 +346,99 @@ def test_find_abnormal_keeps_every_start_on_a_degenerate_abnormal_set():
         _assert_certificate_bitwise(p, res)
 
 
-def test_no_abnormal_start_runs_to_max_iter(monkeypatch):
+def test_no_abnormal_start_runs_to_max_iter():
     # Square Newton on grad(K) = 0 ends each start of the criterion-5
     # problems, whose constraints have rank-2 Hessians, at a root or a
-    # stall: none crawls on toward a nonzero least-squares minimum.
+    # stall: none crawls on toward a nonzero least-squares minimum.  The
+    # runs are the search's own; find_abnormal decides these problems
+    # without them.
     runs = []
-    newton = solver._newton
-
-    def recording(*args, **kwargs):
-        result = newton(*args, **kwargs)
-        runs.extend(result)
-        return result
-
-    monkeypatch.setattr(solver, "_newton", recording)
+    opts = SolverOptions()
     rng = np.random.default_rng(2024)
     for _ in range(6):
-        assert find_abnormal(_random_small_problem(rng)) == []
+        p = _random_small_problem(rng)
+        assert find_abnormal(p, opts) == []
+        z0 = solver._starts(p, opts)
+        runs.extend(solver._newton(solver._abnormal_system(p), z0, opts, min_norm=True))
+        assert not any(solver._met(run, p, opts) for run in runs[-len(z0):])
     assert len(runs) == 6 * 9
     assert [run.status for run in runs if run.status == "maxiter"] == []
+
+
+def test_a_constant_nabla_factor_has_a_zero_gradient():
+    # example_problem's nabla factor is constant_lagrangian(1/m): b = 0
+    # exactly, so the decision reads grad K = B·a at every start.
+    p = example_problem(8)
+    for functional in (p.constraint, replace(p.constraint, l_nabla=make_lagrangian("2"))):
+        tab = row_tables(functional, p.scale.points, p._values(solver._starts(p, SolverOptions())))[0]
+        assert not tab.grad_nabla.any() and tab.grad_delta.any()
+    assert solver._none_met(p, SolverOptions(), solver._starts(p, SolverOptions()))
+
+
+def _results_bytes(results):
+    return [
+        [(v.values if isinstance(v, GridFunction) else v).tobytes()
+         if isinstance(v, (GridFunction, np.ndarray)) else repr(v)
+         for v in (getattr(res, f.name) for f in fields(res))]
+        for res in results
+    ]
+
+
+@st.composite
+def _affine_constraint_problems(draw):
+    """A random scale (3 to 8 points, gaps scaled by 10^-3 to 10^3) and
+    a constraint whose factors are affine: independent gradients a and
+    b, a constant nabla or delta factor (b = 0 or a = 0), b = c·a, or b
+    nearly parallel to a; the level k is 0, the constraint at a random
+    competitor, or a random number."""
+    gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=7))
+    scale = TimeScale(np.concatenate(([0.0], np.cumsum(gaps))) * 10.0 ** draw(st.integers(-3, 3)))
+    c = _coefs(draw, 8, -2.0, 2.0)
+    delta = f"{c[0]}*t*v + {c[1]}*u + {c[2]}"
+    shape = draw(st.sampled_from(["independent", "b = 0", "a = 0", "b = c·a", "nearly parallel"]))
+    nabla = {
+        "independent": f"{c[3]}*v + {c[4]}*u + {c[5]}*t + {c[6]}",
+        "b = 0": c[3],
+        "a = 0": f"{c[3]}*v + {c[4]}*u + {c[5]}",
+        "b = c·a": f"{c[3]}*({delta})",
+        "nearly parallel": f"{c[3]}*({delta}) + 1e-9*{c[4]}*v",
+    }[shape]
+    if shape == "a = 0":
+        delta = c[7]
+    constraint = DeltaNablaFunctional(make_lagrangian(delta), make_lagrangian(nabla))
+    objective = DeltaNablaFunctional(make_lagrangian("v^2 + u"), make_lagrangian("v^2"))
+    alpha, beta = (draw(st.floats(-2.0, 2.0)) for _ in range(2))
+    level = draw(st.sampled_from(["zero", "competitor", "random"]))
+    if level == "zero":
+        k = 0.0
+    elif level == "competitor":
+        probe = np.linspace(alpha, beta, len(scale))
+        probe[1:-1] += draw(st.lists(st.floats(-0.3, 0.3), min_size=len(gaps) - 1,
+                                     max_size=len(gaps) - 1))
+        k = eval_functional(constraint, GridFunction(scale, probe)).product
+    else:
+        k = draw(st.floats(-10.0, 10.0))
+    opts = SolverOptions(multistart=draw(st.integers(0, 4)), seed=draw(st.integers(0, 99)))
+    return IsoperimetricProblem(scale, alpha, beta, objective, constraint, k), opts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_affine_constraint_problems())
+def test_the_affine_decision_agrees_with_the_newton_search(case):
+    # Where the decision proves that no run is met, the Newton search
+    # finds no point; where it cannot decide, find_abnormal's list is the
+    # search's, bit for bit.
+    p, opts = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decided = solver._none_met(p, opts, solver._starts(p, opts))
+        found = find_abnormal(p, opts)
+        with mock.patch.object(solver, "_none_met", return_value=False):
+            searched = find_abnormal(p, opts)
+    if decided:
+        assert found == [] and searched == []
+    else:
+        assert _results_bytes(found) == _results_bytes(searched)
 
 
 def _bits(*xs):
