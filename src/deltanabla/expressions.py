@@ -5,9 +5,9 @@ time point, ``u`` the shifted state value, and ``v`` the corresponding
 difference quotient.  The module parses such text into a tiny AST,
 evaluates it, and differentiates it symbolically with respect to ``u``
 or ``v``.  evaluate() walks the tree at one point and is the reference;
-evaluate_slots() walks it over whole slot arrays, and each Lagrangian
-compiles its six trees into straight-line numpy over stacked slot
-arrays, both by one set of rules.  Grammar, lowest precedence first:
+each Lagrangian compiles its six trees into straight-line numpy over
+stacked slot arrays, which gives evaluate()'s numbers bit for bit.
+Grammar, lowest precedence first:
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import re
 import struct
 from dataclasses import dataclass
@@ -329,63 +328,6 @@ def evaluate(e: Expr, t: float, u: float, v: float) -> float:
     raise TypeError(f"unknown expression node {e!r}")
 
 
-def _quotient(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
-    """a / b over slot arrays or floats, raising ZeroDivisionError at a
-    zero divisor as Python float division does."""
-    if not np.all(b):
-        raise ZeroDivisionError("zero divisor")
-    return a / b
-
-
-_ARRAY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: _quotient}
-
-
-def evaluate_slots(e: Expr, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """evaluate() at every slot of the arrays (t, u, v) in one walk of
-    the tree, bit for bit.
-
-    ``+ - * /`` and negation are numpy array operations, the IEEE
-    operations the walk performs on numpy scalars; ``**`` and the math
-    functions run slot by slot through the Python and libm calls the
-    walk makes, since numpy's array power, exp and log round differently
-    in the last bit.  Constant subtrees stay Python floats, as in the
-    walk.  The compiled kernels follow the same rules through the same
-    helpers.  This walk decides nothing about a failing point: it raises
-    ZeroDivisionError at a zero divisor and, like Python floats, at an
-    out-of-range ``**`` or math function, while + - * overflow to inf or
-    NaN (silently under ``np.errstate(over/invalid="ignore")``); callers
-    rerun evaluate() point by point on any ArithmeticError or
-    ValueError.  Trees outside what the parser and differentiate build
-    raise ValueError.
-    """
-    out = _slot_walk(e, {"t": t, "u": u, "v": v})
-    return out if isinstance(out, np.ndarray) else np.full(t.shape, out)
-
-
-def _slot_walk(e: Expr, slots: dict) -> float | np.ndarray:
-    if isinstance(e, Const) and type(e.value) is float:
-        return e.value
-    if isinstance(e, Var) and e.name in VARIABLES:
-        return slots[e.name]
-    if isinstance(e, Neg):
-        return -_slot_walk(e.arg, slots)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return _ARRAY_OPS[type(e)](_slot_walk(e.left, slots), _slot_walk(e.right, slots))
-    if isinstance(e, Pow) and type(e.exponent) is int:
-        return _per_slot(pow, _slot_walk(e.base, slots), e.exponent)
-    if isinstance(e, Call) and e.func in _UNARY:
-        return _per_slot(_UNARY[e.func], _slot_walk(e.arg, slots))
-    raise ValueError(f"no array walk for {e!r}; evaluate() handles it")
-
-
-def _per_slot(fn: Callable, x: float | np.ndarray, *args) -> float | np.ndarray:
-    """fn(slot, *args) at every slot of x, on Python floats."""
-    if not isinstance(x, np.ndarray):
-        return fn(x, *args)
-    slots = map(fn, x.ravel().tolist(), *map(itertools.repeat, args))
-    return np.fromiter(slots, float, x.size).reshape(x.shape)
-
-
 # ---------------------------------------------------------------------------
 # Differentiation
 
@@ -517,16 +459,35 @@ def differentiate(e: Expr, var: str) -> Expr:
 # is also compiled, on first use, into straight-line numpy: one assignment
 # per distinct node of its six trees (value, d_u, d_v and the three second
 # partials), each over the whole slot arrays, whose rows may be the slots
-# of several functions on one scale.  The assignments call evaluate_slots'
-# helpers and so follow its rules and give evaluate()'s numbers bit for
-# bit.  Where arithmetic fails, a kernel fails as Python floats do: a zero
-# divisor, ** and the math functions raise, and + - * overflow to inf or
-# NaN silently (under np.errstate); callers then rerun evaluate().  Trees
-# outside what the parser and differentiate build raise ValueError when
-# compiled; the Lagrangian remembers the failure and sends callers to
-# evaluate() as well, without compiling again.
+# of several functions on one scale, with evaluate()'s numbers bit for
+# bit: + - * / and negation are numpy's IEEE operations, and ** and the
+# math functions run slot by slot through evaluate()'s Python and libm
+# calls (numpy's array power, exp and log round differently in the last
+# bit); constant subtrees stay Python floats.  Where arithmetic fails, a
+# kernel fails as Python floats do: a zero divisor, ** and the math
+# functions raise, and + - * overflow to inf or NaN silently (under
+# np.errstate); callers then rerun evaluate().  Trees outside what the
+# parser and differentiate build raise ValueError when compiled; the
+# Lagrangian remembers the failure and sends callers to evaluate() as
+# well, without compiling again.
 
 _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+def _quotient(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
+    """a / b over slot arrays or floats, raising ZeroDivisionError at a
+    zero divisor as Python float division does."""
+    if not np.all(b):
+        raise ZeroDivisionError("zero divisor")
+    return a / b
+
+
+def _per_slot(fn: Callable, x: float | np.ndarray, *args) -> float | np.ndarray:
+    """fn(slot, *args) at every slot of x, on Python floats."""
+    if not isinstance(x, np.ndarray):
+        return fn(x, *args)
+    slots = map(fn, x.ravel().tolist(), *map(itertools.repeat, args))
+    return np.fromiter(slots, float, x.size).reshape(x.shape)
 
 
 class _KernelSource:

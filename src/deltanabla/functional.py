@@ -10,15 +10,14 @@ from constancy (the defect), and combines brackets of an objective and
 a constraint with multipliers (lambda0, lambda) for constrained
 stationarity checks.
 
-The integrands are evaluated over whole slot arrays two ways, by the
-same rules and with the same bits: the solver's slot tables run each
-Lagrangian's compiled numpy kernel, and eval_functional, which the
-oracle sums with, walks each tree once (expressions.evaluate_slots).
-Both overflow to inf or NaN silently, and _factor sums the factors of
-both.  Only where their arithmetic fails does the per-point walk
-(_walk, over expressions.evaluate) run, to give the numbers or name the
-first undefined slot; for a stack of functions, row_tables names the
-undefined rows and reads NaN there.
+The integrands are evaluated over whole slot arrays by each
+Lagrangian's compiled numpy kernel, for the slot tables and for
+eval_functional alike; it overflows to inf or NaN silently, and _factor
+sums every factor.  Only where the kernel's arithmetic fails does the
+per-point walk (_walk, over expressions.evaluate) run: it gives the
+same numbers bit for bit or names the first undefined slot; for a stack
+of functions, row_tables names the undefined rows and reads NaN there.
+The oracle computes its factors on its own.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .expressions import EvaluationError, Expr, Lagrangian, evaluate, evaluate_slots
+from .expressions import EvaluationError, Expr, Lagrangian, evaluate
 from .timescale import GridFunction, TimeScale
 
 Form = Literal["EL1", "EL2"]
@@ -378,28 +377,22 @@ def eval_functional(
 ) -> EvaluationBreakdown:
     """Value of the product functional, with both factors reported.
 
-    Each integrand tree is walked once over the whole slot arrays of its
-    side (expressions.evaluate_slots), never through the compiled
-    kernels, so that the oracle, which sums with this function, rests on
-    no kernel; _factor sums each factor, as for the slot tables.
-    Overflow to inf or NaN is silent, as in the kernels.  Where the
-    arithmetic fails (a zero divisor, a math function or ** out of
-    range), the per-point walk (_walk) evaluates the value trees
-    instead, and names the first slot where an integrand is undefined by
-    its EvaluationError.  Both give the same numbers bit for bit, and
-    slot_tables reports the same factors from the kernels.
+    The factors are the slot tables' (_kernel_tables).  Where the
+    kernels' arithmetic fails, also in a partial alone (sqrt(u) at
+    u = 0), the per-point walk (_walk) evaluates the value trees only,
+    with the same numbers, and names the first slot where an integrand
+    is undefined by its EvaluationError.  Overflow is silent.
     """
     t, v = y.scale.points, y.values
-    ld, ln = functional.l_delta, functional.l_nabla
-    with np.errstate(over="ignore", invalid="ignore"):
-        dt, quot = _slots(t, v)
-        try:
-            delta = evaluate_slots(ld.value, t[:-1], v[1:], quot)
-            nabla = evaluate_slots(ln.value, t[1:], v[:-1], quot)
-        except (ArithmeticError, ValueError):
+    try:
+        return _kernel_tables(functional, t, v).breakdown()
+    except (ArithmeticError, ValueError):
+        ld, ln = functional.l_delta, functional.l_nabla
+        with np.errstate(over="ignore", invalid="ignore"):
+            dt, quot = _slots(t, v)
             delta, nabla = _walk((ld.value,), (ln.value,), t, v, quot)
-        j_delta, j_nabla = _factor(delta, dt, dt.shape), _factor(nabla, dt, dt.shape)
-    return EvaluationBreakdown(j_delta, j_nabla, j_delta * j_nabla)
+            j_delta, j_nabla = _factor(delta, dt, dt.shape), _factor(nabla, dt, dt.shape)
+        return EvaluationBreakdown(j_delta, j_nabla, j_delta * j_nabla)
 
 
 def bracket_values(

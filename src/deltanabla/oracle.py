@@ -1,28 +1,31 @@
 """Independent verification of solver output.
 
-Everything here treats the functionals as black boxes: values come from
-eval_functional, which walks the integrand trees over whole slot arrays
-(with the per-point walk as its fallback), and gradients from the
-complex step Im J(y + i*h*e_j) / h at h = 1e-30.  Each interior value
-enters only the two gaps around it, so one complex walk of each value
-tree over those 2(N - 2) slots gives every entry, in O(N).  Nothing is
-subtracted, so the gradient is exact to rounding (Squire & Trapp, SIAM
-Review 40(1), 1998).  Neither reads the symbolic partials or the
-compiled kernels the fast path uses.  The reports certify stationarity
-in the plain finite-dimensional (KKT) sense, which on a finite scale is
-the same statement as the bracket-constancy conditions.
+Everything here treats the functionals as black boxes, walking only
+their value trees: the factors by one real walk over the N - 1 slots,
+each sum correctly rounded (math.fsum; Shewchuk, Discrete Comput. Geom.
+18, 1997), and gradients by the complex step Im J(y + i*h*e_j) / h at
+h = 1e-30.  Each interior value enters only the two gaps around it, so
+one complex walk of each value tree over those 2(N - 2) slots gives
+every entry, in O(N), exact to rounding (Squire & Trapp, SIAM Review
+40(1), 1998).  Nothing here reads the symbolic partials, the kernels or
+the slot and factor code of the fast path.  The reports certify
+stationarity in the plain finite-dimensional (KKT) sense, which on a
+finite scale is the same statement as the bracket-constancy conditions.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .expressions import Add, Call, Const, Div, Expr, Mul, Neg, Pow, Sub, Var
-from .functional import DeltaNablaFunctional, bracket_defect, eval_functional, iso_bracket
+from .expressions import (
+    Add, Call, Const, Div, EvaluationError, Expr, Mul, Neg, Pow, Sub, Var, to_str,
+)
+from .functional import DeltaNablaFunctional, bracket_defect, iso_bracket
 from .solver import IsoperimetricProblem, _closed_form_y, example_problem
 from .timescale import (
     GridFunction,
@@ -36,6 +39,14 @@ from .timescale import (
 
 _STEP = 1e-30
 _OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+# Where the math module raises on a real x, given out = f(x) in numpy.
+_UNDEFINED = {
+    "sin": lambda x, out: np.isinf(x),
+    "cos": lambda x, out: np.isinf(x),
+    "exp": lambda x, out: np.isinf(out) & np.isfinite(x),
+    "log": lambda x, out: x <= 0.0,
+    "sqrt": lambda x, out: x < 0.0,
+}
 
 
 @dataclass(frozen=True)
@@ -98,25 +109,42 @@ def fd_gradient(
 def kkt_check(p: IsoperimetricProblem, y: GridFunction, lam: float) -> KktReport:
     """Stationarity and feasibility report from complex-step gradients.
 
-    Both functionals are evaluated at y itself first, so the real walk
-    decides the domain: a point outside it raises EvaluationError.  Their
-    factors there weight the two sides of every gradient entry.  The
-    complex pass runs with numpy's warnings off; a gradient entry it
-    cannot compute is not finite, and neither is the residual.
+    The factors at y itself come first, so the real walk decides the
+    domain: a point outside it raises EvaluationError.  Numpy's warnings
+    are off; what overflows reads inf or NaN, and so does what reads it.
     """
-    at_obj, at_con = eval_functional(p.objective, y), eval_functional(p.constraint, y)
-    gap = abs(at_con.product - p.k)
-    g_obj = _complex_step_gradient(p.objective, y, at_obj)
-    g_con = _complex_step_gradient(p.constraint, y, at_con)
-    denom = float(g_con @ g_con)
-    lambda_fit = float(g_obj @ g_con) / denom if denom != 0.0 else 0.0
-    residual = float(np.max(np.abs(g_obj - lam * g_con)))
+    with np.errstate(all="ignore"):
+        at_obj, at_con = _factors(p.objective, y), _factors(p.constraint, y)
+        gap = abs(at_con[0] * at_con[1] - p.k)
+        g_obj = _complex_step_gradient(p.objective, y, at_obj)
+        g_con = _complex_step_gradient(p.constraint, y, at_con)
+        denom = float(g_con @ g_con)
+        lambda_fit = float(g_obj @ g_con) / denom if denom != 0.0 else 0.0
+        residual = float(np.max(np.abs(g_obj - lam * g_con)))
     return KktReport(g_obj, g_con, lambda_fit, residual, gap)
 
 
+def _factors(functional: DeltaNablaFunctional, y: GridFunction) -> tuple[float, float]:
+    """(J_delta, J_nabla) at y, each value tree walked over its N - 1 real
+    slots and each sum of value * mu correctly rounded; where math.fsum
+    raises (a term not finite, or overflow), numpy's sum, inf or NaN."""
+    t, v = y.scale.points, y.values
+    mu = t[1:] - t[:-1]
+    quot = (v[1:] - v[:-1]) / mu
+    delta = _complex_walk(functional.l_delta.value, {"t": t[:-1], "u": v[1:], "v": quot})
+    nabla = _complex_walk(functional.l_nabla.value, {"t": t[1:], "u": v[:-1], "v": quot})
+    sums = []
+    for terms in (delta * mu, nabla * mu):
+        try:
+            sums.append(math.fsum(terms.tolist()))
+        except (ValueError, OverflowError):
+            sums.append(float(np.sum(terms)))
+    return sums[0], sums[1]
+
+
 def _complex_step_gradient(functional: DeltaNablaFunctional, y: GridFunction, at) -> np.ndarray:
-    """Gradient over the interior values of y, whose factors are at (an
-    EvaluationBreakdown).  y_j enters only gaps j - 1 and j, as the right
+    """Gradient over the interior values of y, whose factors are at,
+    (J_delta, J_nabla).  y_j enters only gaps j - 1 and j, as the right
     end of one and the left end of the other, so each value tree is
     walked over those 2(N - 2) slots with y_j + i*h in them; a slot left
     out would have imaginary part 0.  On each side dJ/dy_j is
@@ -126,20 +154,23 @@ def _complex_step_gradient(functional: DeltaNablaFunctional, y: GridFunction, at
     gap = np.arange(v.size - 2) + np.array([[0], [1]])  # rows: gaps j - 1, gaps j
     right, left = v[1:][gap].astype(complex), v[:-1][gap].astype(complex)
     right.imag[0] = left.imag[1] = _STEP
-    with np.errstate(all="ignore"):
-        mu = (t[1:] - t[:-1])[gap]
-        quot = (right - left) / mu
-        delta = _complex_walk(functional.l_delta.value, {"t": t[:-1][gap], "u": right, "v": quot})
-        nabla = _complex_walk(functional.l_nabla.value, {"t": t[1:][gap], "u": left, "v": quot})
-        d_delta, d_nabla = (np.imag(side * mu).sum(axis=0) for side in (delta, nabla))
-        return (at.nabla_factor * d_delta + at.delta_factor * d_nabla) / _STEP
+    mu = (t[1:] - t[:-1])[gap]
+    quot = (right - left) / mu
+    delta = _complex_walk(functional.l_delta.value, {"t": t[:-1][gap], "u": right, "v": quot})
+    nabla = _complex_walk(functional.l_nabla.value, {"t": t[1:][gap], "u": left, "v": quot})
+    d_delta, d_nabla = (np.imag(side * mu).sum(axis=0) for side in (delta, nabla))
+    return (at[1] * d_delta + at[0] * d_nabla) / _STEP
 
 
 def _complex_walk(e: Expr, slots: dict):
     """The tree at every slot of the arrays in slots (by variable name),
-    in numpy's complex arithmetic.  Every node of the grammar is
-    analytic, so the imaginary part carries the step through; the
-    grammar's function names are numpy's."""
+    in numpy's arithmetic of their dtype.  In complex arithmetic every
+    node of the grammar is analytic, so the imaginary part carries the
+    step through.  On real operands it raises EvaluationError where
+    expressions.evaluate does: at a zero divisor, a zero base to a
+    negative power, and where _UNDEFINED holds.  Operands built from
+    + - * / alone round alike in both walks; elsewhere (** and the
+    functions) the oracle decides by its own rounding."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -147,10 +178,25 @@ def _complex_walk(e: Expr, slots: dict):
     if isinstance(e, Neg):
         return -_complex_walk(e.arg, slots)
     if isinstance(e, Pow):
-        return _power(_complex_walk(e.base, slots), e.exponent)
+        base = _complex_walk(e.base, slots)
+        _check(e, e.exponent < 0 and np.isrealobj(base) and base == 0.0, slots)
+        return _power(base, e.exponent)
     if isinstance(e, Call):
-        return getattr(np, e.func)(_complex_walk(e.arg, slots))
-    return _OPS[type(e)](_complex_walk(e.left, slots), _complex_walk(e.right, slots))
+        x = _complex_walk(e.arg, slots)
+        out = getattr(np, e.func)(x)
+        _check(e, np.isrealobj(x) and _UNDEFINED[e.func](x, out), slots)
+        return out
+    left, right = _complex_walk(e.left, slots), _complex_walk(e.right, slots)
+    _check(e, isinstance(e, Div) and np.isrealobj(right) and right == 0.0, slots)
+    return _OPS[type(e)](left, right)
+
+
+def _check(e: Expr, bad, slots: dict) -> None:
+    """EvaluationError naming e and the first slot where bad holds."""
+    if bad is not False and np.any(bad):  # False: nothing to check
+        i = int(np.argmax(np.broadcast_to(bad, np.shape(slots["v"]))))
+        at = ", ".join(f"{name}={float(np.ravel(slots[name])[i])!r}" for name in "tuv")
+        raise EvaluationError(f"{to_str(e)} undefined at {at}")
 
 
 def _power(z, n: int):
@@ -172,8 +218,9 @@ def verify_example(m: int) -> ExampleVerification:
     multiplier, and bracket constancy in both residual forms with that
     same multiplier.  Every line passes for m <= 384.  The bounds are
     absolute while the functionals grow with m: the bracket defect
-    exceeds 1e-9 from m = 385 (7.4e-9 at m = 1024), and at m = 1024 the
-    feasibility gap exceeds 1e-10 (1.8e-10).
+    exceeds 1e-9 from m = 385 (7.4e-9 at m = 1024).  The feasibility gap,
+    from correctly rounded factors, stays within 1e-10 up to m = 4096
+    (2.6e-11 there).
     """
     p = example_problem(m)  # raises for m < 2
     y = _closed_form_y(p)

@@ -472,10 +472,8 @@ def _starts(p: IsoperimetricProblem, opts: SolverOptions) -> np.ndarray:
     rng = np.random.default_rng(opts.seed)
     with np.errstate(over="ignore", invalid="ignore"):
         base = p.alpha + (p.beta - p.alpha) * (t[1:-1] - t[0]) / (t[-1] - t[0])
-        starts = [base]
-        for _ in range(opts.multistart):
-            starts.append(base + rng.uniform(-opts.spread, opts.spread, base.size))
-    return np.array(starts)
+        noise = rng.uniform(-opts.spread, opts.spread, (opts.multistart, base.size))
+        return np.concatenate((base[None], base + noise))
 
 
 def _met(run: _NewtonRun, p: IsoperimetricProblem, opts: SolverOptions) -> bool:

@@ -4,10 +4,11 @@ end-to-end example certification, and randomized structural-identity
 fuzzing."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from deltanabla import (
@@ -15,8 +16,10 @@ from deltanabla import (
     EvaluationError,
     GridFunction,
     IsoperimetricProblem,
+    Lagrangian,
     TimeScale,
     constant_lagrangian,
+    evaluate,
     fd_gradient,
     identity_fuzz,
     kkt_check,
@@ -24,7 +27,7 @@ from deltanabla import (
     verify_example,
 )
 from deltanabla import oracle
-from deltanabla.expressions import Const
+from deltanabla.expressions import FUNCTIONS, Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
 from deltanabla.functional import eval_functional
 from deltanabla.solver import (
     closed_form_example,
@@ -313,9 +316,9 @@ def test_kkt_check_reads_only_the_value_trees(monkeypatch):
         raise AssertionError("the fast path was used")
 
     monkeypatch.setattr(expressions.Lagrangian, "tables", forbidden)
-    monkeypatch.setattr(functional, "slot_tables_at", forbidden)
-    monkeypatch.setattr(functional, "row_tables", forbidden)
-    monkeypatch.setattr(functional, "SlotTables", forbidden)
+    for name in ("slot_tables_at", "row_tables", "SlotTables", "eval_functional",
+                 "_factor", "_walk", "_slots"):
+        monkeypatch.setattr(functional, name, forbidden)
 
     def values_only(f):
         trip = _Tripwire()
@@ -364,6 +367,132 @@ def test_kkt_check_at_overflowing_gaps_is_not_finite_without_warnings(m3):
     assert np.isnan(report.lambda_fit)
 
 
+def _one_sided(delta):
+    """Objective delta on three unit gaps; every other side is v^2."""
+    return IsoperimetricProblem(
+        scale=TimeScale(np.arange(4.0)),
+        alpha=0.0,
+        beta=0.0,
+        objective=DeltaNablaFunctional(delta, make_lagrangian("v^2")),
+        constraint=_functional("v^2", "v^2"),
+        k=1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "text, u, match",
+    [
+        ("exp(u)", 800.0, "exp"),  # numpy's exp overflows to inf, math.exp raises
+        ("u^-2", 0.0, r"u\^-2"),  # 0 to a negative power: numpy inf, Python raises
+    ],
+)
+def test_kkt_check_raises_where_evaluate_does(text, u, match):
+    p = _one_sided(make_lagrangian(text))
+    y = GridFunction(p.scale, np.array([0.0, u, 1.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match=match):
+            kkt_check(p, y, 1.0)
+
+
+def test_kkt_check_at_an_overflowing_factor_is_not_finite():
+    # Three terms of 1e308: math.fsum raises OverflowError, and the
+    # factor reads inf, as a plain sum does.
+    p = dataclasses.replace(
+        _one_sided(make_lagrangian("v^2")),
+        constraint=DeltaNablaFunctional(constant_lagrangian(1e308), constant_lagrangian(1.0)),
+    )
+    y = GridFunction(p.scale, np.array([0.0, 1.0, 2.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = kkt_check(p, y, 1.0)
+    assert report.feasibility_gap == np.inf
+
+
+# Trees whose domain-checked operands (divisors, powers' bases, function
+# arguments) are built from + - * /, negation, variables and constants,
+# which the oracle's walk and expressions.evaluate round alike.
+_DOMAIN_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e300, -1e-300, np.inf]
+_rational = st.recursive(
+    st.one_of(
+        st.builds(Const, st.one_of(st.sampled_from(_DOMAIN_VALUES), st.floats(-4.0, 4.0))),
+        st.sampled_from([Var("t"), Var("u"), Var("v")]),
+    ),
+    lambda c: st.one_of(
+        st.builds(Neg, c), *(st.builds(op, c, c) for op in (Add, Sub, Mul, Div))
+    ),
+    max_leaves=5,
+)
+_domain_trees = st.recursive(
+    st.one_of(
+        _rational,
+        st.builds(Pow, _rational, st.integers(-3, 3)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), _rational),
+    ),
+    lambda c: st.one_of(
+        st.builds(Neg, c),
+        *(st.builds(op, c, c) for op in (Add, Sub, Mul)),
+        st.builds(Div, c, _rational),
+    ),
+    max_leaves=4,
+)
+
+
+def _evaluate_rejects(tree, p, y):
+    """Whether expressions.evaluate raises at any delta or nabla slot of y."""
+    t, v = p.scale.points, y.values
+    with np.errstate(all="ignore"):
+        quot = (v[1:] - v[:-1]) / (t[1:] - t[:-1])
+    slots = [(t[i], v[i + 1], quot[i]) for i in range(quot.size)]
+    slots += [(t[i + 1], v[i], quot[i]) for i in range(quot.size)]
+    for point in slots:
+        try:
+            evaluate(tree, *map(float, point))
+        except EvaluationError:
+            return True
+    return False
+
+
+_DOMAIN_GRID = [(0.0, 1.0), (1.0, 1e300), (0.5, -1.0), (3.0, 0.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _domain_trees,
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+            st.one_of(st.sampled_from(_DOMAIN_VALUES[:-1]), st.floats(-4.0, 4.0)),
+        ),
+        min_size=3,
+        max_size=6,
+    ),
+)
+@example(Call("sin", Mul(Var("u"), Var("u"))), _DOMAIN_GRID)  # sin(inf)
+@example(Call("cos", Mul(Var("u"), Var("u"))), _DOMAIN_GRID)
+def test_kkt_check_rejects_exactly_where_evaluate_does(tree, grid):
+    points = np.cumsum([gap for gap, _ in grid]) - grid[0][0]
+    values = [value for _, value in grid]
+    lag = Lagrangian(tree, Const(0.0), Const(0.0))  # the oracle reads the value only
+    p = IsoperimetricProblem(
+        scale=TimeScale(points),
+        alpha=values[0],
+        beta=values[-1],
+        objective=DeltaNablaFunctional(lag, lag),
+        constraint=_functional("v^2", "v^2"),
+        k=1.0,
+    )
+    y = GridFunction(p.scale, np.array(values))
+    want = _evaluate_rejects(tree, p, y)
+    try:
+        kkt_check(p, y, 1.0)
+        got = False
+    except EvaluationError:
+        got = True
+    event(f"rejected {want}")
+    assert got == want
+
+
 @pytest.mark.parametrize("m", [2, 3, 5, 32, 48, 128, 256])
 def test_verify_example_passes(m):
     report = verify_example(m)
@@ -398,6 +527,19 @@ def test_verify_example_kkt_line_holds_at_m_1024():
     report = verify_example(1024)
     kkt = next(c for c in report.checks if c.name.startswith("kkt residual"))
     assert kkt.passed
+
+
+@pytest.mark.parametrize("m", [1024, 2048, 4096])
+def test_verify_example_constraint_level_holds_beyond_m_1024(m):
+    # The factors are correctly rounded sums, so the gap stays below the
+    # bound where a left-to-right sum reads 1.84e-10 (m = 1024).  The
+    # bracket lines still exceed their absolute 1e-9.
+    lines = {c.name: c for c in verify_example(m).checks}
+    assert lines["constraint level"].passed
+    assert lines["constraint level"].bound == 1e-10
+    for form in ("EL1", "EL2"):
+        line = lines[f"bracket defect {form}"]
+        assert not line.passed and line.bound == 1e-9
 
 
 def test_verify_example_rejects_tiny_m():
