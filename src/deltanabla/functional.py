@@ -186,7 +186,10 @@ class SlotTables:
         return SlotTables(self.values[index], self.weights, *columns, j_delta, j_nabla, **grads)
 
     def breakdown(self) -> EvaluationBreakdown:
-        return EvaluationBreakdown(self.j_delta, self.j_nabla, self.value)
+        """The factors and their product, the value's bits, without the
+        gradients that a read of value computes."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return EvaluationBreakdown(self.j_delta, self.j_nabla, self.j_delta * self.j_nabla)
 
     def hessian(self, rows: list[int]) -> np.ndarray:
         """Exact Hessians in the interior values of the given rows of a

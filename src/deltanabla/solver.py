@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Generator, Literal, NamedTuple
 
 import numpy as np
@@ -86,11 +86,11 @@ class SolverOptions:
     interior perturbations uniformly from [-spread, spread] with the
     given seed; the unperturbed linear interpolant is always tried
     first.  Each start runs at most max_iter Newton steps, and ends
-    early at its rounding level (see _newton).  A ValueError names the
-    field that is out of range: a tolerance that is not positive and
-    finite, a count or seed that is not an int (a bool included), a
-    negative count, seed or spread, or a spread whose width 2·spread
-    overflows.
+    early at its rounding level or near a point another start has met
+    (see _newton).  A ValueError names the field that is out of range:
+    a tolerance that is not positive and finite, a count or seed that
+    is not an int (a bool included), a negative count, seed or spread,
+    or a spread whose width 2·spread overflows.
     """
 
     feas_tol: float = 1e-8
@@ -159,6 +159,8 @@ _EPS = float(np.finfo(float).eps)
 _MIN_STEP = 1e-12
 """Shortest step length the step search tries: a component that is
 exactly 0.0 takes any nonzero step, so the search needs a floor."""
+_RADIUS = 1e-6
+"""Stationary-point radius (∞-norm) of both dedupes and of a "duplicate" run."""
 _LEVEL_C = 8.0
 """c of the rounding level rho = c·u·||J||∞·||z||∞ of a Newton system
 J s = -f at z, with u = 2^-52, the machine epsilon: the scale of the
@@ -237,7 +239,8 @@ class _NewtonRun:
     z: np.ndarray
     f: np.ndarray
     iterations: int
-    status: str  # "ok", "stalled", "singular", "maxiter", "error"
+    status: str  # "ok", "stalled", "singular", "maxiter", "error", or "duplicate":
+    # ended, with level 0.0, within _RADIUS of the iterate of a met run
     ev: _Evaluation | None
     row: int = 0
     level: float = 0.0
@@ -406,6 +409,7 @@ def _newton(
     z0: np.ndarray,
     opts: SolverOptions,
     min_norm: bool,
+    met: Callable[[_NewtonRun], bool],
 ) -> list[_NewtonRun]:
     """Damped Newton on a square system from every row of the stack z0:
     np.linalg.solve steps, which a singular Jacobian ends, or with
@@ -427,25 +431,47 @@ def _newton(
     round first gives every run that asks for a step its step and level,
     from one stacked Jacobian over the last evaluation's rows and one
     stacked solve, then evaluates the point every run asks for, in start
-    order, in one system call.  No start's numbers depend on another's,
-    so each run is the one its start makes alone, bit for bit.
+    order, in one system call.  The iterate of every run that has ended
+    and passed the search's acceptance test met is kept, and before the
+    Jacobians a run whose iterate is within _RADIUS of a kept one ends
+    "duplicate", which met must reject.  Apart from that end, no start's
+    numbers depend on another's, so every run not ended "duplicate" is,
+    bit for bit, the run its start makes alone.
     """
     with np.errstate(all="ignore"):  # the runs catch the non-finite values numpy warns of
         ends: list = [None] * len(z0)
         waiting: dict = {}  # start: (its run, what the run asks for), in start order
+        starts = np.array(z0, dtype=float)
+        kept, lengths = starts[:0], []  # the met runs' iterates, stacked, and their ||.||₂
+        # Within _RADIUS (∞-norm) of k, ||z||₂ is within √d·_RADIUS of ||k||₂:
+        # twice that, with a margin for their rounding, selects the runs compared.
+        reach, slack = 2.0 * math.sqrt(starts.shape[1]) * _RADIUS, 4.0 * starts.shape[1] * _EPS
 
         def send(start: int, run: Generator, answer: object = None) -> None:
+            nonlocal kept
             try:
                 waiting[start] = run, run.send(answer)
             except StopIteration as stop:
                 del waiting[start]
                 ends[start] = stop.value
+                if met(stop.value):
+                    kept = np.vstack((kept, stop.value.z))
+                    lengths.append(_norm(stop.value.z))
 
-        for start, z in enumerate(np.array(z0, dtype=float)):
+        for start, z in enumerate(starts):
             send(start, _run(z, opts))
         while waiting:
             stepping = [(start, run, ask) for start, (run, ask) in waiting.items()
                         if isinstance(ask, tuple)]
+            maybe = [(start, run, row) for start, run, (row, (_, z_norm)) in stepping
+                     if any(not abs(z_norm - k) > reach + slack * (z_norm + k) for k in lengths)]
+            if maybe:
+                z = _take(ev.z, [row for _, _, row in maybe])
+                near = (np.abs(z[:, None] - kept).max(axis=2).min(axis=1) <= _RADIUS).tolist()
+                for (start, run, _), duplicate in zip(maybe, near):
+                    if duplicate:
+                        send(start, run, ("duplicate", 0.0))
+                stepping = [ask for ask in stepping if ask[0] in waiting]
             if stepping:
                 rows = [row for _, _, (row, _) in stepping]
                 jac = system.jacobian(ev.z, ev.tables, rows)
@@ -477,12 +503,13 @@ def _starts(p: IsoperimetricProblem, opts: SolverOptions) -> np.ndarray:
 
 
 def _met(run: _NewtonRun, p: IsoperimetricProblem, opts: SolverOptions) -> bool:
-    """Whether a run of either search ended with its stationarity rows
-    (the first n of f) within max(stat_tol, its rounding level) and its
-    kept constraint within feas_tol of k."""
+    """Whether a run of either search ended, not as a "duplicate", with
+    its stationarity rows (the first n of f) within max(stat_tol, its
+    rounding level) and its kept constraint within feas_tol of k."""
     n = p.interior_count()
     return (
-        run.ev is not None
+        run.status != "duplicate"
+        and run.ev is not None
         and float(np.max(np.abs(run.f[:n]))) <= max(opts.stat_tol, run.level)
         and abs(run.value(-1) - p.k) <= opts.feas_tol
     )
@@ -598,13 +625,13 @@ def solve_normal(
 
     starts = _starts(p, opts)
     z0 = np.concatenate((starts, np.zeros((len(starts), 1))), axis=1)
-    runs = _newton(_normal_system(p), z0, opts, min_norm=False)
+    runs = _newton(_normal_system(p), z0, opts, False, partial(_met, p=p, opts=opts))
 
     converged = [run for run in runs if _met(run, p, opts)]
     points: list[StationaryPoint] = []
     for run in converged:
         values = run.z[:n]
-        if any(np.max(np.abs(values - sp.values)) <= 1e-6 for sp in points):
+        if any(np.max(np.abs(values - sp.values)) <= _RADIUS for sp in points):
             continue
         points.append(StationaryPoint(values.copy(), float(run.z[n]), run.value(0)))
     if converged:
@@ -717,10 +744,10 @@ def find_abnormal(
         return []
 
     found: list[SolveResult] = []
-    for run in _newton(_abnormal_system(p), starts, opts, min_norm=True):
+    for run in _newton(_abnormal_system(p), starts, opts, True, partial(_met, p=p, opts=opts)):
         if not _met(run, p, opts):
             continue
-        if any(np.max(np.abs(run.z - r.y.values[1:-1])) <= 1e-6 for r in found):
+        if any(np.max(np.abs(run.z - r.y.values[1:-1])) <= _RADIUS for r in found):
             continue
         [con] = run.tables
         with np.errstate(all="ignore"):  # a non-finite bracket fails the test

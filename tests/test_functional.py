@@ -21,6 +21,7 @@ from deltanabla import (
     iso_residual,
     make_lagrangian,
 )
+from deltanabla import functional
 from deltanabla.solver import closed_form_example, discrete_gradient, example_problem
 
 
@@ -194,6 +195,29 @@ def test_functional_and_gradient_overflow_silently(m3):
     assert np.isnan(out.nabla_factor) and np.isnan(out.product)
     assert np.isnan(discrete_gradient(p.objective, y)).all()
     assert np.isnan(discrete_gradient(p.constraint, y)).all()
+
+
+@pytest.mark.parametrize("point", [[0.0, 2.0, 3.0, 3.0], [0.0, -0.7, 1.3e154, 3.0]],
+                         ids=["extremal", "overflow"])
+def test_eval_functional_computes_no_gradient(m3, monkeypatch, point):
+    # The tables behind eval_functional give the factors and their
+    # product without the gradients a read of their value computes, and
+    # the product is the value's bits, also where a factor overflows.
+    p, _, _ = m3
+    made = []
+    kernel_tables = functional._kernel_tables
+
+    def keeping(*args):
+        made.append(kernel_tables(*args))
+        return made[-1]
+
+    monkeypatch.setattr(functional, "_kernel_tables", keeping)
+    for f in (p.objective, p.constraint):
+        out = eval_functional(f, GridFunction(p.scale, np.array(point)))
+        [tab] = made
+        assert not {"value", "grad_delta", "grad_nabla", "grad"} & tab.__dict__.keys()
+        assert np.array(out.product).tobytes() == np.array(tab.value).tobytes()
+        made.clear()
 
 
 @pytest.mark.parametrize("lambda0, lam, name", [

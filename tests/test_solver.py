@@ -301,7 +301,8 @@ def test_zero_hessian_takes_the_zero_step_without_lstsq(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
     monkeypatch.setattr(solver, "_steps", counting_steps)
     p, opts = example_problem(8), SolverOptions()
-    runs = solver._newton(solver._abnormal_system(p), solver._starts(p, opts), opts, min_norm=True)
+    z0 = solver._starts(p, opts)
+    runs = solver._newton(solver._abnormal_system(p), z0, opts, True, _met_of(p, opts))
     assert not any(solver._met(run, p, opts) for run in runs)
     assert calls["svd"] == 0 and calls["rounds"] > 0
     calls.update(svd=0, rounds=0)
@@ -359,7 +360,7 @@ def test_no_abnormal_start_runs_to_max_iter():
         p = _random_small_problem(rng)
         assert find_abnormal(p, opts) == []
         z0 = solver._starts(p, opts)
-        runs.extend(solver._newton(solver._abnormal_system(p), z0, opts, min_norm=True))
+        runs.extend(solver._newton(solver._abnormal_system(p), z0, opts, True, _met_of(p, opts)))
         assert not any(solver._met(run, p, opts) for run in runs[-len(z0):])
     assert len(runs) == 6 * 9
     assert [run.status for run in runs if run.status == "maxiter"] == []
@@ -812,7 +813,8 @@ def test_an_undefined_trial_point_rejects_only_its_own_trial(monkeypatch):
     # In the first round the trial points of starts 2 and 3 leave the
     # domain of log: the kernel pass over the round's stack fails, the
     # round evaluates row by row, and those two starts halve their step
-    # while starts 0 and 1 go on.  All four converge.
+    # while starts 0 and 1 go on.  All four reach an answer: starts 1
+    # and 2 end within the radius of a met run's, as duplicates.
     undefined = []
     evaluate = solver._evaluate
 
@@ -824,28 +826,43 @@ def test_an_undefined_trial_point_rejects_only_its_own_trial(monkeypatch):
     monkeypatch.setattr(solver, "_evaluate", recording)
     p = _log_problem()
     opts = SolverOptions(multistart=3, seed=5, spread=1.5)
-    runs = _runs_match_each_start_alone(p, opts, min_norm=False)
-    assert [run.status for run in runs] == ["stalled", "stalled", "ok", "ok"]
+    runs, _ = _runs_match_each_start_alone(p, opts, min_norm=False)
+    assert [run.status for run in runs] == ["stalled", "duplicate", "duplicate", "ok"]
     assert undefined[1] == [2, 3]
     assert solve_normal(p, opts).converged
 
 
+def _met_of(p, opts):
+    """The acceptance test both searches pass to their Newton runs."""
+    return lambda run: solver._met(run, p, opts)
+
+
 def _runs_match_each_start_alone(p, opts, min_norm, z0=None):
     """The runs of one batch from the problem's starts (or z0), each
-    checked bit for bit against its start run as a batch of one."""
+    checked against its start run as a batch of one: a run not ended
+    "duplicate" bit for bit; a duplicate is not met, took at most the
+    lone run's iterations, and lies within the radius of a met run of
+    the batch.  Returns the batch's runs and the lone runs."""
     system = (solver._abnormal_system if min_norm else solver._normal_system)(p)
     if z0 is None:
         z0 = solver._starts(p, opts)
         if not min_norm:
             z0 = np.concatenate((z0, np.zeros((len(z0), 1))), axis=1)
-    runs = solver._newton(system, z0, opts, min_norm)
+    met = _met_of(p, opts)
+    runs = solver._newton(system, z0, opts, min_norm, met)
     assert len(runs) == len(z0)
-    for start, run in zip(z0, runs):
-        [alone] = solver._newton(system, start[None], opts, min_norm)
+    kept = [run.z for run in runs if met(run)]
+    alones = [solver._newton(system, start[None], opts, min_norm, met)[0] for start in z0]
+    for run, alone in zip(runs, alones):
+        if run.status == "duplicate":
+            assert not met(run)
+            assert run.iterations <= alone.iterations
+            assert min(np.max(np.abs(run.z - z)) for z in kept) <= solver._RADIUS
+            continue
         assert run.z.tobytes() == alone.z.tobytes()
         assert run.f.tobytes() == alone.f.tobytes()
         assert (run.iterations, run.status) == (alone.iterations, alone.status)
-    return runs
+    return runs, alones
 
 
 @pytest.mark.parametrize(
@@ -860,6 +877,71 @@ def _runs_match_each_start_alone(p, opts, min_norm, z0=None):
 )
 def test_fixed_batches_run_each_start_as_it_runs_alone(problem, opts, min_norm):
     _runs_match_each_start_alone(problem(), opts, min_norm)
+
+
+def _two_point_problem():
+    """A seven-point problem of the random_small family with two
+    distinct stationary points, each reached from several starts."""
+    return IsoperimetricProblem(
+        scale=TimeScale(np.array([
+            1.329890496276747, 1.3599444126761282, 1.7606061573225533, 1.7801615132853703,
+            2.367803402838559, 2.5983794028768568, 2.9630842129671247,
+        ])),
+        alpha=-0.22090457920085638,
+        beta=0.9614757633202162,
+        objective=DeltaNablaFunctional(
+            make_lagrangian("v^2 + -0.197875*u*v + 0.430628*u + -0.204768*t"),
+            make_lagrangian("v^2 + 0.136125*u + 0.443171*v + 1.197572"),
+        ),
+        constraint=DeltaNablaFunctional(
+            make_lagrangian("-0.44622*t*v + 0.121751*u + 1.399267"),
+            make_lagrangian("-0.447418*v + -0.299238*u + 1.087072"),
+        ),
+        k=1.4127958215102878,
+    )
+
+
+@pytest.mark.parametrize(
+    "problem, points", [(lambda: example_problem(8), 1), (_two_point_problem, 2)],
+    ids=["example", "two-points"],
+)
+def test_starts_that_reach_one_point_end_as_duplicates(problem, points):
+    # Several starts reach each stationary point, and at least half of
+    # the runs end "duplicate" there.  The answer is a met run that is
+    # no duplicate, and the distinct stationary points are those of the
+    # starts run alone, each within the radius of one of theirs.
+    p, opts = problem(), SolverOptions()
+    n = p.interior_count()
+    runs, alones = _runs_match_each_start_alone(p, opts, min_norm=False)
+    met = _met_of(p, opts)
+    assert sum(run.status == "duplicate" for run in runs) >= len(runs) // 2
+    res = solve_normal(p, opts)
+    winner = min((run for run in runs if met(run)), key=lambda run: run.value(0))
+    assert winner.status != "duplicate"
+    assert res.y.values[1:-1].tobytes() == winner.z[:n].tobytes()
+    assert (res.iterations, res.lam) == (winner.iterations, winner.z[n])
+    lone = []
+    for alone in filter(met, alones):
+        if all(np.max(np.abs(alone.z[:n] - q)) > solver._RADIUS for q in lone):
+            lone.append(alone.z[:n])
+    assert len(res.stationary_points) == len(lone) == points
+    matched = [i for sp in res.stationary_points for i, q in enumerate(lone)
+               if np.max(np.abs(sp.values - q)) <= solver._RADIUS]
+    assert sorted(matched) == list(range(points))
+
+
+def test_a_start_within_the_radius_of_a_met_iterate_ends_before_its_step():
+    # At z* = (2, 3, -26), the closed form of example_problem(3) and its
+    # multiplier, f is exactly zero: start 0 ends "ok" on its first
+    # evaluation.  A start within the radius of z* (∞-norm) ends
+    # "duplicate" at its first step request, whatever its ||z||₂; one
+    # just outside it takes one step first.
+    p, opts = example_problem(3), SolverOptions()
+    offsets = np.array([[0.0, 0.0, 0.0], [0.9e-6, 0.0, 0.0], [0.0, -0.9e-6, 0.9e-6],
+                        [1.1e-6, 0.0, 0.0]])
+    runs, _ = _runs_match_each_start_alone(p, opts, False, np.array([2.0, 3.0, -26.0]) + offsets)
+    assert [(run.status, run.iterations) for run in runs] == [
+        ("ok", 1), ("duplicate", 1), ("duplicate", 1), ("duplicate", 2)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -974,7 +1056,7 @@ def test_runs_slice_their_products_only_when_read(problem, opts, monkeypatch):
         if not min_norm:
             z0 = np.concatenate((z0, np.zeros((len(z0), 1))), axis=1)
         system = (solver._abnormal_system if min_norm else solver._normal_system)(p)
-        runs = solver._newton(system, z0, opts, min_norm)
+        runs = solver._newton(system, z0, opts, min_norm, _met_of(p, opts))
         assert sliced == []
         for run in runs:
             if run.ev is None:
@@ -995,7 +1077,7 @@ def test_a_failed_svd_ends_only_its_own_start(monkeypatch):
     p = _constraint_extremal_problem()
     opts = SolverOptions()
     system, z0 = solver._abnormal_system(p), solver._starts(p, opts)
-    unpatched = solver._newton(system, z0, opts, True)
+    unpatched = solver._newton(system, z0, opts, True, _met_of(p, opts))
     svd = np.linalg.svd
     marked = []
 
@@ -1007,7 +1089,7 @@ def test_a_failed_svd_ends_only_its_own_start(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", failing)
-    runs = solver._newton(system, z0, opts, True)
+    runs = solver._newton(system, z0, opts, True, _met_of(p, opts))
     ended = [i for i, run in enumerate(runs) if run.status.startswith("error")]
     assert len(ended) == 1
     assert runs[ended[0]].status == "error: SVD did not converge"
@@ -1050,7 +1132,7 @@ def test_max_iter_0_ends_every_start_at_its_own_point():
     # A start whose residual is finite ends "maxiter" after 0 iterations,
     # where it started, with that residual; any other ends in an error.
     for p, system, opts, min_norm, z0 in _max_iter_cases():
-        runs = _runs_match_each_start_alone(p, replace(opts, max_iter=0), min_norm, z0)
+        runs, _ = _runs_match_each_start_alone(p, replace(opts, max_iter=0), min_norm, z0)
         for start, run in zip(z0, runs):
             f = _start_residual(system, start)
             assert run.iterations == 0
@@ -1067,7 +1149,7 @@ def test_max_iter_1_ends_every_start_after_at_most_one_step():
     # its residual decreased.
     statuses = set()
     for p, system, opts, min_norm, z0 in _max_iter_cases():
-        runs = _runs_match_each_start_alone(p, replace(opts, max_iter=1), min_norm, z0)
+        runs, _ = _runs_match_each_start_alone(p, replace(opts, max_iter=1), min_norm, z0)
         for start, run in zip(z0, runs):
             statuses.add(run.status)
             assert run.iterations <= 1
@@ -1097,7 +1179,9 @@ def test_step_search_counts_an_overflowing_norm_as_no_decrease(f0, jac):
     system = solver._System((), np.arange(3.0), lambda z: z, residual, jacobian)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        [run] = solver._newton(system, np.zeros((1, len(f0))), SolverOptions(), False)
+        [run] = solver._newton(
+            system, np.zeros((1, len(f0))), SolverOptions(), False, lambda run: False
+        )
     assert run.status == "stalled"
     assert run.iterations == 1
     assert not run.z.any()
@@ -1212,17 +1296,21 @@ def _four_point_problem():
 )
 def test_at_four_points_acceptance_is_the_absolute_test(problem):
     # There every rounding level is far below stat_tol = 1e-8, so
-    # max(stat_tol, rho) is stat_tol: a run of either search counts, and
-    # an answer converges, exactly where the absolute tests say so.
+    # max(stat_tol, rho) is stat_tol: a run of either search that is no
+    # duplicate counts, and an answer converges, exactly where the
+    # absolute tests say so.
     p = problem()
     opts = SolverOptions()
     n = p.interior_count()
     levels = []
     for min_norm in (False, True):
-        for run in _runs_match_each_start_alone(p, opts, min_norm):
-            levels.append(run.level)
+        runs, alones = _runs_match_each_start_alone(p, opts, min_norm)
+        # A duplicate ends before its floor: the levels are the lone runs'.
+        levels.extend(alone.level for alone in alones)
+        for run in runs + alones:
             absolute = (
-                run.tables is not None
+                run.status != "duplicate"
+                and run.tables is not None
                 and np.max(np.abs(run.f[:n])) <= opts.stat_tol
                 and abs(run.tables[-1].value - p.k) <= opts.feas_tol
             )
@@ -1250,7 +1338,7 @@ def test_a_start_at_its_answer_ends_at_its_rounding_level(monkeypatch):
         return evaluate(system, points)
 
     monkeypatch.setattr(solver, "_evaluate", counting)
-    [run] = solver._newton(solver._normal_system(p), z[None], opts, False)
+    [run] = solver._newton(solver._normal_system(p), z[None], opts, False, _met_of(p, opts))
     assert run.status == "stalled"
     assert run.iterations <= 2
     assert sum(evaluated) <= 3
