@@ -6,7 +6,8 @@ difference quotient.  The module parses such text into a tiny AST,
 evaluates it, and differentiates it symbolically with respect to ``u``
 or ``v``.  evaluate() walks the tree at one point and is the reference;
 each Lagrangian compiles its six trees into straight-line numpy over
-stacked slot arrays, which gives evaluate()'s numbers bit for bit.
+stacked slot arrays, which gives evaluate()'s numbers bit for bit and
+marks, per tree, the slots where evaluate() raises.
 Grammar, lowest precedence first:
 
     expr   := term (('+' | '-') term)*
@@ -281,6 +282,17 @@ _UNARY = {
 }
 
 
+def _power(base: float, exponent: int) -> float:
+    """base ** exponent on a Python float, for evaluate() and the kernels:
+    0.0 to a negative power raises ZeroDivisionError, where a numpy
+    scalar gives inf with a warning, and a power that overflows is the
+    IEEE result, as in + - *, where Python raises."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.copysign(math.inf, base) if exponent % 2 else math.inf
+
+
 def evaluate(e: Expr, t: float, u: float, v: float) -> float:
     """Evaluate at (t, u, v); EvaluationError outside the real domain."""
     if isinstance(e, Const):
@@ -304,19 +316,13 @@ def evaluate(e: Expr, t: float, u: float, v: float) -> float:
             )
         return num / den
     if isinstance(e, Pow):
-        # On a Python float whatever the caller passes, as in the kernels:
-        # 0.0 to a negative power raises, where a numpy scalar gives inf
-        # with a warning.  A power that overflows is the IEEE result, as
-        # in + - *, where Python raises.
         base = float(evaluate(e.base, t, u, v))
         try:
-            return base ** e.exponent
+            return _power(base, e.exponent)
         except ZeroDivisionError as exc:
             raise EvaluationError(
                 f"cannot raise {base} to {e.exponent} in {to_str(e)}"
             ) from exc
-        except OverflowError:
-            return math.copysign(math.inf, base) if e.exponent % 2 else math.inf
     if isinstance(e, Call):
         arg = evaluate(e.arg, t, u, v)
         try:
@@ -463,44 +469,62 @@ def differentiate(e: Expr, var: str) -> Expr:
 # bit: + - * / and negation are numpy's IEEE operations, and ** and the
 # math functions run slot by slot through evaluate()'s Python and libm
 # calls (numpy's array power, exp and log round differently in the last
-# bit); constant subtrees stay Python floats.  Where arithmetic fails, a
-# kernel fails as Python floats do: a zero divisor, ** and the math
-# functions raise, and + - * overflow to inf or NaN silently (under
-# np.errstate); callers then rerun evaluate().  Trees outside what the
-# parser and differentiate build raise ValueError when compiled; the
-# Lagrangian remembers the failure and sends callers to evaluate() as
-# well, without compiling again.
+# bit); constant subtrees stay Python floats.  + - * overflow to inf or
+# NaN silently (under np.errstate), as Python floats do.  Where evaluate()
+# raises (a zero divisor, 0.0 to a negative power, a math function out of
+# its domain or range), a kernel writes NaN and puts the slots on its list
+# of undefined slots with the roots that read the node, so that a NaN
+# arithmetic makes (inf - inf) stays apart from an undefined slot.  Trees
+# outside what the parser and differentiate build raise ValueError when
+# compiled.
 
 _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
-def _quotient(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
-    """a / b over slot arrays or floats, raising ZeroDivisionError at a
-    zero divisor as Python float division does."""
-    if not np.all(b):
-        raise ZeroDivisionError("zero divisor")
-    return a / b
+def _quotient(bad: list, roots: tuple, a: float | np.ndarray, b: float | np.ndarray):
+    """a / b over slot arrays or floats, NaN where b is zero, as evaluate()
+    raises there; those slots go on bad."""
+    if np.all(b):
+        return a / b
+    zero = b == 0.0
+    bad.append((roots, zero))
+    return a / np.where(zero, math.nan, b)
 
 
-def _per_slot(fn: Callable, x: float | np.ndarray, *args) -> float | np.ndarray:
-    """fn(slot, *args) at every slot of x, on Python floats."""
-    if not isinstance(x, np.ndarray):
-        return fn(x, *args)
-    slots = map(fn, x.ravel().tolist(), *map(itertools.repeat, args))
-    return np.fromiter(slots, float, x.size).reshape(x.shape)
+def _per_slot(bad: list, roots: tuple, fn: Callable, x: float | np.ndarray, *args):
+    """fn(slot, *args) at every slot of x (a float gives a float), on
+    Python floats, NaN where evaluate() raises; those slots go on bad.
+    Builtin pow, which is _power where it does not raise, runs first."""
+    slots = x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
+    try:
+        out = np.fromiter(map(fn, slots, *map(itertools.repeat, args)), float, len(slots))
+    except (ArithmeticError, ValueError):
+        fn = _power if fn is pow else fn
+        out, undefined = np.empty(len(slots)), np.zeros(len(slots), bool)
+        for i, slot in enumerate(slots):
+            try:
+                out[i] = fn(slot, *args)
+            except (ArithmeticError, ValueError):
+                out[i], undefined[i] = math.nan, True
+        if undefined.any():
+            bad.append((roots, undefined.reshape(np.shape(x))))
+    return out.reshape(x.shape) if isinstance(x, np.ndarray) else float(out[0])
 
 
 class _KernelSource:
     """Straight-line source for a set of trees.  Equal subtrees share one
     name; constants are keyed by their bits, so Const(0.0) and
-    Const(-0.0), equal as dataclasses, stay apart."""
+    Const(-0.0), equal as dataclasses, stay apart.  name(e, root) visits
+    every node of e, shared or not, and marks it read by that root, whose
+    indices the lines take as their ``{roots}``."""
 
     def __init__(self) -> None:
-        self.lines: list[str] = []
+        self.lines: list[tuple[tuple, str]] = []
         self.names: dict[tuple, str] = {}
         self.consts: list[float] = []
+        self.roots: dict[tuple, set[int]] = {}
 
-    def name(self, e: Expr) -> str:
+    def name(self, e: Expr, root: int) -> str:
         if isinstance(e, Var) and e.name in VARIABLES:
             return e.name
         if isinstance(e, Const) and type(e.value) is float:
@@ -510,35 +534,40 @@ class _KernelSource:
                 self.consts.append(e.value)
             return self.names[key]
         if isinstance(e, (Add, Sub, Mul, Div)):
-            a, b, op = self.name(e.left), self.name(e.right), _BINARY[type(e)]
-            key, code = (op, a, b), f"quotient({a}, {b})" if op == "/" else f"{a} {op} {b}"
+            a, b, op = self.name(e.left, root), self.name(e.right, root), _BINARY[type(e)]
+            key = (op, a, b)
+            code = f"quotient(bad, {{roots}}, {a}, {b})" if op == "/" else f"{a} {op} {b}"
         elif isinstance(e, Neg):
-            a = self.name(e.arg)
+            a = self.name(e.arg, root)
             key, code = ("neg", a), f"-{a}"
         elif isinstance(e, Pow) and type(e.exponent) is int:
-            a = self.name(e.base)
-            key, code = ("^", a, e.exponent), f"per_slot(pow, {a}, {e.exponent})"
+            a = self.name(e.base, root)
+            key, code = ("^", a, e.exponent), f"per_slot(bad, {{roots}}, pow, {a}, {e.exponent})"
         elif isinstance(e, Call) and e.func in _UNARY:
-            a = self.name(e.arg)
-            key, code = ("call", e.func, a), f"per_slot({e.func}, {a})"
+            a = self.name(e.arg, root)
+            key, code = ("call", e.func, a), f"per_slot(bad, {{roots}}, {e.func}, {a})"
         else:
-            raise ValueError(f"no kernel for {e!r}; evaluate() handles it")
+            raise ValueError(f"no kernel for {e!r}: not a node the parser or differentiate builds")
+        self.roots.setdefault(key, set()).add(root)
         if key not in self.names:
-            name = self.names[key] = f"x{len(self.names)}"
-            self.lines.append(f"{name} = {code}")
+            self.names[key] = f"x{len(self.names)}"
+            self.lines.append((key, code))
         return self.names[key]
 
 
 def _kernel_text(src: _KernelSource, roots: list[str]) -> str:
     """Module text of a factory that binds the constants and returns
-    ``kernel(t, u, v)``, which computes the roots; a root that is a bare
-    variable is returned as a fresh copy."""
+    ``kernel(t, u, v)``, which computes the roots and the list of
+    undefined slots; a root that is a bare variable is returned as a
+    fresh copy."""
     results = (f"fill({r}, v.shape)" if r in VARIABLES else r for r in roots)
     return "\n".join([
         f"def factory({', '.join(f'c{i}' for i in range(len(src.consts)))}):",
         "    def kernel(t, u, v):",
-        *(f"        {line}" for line in src.lines),
-        f"        return {', '.join(results)}",
+        "        bad = []",
+        *(f"        {src.names[key]} = {code.format(roots=tuple(sorted(src.roots[key])))}"
+          for key, code in src.lines),
+        f"        return ({', '.join(results)},), bad",
         "    return kernel",
     ])
 
@@ -562,9 +591,11 @@ def _factory(source: str) -> Callable:
 def _compile(roots: tuple[Expr, ...]) -> Callable:
     """``kernel(t, u, v)``: each root at every slot of the arrays, all of
     one shape, a fresh array of that shape or, where the tree has no
-    variable, a float."""
+    variable, a float; and the undefined slots, a list of (roots, where)
+    per node that is undefined somewhere: where marks those slots, and
+    roots holds the indices of the roots that read the node."""
     src = _KernelSource()
-    names = [src.name(e) for e in roots]
+    names = [src.name(e, i) for i, e in enumerate(roots)]
     return _factory(_kernel_text(src, names))(*src.consts)
 
 
@@ -591,26 +622,17 @@ class Lagrangian:
 
     ``value`` maps (t, u, v) to the integrand value, ``d_u`` and ``d_v``
     are its partial derivatives in the second and third slot; ``second``
-    holds the second partials, differentiated on first use.  The call
-    methods walk the trees (the reference); ``tables`` runs the compiled
-    kernel of all six trees over whole slot arrays.  It raises
-    ArithmeticError or ValueError where Python float arithmetic would
-    fail (a zero divisor, ``**`` or a math function out of range) or the
-    trees have no kernel; evaluate() then decides what the point means.
+    holds the second partials, differentiated on first use.
+    evaluate() walks any of these trees at one point (the reference);
+    ``tables`` runs the compiled kernel of all six trees over whole slot
+    arrays, which never raises on arithmetic: it reads NaN where
+    evaluate() raises and marks those slots tree by tree.  Trees the
+    kernel compiler does not cover raise ValueError there.
     """
 
     value: Expr
     d_u: Expr
     d_v: Expr
-
-    def __call__(self, t: float, u: float, v: float) -> float:
-        return evaluate(self.value, t, u, v)
-
-    def du(self, t: float, u: float, v: float) -> float:
-        return evaluate(self.d_u, t, u, v)
-
-    def dv(self, t: float, u: float, v: float) -> float:
-        return evaluate(self.d_v, t, u, v)
 
     @functools.cached_property
     def second(self) -> tuple[Expr, Expr, Expr]:
@@ -632,27 +654,30 @@ class Lagrangian:
         differently at different v."""
         return not (_reads_state(self.d_u) or _reads_state(self.d_v))
 
-    # None marks trees the compiler does not cover, so they are rejected
-    # once rather than on every call.
     @functools.cached_property
-    def _tables_kernel(self) -> Callable | None:
-        try:
-            return _compile((self.value, self.d_u, self.d_v, *self.second))
-        except ValueError:
-            return None
+    def _tables_kernel(self) -> Callable:
+        return _compile((self.value, self.d_u, self.d_v, *self.second))
 
     def tables(
         self, t: np.ndarray, u: np.ndarray, v: np.ndarray
-    ) -> tuple[np.ndarray | float, ...]:
+    ) -> tuple[tuple[np.ndarray | float, ...], np.ndarray | None]:
         """Value, d_u, d_v, d_uu, d_uv and d_vv at every slot of u and v,
         whose rows may be the slots of several functions on one scale (t
         may be the one row of times they share): each a fresh array of
-        the shape of v or, for a tree without variables, a float."""
-        kernel = self._tables_kernel
-        if kernel is None:
-            raise ValueError("no kernel for these trees; evaluate() handles them")
+        the shape of v or, for a tree without variables, a float, NaN
+        where evaluate() raises.  With them comes None where every tree
+        is defined at every slot, else a boolean array of shape
+        (6, *v.shape) that marks each tree's undefined slots."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return kernel(t if t.shape == v.shape else _fill(t, v.shape), u, v)
+            columns, bad = self._tables_kernel(t if t.shape == v.shape else _fill(t, v.shape), u, v)
+        if not bad:
+            return columns, None
+        masks = np.zeros((len(columns), *v.shape), bool)
+        for roots, where in bad:
+            masks[list(roots)] |= where
+        # NaN, not what nodes above made of it (NaN^0 is 1.0, or -NaN).
+        columns = tuple(np.where(m, math.nan, c) if m.any() else c for c, m in zip(columns, masks))
+        return columns, masks
 
     def __getstate__(self) -> dict:
         # The compiled kernel does not pickle; it is rebuilt on first use.

@@ -12,12 +12,12 @@ stationarity checks.
 
 The integrands are evaluated over whole slot arrays by each
 Lagrangian's compiled numpy kernel, for the slot tables and for
-eval_functional alike; it overflows to inf or NaN silently, and _factor
-sums every factor.  Only where the kernel's arithmetic fails does the
-per-point walk (_walk, over expressions.evaluate) run: it gives the
-same numbers bit for bit or names the first undefined slot; for a stack
-of functions, row_tables names the undefined rows and reads NaN there.
-The oracle computes its factors on its own.
+eval_functional alike; it overflows to inf or NaN silently, reads NaN
+and marks the slots where expressions.evaluate raises, and _factor sums
+every factor.  _kernel_tables alone reads those marks: it names each
+undefined row by one evaluate() call at its first undefined slot; for a
+stack of functions, row_tables reads NaN in those rows.  The oracle
+computes its factors on its own.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .expressions import EvaluationError, Expr, Lagrangian, evaluate
+from .expressions import EvaluationError, Lagrangian, evaluate
 from .timescale import GridFunction, TimeScale
 
 Form = Literal["EL1", "EL2"]
@@ -262,25 +262,14 @@ def slot_tables_at(
     of a function on it, neither checked.
 
     One compiled kernel per integrand fills all its columns, and _factor
-    sums the value column.  Where their float arithmetic fails, the
-    per-point walk evaluates the values and first partials, raising its
-    EvaluationError where one is undefined, then the second partials,
-    NaN where undefined; numpy's warnings are off throughout.
+    sums the value column.  Where a value or first partial is undefined,
+    the EvaluationError of the first such slot (see _kernel_tables) is
+    raised; a second partial reads NaN where it alone is undefined.
     """
-    try:
-        return _kernel_tables(functional, points, values)
-    except (ArithmeticError, ValueError):
-        ld, ln = functional.l_delta, functional.l_nabla
-        with np.errstate(all="ignore"):
-            dt, quot = _slots(points, values)
-            first = _walk(
-                (ld.value, ld.d_u, ld.d_v), (ln.value, ln.d_u, ln.d_v), points, values, quot
-            )
-            second = _walk(ld.second, ln.second, points, values, quot, undefined=np.nan)
-            j_delta, j_nabla = _factor(first[0], dt, dt.shape), _factor(first[3], dt, dt.shape)
-            return SlotTables(
-                values, dt, *first[1:3], *second[:3], *first[4:], *second[3:], j_delta, j_nabla
-            )
+    tab, errors = _kernel_tables(functional, points, values)
+    if errors:
+        raise EvaluationError(errors[0])
+    return tab
 
 
 def row_tables(
@@ -288,31 +277,18 @@ def row_tables(
 ) -> tuple[SlotTables, dict[int, str]]:
     """slot_tables_at for each row of a (rows, N) stack of values on one
     scale, stacked (see SlotTables), and {row: EvaluationError message}
-    for each row where an integrand is undefined, whose entries read NaN.
-
-    One kernel pass per integrand covers all rows, each row's numbers
-    those of a pass over it alone; where it fails, slot_tables_at
-    evaluates each row alone.
-    """
-    try:
-        return _kernel_tables(functional, points, values), {}
-    except (ArithmeticError, ValueError):
-        pass
-    dt = points[1:] - points[:-1]
-    tables, errors = [], {}
-    for row, v in enumerate(values):
-        try:
-            tables.append(slot_tables_at(functional, points, v))
-        except EvaluationError as exc:
-            tables.append(SlotTables(v, dt, *[np.nan] * 12))
-            errors[row] = str(exc)
-    columns = [
-        np.stack([np.broadcast_to(getattr(tab, name), dt.shape) for tab in tables])
-        for name in COLUMNS
-    ]
-    j_delta = np.array([[tab.j_delta] for tab in tables])
-    j_nabla = np.array([[tab.j_nabla] for tab in tables])
-    return SlotTables(values, dt, *columns, j_delta, j_nabla), errors
+    for each row where an integrand is undefined, whose every column and
+    factor reads NaN.  One kernel pass per integrand covers all rows,
+    each row's numbers those of a pass over it alone."""
+    tab, errors = _kernel_tables(functional, points, values)
+    if errors:
+        for name in (*COLUMNS, "j_delta", "j_nabla"):
+            column = getattr(tab, name)
+            if isinstance(column, float):
+                column = np.full((len(values), points.size - 1), column)
+                setattr(tab, name, column)
+            column[list(errors)] = np.nan
+    return tab, errors
 
 
 def tables_or_nan(
@@ -327,41 +303,44 @@ def tables_or_nan(
 
 
 def _kernel_tables(
-    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
-) -> SlotTables:
-    """slot_tables_at from the kernels alone, for the values of one
-    function or stacked for a (rows, N) stack of them.  Raises
-    ArithmeticError or ValueError where the kernels' arithmetic fails in
-    any row."""
+    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray, trees: int = 3
+) -> tuple[SlotTables, dict[int, str]]:
+    """slot_tables_at from the kernels, for the values of one function
+    or stacked for a (rows, N) stack of them, NaN wherever a tree is
+    undefined, and {row: message} for each row (0 for one function)
+    where the value or, unless trees is 1, a first partial is undefined
+    on either side.  The message is that of the EvaluationError of
+    evaluate() at the row's first such (slot, tree), in the order of a
+    walk slot by slot, at each slot value, d_u and d_v of the delta
+    side before those of the nabla side."""
+    ld, ln = functional.l_delta, functional.l_nabla
     with np.errstate(over="ignore", invalid="ignore"):
         dt, quot = _slots(points, values)
-        delta_value, *delta = functional.l_delta.tables(points[:-1], values[..., 1:], quot)
-        nabla_value, *nabla = functional.l_nabla.tables(points[1:], values[..., :-1], quot)
+        (delta_value, *delta), delta_masks = ld.tables(points[:-1], values[..., 1:], quot)
+        (nabla_value, *nabla), nabla_masks = ln.tables(points[1:], values[..., :-1], quot)
         factors = _factor(delta_value, dt, quot.shape), _factor(nabla_value, dt, quot.shape)
-        return SlotTables(values, dt, *delta, *nabla, *factors)
-
-
-def _walk(
-    delta_trees: tuple[Expr, ...], nabla_trees: tuple[Expr, ...],
-    t: np.ndarray, v: np.ndarray, quot: np.ndarray, undefined: float | None = None,
-) -> list[np.ndarray]:
-    """Each tree at every slot of its side by expressions.evaluate, one
-    column per tree, slot by slot, the delta trees before the nabla
-    trees.  The first tree it cannot evaluate raises its
-    EvaluationError, or reads ``undefined`` when one is given; callers
-    silence overflow."""
-    trees = [(tree, 0) for tree in delta_trees] + [(tree, 1) for tree in nabla_trees]
-    columns = [np.empty(quot.size) for _ in trees]
-    for i in range(quot.size):
-        sides = ((t[i], v[i + 1], quot[i]), (t[i + 1], v[i], quot[i]))
-        for column, (tree, side) in zip(columns, trees):
+        tab = SlotTables(values, dt, *delta, *nabla, *factors)
+    if delta_masks is None and nabla_masks is None:
+        return tab, {}
+    # (rows, slot-major (slot, side, tree)) marks of the trees that count
+    marks = np.concatenate([
+        np.zeros((trees, *quot.shape), bool) if m is None else m[:trees]
+        for m in (delta_masks, nabla_masks)
+    ])
+    marks = np.moveaxis(marks, 0, -1).reshape(-1, 2 * trees * dt.size)
+    rows, quots = values.reshape(len(marks), -1), quot.reshape(len(marks), -1)
+    errors = {}
+    with np.errstate(all="ignore"):
+        for row in np.flatnonzero(marks.any(axis=1)).tolist():
+            slot, k = divmod(int(np.argmax(marks[row])), 2 * trees)
+            side, tree = divmod(k, trees)
+            lag, v, q = (ld, ln)[side], rows[row], quots[row][slot]
+            at = (points[slot], v[slot + 1], q) if side == 0 else (points[slot + 1], v[slot], q)
             try:
-                column[i] = evaluate(tree, *sides[side])
-            except EvaluationError:
-                if undefined is None:
-                    raise
-                column[i] = undefined
-    return columns
+                evaluate((lag.value, lag.d_u, lag.d_v)[tree], *at)
+            except EvaluationError as exc:
+                errors[row] = str(exc)
+    return tab, errors
 
 
 def _factor(value: Column, dt: np.ndarray, shape: tuple[int, ...]) -> float | np.ndarray:
@@ -380,22 +359,15 @@ def eval_functional(
 ) -> EvaluationBreakdown:
     """Value of the product functional, with both factors reported.
 
-    The factors are the slot tables' (_kernel_tables).  Where the
-    kernels' arithmetic fails, also in a partial alone (sqrt(u) at
-    u = 0), the per-point walk (_walk) evaluates the value trees only,
-    with the same numbers, and names the first slot where an integrand
-    is undefined by its EvaluationError.  Overflow is silent.
+    The factors are the slot tables' (_kernel_tables).  Only the value
+    trees decide the domain: a partial undefined alone (sqrt(u) at
+    u = 0) changes nothing, and the EvaluationError names the first
+    slot where an integrand is undefined.  Overflow is silent.
     """
-    t, v = y.scale.points, y.values
-    try:
-        return _kernel_tables(functional, t, v).breakdown()
-    except (ArithmeticError, ValueError):
-        ld, ln = functional.l_delta, functional.l_nabla
-        with np.errstate(over="ignore", invalid="ignore"):
-            dt, quot = _slots(t, v)
-            delta, nabla = _walk((ld.value,), (ln.value,), t, v, quot)
-            j_delta, j_nabla = _factor(delta, dt, dt.shape), _factor(nabla, dt, dt.shape)
-        return EvaluationBreakdown(j_delta, j_nabla, j_delta * j_nabla)
+    tab, errors = _kernel_tables(functional, y.scale.points, y.values, trees=1)
+    if errors:
+        raise EvaluationError(errors[0])
+    return tab.breakdown()
 
 
 def bracket_values(

@@ -201,13 +201,14 @@ def _check(e: Expr, bad, slots: dict) -> None:
 
 def _power(z, n: int):
     """z**n by repeated squaring: numpy's complex power goes through log
-    and exp for |n| >= 100, which loses the step on a negative base."""
+    and exp for |n| >= 100, which loses the step on a negative base.  A
+    float power that underflows to 0.0 has numpy's reciprocal, inf."""
     out, k = 1.0, abs(n)
     while k:
         if k & 1:
             out = out * z
         z, k = z * z, k >> 1
-    return 1.0 / out if n < 0 else out
+    return np.divide(1.0, out) if n < 0 else out
 
 
 def verify_example(m: int) -> ExampleVerification:

@@ -14,6 +14,7 @@ solution; they are never the solve target.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Generator, Literal, NamedTuple
@@ -88,9 +89,10 @@ class SolverOptions:
     first.  Each start runs at most max_iter Newton steps, and ends
     early at its rounding level or near a point another start has met
     (see _newton).  A ValueError names the field that is out of range:
-    a tolerance that is not positive and finite, a count or seed that
-    is not an int (a bool included), a negative count, seed or spread,
-    or a spread whose width 2·spread overflows.
+    a tolerance or spread that is not a real number or is a bool, a
+    tolerance that is not positive and finite, a count or seed that is
+    not an int (a bool included), a negative count, seed or spread, a
+    NaN spread, or a spread whose width 2·spread overflows.
     """
 
     feas_tol: float = 1e-8
@@ -101,9 +103,11 @@ class SolverOptions:
     spread: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("feas_tol", "stat_tol"):
+        for name in ("feas_tol", "stat_tol", "spread"):
             value = getattr(self, name)
-            if not 0.0 < value < math.inf:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} {value!r} must be a real number")
+            if name != "spread" and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} {value!r} must be positive and finite")
         for name in ("max_iter", "multistart", "seed"):
             value = getattr(self, name)
@@ -111,6 +115,8 @@ class SolverOptions:
                 raise ValueError(f"{name} {value!r} must be an int")
             if value < 0:
                 raise ValueError(f"{name} {value!r} must be nonnegative")
+        if math.isnan(self.spread):
+            raise ValueError(f"spread {self.spread!r} is not a number")
         # rng.uniform(-spread, spread) raises OverflowError on an infinite width.
         if not math.isfinite(2.0 * float(self.spread)):
             raise ValueError(f"spread {self.spread!r} is too large: 2 * spread overflows")
@@ -187,12 +193,12 @@ class _System(NamedTuple):
 
 
 class _Evaluation(NamedTuple):
-    """A system at the rows of a stack of points that it could evaluate:
-    those rows (indices into the stack), their points z, residuals f and
-    the tables f was computed from, stacked over those rows (the
-    constraint's last).  errors maps every other row to what stopped it."""
+    """A system at every row of a stack of points z: the residuals f and
+    the tables f was computed from, stacked over the rows (the
+    constraint's last).  errors maps each row where the system is not
+    defined to what stopped it; its rows of f and the tables are not
+    read."""
 
-    rows: list[int]
     z: np.ndarray
     f: np.ndarray
     tables: tuple[SlotTables, ...]
@@ -200,32 +206,20 @@ class _Evaluation(NamedTuple):
 
 
 def _evaluate(system: _System, z: np.ndarray) -> _Evaluation:
-    """The system at every row of z where it is defined.  A row with a
-    non-finite entry is not evaluated ("non-finite iterate").  Each
-    functional in turn makes one row_tables call over the rows still
-    defined and drops those where it is undefined, with their messages."""
-    if np.isfinite(z).all():
-        rows, errors = list(range(len(z))), {}
-    else:
-        finite = np.isfinite(z).all(axis=1)
-        rows = np.flatnonzero(finite).tolist()
-        errors = {row: "non-finite iterate" for row in np.flatnonzero(~finite).tolist()}
+    """The system at every row of z, each functional in one row_tables
+    call.  A row with a non-finite entry is a "non-finite iterate";
+    any other row where a functional is undefined has the message of
+    the first such functional."""
     values = system.values(z)
-    tables: list[SlotTables] = []
+    tables, errors = [], {}
     for functional in system.functionals:
-        if not rows:
-            break
-        tab, undefined = row_tables(functional, system.points, _take(values, rows))
+        tab, undefined = row_tables(functional, system.points, values)
         tables.append(tab)
-        if undefined:
-            errors.update((rows[i], message) for i, message in undefined.items())
-            kept = [i for i in range(len(rows)) if i not in undefined]
-            rows = [rows[i] for i in kept]
-            tables = [tab.rows(kept) for tab in tables]
-    at, tables = _take(z, rows), tuple(tables)
-    if not rows:
-        return _Evaluation(rows, at, np.empty((0, z.shape[1])), (), errors)
-    return _Evaluation(rows, at, system.residual(at, tables), tables, errors)
+        errors = undefined | errors
+    if not np.isfinite(z).all():
+        rows = np.flatnonzero(~np.isfinite(z).all(axis=1)).tolist()
+        errors |= dict.fromkeys(rows, "non-finite iterate")
+    return _Evaluation(z, system.residual(z, tables), tuple(tables), errors)
 
 
 @dataclass
@@ -484,9 +478,8 @@ def _newton(
             if waiting:  # every run still going asks for a point now
                 trying = list(waiting.items())
                 ev = _evaluate(system, np.array([point for _, (_, point) in trying]))
-                answers = {i: (ev, row) for row, i in enumerate(ev.rows)} | ev.errors
                 for i, (start, (run, _)) in enumerate(trying):
-                    send(start, run, answers[i])
+                    send(start, run, ev.errors.get(i, (ev, i)))
         return ends
 
 

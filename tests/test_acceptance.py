@@ -24,6 +24,7 @@ from deltanabla import (
     TimeScale,
     constant_lagrangian,
     eval_functional,
+    evaluate,
     fd_gradient,
     find_abnormal,
     identity_fuzz,
@@ -125,10 +126,10 @@ def test_criterion_4_symbolic_vs_numeric_partials(capsys):
         for _ in range(1000):
             L = make_lagrangian(_random_safe_integrand(rng))
             t, u, v = rng.uniform(-2.0, 2.0, 3)
-            sym_u = L.du(t, u, v)
-            sym_v = L.dv(t, u, v)
-            fd_u = (L(t, u + h, v) - L(t, u - h, v)) / (2.0 * h)
-            fd_v = (L(t, u, v + h) - L(t, u, v - h)) / (2.0 * h)
+            sym_u = evaluate(L.d_u, t, u, v)
+            sym_v = evaluate(L.d_v, t, u, v)
+            fd_u = (evaluate(L.value, t, u + h, v) - evaluate(L.value, t, u - h, v)) / (2.0 * h)
+            fd_v = (evaluate(L.value, t, u, v + h) - evaluate(L.value, t, u, v - h)) / (2.0 * h)
             assert abs(sym_u - fd_u) <= 1e-6 * (1.0 + abs(sym_u))
             assert abs(sym_v - fd_v) <= 1e-6 * (1.0 + abs(sym_v))
 
@@ -236,8 +237,8 @@ def _delta_slot_bracket(L, y):
     t = y.scale.points
     w = np.diff(t)
     q = np.diff(y.values) / w
-    du = np.array([L.du(t[i], y.values[i + 1], q[i]) for i in range(len(w))])
-    dv = np.array([L.dv(t[i], y.values[i + 1], q[i]) for i in range(len(w))])
+    du = np.array([evaluate(L.d_u, t[i], y.values[i + 1], q[i]) for i in range(len(w))])
+    dv = np.array([evaluate(L.d_v, t[i], y.values[i + 1], q[i]) for i in range(len(w))])
     prefix = np.concatenate(([0.0], np.cumsum(du * w)))
     return dv - prefix[:-1]
 
@@ -246,8 +247,8 @@ def _nabla_slot_bracket(L, y):
     t = y.scale.points
     w = np.diff(t)
     q = np.diff(y.values) / w
-    du = np.array([L.du(t[i + 1], y.values[i], q[i]) for i in range(len(w))])
-    dv = np.array([L.dv(t[i + 1], y.values[i], q[i]) for i in range(len(w))])
+    du = np.array([evaluate(L.d_u, t[i + 1], y.values[i], q[i]) for i in range(len(w))])
+    dv = np.array([evaluate(L.d_v, t[i + 1], y.values[i], q[i]) for i in range(len(w))])
     return dv - np.cumsum(du * w)
 
 

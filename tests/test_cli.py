@@ -690,7 +690,7 @@ _SQUARE_DOC = {
 @pytest.mark.parametrize(
     "doc, flags, message",
     [
-        # the gap difference overflows, and so does the per-point walk
+        # the gap difference overflows, and so do the kernel's squares
         (_SQUARE_DOC, ["--y", "0,1.7e308,-1.7e308,1"], "EL1 residual is inf at t=1.0"),
         # 0 * inf: the objective's overflowed bracket weighted by lambda0 = 0
         (_SQUARE_DOC, ["--y", "0,1e200,-1e200,1", "--lam", "1", "--lam0", "0"],

@@ -195,19 +195,19 @@ def test_symbolic_matches_central_differences():
 def test_lagrangian_bundles_value_and_partials():
     L = make_lagrangian("v^2 + u")
     assert isinstance(L, Lagrangian)
-    assert L(1.0, 2.0, 3.0) == 11.0
-    assert L.du(1.0, 2.0, 3.0) == 1.0
-    assert L.dv(1.0, 2.0, 3.0) == 6.0
+    assert evaluate(L.value, 1.0, 2.0, 3.0) == 11.0
+    assert evaluate(L.d_u, 1.0, 2.0, 3.0) == 1.0
+    assert evaluate(L.d_v, 1.0, 2.0, 3.0) == 6.0
     # accepts an already-parsed expression too
     same = make_lagrangian(parse("v^2 + u"))
-    assert same(1.0, 2.0, 3.0) == 11.0
+    assert evaluate(same.value, 1.0, 2.0, 3.0) == 11.0
 
 
 def test_constant_lagrangian():
     C = constant_lagrangian(0.25)
-    assert C(9.0, -9.0, 9.0) == 0.25
-    assert C.du(0.0, 0.0, 0.0) == 0.0
-    assert C.dv(0.0, 0.0, 0.0) == 0.0
+    assert evaluate(C.value, 9.0, -9.0, 9.0) == 0.25
+    assert evaluate(C.d_u, 0.0, 0.0, 0.0) == 0.0
+    assert evaluate(C.d_v, 0.0, 0.0, 0.0) == 0.0
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from deltanabla import (
     constant_lagrangian,
     el_residual,
     eval_functional,
+    evaluate,
     is_extremal_for_K,
     iso_residual,
     make_lagrangian,
@@ -80,7 +81,7 @@ def test_breakdown_scales_linearly_in_each_factor(m3):
 def test_a_negative_power_of_zero_is_undefined_as_for_python_floats():
     # v = 0 on the first gap: 0.0 ** -2 raises for Python floats, as
     # `deltanabla eval "v^-2" --at 0,0,0` does, where numpy scalars give
-    # inf with a warning.  The per-point walk follows the Python rule.
+    # inf with a warning.  The kernel follows the Python rule.
     f = DeltaNablaFunctional(make_lagrangian("v^-2"), make_lagrangian("v^2"))
     y = GridFunction(TimeScale(np.array([0.0, 1.0, 2.0])), np.array([1.0, 1.0, 2.0]))
     with warnings.catch_warnings():
@@ -163,7 +164,7 @@ def test_overflowing_brackets_raise_without_numpy_warnings():
     # pyproject's filterwarnings setting turns every RuntimeWarning into
     # an error, so each call below would fail with the warning instead of
     # the EvaluationError: the gap difference 1.7e308 - (-1.7e308) and the
-    # squares in the per-point walk; 0 * inf when the objective's
+    # squares in the kernel; 0 * inf when the objective's
     # overflowed bracket is weighted by lambda0 = 0; the prefix sums and
     # factor products of 1e308*u.
     scale = TimeScale(np.arange(4.0))
@@ -207,14 +208,15 @@ def test_eval_functional_computes_no_gradient(m3, monkeypatch, point):
     made = []
     kernel_tables = functional._kernel_tables
 
-    def keeping(*args):
-        made.append(kernel_tables(*args))
+    def keeping(*args, **kwargs):
+        made.append(kernel_tables(*args, **kwargs))
         return made[-1]
 
     monkeypatch.setattr(functional, "_kernel_tables", keeping)
     for f in (p.objective, p.constraint):
         out = eval_functional(f, GridFunction(p.scale, np.array(point)))
-        [tab] = made
+        [(tab, errors)] = made
+        assert errors == {}
         assert not {"value", "grad_delta", "grad_nabla", "grad"} & tab.__dict__.keys()
         assert np.array(out.product).tobytes() == np.array(tab.value).tobytes()
         made.clear()
@@ -288,8 +290,8 @@ def _delta_only_bracket(L, y):
     t = y.scale.points
     w = np.diff(t)
     q = np.diff(y.values) / w
-    du = np.array([L.du(t[i], y.values[i + 1], q[i]) for i in range(len(w))])
-    dv = np.array([L.dv(t[i], y.values[i + 1], q[i]) for i in range(len(w))])
+    du = np.array([evaluate(L.d_u, t[i], y.values[i + 1], q[i]) for i in range(len(w))])
+    dv = np.array([evaluate(L.d_v, t[i], y.values[i + 1], q[i]) for i in range(len(w))])
     prefix = np.concatenate(([0.0], np.cumsum(du * w)))
     return dv - prefix[:-1]
 
@@ -335,10 +337,10 @@ def test_reduction_to_pure_nabla_problem():
         w = np.diff(t)
         q = np.diff(y.values) / w
         du = np.array(
-            [L.du(t[i + 1], y.values[i], q[i]) for i in range(len(w))]
+            [evaluate(L.d_u, t[i + 1], y.values[i], q[i]) for i in range(len(w))]
         )
         dv = np.array(
-            [L.dv(t[i + 1], y.values[i], q[i]) for i in range(len(w))]
+            [evaluate(L.d_v, t[i + 1], y.values[i], q[i]) for i in range(len(w))]
         )
         want = dv - np.cumsum(du * w)
         got = el_residual(F, y, EL1).residual.values

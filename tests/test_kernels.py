@@ -1,10 +1,12 @@
 """Tests for the compiled integrand kernel: bit-for-bit agreement with the
 reference tree walk (expressions.evaluate) on random trees and points,
 for the value, both partials and the three second partials in one pass
-over whole slot arrays, stacked rows each as if alone, the one factor
-sum against a left-to-right loop, the walk as fallback wherever kernel
-arithmetic fails, silent overflow, shared subtrees and code objects,
-and pickling of problems whose kernels were built."""
+over whole slot arrays, with each tree's undefined slots marked exactly
+where evaluate raises, stacked rows each as if alone, the one factor
+sum against a left-to-right loop, the tables and their messages against
+a per-point walk wherever kernel arithmetic fails, silent overflow,
+shared subtrees and code objects, and pickling of problems whose
+kernels were built."""
 
 import copy
 import math
@@ -30,8 +32,10 @@ from deltanabla import (
     solve_normal,
 )
 from deltanabla import expressions
+from deltanabla import functional as functional_module
 from deltanabla.expressions import (
     FUNCTIONS,
+    parse,
     Add,
     Call,
     Const,
@@ -98,13 +102,19 @@ def _column(column, size: int) -> list:
 
 
 def _tables(lag, *slots):
-    """Lagrangian.tables on the arrays of the given lists."""
+    """Lagrangian.tables on the arrays of the given lists: the six
+    columns and the masks (None where every slot is defined)."""
     return lag.tables(*(np.array(x, dtype=float) for x in slots))
 
 
+def _masks(masks, shape):
+    """Lagrangian.tables' masks, all six, None read as nothing marked."""
+    return np.zeros((6, *shape), bool) if masks is None else masks
+
+
 def _reference(e, ts, us, vs):
-    """evaluate() at every point on numpy scalars, as the solver's walk
-    calls it; None where it raises."""
+    """evaluate() at every point on numpy scalars, as functional calls it
+    to name an undefined row; None where it raises."""
     out = []
     with np.errstate(all="ignore"):
         for t, u, v in zip(ts, us, vs):
@@ -118,22 +128,25 @@ def _reference(e, ts, us, vs):
 @settings(max_examples=400, deadline=None)
 @given(trees, st.lists(st.tuples(points, points, points), min_size=1, max_size=4))
 def test_kernel_matches_evaluate_bitwise(tree, slots):
+    # Each tree's mask is set at a slot exactly where evaluate raises,
+    # and its column reads NaN there; every other slot is evaluate's
+    # number bit for bit.  No mask at all means every slot is defined.
     lag = make_lagrangian(tree)
     ts, us, vs = (list(c) for c in zip(*slots))
     refs = [_reference(e, ts, us, vs) for e in (lag.value, lag.d_u, lag.d_v, *lag.second)]
-    try:
-        got = _tables(lag, ts, us, vs)
-    except (ArithmeticError, ValueError):
-        event("kernel raised")
-        return  # the callers fall back to the walk; checked below
+    got, masks = _tables(lag, ts, us, vs)
     assert len(got) == 6
-    assert all(r is not None for ref in refs for r in ref)
-    for ref, col in zip(refs, got):
-        assert _same(ref, _column(col, len(ts)))
-    # The same slots twice over, as two rows: the same columns.
-    twice = _tables(lag, ts, [us, us], [vs, vs])
+    assert (masks is None) == all(r is not None for ref in refs for r in ref)
+    event("undefined" if masks is not None else "defined")
+    for ref, col, mask in zip(refs, got, _masks(masks, (len(ts),))):
+        assert mask.tolist() == [r is None for r in ref]
+        assert _same([math.nan if r is None else r for r in ref], _column(col, len(ts)))
+    # The same slots twice over, as two rows: the same columns and masks.
+    twice, masks2 = _tables(lag, ts, [us, us], [vs, vs])
     for col, col2 in zip(got, twice):
         assert _same(_column(col, len(ts)) * 2, _column(col2, 2 * len(ts)))
+    assert np.array_equal(np.tile(_masks(masks, (len(ts),)), 2),
+                          _masks(masks2, (2, len(ts))).reshape(6, -1))
 
 
 def _stack_of_rows(m):
@@ -145,33 +158,26 @@ def _stack_of_rows(m):
 @given(trees, st.integers(1, 4).flatmap(_stack_of_rows))
 def test_stacked_rows_match_each_row_alone_and_the_walk(tree, stack):
     # Rows of different slots on one shared row of times, as
-    # kernel_tables stacks the points of a Newton round: the stack
-    # raises if and only if some row alone raises, and otherwise each
-    # row of every column is that row's own, and the walk's, bit for
-    # bit.  The factors are checked on row_tables below.
+    # kernel_tables stacks the points of a Newton round: each row of
+    # every column and of every mask is that row's own, and the column
+    # is the walk's, bit for bit, NaN where the walk raises.  The
+    # factors are checked on row_tables below.
     lag = make_lagrangian(tree)
     ts, rows = stack
     us = [[u for u, _ in row] for row in rows]
     vs = [[v for _, v in row] for row in rows]
-    alone = []
-    for u, v in zip(us, vs):
-        try:
-            alone.append(_tables(lag, ts, u, v))
-        except (ArithmeticError, ValueError):
-            alone.append(None)
-    try:
-        got = _tables(lag, ts, us, vs)
-    except (ArithmeticError, ValueError):
-        assert None in alone
-        event("stack raised")
-        return
-    assert None not in alone
+    got, masks = _tables(lag, ts, us, vs)
+    masks = _masks(masks, (len(rows), len(ts)))
     trees_ = (lag.value, lag.d_u, lag.d_v, *lag.second)
-    for i, (u, v, own) in enumerate(zip(us, vs, alone)):
+    for i, (u, v) in enumerate(zip(us, vs)):
+        own, own_masks = _tables(lag, ts, u, v)
+        assert np.array_equal(masks[:, i], _masks(own_masks, (len(ts),)))
         for col, own_col, e in zip(got, own, trees_):
             row = _column(col if isinstance(col, float) else col[i], len(ts))
             assert _same(row, _column(own_col, len(ts)))
-            assert _same(row, _reference(e, ts, u, v))
+            ref = _reference(e, ts, u, v)
+            assert _same(row, [math.nan if r is None else r for r in ref])
+    event(f"{int(masks.any(axis=(0, 2)).sum())} of {len(rows)} rows undefined")
 
 
 # Entries of a factor's value column: signed zeros, infinities, NaN,
@@ -228,10 +234,11 @@ def test_overflow_in_array_operations_is_silent():
         lag = make_lagrangian(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _tables(lag, ts, us, vs)
-            stacked = kernel_tables(
+            got, masks = _tables(lag, ts, us, vs)
+            stacked, errors = kernel_tables(
                 DeltaNablaFunctional(lag, v2), np.arange(4.0), np.array([[0.0, 1e6, 0.0, 1e6]] * 2)
             )
+        assert masks is None and errors == {}
         assert not np.isfinite(got[0]).all()
         assert not np.isfinite(stacked.j_delta).all()
         for col, e in zip(got, (lag.value, lag.d_u, lag.d_v, *lag.second)):
@@ -244,7 +251,7 @@ def test_overflow_in_array_operations_is_silent():
     "text, values",
     [
         ("1e308*v*10", [0.0, 1.0, 2.0]),  # the array walk overflows to inf
-        ("v^400", [0.0, 10.0, 30.0]),  # Python's ** raises; the per-point walk runs
+        ("v^400", [0.0, 10.0, 30.0]),  # Python's ** raises; evaluate reads inf
         ("v^30*v^30 - u^30*u^30", [0.0, 1e6, 0.0]),  # inf - inf is NaN
     ],
 )
@@ -307,8 +314,8 @@ def _walk_breakdown(functional, y):
     quot = np.diff(v) / dt
     j_delta = j_nabla = 0.0
     for i in range(dt.size):
-        j_delta += functional.l_delta(t[i], v[i + 1], quot[i]) * dt[i]
-        j_nabla += functional.l_nabla(t[i + 1], v[i], quot[i]) * dt[i]
+        j_delta += evaluate(functional.l_delta.value, t[i], v[i + 1], quot[i]) * dt[i]
+        j_nabla += evaluate(functional.l_nabla.value, t[i + 1], v[i], quot[i]) * dt[i]
     return float(j_delta), float(j_nabla), float(j_delta * j_nabla)
 
 
@@ -412,6 +419,9 @@ def test_row_tables_factors_are_each_rows_own(delta, nabla, grid):
     ],
 )
 def test_failing_arithmetic_falls_back_to_the_walk(text, values):
+    # Where Python float arithmetic fails, the tables, factors and
+    # messages are still the reference walk's: the kernel marks the
+    # undefined slots, and a power that overflows reads inf.
     y = GridFunction(TimeScale(np.arange(3.0)), np.array(values))
     _check_against_walk(
         DeltaNablaFunctional(make_lagrangian(text), make_lagrangian("v^2 + u")), y
@@ -420,17 +430,69 @@ def test_failing_arithmetic_falls_back_to_the_walk(text, values):
 
 def test_undefined_second_partial_reads_nan():
     # d_uu of log(u) is -1/u^2, and u^2 underflows to 0 at u = 1e-170:
-    # the kernel raises, the walk gives the value and first partials,
-    # and the second partial reads NaN without a warning.
+    # the kernel marks d_uu there and reads NaN, the value and first
+    # partials stay defined, and the tables read NaN there without a
+    # warning.
     y = GridFunction(TimeScale(np.arange(3.0)), np.array([0.0, 1e-170, 2e-170]))
     lag = make_lagrangian("log(u)")
-    with pytest.raises(ZeroDivisionError):
-        _tables(lag, [0.0], [1e-170], [1e-170])
-    tab = slot_tables(DeltaNablaFunctional(lag, make_lagrangian("v^2 + u")), y)
+    columns, masks = _tables(lag, [0.0], [1e-170], [1e-170])
+    assert masks[:, 0].tolist() == [False, False, False, True, False, False]
+    assert np.isnan(columns[3]).all() and all(np.isfinite(c).all() for c in columns[:3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tab = slot_tables(DeltaNablaFunctional(lag, make_lagrangian("v^2 + u")), y)
     assert np.isnan(tab.delta_uu).all()
-    assert np.isfinite([tab.delta_du, tab.delta_dv]).all()
+    assert np.isfinite(tab.delta_du).all() and tab.delta_dv == 0.0
     assert np.array_equal(tab.delta_du, [1e170, 5e169])
     assert np.isfinite([tab.j_delta, tab.j_nabla]).all()
+
+
+def test_a_power_that_overflows_stays_in_the_kernel():
+    # v^400 at v = 10 overflows, where Python's ** raises: the kernel
+    # reads inf, as evaluate does, and marks nothing.
+    columns, masks = _tables(make_lagrangian("v^400"), [0.0, 1.0], [1.0, 1.0], [10.0, -10.0])
+    assert masks is None
+    assert columns[0].tolist() == [math.inf, math.inf] == [evaluate(parse("v^400"), 0.0, 1.0, x)
+                                                           for x in (10.0, -10.0)]
+
+
+def test_an_undefined_row_costs_no_extra_kernel_call(monkeypatch):
+    # One row of a stack leaves the domain of log: the stack still costs
+    # one kernel call per integrand, its other rows are their lone rows
+    # bit for bit, and the undefined row reads NaN in every column and
+    # factor, with the walk's message.
+    calls = []
+    kernel_of = expressions.Lagrangian._tables_kernel.func
+
+    def counted(lag):
+        kernel = kernel_of(lag)
+
+        def kernel_counted(*args):
+            calls.append(lag)
+            return kernel(*args)
+
+        return kernel_counted
+
+    monkeypatch.setattr(expressions.Lagrangian, "_tables_kernel", property(counted))
+    functional = DeltaNablaFunctional(make_lagrangian("v^2 + log(u)"), make_lagrangian("u*v + 1"))
+    t = np.array([0.0, 1.0, 2.5, 3.0])
+    values = np.array([[1.0, 2.0, 3.0, 1.0], [1.0, 2.0, -1.0, 1.0], [0.5, 0.25, 2.0, 1.0]])
+    tab, errors = row_tables(functional, t, values)
+    assert len(calls) == 2
+    y = GridFunction(TimeScale(t), values[1])
+    with np.errstate(all="ignore"):
+        _, message = _outcome(lambda: _walk_tables(functional, y))
+    assert errors == {1: message} == {1: "log(-1.0) undefined in log(u) at t=1.0, u=-1.0, v=-2.0"}
+
+    def row(tables, name, i):
+        return list(np.broadcast_to(getattr(tables, name), (len(tables.values), t.size - 1))[i])
+
+    alone = [row_tables(functional, t, values[i : i + 1]) for i in (0, 2)]
+    assert [errors for _, errors in alone] == [{}, {}]
+    for name in (*_COLUMNS, "j_delta", "j_nabla"):
+        assert np.isnan(row(tab, name, 1)).all(), name
+        for i, (own, _) in zip((0, 2), alone):
+            assert _same(row(tab, name, i), row(own, name, 0)), name
 
 
 def test_constant_roots_are_returned_as_their_floats():
@@ -441,13 +503,13 @@ def test_constant_roots_are_returned_as_their_floats():
     # a fresh array of the slots' shape.  slot_tables keeps the floats.
     const = constant_lagrangian(0.5)
     square = make_lagrangian("v^2")
-    roots = _tables(const, [0.0, 1.0], [[1.0, 2.0]] * 3, [[3.0, -4.0]] * 3)
-    assert roots == (0.5, 0.0, 0.0, 0.0, 0.0, 0.0)
+    roots, masks = _tables(const, [0.0, 1.0], [[1.0, 2.0]] * 3, [[3.0, -4.0]] * 3)
+    assert roots == (0.5, 0.0, 0.0, 0.0, 0.0, 0.0) and masks is None
     assert all(type(x) is float for x in roots)
-    assert _tables(square, [0.0, 1.0], [1.0, 2.0], [3.0, -4.0])[3:] == (0.0, 0.0, 2.0)
+    assert _tables(square, [0.0, 1.0], [1.0, 2.0], [3.0, -4.0])[0][3:] == (0.0, 0.0, 2.0)
     t, u, v = np.array([0.0, 1.0]), np.array([[1.0, 2.0]] * 2), np.array([[3.0, -4.0]] * 2)
     for lag, root in ((make_lagrangian("t*v"), t), (make_lagrangian("u*v"), u)):
-        d_v = lag.tables(t, u, v)[2]
+        d_v = lag.tables(t, u, v)[0][2]
         assert d_v.shape == v.shape and d_v.flags.c_contiguous and d_v.flags.writeable
         assert not np.shares_memory(d_v, root)
         assert np.array_equal(d_v, np.broadcast_to(root, v.shape))
@@ -484,13 +546,13 @@ def test_eval_functional_walks_whole_slot_arrays(monkeypatch):
     )
     cases = [(p.objective, y128), (p.constraint, y128), (powers, y128), (transcendental, y16)]
     calls = []
-    walk = Lagrangian.__call__
+    walk = functional_module.evaluate
 
-    def counting(self, *args):
+    def counting(*args):
         calls.append(1)
-        return walk(self, *args)
+        return walk(*args)
 
-    monkeypatch.setattr(Lagrangian, "__call__", counting)
+    monkeypatch.setattr(functional_module, "evaluate", counting)
     for functional, y in cases:
         b = eval_functional(functional, y)
         assert calls == []
@@ -503,7 +565,7 @@ def test_signed_zero_constants_stay_apart():
     u = Var("u")
     lag = Lagrangian(Mul(Const(-0.0), u), Mul(Const(0.0), u), Const(-0.0))
     assert Const(0.0) == Const(-0.0)  # why sharing cannot key on equality
-    value, du, dv, *_ = _tables(lag, [0.0], [1.0], [1.0])
+    (value, du, dv, *_), _ = _tables(lag, [0.0], [1.0], [1.0])
     assert dv == -0.0 and isinstance(dv, float)  # a constant root
     assert [math.copysign(1.0, x) for x in (value[0], du[0], dv)] == [-1.0, 1.0, -1.0]
 
@@ -513,14 +575,14 @@ def test_long_sum_compiles_without_nesting():
     lag = make_lagrangian(text)
     y = GridFunction(TimeScale(np.arange(4.0)), np.array([0.0, 1.0, 3.0, 2.0]))
     _check_against_walk(DeltaNablaFunctional(lag, make_lagrangian(text + " + u")), y)
-    assert _tables(lag, [0.0], [0.0], [1.5])[0].tolist() == [evaluate(lag.value, 0.0, 0.0, 1.5)]
+    assert _tables(lag, [0.0], [0.0], [1.5])[0][0].tolist() == [evaluate(lag.value, 0.0, 0.0, 1.5)]
 
 
 def test_same_shape_shares_code_objects():
     a = make_lagrangian("v^2 + 0.25*u*v + sin(t)")
     b = make_lagrangian("v^2 + 0.75*u*v + sin(t)")
     assert a._tables_kernel.__code__ is b._tables_kernel.__code__
-    assert _tables(a, [1.0], [2.0], [3.0])[0] != _tables(b, [1.0], [2.0], [3.0])[0]
+    assert _tables(a, [1.0], [2.0], [3.0])[0][0] != _tables(b, [1.0], [2.0], [3.0])[0][0]
 
 
 def test_problem_pickles_after_a_solve():
@@ -535,25 +597,18 @@ def test_problem_pickles_after_a_solve():
         assert again.lam == first.lam
 
 
-def test_trees_the_compiler_does_not_cover_use_the_walk(monkeypatch):
+def test_trees_the_compiler_does_not_cover_raise_naming_the_node():
     # Hand-built nodes the parser never makes: an int constant and a
     # float exponent (its d_vv is the int Const(3) as well).  Compiling
-    # them raises ValueError, so the walk runs, and the failure is
-    # remembered rather than compiled again.
-    compiles = []
-    original = expressions._compile
-
-    def compile_counted(roots):
-        compiles.append(roots)
-        return original(roots)
-
-    monkeypatch.setattr(expressions, "_compile", compile_counted)
+    # them raises a ValueError that names the node, at every use of the
+    # kernel: the tables, slot_tables and eval_functional.
     v = Var("v")
     lag = Lagrangian(Pow(Mul(Const(3), v), 2.0), Const(0), Mul(Const(3), v))
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            _tables(lag, [0.0], [0.0], [1.0])
-    assert len(compiles) == 1
     y = GridFunction(TimeScale(np.arange(3.0)), np.array([0.0, 1.0, 3.0]))
-    assert _check_against_walk(DeltaNablaFunctional(lag, lag), y) == "ok"
-    assert len(compiles) == 1
+    functional = DeltaNablaFunctional(lag, lag)
+    uses = (lambda: _tables(lag, [0.0], [0.0], [1.0]), lambda: slot_tables(functional, y),
+            lambda: eval_functional(functional, y))
+    node = r"^no kernel for Pow\(base=Mul\(left=Const\(value=3\)"
+    for use in uses:
+        with pytest.raises(ValueError, match=node):
+            use()

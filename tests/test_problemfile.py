@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from deltanabla import (
     ProblemFileError,
     emit_problem,
+    evaluate,
     load_problem,
     solve_normal,
 )
@@ -40,7 +41,7 @@ def test_load_from_dict_builds_a_solvable_problem():
     assert np.array_equal(p.scale.points, [0.0, 1.0, 2.0, 3.0])
     assert p.alpha == 0.0 and p.beta == 3.0 and p.k == 1.0
     # the shorthand becomes the constant 1/(b - a)
-    assert p.constraint.l_nabla(9.0, 9.0, 9.0) == pytest.approx(1.0 / 3.0)
+    assert evaluate(p.constraint.l_nabla.value, 9.0, 9.0, 9.0) == pytest.approx(1.0 / 3.0)
     res = solve_normal(p, loaded.options)
     assert res.converged
     assert np.allclose(res.y.values, [0.0, 2.0, 3.0, 3.0], atol=1e-8)

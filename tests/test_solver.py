@@ -690,9 +690,11 @@ def test_a_spread_whose_width_overflows_is_a_value_error():
     # below that still draws finite starts.
     widest = np.finfo(float).max / 2
     assert np.isfinite(solver._starts(example_problem(3), SolverOptions(spread=widest))).all()
-    for spread in (np.nextafter(widest, np.inf), 1e308, -1e308, np.inf, np.nan):
+    for spread in (np.nextafter(widest, np.inf), 1e308, -1e308, np.inf):
         with pytest.raises(ValueError, match="2 [*] spread overflows"):
             SolverOptions(spread=spread)
+    with pytest.raises(ValueError, match="^spread nan is not a number$"):
+        SolverOptions(spread=np.nan)
 
 
 @pytest.mark.parametrize(
@@ -702,6 +704,8 @@ def test_a_spread_whose_width_overflows_is_a_value_error():
         ("max_iter", -1), ("multistart", -3), ("seed", -1), ("spread", -0.5),
         ("max_iter", 2.5), ("max_iter", np.inf), ("multistart", 2.5), ("seed", 1.5),
         ("max_iter", True), ("multistart", False), ("seed", "1"), ("seed", None),
+        ("feas_tol", True), ("stat_tol", True), ("spread", True), ("spread", np.nan),
+        ("feas_tol", "1e-8"), ("spread", None),
     ],
 )
 def test_out_of_range_solver_options_are_value_errors_naming_the_field(field, value):
@@ -709,7 +713,8 @@ def test_out_of_range_solver_options_are_value_errors_naming_the_field(field, va
     # iterations == max_iter), and so would 2.5 or inf, which it never
     # meets; multistart = -3 would run one start; a negative seed, and
     # multistart = 2.5 or seed = 1.5 (a TypeError), would fail only at
-    # solve time; max_iter = True would run as 1.
+    # solve time; max_iter = True would run as 1, and a bool tolerance
+    # or spread as 1.0; a string or None would fail with a TypeError.
     with pytest.raises(ValueError, match=f"^{field} "):
         SolverOptions(**{field: value})
 
@@ -811,9 +816,9 @@ def _log_problem():
 
 def test_an_undefined_trial_point_rejects_only_its_own_trial(monkeypatch):
     # In the first round the trial points of starts 2 and 3 leave the
-    # domain of log: the kernel pass over the round's stack fails, the
-    # round evaluates row by row, and those two starts halve their step
-    # while starts 0 and 1 go on.  All four reach an answer: starts 1
+    # domain of log: the one kernel pass over the round's stack marks
+    # them, and those two starts halve their step while starts 0 and 1
+    # go on.  All four reach an answer: starts 1
     # and 2 end within the radius of a met run's, as duplicates.
     undefined = []
     evaluate = solver._evaluate
@@ -1125,7 +1130,7 @@ def _start_residual(system, start):
     """The residual at the start, or None where the system is undefined."""
     with np.errstate(all="ignore"):
         ev = solver._evaluate(system, start[None])
-    return ev.f[0] if ev.rows else None
+    return None if ev.errors else ev.f[0]
 
 
 def test_max_iter_0_ends_every_start_at_its_own_point():
