@@ -26,7 +26,7 @@ from .expressions import EvaluationError, evaluate, make_lagrangian, to_str
 from .functional import bracket_values, eval_functional, iso_bracket, residual_pair
 from .functional import tables_bracket, tables_or_nan
 from .oracle import identity_fuzz, verify_example
-from .problemfile import OPTION_FIELDS, LoadedProblem, load_problem
+from .problemfile import OPTION_FIELDS, LoadedProblem, emit_problem, load_problem
 from .solver import SolveResult, find_abnormal, solve_normal
 from .timescale import GridFunction
 
@@ -400,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         if getattr(args, "emit_problem", False):
-            _emit("structured", _load(args).document, [])
+            print(emit_problem(_load(args)))
             return EXIT_OK
         return args.func(args)
     except (ValueError, OSError) as exc:

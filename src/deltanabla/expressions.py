@@ -6,8 +6,9 @@ difference quotient.  The module parses such text into a tiny AST,
 evaluates it, and differentiates it symbolically with respect to ``u``
 or ``v``.  evaluate() walks the tree at one point and is the reference;
 each Lagrangian compiles its six trees into straight-line numpy over
-stacked slot arrays, which gives evaluate()'s numbers bit for bit and
-marks, per tree, the slots where evaluate() raises.
+stacked slot arrays, which gives evaluate()'s numbers bit for bit (up
+to the sign and payload of a NaN) and marks, per tree, the slots where
+evaluate() raises.
 Grammar, lowest precedence first:
 
     expr   := term (('+' | '-') term)*
@@ -466,10 +467,13 @@ def differentiate(e: Expr, var: str) -> Expr:
 # per distinct node of its six trees (value, d_u, d_v and the three second
 # partials), each over the whole slot arrays, whose rows may be the slots
 # of several functions on one scale, with evaluate()'s numbers bit for
-# bit: + - * / and negation are numpy's IEEE operations, and ** and the
-# math functions run slot by slot through evaluate()'s Python and libm
-# calls (numpy's array power, exp and log round differently in the last
-# bit); constant subtrees stay Python floats.  + - * overflow to inf or
+# bit, up to the sign and payload of a NaN, which IEEE 754 leaves to the
+# implementation (numpy's loops and the Python walk may propagate a NaN
+# operand's sign differently): + - * / and negation are numpy's IEEE
+# operations, and ** and the math functions run slot by slot through
+# evaluate()'s Python and libm calls (numpy's array power, exp and log
+# round differently in the last bit); constant subtrees stay Python
+# floats.  + - * overflow to inf or
 # NaN silently (under np.errstate), as Python floats do.  Where evaluate()
 # raises (a zero divisor, 0.0 to a negative power, a math function out of
 # its domain or range), a kernel writes NaN and puts the slots on its list

@@ -14,15 +14,16 @@ The integrands are evaluated over whole slot arrays by each
 Lagrangian's compiled numpy kernel, for the slot tables and for
 eval_functional alike; it overflows to inf or NaN silently, reads NaN
 and marks the slots where expressions.evaluate raises, and _factor sums
-every factor.  _kernel_tables alone reads those marks: it names each
-undefined row by one evaluate() call at its first undefined slot; for a
-stack of functions, row_tables reads NaN in those rows.  The oracle
-computes its factors on its own.
+every factor.  row_tables, the one function that runs the kernels,
+alone reads those marks: it names each undefined row by one evaluate()
+call at its first undefined slot and, for a stack of functions, reads
+NaN in those rows.  The oracle computes its factors on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -92,9 +93,6 @@ COLUMNS = tuple(
 )
 """The names of the ten SlotTables columns, in field order."""
 
-_GRADIENTS = ("grad_delta", "grad_nabla", "grad")
-
-
 @dataclass
 class SlotTables:
     """A product functional at one function (values, a bare array), or
@@ -120,10 +118,10 @@ class SlotTables:
     Each interior value y_j enters two delta slots (as shifted value and
     in two difference quotients) and two nabla slots, and the product
     rule gives grad = J_nabla * grad_delta + J_delta * grad_nabla.  The
-    value and the gradients, unless given (rows passes on those a stack
-    has computed), are computed together on the first read of any of
-    them, with numpy's overflow and invalid-value warnings off, so that
-    tables read only for their bracket never compute them.
+    value and the gradients are computed together (_derived) on the
+    first read of any of them, with numpy's overflow and invalid-value
+    warnings off, so that tables read only for their bracket never
+    compute them.
     """
 
     values: np.ndarray
@@ -140,33 +138,23 @@ class SlotTables:
     nabla_vv: Column
     j_delta: float | np.ndarray
     j_nabla: float | np.ndarray
-    # No class attribute (a default_factory leaves none), so that a
-    # gradient not given is found by __getattr__ on first read.
-    grad_delta: np.ndarray | None = field(default_factory=lambda: None)
-    grad_nabla: np.ndarray | None = field(default_factory=lambda: None)
-    grad: np.ndarray | None = field(default_factory=lambda: None)
 
-    def __post_init__(self) -> None:
-        for name in _GRADIENTS:
-            if self.__dict__[name] is None:
-                del self.__dict__[name]
-
-    def __getattr__(self, name: str) -> float | np.ndarray:
-        """The value and the gradients not given, all computed on the
-        first read of any of them (one error state for all) and kept."""
-        if name != "value" and name not in _GRADIENTS:
-            raise AttributeError(name)
-        known = self.__dict__
+    @cached_property
+    def _derived(self) -> tuple[float | np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The value, grad_delta, grad_nabla and grad, computed together
+        on the first read of any of them (one error state for all)."""
+        w = self.weights
+        (du, _), (dv, dv_next) = _ends(self.delta_du), _ends(self.delta_dv)
+        (_, nu), (nv_prev, nv) = _ends(self.nabla_du), _ends(self.nabla_dv)
         with np.errstate(over="ignore", invalid="ignore"):
-            known["value"] = self.j_delta * self.j_nabla
-            if "grad" not in known:
-                w = self.weights
-                (du, _), (dv, dv_next) = _ends(self.delta_du), _ends(self.delta_dv)
-                (_, nu), (nv_prev, nv) = _ends(self.nabla_du), _ends(self.nabla_dv)
-                gd = known["grad_delta"] = du * w[:-1] + dv - dv_next
-                gn = known["grad_nabla"] = nu * w[1:] - nv + nv_prev
-                known["grad"] = self.j_nabla * gd + self.j_delta * gn
-        return known[name]
+            gd = du * w[:-1] + dv - dv_next
+            gn = nu * w[1:] - nv + nv_prev
+            return self.j_delta * self.j_nabla, gd, gn, self.j_nabla * gd + self.j_delta * gn
+
+    value = property(lambda self: self._derived[0])
+    grad_delta = property(lambda self: self._derived[1])
+    grad_nabla = property(lambda self: self._derived[2])
+    grad = property(lambda self: self._derived[3])
 
     def rows(self, index: int | list[int]) -> SlotTables:
         """The given rows of a stack: a list of rows stays a stack, one
@@ -181,9 +169,12 @@ class SlotTables:
         j_delta, j_nabla = self.j_delta[index], self.j_nabla[index]
         if isinstance(index, int):
             j_delta, j_nabla = float(j_delta[0]), float(j_nabla[0])
-        grads = {name: g if g.ndim == 1 else g[index]
-                 for name, g in self.__dict__.items() if name in _GRADIENTS}
-        return SlotTables(self.values[index], self.weights, *columns, j_delta, j_nabla, **grads)
+        tab = SlotTables(self.values[index], self.weights, *columns, j_delta, j_nabla)
+        if "_derived" in self.__dict__:
+            value, *grads = self._derived
+            value = j_delta * j_nabla if isinstance(index, int) else value[index]
+            tab.__dict__["_derived"] = (value, *(g if g.ndim == 1 else g[index] for g in grads))
+        return tab
 
     def breakdown(self) -> EvaluationBreakdown:
         """The factors and their product, the value's bits, without the
@@ -244,8 +235,14 @@ def _take(stack: np.ndarray, rows: list[int]) -> np.ndarray:
 
 
 def slot_tables(functional: DeltaNablaFunctional, y: GridFunction) -> SlotTables:
-    """Evaluate both integrands and their partials on every slot of y."""
-    return slot_tables_at(functional, y.scale.points, y.values)
+    """Evaluate both integrands and their partials on every slot of y.
+    Where a value or first partial is undefined, the EvaluationError of
+    the first such slot (see row_tables) is raised; a second partial
+    reads NaN where it alone is undefined."""
+    tab, errors = row_tables(functional, y.scale.points, y.values)
+    if errors:
+        raise EvaluationError(errors[0])
+    return tab
 
 
 def _slots(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -255,64 +252,23 @@ def _slots(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
     return dt, (values[..., 1:] - values[..., :-1]) / dt
 
 
-def slot_tables_at(
-    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
-) -> SlotTables:
-    """slot_tables on bare arrays: the points of a scale and the values
-    of a function on it, neither checked.
-
-    One compiled kernel per integrand fills all its columns, and _factor
-    sums the value column.  Where a value or first partial is undefined,
-    the EvaluationError of the first such slot (see _kernel_tables) is
-    raised; a second partial reads NaN where it alone is undefined.
-    """
-    tab, errors = _kernel_tables(functional, points, values)
-    if errors:
-        raise EvaluationError(errors[0])
-    return tab
-
-
 def row_tables(
-    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
-) -> tuple[SlotTables, dict[int, str]]:
-    """slot_tables_at for each row of a (rows, N) stack of values on one
-    scale, stacked (see SlotTables), and {row: EvaluationError message}
-    for each row where an integrand is undefined, whose every column and
-    factor reads NaN.  One kernel pass per integrand covers all rows,
-    each row's numbers those of a pass over it alone."""
-    tab, errors = _kernel_tables(functional, points, values)
-    if errors:
-        for name in (*COLUMNS, "j_delta", "j_nabla"):
-            column = getattr(tab, name)
-            if isinstance(column, float):
-                column = np.full((len(values), points.size - 1), column)
-                setattr(tab, name, column)
-            column[list(errors)] = np.nan
-    return tab, errors
-
-
-def tables_or_nan(
-    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
-) -> SlotTables:
-    """slot_tables_at of one function whose every column, factor,
-    gradient and bracket reads NaN where its integrands are undefined
-    (see row_tables); numpy's warnings on the way to inf or NaN are
-    silenced."""
-    with np.errstate(all="ignore"):
-        return row_tables(functional, points, values[None])[0].rows(0)
-
-
-def _kernel_tables(
     functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray, trees: int = 3
 ) -> tuple[SlotTables, dict[int, str]]:
-    """slot_tables_at from the kernels, for the values of one function
-    or stacked for a (rows, N) stack of them, NaN wherever a tree is
-    undefined, and {row: message} for each row (0 for one function)
-    where the value or, unless trees is 1, a first partial is undefined
-    on either side.  The message is that of the EvaluationError of
-    evaluate() at the row's first such (slot, tree), in the order of a
-    walk slot by slot, at each slot value, d_u and d_v of the delta
-    side before those of the nabla side."""
+    """The slot tables of one function on the points of a scale, or
+    stacked (see SlotTables) for a (rows, N) stack of them, neither
+    checked, and {row: message} for each row (0 for one function) where
+    the value or, unless trees is 1, a first partial is undefined on
+    either side.  One compiled kernel per integrand fills all its
+    columns for all rows, each row's numbers those of a pass over it
+    alone, and _factor sums the value columns.  Every column and factor
+    of an undefined row of a stack reads NaN; elsewhere a tree reads NaN
+    where it is undefined.
+
+    The message is that of the EvaluationError of evaluate() at the
+    row's first undefined (slot, tree), in the order of a walk slot by
+    slot, at each slot value, d_u and d_v of the delta side before those
+    of the nabla side."""
     ld, ln = functional.l_delta, functional.l_nabla
     with np.errstate(over="ignore", invalid="ignore"):
         dt, quot = _slots(points, values)
@@ -340,7 +296,25 @@ def _kernel_tables(
                 evaluate((lag.value, lag.d_u, lag.d_v)[tree], *at)
             except EvaluationError as exc:
                 errors[row] = str(exc)
+    if errors and values.ndim == 2:
+        for name in (*COLUMNS, "j_delta", "j_nabla"):
+            column = getattr(tab, name)
+            if isinstance(column, float):
+                column = np.full(quot.shape, column)
+                setattr(tab, name, column)
+            column[list(errors)] = np.nan
     return tab, errors
+
+
+def tables_or_nan(
+    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray
+) -> SlotTables:
+    """The slot tables of one function whose every column, factor,
+    gradient and bracket reads NaN where its integrands are undefined
+    (see row_tables); numpy's warnings on the way to inf or NaN are
+    silenced."""
+    with np.errstate(all="ignore"):
+        return row_tables(functional, points, values[None])[0].rows(0)
 
 
 def _factor(value: Column, dt: np.ndarray, shape: tuple[int, ...]) -> float | np.ndarray:
@@ -359,12 +333,12 @@ def eval_functional(
 ) -> EvaluationBreakdown:
     """Value of the product functional, with both factors reported.
 
-    The factors are the slot tables' (_kernel_tables).  Only the value
+    The factors are the slot tables' (row_tables).  Only the value
     trees decide the domain: a partial undefined alone (sqrt(u) at
     u = 0) changes nothing, and the EvaluationError names the first
     slot where an integrand is undefined.  Overflow is silent.
     """
-    tab, errors = _kernel_tables(functional, y.scale.points, y.values, trees=1)
+    tab, errors = row_tables(functional, y.scale.points, y.values, trees=1)
     if errors:
         raise EvaluationError(errors[0])
     return tab.breakdown()

@@ -30,7 +30,7 @@ from .functional import (
     bracket_defect,
     eval_functional,
     row_tables,
-    slot_tables_at,
+    slot_tables,
     tables_bracket,
     tables_or_nan,
 )
@@ -89,10 +89,11 @@ class SolverOptions:
     first.  Each start runs at most max_iter Newton steps, and ends
     early at its rounding level or near a point another start has met
     (see _newton).  A ValueError names the field that is out of range:
-    a tolerance or spread that is not a real number or is a bool, a
-    tolerance that is not positive and finite, a count or seed that is
-    not an int (a bool included), a negative count, seed or spread, a
-    NaN spread, or a spread whose width 2·spread overflows.
+    a tolerance or spread that is not a real number, is a bool or is too
+    large for a float, a tolerance that is not positive and finite, a
+    count or seed that is not an int (a bool included), a negative
+    count, seed or spread, a NaN spread, or a spread whose width
+    2·spread overflows.
     """
 
     feas_tol: float = 1e-8
@@ -103,11 +104,17 @@ class SolverOptions:
     spread: float = 1.0
 
     def __post_init__(self) -> None:
+        reals = {}
         for name in ("feas_tol", "stat_tol", "spread"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} {value!r} must be a real number")
-            if name != "spread" and not 0.0 < value < math.inf:
+            try:
+                reals[name] = float(value)
+            except OverflowError:
+                # No repr: str() of an int of over 4300 digits raises.
+                raise ValueError(f"{name} is too large for a float") from None
+            if name != "spread" and not 0.0 < reals[name] < math.inf:
                 raise ValueError(f"{name} {value!r} must be positive and finite")
         for name in ("max_iter", "multistart", "seed"):
             value = getattr(self, name)
@@ -115,12 +122,13 @@ class SolverOptions:
                 raise ValueError(f"{name} {value!r} must be an int")
             if value < 0:
                 raise ValueError(f"{name} {value!r} must be nonnegative")
-        if math.isnan(self.spread):
+        spread = reals["spread"]
+        if math.isnan(spread):
             raise ValueError(f"spread {self.spread!r} is not a number")
         # rng.uniform(-spread, spread) raises OverflowError on an infinite width.
-        if not math.isfinite(2.0 * float(self.spread)):
+        if not math.isfinite(2.0 * spread):
             raise ValueError(f"spread {self.spread!r} is too large: 2 * spread overflows")
-        if self.spread < 0:
+        if spread < 0:
             raise ValueError(f"spread {self.spread!r} must be nonnegative")
 
 
@@ -158,7 +166,7 @@ def discrete_gradient(
     (see SlotTables)."""
     if len(y) < 3:
         raise ValueError("gradient needs at least one interior point")
-    return slot_tables_at(functional, y.scale.points, y.values).grad
+    return slot_tables(functional, y).grad
 
 
 _EPS = float(np.finfo(float).eps)

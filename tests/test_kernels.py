@@ -49,7 +49,6 @@ from deltanabla.expressions import (
 from deltanabla.functional import (
     SlotTables,
     _factor,
-    _kernel_tables as kernel_tables,
     bracket_values,
     row_tables,
     slot_tables,
@@ -158,7 +157,7 @@ def _stack_of_rows(m):
 @given(trees, st.integers(1, 4).flatmap(_stack_of_rows))
 def test_stacked_rows_match_each_row_alone_and_the_walk(tree, stack):
     # Rows of different slots on one shared row of times, as
-    # kernel_tables stacks the points of a Newton round: each row of
+    # row_tables stacks the points of a Newton round: each row of
     # every column and of every mask is that row's own, and the column
     # is the walk's, bit for bit, NaN where the walk raises.  The
     # factors are checked on row_tables below.
@@ -235,7 +234,7 @@ def test_overflow_in_array_operations_is_silent():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got, masks = _tables(lag, ts, us, vs)
-            stacked, errors = kernel_tables(
+            stacked, errors = row_tables(
                 DeltaNablaFunctional(lag, v2), np.arange(4.0), np.array([[0.0, 1e6, 0.0, 1e6]] * 2)
             )
         assert masks is None and errors == {}

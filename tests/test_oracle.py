@@ -316,7 +316,7 @@ def test_kkt_check_reads_only_the_value_trees(monkeypatch):
         raise AssertionError("the fast path was used")
 
     monkeypatch.setattr(expressions.Lagrangian, "tables", forbidden)
-    for name in ("slot_tables_at", "row_tables", "SlotTables", "eval_functional",
+    for name in ("slot_tables", "row_tables", "SlotTables", "eval_functional",
                  "_factor", "_slots"):
         monkeypatch.setattr(functional, name, forbidden)
 

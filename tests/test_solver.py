@@ -706,6 +706,7 @@ def test_a_spread_whose_width_overflows_is_a_value_error():
         ("max_iter", True), ("multistart", False), ("seed", "1"), ("seed", None),
         ("feas_tol", True), ("stat_tol", True), ("spread", True), ("spread", np.nan),
         ("feas_tol", "1e-8"), ("spread", None),
+        ("stat_tol", 10**400), ("feas_tol", 10**400), ("spread", 10**400), ("spread", -10**400),
     ],
 )
 def test_out_of_range_solver_options_are_value_errors_naming_the_field(field, value):
@@ -714,7 +715,8 @@ def test_out_of_range_solver_options_are_value_errors_naming_the_field(field, va
     # meets; multistart = -3 would run one start; a negative seed, and
     # multistart = 2.5 or seed = 1.5 (a TypeError), would fail only at
     # solve time; max_iter = True would run as 1, and a bool tolerance
-    # or spread as 1.0; a string or None would fail with a TypeError.
+    # or spread as 1.0; a string or None would fail with a TypeError,
+    # and an int beyond the float range with an OverflowError.
     with pytest.raises(ValueError, match=f"^{field} "):
         SolverOptions(**{field: value})
 
@@ -972,11 +974,13 @@ def test_stacked_min_norm_steps_match_lstsq(n):
 
 
 def _eager_rows(tab, index):
-    """The tables at the given rows of a stack, the value and every
-    gradient computed again from the sliced columns (as the runs did,
-    with numpy's warnings on the way to inf or NaN silenced)."""
+    """Fresh tables of the given rows of a stack, built from the sliced
+    columns and factors, so that their value and every gradient are
+    computed again on first read (as the runs did, with numpy's
+    warnings on the way to inf or NaN silenced)."""
     with np.errstate(all="ignore"):
-        return replace(tab.rows(index), grad_delta=None, grad_nabla=None, grad=None)
+        sliced = tab.rows(index)
+        return SlotTables(*(getattr(sliced, f.name) for f in fields(SlotTables)))
 
 
 def _assert_same_tables(a, b):
@@ -1028,6 +1032,36 @@ def test_product_rows_slice_what_the_stack_computed(problem, undefined_row):
             else:
                 assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
     assert shared  # the constraint's constant nabla side
+
+
+def test_rows_copy_what_the_stack_computed_without_computing_again(monkeypatch):
+    # A stack whose value and gradients are computed hands them to its
+    # rows: for one row, a list of one and a longer list the slice reads
+    # the bits of fresh tables, and reading it computes nothing again.
+    # A stack that has computed nothing hands nothing on.
+    p = example_problem(6)
+    values = p._values(solver._starts(p, SolverOptions(multistart=3, seed=2, spread=0.2)))
+    derived = SlotTables._derived.func
+    computed = []
+
+    def counting(tab):
+        computed.append(tab)
+        return derived(tab)
+
+    monkeypatch.setattr(SlotTables._derived, "func", counting)
+    for functional in (p.objective, p.constraint):
+        tab = row_tables(functional, p.scale.points, values)[0]
+        assert "_derived" not in tab.rows(0).__dict__ and computed == []
+        assert tab.grad.shape == (len(values), p.scale.points.size - 2)
+        assert computed == [tab]
+        for index in (2, [1], [0, 2, 3]):
+            sliced = tab.rows(index)
+            assert sliced.value is not None and sliced.grad is not None
+            assert computed == [tab]
+            _assert_same_tables(sliced, _eager_rows(tab, index))
+            assert len(computed) == 2 and computed[1] is not sliced  # the fresh tables
+            del computed[1:]
+        computed.clear()
 
 
 @pytest.mark.parametrize(
