@@ -17,7 +17,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from typing import Callable, Generator, Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -233,16 +233,18 @@ def _evaluate(system: _System, z: np.ndarray) -> _Evaluation:
 @dataclass
 class _NewtonRun:
     """The end of a run: the iterate z, its residual f (all inf if the
-    start is no iterate), the evaluation and row f is read from (ev None
-    if the start could not be evaluated), which later code reads instead
-    of evaluating z again (value(i) at the row, tables sliced on first
-    read), and the rounding level of its last step (0.0 if none)."""
+    start is no iterate), its status ("ok", "stalled", "singular",
+    "maxiter", "error: ..." or "duplicate": ended, with level 0.0, within
+    _RADIUS of the iterate of a met run), the evaluation and row f is
+    read from (ev None if the start could not be evaluated), which later
+    code reads instead of evaluating z again (value(i) at the row, tables
+    sliced on first read), and the rounding level of its last step (0.0
+    if none)."""
 
     z: np.ndarray
     f: np.ndarray
     iterations: int
-    status: str  # "ok", "stalled", "singular", "maxiter", "error", or "duplicate":
-    # ended, with level 0.0, within _RADIUS of the iterate of a met run
+    status: str
     ev: _Evaluation | None
     row: int = 0
     level: float = 0.0
@@ -305,19 +307,19 @@ def _min_norm(jac: np.ndarray, f: np.ndarray) -> list[np.ndarray | str]:
 
 
 def _levels(
-    jac: np.ndarray, z: np.ndarray, norms: list[tuple[float, float]], top: np.ndarray
+    jac: np.ndarray, z: np.ndarray, f_norms: list[float], z_norms: list[float], top: np.ndarray
 ) -> list[float]:
     """The rounding level rho = c·u·||J||∞·||z||∞ (see _LEVEL_C) of each
     stacked Newton system J s = -f at z where ||f||∞ can be at or below
-    it, else 0.0, as where rho is not finite.  norms gives each row's
-    (||f||₂, ||z||₂) and top each matrix's largest |J_ij|.  For n
-    unknowns ||J||∞ <= n·top and ||f||₂ <= √n·||f||∞, so a row whose
-    ||f||₂ exceeds √n·c·u·n·top·||z||₂ is above its level, which is then
-    not formed."""
+    it, else 0.0, as where rho is not finite.  f_norms and z_norms give
+    each row's ||f||₂ and ||z||₂, and top each matrix's largest |J_ij|.
+    For n unknowns ||J||∞ <= n·top and ||f||₂ <= √n·||f||∞, so a row
+    whose ||f||₂ exceeds √n·c·u·n·top·||z||₂ is above its level, which
+    is then not formed."""
     n = jac.shape[-1]
     bound = _LEVEL_C * _EPS * n * math.sqrt(n)
     near = [
-        i for i, ((f_norm, z_norm), t) in enumerate(zip(norms, top.tolist()))
+        i for i, (f_norm, z_norm, t) in enumerate(zip(f_norms, z_norms, top.tolist()))
         if f_norm <= bound * t * z_norm
     ]
     levels = [0.0] * len(jac)
@@ -334,76 +336,6 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | str:
         return np.linalg.solve(a, -b)
     except np.linalg.LinAlgError:
         return "singular"
-
-
-def _run(
-    z: np.ndarray, opts: SolverOptions
-) -> Generator[np.ndarray | tuple, object, _NewtonRun]:
-    """Damped Newton from the start z, as _newton describes it.  The run
-    yields each point it needs evaluated and is sent back (evaluation,
-    row of it) or, where the system is undefined there, the message; it
-    yields the row of the last evaluation at which it needs its step,
-    with (||f||₂, ||z||₂) there, and is sent back the step, or the status
-    that ends the run, with the rounding level of the system there (see
-    _levels).  It returns the end of the run."""
-    reply = yield z
-    if isinstance(reply, str):
-        return _NewtonRun(z, np.full(z.shape, np.inf), 0, f"error: {reply}", None)
-    ev, row = reply
-    f, norm = ev.f[row], _norm(ev.f[row])
-    alpha, iterations = 1.0, 0  # alpha: the step length of the next trial
-    level, floor_steps = 0.0, 0
-
-    def end(status: str) -> _NewtonRun:
-        return _NewtonRun(z, f, iterations, status, ev, row, level)
-
-    # A finite norm is a finite residual; an overflowing one may be.
-    if not (math.isfinite(norm) or np.isfinite(f).all()):
-        f = np.full(z.shape, np.inf)
-        return end("error: non-finite residual")
-    while iterations != opts.max_iter:
-        iterations += 1
-        if norm == 0.0:
-            return end("ok")
-        z_norm = _norm(z)
-        step, level = yield row, (norm, z_norm)
-        if isinstance(step, str):
-            return end(step)
-        if _norm(step) <= _EPS * z_norm:
-            # A step below the rounding level of the iterate: the root is
-            # polished as far as it can be.
-            return end("stalled")
-        # At its rounding level f is noise, which a short step cannot
-        # reduce: only the full and the half step are tried there.
-        floor = level > 0.0 and float(np.max(np.abs(f))) <= level
-        if floor:
-            alpha = 1.0
-        while True:
-            if alpha < (0.5 if floor else _MIN_STEP):
-                # No direction of decrease at this resolution: either the
-                # root is polished to rounding level or the start is stuck.
-                return end("stalled")
-            z_try = z + alpha * step
-            if (z_try == z).all():
-                # The step rounds away, and so does every shorter one
-                # (alpha halves exactly and rounding is monotone): each
-                # would only evaluate f again.
-                return end("stalled")
-            reply = yield z_try
-            if not isinstance(reply, str):
-                ev_try, row_try = reply
-                norm_try = _norm(ev_try.f[row_try])
-                # A non-finite residual's norm is inf or NaN: no decrease.
-                if norm_try < norm:
-                    z, ev, row, norm = z_try, ev_try, row_try, norm_try
-                    f = ev.f[row]
-                    floor_steps += floor
-                    if floor_steps == 2:
-                        return end("stalled")
-                    alpha = min(1.0, 2.0 * alpha)
-                    break
-            alpha *= 0.5
-    return end("maxiter")
 
 
 def _newton(
@@ -429,66 +361,131 @@ def _newton(
     points.  Each run keeps the evaluation of the last iterate it
     evaluated and the level of its last step.
 
-    Each start is one _run, and the runs advance in lockstep rounds.  A
-    round first gives every run that asks for a step its step and level,
-    from one stacked Jacobian over the last evaluation's rows and one
-    stacked solve, then evaluates the point every run asks for, in start
-    order, in one system call.  The iterate of every run that has ended
-    and passed the search's acceptance test met is kept, and before the
-    Jacobians a run whose iterate is within _RADIUS of a kept one ends
-    "duplicate", which met must reject.  Apart from that end, no start's
-    numbers depend on another's, so every run not ended "duplicate" is,
-    bit for bit, the run its start makes alone.
+    The starts advance in lockstep rounds over per-start state: (S, d)
+    arrays of iterates, residuals, steps and trial points, and a list per
+    scalar.  After one evaluation of the starts, a round (1) ends
+    "duplicate" each start that asks for a step within _RADIUS of the
+    iterate of a run that has ended and passed the search's acceptance
+    test met, which must reject a duplicate; (2) gives each other such
+    start its step and level, from one stacked Jacobian over the last
+    evaluation's rows and one stacked solve, and its trial point; (3)
+    evaluates every running start's trial point, in start order, in one
+    system call; (4) moves each start whose trial decreased ||f|| and
+    gives each other start its next trial point at once, so that a
+    start whose search fails ends before the next duplicate test.  Apart
+    from the duplicate end, no start's numbers depend on another's, so
+    every run not ended "duplicate" is, bit for bit, the run its start
+    makes alone.
     """
     with np.errstate(all="ignore"):  # the runs catch the non-finite values numpy warns of
-        ends: list = [None] * len(z0)
-        waiting: dict = {}  # start: (its run, what the run asks for), in start order
-        starts = np.array(z0, dtype=float)
-        kept, lengths = starts[:0], []  # the met runs' iterates, stacked, and their ||.||₂
+        z = np.array(z0, dtype=float)
+        ev = _evaluate(system, z.copy())
+        f, step, trial = np.full(z.shape, np.inf), np.zeros_like(z), np.zeros_like(z)
+        count = len(z)
+        ends, at = [None] * count, [(None, 0)] * count  # at: (evaluation, row) accepted
+        norm, z_norm, level = [math.inf] * count, [0.0] * count, [0.0] * count
+        alpha = [1.0] * count  # the step length of each start's next trial
+        floor, floor_steps, iterations = [False] * count, [0] * count, [0] * count
+        kept, lengths = [], []  # the starts of the met runs, and their iterates' ||.||₂
         # Within _RADIUS (∞-norm) of k, ||z||₂ is within √d·_RADIUS of ||k||₂:
-        # twice that, with a margin for their rounding, selects the runs compared.
-        reach, slack = 2.0 * math.sqrt(starts.shape[1]) * _RADIUS, 4.0 * starts.shape[1] * _EPS
+        # twice that, with a margin for their rounding, selects the starts compared.
+        reach, slack = 2.0 * math.sqrt(z.shape[1]) * _RADIUS, 4.0 * z.shape[1] * _EPS
 
-        def send(start: int, run: Generator, answer: object = None) -> None:
-            nonlocal kept
-            try:
-                waiting[start] = run, run.send(answer)
-            except StopIteration as stop:
-                del waiting[start]
-                ends[start] = stop.value
-                if met(stop.value):
-                    kept = np.vstack((kept, stop.value.z))
-                    lengths.append(_norm(stop.value.z))
+        def end(i: int, status: str) -> None:
+            ends[i] = run = _NewtonRun(z[i], f[i], iterations[i], status, *at[i], level[i])
+            if met(run):
+                kept.append(i)
+                lengths.append(_norm(z[i]))
 
-        for start, z in enumerate(starts):
-            send(start, _run(z, opts))
-        while waiting:
-            stepping = [(start, run, ask) for start, (run, ask) in waiting.items()
-                        if isinstance(ask, tuple)]
-            maybe = [(start, run, row) for start, run, (row, (_, z_norm)) in stepping
-                     if any(not abs(z_norm - k) > reach + slack * (z_norm + k) for k in lengths)]
+        def asks_step(i: int) -> bool:
+            """Start i's next iteration: whether it asks for a step, or ended."""
+            if iterations[i] == opts.max_iter:
+                end(i, "maxiter")
+                return False
+            iterations[i] += 1
+            if norm[i] == 0.0:
+                end(i, "ok")
+                return False
+            z_norm[i] = _norm(z[i])
+            return True
+
+        def next_trial(i: int) -> None:
+            """Start i's trial point at its step length, or its end."""
+            if alpha[i] < (0.5 if floor[i] else _MIN_STEP):
+                # No direction of decrease at this resolution: either the
+                # root is polished to rounding level or the start is stuck.
+                return end(i, "stalled")
+            trial[i] = z[i] + alpha[i] * step[i]
+            if (trial[i] == z[i]).all():
+                # The step rounds away, and so does every shorter one
+                # (alpha halves exactly and rounding is monotone): each
+                # would only evaluate f again.
+                end(i, "stalled")
+
+        for i in range(count):
+            if i in ev.errors:
+                end(i, f"error: {ev.errors[i]}")
+                continue
+            at[i], norm[i] = (ev, i), _norm(ev.f[i])
+            # A finite norm is a finite residual; an overflowing one may be.
+            if math.isfinite(norm[i]) or np.isfinite(ev.f[i]).all():
+                f[i] = ev.f[i]
+            else:
+                end(i, "error: non-finite residual")
+        running = list(range(count))
+        stepping = [i for i in running if ends[i] is None and asks_step(i)]  # in start order
+        while True:
+            maybe = [i for i in stepping if any(
+                not abs(z_norm[i] - k) > reach + slack * (z_norm[i] + k) for k in lengths)]
             if maybe:
-                z = _take(ev.z, [row for _, _, row in maybe])
-                near = (np.abs(z[:, None] - kept).max(axis=2).min(axis=1) <= _RADIUS).tolist()
-                for (start, run, _), duplicate in zip(maybe, near):
+                near = np.abs(_take(z, maybe)[:, None] - z[kept]).max(axis=2).min(axis=1)
+                for i, duplicate in zip(maybe, (near <= _RADIUS).tolist()):
                     if duplicate:
-                        send(start, run, ("duplicate", 0.0))
-                stepping = [ask for ask in stepping if ask[0] in waiting]
+                        level[i] = 0.0
+                        end(i, "duplicate")
+                stepping = [i for i in stepping if ends[i] is None]
             if stepping:
-                rows = [row for _, _, (row, _) in stepping]
+                rows = [at[i][1] for i in stepping]
                 jac = system.jacobian(ev.z, ev.tables, rows)
                 top = np.abs(jac).max(axis=(1, 2))  # NaN or inf where J is not finite
                 steps = _steps(jac, _take(ev.f, rows), min_norm, np.isfinite(top))
-                norms = [ask[1] for _, _, ask in stepping]
-                levels = _levels(jac, _take(ev.z, rows), norms, top)
-                for (start, run, _), answer in zip(stepping, zip(steps, levels)):
-                    send(start, run, answer)
-            if waiting:  # every run still going asks for a point now
-                trying = list(waiting.items())
-                ev = _evaluate(system, np.array([point for _, (_, point) in trying]))
-                for i, (start, (run, _)) in enumerate(trying):
-                    send(start, run, ev.errors.get(i, (ev, i)))
-        return ends
+                levels = _levels(jac, _take(ev.z, rows), [norm[i] for i in stepping],
+                                 [z_norm[i] for i in stepping], top)
+                for i, s, rho in zip(stepping, steps, levels):
+                    level[i] = rho
+                    if isinstance(s, str):
+                        end(i, s)
+                    elif _norm(s) <= _EPS * z_norm[i]:
+                        # A step below the rounding level of the iterate: the
+                        # root is polished as far as it can be.
+                        end(i, "stalled")
+                    else:
+                        # At its rounding level f is noise, which a short step cannot
+                        # reduce: only the full and the half step are tried there.
+                        step[i] = s
+                        floor[i] = level[i] > 0.0 and float(np.max(np.abs(f[i]))) <= level[i]
+                        if floor[i]:
+                            alpha[i] = 1.0
+                        next_trial(i)
+            running = [i for i in running if ends[i] is None]
+            if not running:
+                return ends
+            # Copied, as trial is written on; one row is sliced, not fancy-indexed.
+            ev, stepping = _evaluate(system, _take(trial, running).copy()), []
+            for row, i in enumerate(running):
+                # A non-finite residual's norm is inf or NaN: no decrease.
+                if row not in ev.errors and (norm_try := _norm(ev.f[row])) < norm[i]:
+                    z[i], f[i], norm[i], at[i] = trial[i], ev.f[row], norm_try, (ev, row)
+                    floor_steps[i] += floor[i]
+                    if floor_steps[i] == 2:
+                        end(i, "stalled")
+                    else:
+                        alpha[i] = min(1.0, 2.0 * alpha[i])
+                        if asks_step(i):
+                            stepping.append(i)
+                else:
+                    alpha[i] *= 0.5
+                    next_trial(i)
 
 
 def _starts(p: IsoperimetricProblem, opts: SolverOptions) -> np.ndarray:

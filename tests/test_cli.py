@@ -1,13 +1,19 @@
 """Tests for the command-line interface: solve, residual, verify, eval,
 and diff subcommands, their exit codes, and the three output styles."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltanabla.cli import main
+from deltanabla.problemfile import load_problem
 
 
 @pytest.fixture
@@ -770,3 +776,58 @@ def test_usage_errors_are_input_errors(capsys, argv):
 def test_help_exits_zero(capsys, argv):
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("usage: deltanabla")
+
+
+def _wrap(inner):
+    """Larger integrands from smaller ones: a function of one, two joined
+    by an operator (division included), or one raised to a power."""
+    return st.one_of(
+        st.builds("{}({})".format, st.sampled_from(["log", "sqrt", "exp", "sin", "cos"]), inner),
+        st.builds("({}) {} ({})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 40)),
+    )
+
+
+HOSTILE_INTEGRANDS = st.recursive(
+    st.sampled_from(["t", "u", "v", "2", "0.5", "1e300", "1e-300", "-1e300"]), _wrap, max_leaves=4
+)
+
+
+@st.composite
+def hostile_documents(draw):
+    """A valid document with hostile integrands on a scale of extreme
+    size, with few starts and iterations so that each solve is short."""
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6))
+    size = 10.0 ** draw(st.sampled_from([-300, -100, -8, 0, 8, 100, 300]))
+    points = [size * x for x in [0.0, *gaps]]
+    for i in range(1, len(points)):
+        points[i] += points[i - 1]
+    ends = st.floats(-1e300, 1e300)
+    return {
+        "timescale": {"points": points},
+        "boundary": {"alpha": draw(ends), "beta": draw(ends)},
+        "objective": {"delta": draw(HOSTILE_INTEGRANDS), "nabla": draw(HOSTILE_INTEGRANDS)},
+        "constraint": {"delta": draw(HOSTILE_INTEGRANDS), "nabla": draw(HOSTILE_INTEGRANDS)},
+        "k": draw(ends),
+        "options": {"multistart": draw(st.integers(0, 2)), "max_iter": draw(st.integers(1, 20))},
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(hostile_documents())
+def test_hostile_documents_solve_or_fail_numerically(doc):
+    # A document that loads is solved (exit 0) or reported as a
+    # numerical failure (exit 2), with no exception and no warning:
+    # exit 1 is for input errors only.
+    text = json.dumps(doc)
+    load_problem(text)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main(["solve", text, "--output", "structured"])
+    assert rc in (0, 2), err.getvalue()
+    if out.getvalue():
+        assert json.loads(out.getvalue())["result"]["converged"] is (rc == 0)
+    else:
+        assert rc == 2 and err.getvalue().startswith("numerical error: ")

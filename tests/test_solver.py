@@ -908,6 +908,42 @@ def _two_point_problem():
     )
 
 
+def _seven_point_problem():
+    """Problem 4 of the seed-1 random_small pool: two of its nine starts
+    stall at one stationary point, which the other seven reach."""
+    return IsoperimetricProblem(
+        scale=TimeScale(np.array([
+            1.141272809659597, 1.2936802463322186, 1.8964053525005011, 1.8994798381096734,
+            1.961598033205183, 2.175881814228717, 2.6019615169265977,
+        ])),
+        alpha=-0.24752299714381154,
+        beta=-0.15815721076507416,
+        objective=DeltaNablaFunctional(
+            make_lagrangian("v^2 + 0.310274*u*v + -0.158205*u + 0.043669*t"),
+            make_lagrangian("v^2 + -0.303703*u + 0.496141*v + 0.743215"),
+        ),
+        constraint=DeltaNablaFunctional(
+            make_lagrangian("-0.243133*t*v + -0.42681*u + 0.980462"),
+            make_lagrangian("0.263129*v + 0.197894*u + 0.890071"),
+        ),
+        k=1.9540575235121849,
+    )
+
+
+def test_a_rejected_trial_is_followed_up_before_the_next_duplicate_test():
+    # A start whose trial is rejected gets its next trial point, or its
+    # end, in the round of the evaluation that rejected it, so that a
+    # run that stalls there is kept before the next round's duplicate
+    # test.  Deferring that work a round changes how four of these
+    # starts end.
+    runs, _ = _runs_match_each_start_alone(_seven_point_problem(), SolverOptions(), False)
+    assert [(run.status, run.iterations) for run in runs] == [
+        ("duplicate", 27), ("duplicate", 12), ("stalled", 10), ("duplicate", 14),
+        ("duplicate", 12), ("duplicate", 13), ("stalled", 10), ("duplicate", 12),
+        ("duplicate", 12),
+    ]
+
+
 @pytest.mark.parametrize(
     "problem, points", [(lambda: example_problem(8), 1), (_two_point_problem, 2)],
     ids=["example", "two-points"],
@@ -1075,11 +1111,9 @@ def test_rows_copy_what_the_stack_computed_without_computing_again(monkeypatch):
 )
 def test_runs_slice_their_products_only_when_read(problem, opts, monkeypatch):
     # A run keeps its last evaluation and row; no tables are sliced to
-    # one row during the runs (an evaluation drops the rows where a
-    # functional is undefined by a list of the rows it keeps).  Read, a
-    # run's tables are the ones sliced eagerly at its end (None where
-    # the start was not evaluated), and value(i) is their value, read
-    # without slicing.
+    # one row during the runs.  Read, a run's tables are the ones sliced
+    # eagerly at its end (None where the start was not evaluated), and
+    # value(i) is their value, read without slicing.
     sliced = []
     rows = SlotTables.rows
 
@@ -1397,8 +1431,8 @@ def test_rounding_levels_are_formed_wherever_f_can_be_at_them():
         f = rng.standard_normal((6, 5))
         f *= (ratio * rho / np.abs(f).max(axis=1))[:, None]
         f[4] = 1e-300  # a non-finite Jacobian has no level
-        norms = [(np.linalg.norm(a), np.linalg.norm(b)) for a, b in zip(f, z)]
-        levels = solver._levels(jac, z, norms, np.abs(jac).max(axis=(1, 2)))
+        f_norms, z_norms = [np.linalg.norm(a) for a in f], [np.linalg.norm(b) for b in z]
+        levels = solver._levels(jac, z, f_norms, z_norms, np.abs(jac).max(axis=(1, 2)))
         for i, level in enumerate(levels):
             if i == 4:
                 assert level == 0.0
