@@ -87,13 +87,14 @@ class SolverOptions:
     interior perturbations uniformly from [-spread, spread] with the
     given seed; the unperturbed linear interpolant is always tried
     first.  Each start runs at most max_iter Newton steps, and ends
-    early at its rounding level or near a point another start has met
-    (see _newton).  A ValueError names the field that is out of range:
-    a tolerance or spread that is not a real number, is a bool or is too
-    large for a float, a tolerance that is not positive and finite, a
-    count or seed that is not an int (a bool included), a negative
-    count, seed or spread, a NaN spread, or a spread whose width
-    2·spread overflows.
+    early at its rounding level, near a point another start has met,
+    or, once a start has met, where it fails to halve ||f|| over 20
+    accepted steps (see _newton).  A ValueError names the field that is
+    out of range: a tolerance or spread that is not a real number, is a
+    bool or is too large for a float, a tolerance that is not positive
+    and finite, a count or seed that is not an int (a bool included), a
+    negative count, seed or spread, a NaN spread, or a spread whose
+    width 2·spread overflows.
     """
 
     feas_tol: float = 1e-8
@@ -184,6 +185,15 @@ for Unconstrained Optimization and Nonlinear Equations, 7.2).  At the
 float-rounded closed form of example_problem(m) the stationarity rows
 are 0.10 to 0.33 times u·||J||∞·||z||∞ for m from 32 to 4096, so c = 8
 leaves them a margin of 24 or more."""
+_WINDOW = 20
+_PROGRESS = 0.5
+"""The progress test of a Newton run (Dennis and Schnabel, 7.2): once
+a run of its batch is met, a run ends "slow" at an accepted step whose
+||f||₂ is not below _PROGRESS times that of its iterate _WINDOW
+accepted steps back.  A crawling run may still converge, so the test
+waits for a met run, as the duplicate test does: a lone start, or a
+batch with nothing met, runs on to max_iter.  A window of 10 would end
+a start that crawls for 19 steps and then converges within 25."""
 
 
 class _System(NamedTuple):
@@ -234,7 +244,9 @@ def _evaluate(system: _System, z: np.ndarray) -> _Evaluation:
 class _NewtonRun:
     """The end of a run: the iterate z, its residual f (all inf if the
     start is no iterate), its status ("ok", "stalled", "singular",
-    "maxiter", "error: ..." or "duplicate": ended, with level 0.0, within
+    "maxiter", "slow": ended by the progress test of _WINDOW and
+    _PROGRESS once a run of its batch was met, "error: ..." or
+    "duplicate": ended, with level 0.0, within
     _RADIUS of the iterate of a met run), the evaluation and row f is
     read from (ev None if the start could not be evaluated), which later
     code reads instead of evaluating z again (value(i) at the row, tables
@@ -355,15 +367,19 @@ def _newton(
     roots to rounding level.  Every step comes with the rounding level
     rho of its system (see _levels); where ||f||∞ <= rho the search
     tries only the full and the half step, and the start ends "stalled"
-    when both fail or after its second step taken there.  A failed
-    evaluation, or a non-finite iterate, residual or Jacobian, ends the
-    start with an "error" status; the step search skips such trial
-    points.  Each run keeps the evaluation of the last iterate it
-    evaluated and the level of its last step.
+    when both fail or after its second step taken there.  Once a run
+    of the batch is met, a start whose accepted step leaves ||f|| at or
+    above _PROGRESS times its value _WINDOW accepted steps back (its
+    start point counted) ends "slow", met or not.  A failed evaluation,
+    or a non-finite iterate, residual or Jacobian, ends the start with
+    an "error" status; the step search skips such trial points.  Each
+    run keeps the evaluation of the last iterate it evaluated and the
+    level of its last step.
 
     The starts advance in lockstep rounds over per-start state: (S, d)
-    arrays of iterates, residuals, steps and trial points, and a list per
-    scalar.  After one evaluation of the starts, a round (1) ends
+    arrays of iterates, residuals, steps and trial points, a list per
+    scalar, and each start's ||f|| history, one entry per accepted
+    iterate.  After one evaluation of the starts, a round (1) ends
     "duplicate" each start that asks for a step within _RADIUS of the
     iterate of a run that has ended and passed the search's acceptance
     test met, which must reject a duplicate; (2) gives each other such
@@ -373,9 +389,10 @@ def _newton(
     system call; (4) moves each start whose trial decreased ||f|| and
     gives each other start its next trial point at once, so that a
     start whose search fails ends before the next duplicate test.  Apart
-    from the duplicate end, no start's numbers depend on another's, so
-    every run not ended "duplicate" is, bit for bit, the run its start
-    makes alone.
+    from the duplicate and slow ends, no start's numbers depend on
+    another's, so every run not ended "duplicate" or "slow" is, bit for
+    bit, the run its start makes alone, and a slow run is that run cut
+    short.
     """
     with np.errstate(all="ignore"):  # the runs catch the non-finite values numpy warns of
         z = np.array(z0, dtype=float)
@@ -384,6 +401,7 @@ def _newton(
         count = len(z)
         ends, at = [None] * count, [(None, 0)] * count  # at: (evaluation, row) accepted
         norm, z_norm, level = [math.inf] * count, [0.0] * count, [0.0] * count
+        history = [[] for _ in range(count)]  # ||f||₂ of each start's accepted iterates
         alpha = [1.0] * count  # the step length of each start's next trial
         floor, floor_steps, iterations = [False] * count, [0] * count, [0] * count
         kept, lengths = [], []  # the starts of the met runs, and their iterates' ||.||₂
@@ -427,6 +445,7 @@ def _newton(
                 end(i, f"error: {ev.errors[i]}")
                 continue
             at[i], norm[i] = (ev, i), _norm(ev.f[i])
+            history[i].append(norm[i])
             # A finite norm is a finite residual; an overflowing one may be.
             if math.isfinite(norm[i]) or np.isfinite(ev.f[i]).all():
                 f[i] = ev.f[i]
@@ -476,9 +495,13 @@ def _newton(
                 # A non-finite residual's norm is inf or NaN: no decrease.
                 if row not in ev.errors and (norm_try := _norm(ev.f[row])) < norm[i]:
                     z[i], f[i], norm[i], at[i] = trial[i], ev.f[row], norm_try, (ev, row)
+                    history[i].append(norm_try)
                     floor_steps[i] += floor[i]
                     if floor_steps[i] == 2:
                         end(i, "stalled")
+                    elif (kept and len(history[i]) > _WINDOW
+                          and norm_try >= _PROGRESS * history[i][-1 - _WINDOW]):
+                        end(i, "slow")
                     else:
                         alpha[i] = min(1.0, 2.0 * alpha[i])
                         if asks_step(i):

@@ -820,8 +820,9 @@ def test_an_undefined_trial_point_rejects_only_its_own_trial(monkeypatch):
     # In the first round the trial points of starts 2 and 3 leave the
     # domain of log: the one kernel pass over the round's stack marks
     # them, and those two starts halve their step while starts 0 and 1
-    # go on.  All four reach an answer: starts 1
-    # and 2 end within the radius of a met run's, as duplicates.
+    # go on.  Start 1 ends within the radius of a met run's, as a
+    # duplicate, and start 2 crawls after start 0 is met and ends "slow"
+    # (alone it goes on to an answer).
     undefined = []
     evaluate = solver._evaluate
 
@@ -834,7 +835,7 @@ def test_an_undefined_trial_point_rejects_only_its_own_trial(monkeypatch):
     p = _log_problem()
     opts = SolverOptions(multistart=3, seed=5, spread=1.5)
     runs, _ = _runs_match_each_start_alone(p, opts, min_norm=False)
-    assert [run.status for run in runs] == ["stalled", "duplicate", "duplicate", "ok"]
+    assert [run.status for run in runs] == ["stalled", "duplicate", "slow", "ok"]
     assert undefined[1] == [2, 3]
     assert solve_normal(p, opts).converged
 
@@ -847,9 +848,11 @@ def _met_of(p, opts):
 def _runs_match_each_start_alone(p, opts, min_norm, z0=None):
     """The runs of one batch from the problem's starts (or z0), each
     checked against its start run as a batch of one: a run not ended
-    "duplicate" bit for bit; a duplicate is not met, took at most the
-    lone run's iterations, and lies within the radius of a met run of
-    the batch.  Returns the batch's runs and the lone runs."""
+    "duplicate" or "slow" bit for bit; a duplicate is not met, took at
+    most the lone run's iterations, and lies within the radius of a met
+    run of the batch; a slow run ended in a batch with a met run, at
+    the iterate its lone run reaches in as many iterations.  Returns the
+    batch's runs and the lone runs."""
     system = (solver._abnormal_system if min_norm else solver._normal_system)(p)
     if z0 is None:
         z0 = solver._starts(p, opts)
@@ -860,11 +863,19 @@ def _runs_match_each_start_alone(p, opts, min_norm, z0=None):
     assert len(runs) == len(z0)
     kept = [run.z for run in runs if met(run)]
     alones = [solver._newton(system, start[None], opts, min_norm, met)[0] for start in z0]
-    for run, alone in zip(runs, alones):
+    for run, alone, start in zip(runs, alones, z0):
         if run.status == "duplicate":
             assert not met(run)
             assert run.iterations <= alone.iterations
             assert min(np.max(np.abs(run.z - z)) for z in kept) <= solver._RADIUS
+            continue
+        if run.status == "slow":
+            assert kept
+            assert run.iterations <= alone.iterations
+            alone = solver._newton(
+                system, start[None], replace(opts, max_iter=run.iterations), min_norm, met)[0]
+            assert run.z.tobytes() == alone.z.tobytes()
+            assert run.f.tobytes() == alone.f.tobytes()
             continue
         assert run.z.tobytes() == alone.z.tobytes()
         assert run.f.tobytes() == alone.f.tobytes()
@@ -935,13 +946,107 @@ def test_a_rejected_trial_is_followed_up_before_the_next_duplicate_test():
     # end, in the round of the evaluation that rejected it, so that a
     # run that stalls there is kept before the next round's duplicate
     # test.  Deferring that work a round changes how four of these
-    # starts end.
+    # starts end, start 1 the first.  Start 0 crawls after other starts
+    # are met and ends "slow".
     runs, _ = _runs_match_each_start_alone(_seven_point_problem(), SolverOptions(), False)
     assert [(run.status, run.iterations) for run in runs] == [
-        ("duplicate", 27), ("duplicate", 12), ("stalled", 10), ("duplicate", 14),
+        ("slow", 20), ("duplicate", 12), ("stalled", 10), ("duplicate", 14),
         ("duplicate", 12), ("duplicate", 13), ("stalled", 10), ("duplicate", 12),
         ("duplicate", 12),
     ]
+
+
+def _crawling_start_problem():
+    """Problem 72 of the seed-1 random_small pool: its start 0 (the
+    linear interpolant) crawls, with ||f|| falling from 0.065 to 0.038
+    over 100 steps, while the other eight starts converge in 10."""
+    return IsoperimetricProblem(
+        scale=TimeScale(np.array([
+            0.4110446304490095, 0.4889760845382435, 0.6500878365698589, 0.9763410108973748,
+            1.117307044085456, 1.6767201349348655,
+        ])),
+        alpha=-0.14735513207544537,
+        beta=-0.20892373317049007,
+        objective=DeltaNablaFunctional(
+            make_lagrangian("v^2 + 0.177524*u*v + -0.068702*u + 0.014328*t"),
+            make_lagrangian("v^2 + 0.451888*u + -0.457769*v + 1.136839"),
+        ),
+        constraint=DeltaNablaFunctional(
+            make_lagrangian("0.236203*t*v + -0.319882*u + 1.402354"),
+            make_lagrangian("-0.377158*v + 0.308776*u + 0.934897"),
+        ),
+        k=2.180131207121625,
+    )
+
+
+def test_a_crawling_start_ends_slow_within_its_window(monkeypatch):
+    # Start 0 does not halve ||f|| over its first _WINDOW accepted steps,
+    # after the other starts are met, and ends "slow" there, not
+    # "maxiter" after 100.  No answer read it:
+    # the solve is the same bit for bit with a window past max_iter.
+    p, opts = _crawling_start_problem(), SolverOptions()
+    runs, _ = _runs_match_each_start_alone(p, opts, min_norm=False)
+    assert [run.status == "slow" for run in runs] == [True] + [False] * 8
+    assert runs[0].iterations <= solver._WINDOW + 1
+    res = solve_normal(p, opts)
+    assert res.converged
+    monkeypatch.setattr(solver, "_WINDOW", opts.max_iter + 1)
+    runs, _ = _runs_match_each_start_alone(p, opts, min_norm=False)
+    assert (runs[0].status, runs[0].iterations) == ("maxiter", 100)
+    assert _results_bytes([solve_normal(p, opts)]) == _results_bytes([res])
+
+
+def test_a_slow_start_that_converges_is_spared():
+    # Start 3 of the log problem crawls at 1 to 6 % a step for 19 steps,
+    # and after _WINDOW steps it is still not met; but its 20th step
+    # brings ||f|| to 0.2 of its start's, under _PROGRESS, and it goes on
+    # to end "ok" after 25 iterations.
+    p, opts = _log_problem(), SolverOptions(multistart=3, seed=5, spread=1.5)
+    runs, _ = _runs_match_each_start_alone(p, opts, min_norm=False)
+    assert (runs[3].status, runs[3].iterations) == ("ok", 25)
+    z0 = np.append(solver._starts(p, opts)[3], 0.0)[None]
+    short = replace(opts, max_iter=solver._WINDOW)
+    early = solver._newton(solver._normal_system(p), z0, short, False, _met_of(p, opts))[0]
+    assert early.status == "maxiter"
+    assert not solver._met(early, p, opts)
+
+
+@pytest.mark.parametrize(
+    "problem, opts, start, iterations",
+    [
+        (_seven_point_problem, SolverOptions(), 0, 29),
+        (_log_problem, SolverOptions(multistart=3, seed=5, spread=1.5), 2, 32),
+    ],
+    ids=["seven-point", "log"],
+)
+def test_a_crawling_start_alone_goes_on_to_its_answer(problem, opts, start, iterations):
+    # These starts end "slow" in their batches, once another start is
+    # met, and each would converge later at a met run's point.  Alone no
+    # run is met, so the window does not end them: they are met as before
+    # the window, and with no other start the solve converges.
+    p = problem()
+    runs, alones = _runs_match_each_start_alone(p, opts, min_norm=False)
+    assert runs[start].status == "slow"
+    assert "slow" not in [run.status for run in alones]
+    assert all(_met_of(p, opts)(run) for run in alones)
+    assert alones[start].iterations == iterations
+    if start == 0:  # the start multistart=0 runs alone
+        res = solve_normal(p, replace(opts, multistart=0))
+        assert (res.converged, res.iterations) == (True, iterations)
+
+
+def test_no_start_ends_slow_with_fewer_iterations_than_the_window():
+    # A run's ||f|| history has at most max_iter + 1 entries, so with
+    # max_iter < _WINDOW the progress test never runs: the crawling start
+    # ends "maxiter".
+    short = solver._WINDOW - 1
+    for p, _, opts, min_norm, z0 in _max_iter_cases():
+        runs, _ = _runs_match_each_start_alone(p, replace(opts, max_iter=short), min_norm, z0)
+        assert "slow" not in [run.status for run in runs]
+    runs, _ = _runs_match_each_start_alone(
+        _crawling_start_problem(), SolverOptions(max_iter=short), min_norm=False)
+    assert "slow" not in [run.status for run in runs]
+    assert runs[0].status == "maxiter"
 
 
 @pytest.mark.parametrize(

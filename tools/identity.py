@@ -3,9 +3,12 @@
     OPENBLAS_NUM_THREADS=1 python3 tools/identity.py [SRC_DIR]
 
 imports the deltanabla package from SRC_DIR (default: this checkout's
-src) and prints one short hash per item, then a total.  Run it on two
-checkouts and diff the outputs: a line that differs names the item
-whose numbers moved.  The items are
+src) and prints two short hashes per item, of its answers and of its
+raw Newton runs, then a total of each column.  Run it on two checkouts
+and diff the outputs: a line that differs names the item whose numbers
+moved, and a change that moves only runs whose ends no answer reads
+(a run that is not accepted, say) leaves the first column as it was.
+The items are
 
 - ``random_small[i]``: the 128 seed-1 problems of the benchmark's
   random_small pool;
@@ -15,11 +18,12 @@ whose numbers moved.  The items are
   25 seed-1 documents of the cli_transcendental workload, run in
   process.
 
-A problem's hash covers every field of solve_normal's answer and of
-each answer of find_abnormal, and every raw Newton run of both searches
-(z and f bytes, iterations, status and rounding level).  A document's
-hash covers the exit code, stdout and stderr.  The problems and
-documents come from bench/workloads.py, which is only read.
+A problem's answer hash covers every field of solve_normal's answer
+and of each answer of find_abnormal; a document's covers the exit code,
+stdout and stderr.  The run hash covers every raw Newton run the item
+made, in either search (z and f bytes, iterations, status and rounding
+level).  The problems and documents come from bench/workloads.py,
+which is only read.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ def _hash(x) -> str:
     return hashlib.sha256(b"\0".join(parts)).hexdigest()[:12]
 
 
-def _problem(dn, p, opts) -> str:
-    """The answers of both searches and the runs they made."""
+def _recorded(dn, call):
+    """call()'s result and the raw Newton runs it made."""
     runs = []
     newton = dn.solver._newton
 
@@ -75,18 +79,26 @@ def _problem(dn, p, opts) -> str:
 
     dn.solver._newton = recording
     try:
-        answers = (dn.solver.solve_normal(p, opts), dn.solver.find_abnormal(p, opts))
+        return call(), runs
     finally:
         dn.solver._newton = newton
-    return _hash((answers, runs))
 
 
-def _document(dn, path: Path) -> str:
+def _problem(dn, p, opts) -> tuple[str, str]:
+    """The hashes of the answers of both searches and of the runs they made."""
+    answers, runs = _recorded(
+        dn, lambda: (dn.solver.solve_normal(p, opts), dn.solver.find_abnormal(p, opts)))
+    return _hash(answers), _hash(runs)
+
+
+def _document(dn, path: Path) -> tuple[str, str]:
+    """The hashes of the exit code and output, and of the runs made."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = dn.cli.main(["solve", str(path), "--output", "structured"])
+        code, runs = _recorded(
+            dn, lambda: dn.cli.main(["solve", str(path), "--output", "structured"]))
     texts = (stdout.getvalue(), stderr.getvalue())
-    return _hash((code, [text.replace(str(path.parent), "DIR") for text in texts]))
+    return _hash((code, [text.replace(str(path.parent), "DIR") for text in texts])), _hash(runs)
 
 
 def main(argv: list[str]) -> int:
@@ -110,9 +122,9 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for path in workloads.write_cli_docs(1, Path(tmp)):
             lines.append((f"cli[{path.stem}]", _document(dn, path)))
-    for name, digest in lines:
-        print(name, digest)
-    print("total", _hash([digest for _, digest in lines]))
+    for name, (answers, runs) in lines:
+        print(name, answers, runs)
+    print("total", *(_hash([digests[k] for _, digests in lines]) for k in (0, 1)))
     return 0
 
 
