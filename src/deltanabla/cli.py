@@ -193,11 +193,6 @@ def cmd_residual(args: argparse.Namespace) -> int:
         values = np.array([float(x) for x in args.y.split(",")])
     except ValueError:
         raise ValueError("--y expects comma-separated numbers") from None
-    if values.size != len(p.scale):
-        raise ValueError(
-            f"expected {len(p.scale)} values for this scale, "
-            f"got {values.size}"
-        )
     y = GridFunction(p.scale, values)
 
     with_multiplier = args.lam is not None

@@ -300,10 +300,13 @@ def identity_fuzz(seed: int = 0, count: int = 100, tol: float = 1e-12) -> Identi
     jump shifts, the two integral conversions, telescoping of both
     derivative/integral pairings, and both integration-by-parts
     formulas.  A count below 1 would check nothing, so it is a
-    ValueError.
+    ValueError, and so is a negative seed, which numpy's generator
+    refuses.
     """
     if count < 1:
         raise ValueError("identity fuzz needs count >= 1")
+    if seed < 0:
+        raise ValueError(f"identity fuzz needs seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     failures: list[str] = []

@@ -146,41 +146,29 @@ def _functional(doc, path: str, measure: float):
     }
 
 
-OPTION_FIELDS = ("tol", "max_iter", "multistart", "seed", "spread")
+# Each key of the "options" block, in the order it is checked, and the
+# SolverOptions fields it sets; the normalized document reads the first.
+OPTION_FIELDS = {"tol": ("feas_tol", "stat_tol"), "max_iter": ("max_iter",),
+                 "multistart": ("multistart",), "seed": ("seed",), "spread": ("spread",)}
 
 
 def load_options(doc) -> SolverOptions:
     """Solver options from a document's "options" block (None for the
-    defaults); errors name the field."""
+    defaults).  SolverOptions decides which values are valid; each key
+    is added in turn, so that its error is named by its field."""
     path = "options"
     if doc is None:
         return SolverOptions()
     doc = _object(doc, path, OPTION_FIELDS)
-    kwargs = {}
-    if "tol" in doc:
-        tol = _real(doc["tol"], f"{path}.tol")
-        if tol <= 0:
-            raise ProblemFileError(f"{path}.tol", "must be positive")
-        kwargs["feas_tol"] = tol
-        kwargs["stat_tol"] = tol
-    for key, target in (("max_iter", "max_iter"), ("multistart", "multistart"), ("seed", "seed")):
+    kwargs, options = {}, SolverOptions()
+    for key, fields in OPTION_FIELDS.items():
         if key in doc:
-            value = doc[key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ProblemFileError(f"{path}.{key}", "expected a nonnegative integer")
-            kwargs[target] = value
-    if "spread" in doc:
-        spread = _real(doc["spread"], f"{path}.spread")
-        if spread < 0:
-            raise ProblemFileError(f"{path}.spread", "must be nonnegative")
-        kwargs["spread"] = spread
-    for name, value in kwargs.items():  # one at a time, so that an error names its field
-        try:
-            SolverOptions(**{name: value})
-        except ValueError as exc:
-            key = "tol" if name.endswith("_tol") else name
-            raise ProblemFileError(f"{path}.{key}", str(exc)) from exc
-    return SolverOptions(**kwargs)
+            kwargs |= dict.fromkeys(fields, doc[key])
+            try:
+                options = SolverOptions(**kwargs)
+            except ValueError as exc:
+                raise ProblemFileError(f"{path}.{key}", str(exc)) from exc
+    return options
 
 
 def load_problem(source) -> LoadedProblem:
@@ -231,13 +219,7 @@ def load_problem(source) -> LoadedProblem:
         "objective": norm_objective,
         "constraint": norm_constraint,
         "k": k,
-        "options": {
-            "tol": options.stat_tol,
-            "max_iter": options.max_iter,
-            "multistart": options.multistart,
-            "seed": options.seed,
-            "spread": options.spread,
-        },
+        "options": {key: getattr(options, fields[0]) for key, fields in OPTION_FIELDS.items()},
     }
     return LoadedProblem(problem=problem, options=options, document=document)
 

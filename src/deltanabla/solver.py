@@ -89,12 +89,15 @@ class SolverOptions:
     first.  Each start runs at most max_iter Newton steps, and ends
     early at its rounding level, near a point another start has met,
     or, once a start has met, where it fails to halve ||f|| over 20
-    accepted steps (see _newton).  A ValueError names the field that is
-    out of range: a tolerance or spread that is not a real number, is a
-    bool or is too large for a float, a tolerance that is not positive
-    and finite, a count or seed that is not an int (a bool included), a
-    negative count, seed or spread, a NaN spread, or a spread whose
-    width 2·spread overflows.
+    accepted steps (see _newton).  The real fields are stored as floats,
+    so an int tolerance or spread reads back as 1.0.  This is the one
+    check of option values, for library callers and problem files
+    alike: a ValueError names the field that is out of range, a
+    tolerance or spread that is not a real number, is a bool or is too
+    large for a float, a tolerance that is not positive and finite, a
+    count or seed that is not an int (a bool included), a negative
+    count, seed or spread, a NaN spread, or a spread whose width
+    2·spread overflows.
     """
 
     feas_tol: float = 1e-8
@@ -105,17 +108,17 @@ class SolverOptions:
     spread: float = 1.0
 
     def __post_init__(self) -> None:
-        reals = {}
         for name in ("feas_tol", "stat_tol", "spread"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} {value!r} must be a real number")
             try:
-                reals[name] = float(value)
+                real = float(value)
             except OverflowError:
                 # No repr: str() of an int of over 4300 digits raises.
                 raise ValueError(f"{name} is too large for a float") from None
-            if name != "spread" and not 0.0 < reals[name] < math.inf:
+            object.__setattr__(self, name, real)
+            if name != "spread" and not 0.0 < real < math.inf:
                 raise ValueError(f"{name} {value!r} must be positive and finite")
         for name in ("max_iter", "multistart", "seed"):
             value = getattr(self, name)
@@ -123,14 +126,14 @@ class SolverOptions:
                 raise ValueError(f"{name} {value!r} must be an int")
             if value < 0:
                 raise ValueError(f"{name} {value!r} must be nonnegative")
-        spread = reals["spread"]
+        spread = self.spread
         if math.isnan(spread):
-            raise ValueError(f"spread {self.spread!r} is not a number")
+            raise ValueError(f"spread {spread!r} is not a number")
         # rng.uniform(-spread, spread) raises OverflowError on an infinite width.
         if not math.isfinite(2.0 * spread):
-            raise ValueError(f"spread {self.spread!r} is too large: 2 * spread overflows")
+            raise ValueError(f"spread {spread!r} is too large: 2 * spread overflows")
         if spread < 0:
-            raise ValueError(f"spread {self.spread!r} must be nonnegative")
+            raise ValueError(f"spread {spread!r} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -287,13 +290,7 @@ def _steps(
         steps = iter(_steps(jac[finite], f[finite], min_norm, finite[finite]))
         return [next(steps) if ok else "error: non-finite Jacobian" for ok in finite.tolist()]
     if min_norm:
-        # A zero Jacobian (an affine K) has the zero step: no SVD needed.
-        steps: list[np.ndarray | str] = list(np.zeros(f.shape))
-        nonzero = np.flatnonzero(jac.any(axis=(1, 2))).tolist()
-        if nonzero:
-            for i, step in zip(nonzero, _min_norm(_take(jac, nonzero), _take(f, nonzero))):
-                steps[i] = step
-        return steps
+        return _min_norm(jac, f)
     try:
         return list(np.linalg.solve(jac, -f[:, :, None])[:, :, 0])
     except np.linalg.LinAlgError:
@@ -306,7 +303,8 @@ def _min_norm(jac: np.ndarray, f: np.ndarray) -> list[np.ndarray | str]:
     """The minimum-norm solution of each stacked J s = -f by one stacked
     SVD (Golub and Van Loan, Matrix Computations, 5.5), with the cutoff
     of lstsq(rcond=None), which does not stack: singular values at or
-    below eps·max(M, N)·sigma_max count as zero."""
+    below eps·max(M, N)·sigma_max count as zero, so a zero matrix has
+    the zero step."""
     try:
         u, s, vt = np.linalg.svd(jac)
     except np.linalg.LinAlgError as exc:  # solve one by one: it ends only its own start
@@ -400,7 +398,7 @@ def _newton(
         f, step, trial = np.full(z.shape, np.inf), np.zeros_like(z), np.zeros_like(z)
         count = len(z)
         ends, at = [None] * count, [(None, 0)] * count  # at: (evaluation, row) accepted
-        norm, z_norm, level = [math.inf] * count, [0.0] * count, [0.0] * count
+        z_norm, level = [0.0] * count, [0.0] * count
         history = [[] for _ in range(count)]  # ||f||₂ of each start's accepted iterates
         alpha = [1.0] * count  # the step length of each start's next trial
         floor, floor_steps, iterations = [False] * count, [0] * count, [0] * count
@@ -421,7 +419,7 @@ def _newton(
                 end(i, "maxiter")
                 return False
             iterations[i] += 1
-            if norm[i] == 0.0:
+            if history[i][-1] == 0.0:
                 end(i, "ok")
                 return False
             z_norm[i] = _norm(z[i])
@@ -444,10 +442,10 @@ def _newton(
             if i in ev.errors:
                 end(i, f"error: {ev.errors[i]}")
                 continue
-            at[i], norm[i] = (ev, i), _norm(ev.f[i])
-            history[i].append(norm[i])
+            at[i] = ev, i
+            history[i].append(_norm(ev.f[i]))
             # A finite norm is a finite residual; an overflowing one may be.
-            if math.isfinite(norm[i]) or np.isfinite(ev.f[i]).all():
+            if math.isfinite(history[i][-1]) or np.isfinite(ev.f[i]).all():
                 f[i] = ev.f[i]
             else:
                 end(i, "error: non-finite residual")
@@ -468,7 +466,7 @@ def _newton(
                 jac = system.jacobian(ev.z, ev.tables, rows)
                 top = np.abs(jac).max(axis=(1, 2))  # NaN or inf where J is not finite
                 steps = _steps(jac, _take(ev.f, rows), min_norm, np.isfinite(top))
-                levels = _levels(jac, _take(ev.z, rows), [norm[i] for i in stepping],
+                levels = _levels(jac, _take(ev.z, rows), [history[i][-1] for i in stepping],
                                  [z_norm[i] for i in stepping], top)
                 for i, s, rho in zip(stepping, steps, levels):
                     level[i] = rho
@@ -493,8 +491,8 @@ def _newton(
             ev, stepping = _evaluate(system, _take(trial, running).copy()), []
             for row, i in enumerate(running):
                 # A non-finite residual's norm is inf or NaN: no decrease.
-                if row not in ev.errors and (norm_try := _norm(ev.f[row])) < norm[i]:
-                    z[i], f[i], norm[i], at[i] = trial[i], ev.f[row], norm_try, (ev, row)
+                if row not in ev.errors and (norm_try := _norm(ev.f[row])) < history[i][-1]:
+                    z[i], f[i], at[i] = trial[i], ev.f[row], (ev, row)
                     history[i].append(norm_try)
                     floor_steps[i] += floor[i]
                     if floor_steps[i] == 2:
@@ -514,12 +512,16 @@ def _newton(
 def _starts(p: IsoperimetricProblem, opts: SolverOptions) -> np.ndarray:
     """The stack of starts: the boundary interpolant, then its seeded
     perturbations.  A start that overflows is kept as it is, inf or NaN,
-    without numpy's warning: the runs end it ("non-finite iterate")."""
+    without numpy's warning: the runs end it ("non-finite iterate").  A
+    multistart too large for an array is a ValueError that names it."""
     t = p.scale.points
     rng = np.random.default_rng(opts.seed)
     with np.errstate(over="ignore", invalid="ignore"):
         base = p.alpha + (p.beta - p.alpha) * (t[1:-1] - t[0]) / (t[-1] - t[0])
-        noise = rng.uniform(-opts.spread, opts.spread, (opts.multistart, base.size))
+        try:
+            noise = rng.uniform(-opts.spread, opts.spread, (opts.multistart, base.size))
+        except (ValueError, MemoryError) as exc:
+            raise ValueError(f"multistart {opts.multistart}: too many starts for an array") from exc
         return np.concatenate((base[None], base + noise))
 
 

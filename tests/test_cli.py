@@ -261,6 +261,14 @@ def test_verify_identities_needs_a_positive_count(capsys, count):
     assert captured.err == "error: identity fuzz needs count >= 1\n"
 
 
+def test_verify_identities_needs_a_nonnegative_seed(capsys):
+    rc = main(["verify", "identities", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: identity fuzz needs seed >= 0, got -1\n"
+
+
 def test_eval(capsys):
     rc = main(["eval", "v^2 + u", "--at", "0,1,3"])
     out = capsys.readouterr().out
@@ -325,12 +333,12 @@ def test_solver_flag_overrides_reach_the_options(example_file, capsys):
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--max-iter", "-1", "options.max_iter: expected a nonnegative integer"),
-        ("--multistart", "-2", "options.multistart: expected a nonnegative integer"),
-        ("--seed", "-5", "options.seed: expected a nonnegative integer"),
-        ("--spread", "-1", "options.spread: must be nonnegative"),
+        ("--max-iter", "-1", "options.max_iter: max_iter -1 must be nonnegative"),
+        ("--multistart", "-2", "options.multistart: multistart -2 must be nonnegative"),
+        ("--seed", "-5", "options.seed: seed -5 must be nonnegative"),
+        ("--spread", "-1", "options.spread: spread -1.0 must be nonnegative"),
         ("--spread", "1e308", "options.spread: spread 1e+308 is too large: 2 * spread overflows"),
-        ("--tol", "0", "options.tol: must be positive"),
+        ("--tol", "0", "options.tol: feas_tol 0.0 must be positive and finite"),
     ],
     ids=["max-iter", "multistart", "seed", "spread", "huge-spread", "tol"],
 )
@@ -346,6 +354,16 @@ def test_bad_solver_flags_are_input_errors(
     assert rc == 1
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("multistart", [2**62, 2**63])
+def test_a_start_stack_too_large_for_an_array_names_multistart(example_file, capsys, multistart):
+    # numpy refuses both sizes before it allocates anything.
+    rc = main(["solve", example_file, "--multistart", str(multistart)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: multistart {multistart}: too many starts for an array\n"
 
 
 def test_emitted_document_with_flag_overrides_reloads_byte_for_byte(

@@ -4,6 +4,7 @@ round-trip document, and mutated documents that must either load or name
 the field at fault."""
 
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from deltanabla import (
     ProblemFileError,
+    SolverOptions,
     emit_problem,
     evaluate,
     load_problem,
@@ -75,6 +77,51 @@ def test_options_map_onto_solver_options():
     assert loaded.options.multistart == 3
     assert loaded.options.seed == 9
     assert loaded.options.spread == 0.5
+
+
+_COUNT_VALUES = [(0, 0), (7, 7), (10**400, 10**400), (-1, None), (-(10**400), None),
+                 (2.5, None), (1.0, None), (math.nan, None), (math.inf, None), (True, None),
+                 (False, None), ("3", None), (None, None), ([], None), ({}, None)]
+# Each option key, the SolverOptions fields it sets, and a fixed list of
+# values JSON can carry, each with the value the normalized document
+# holds for it, or None where the document is rejected.
+OPTION_TABLE = {
+    "tol": (("feas_tol", "stat_tol"), [
+        (1e-8, 1e-8), (1, 1.0), (1e308, 1e308), (5e-324, 5e-324), (0, None), (0.0, None),
+        (-0.0, None), (-1e-3, None), (math.nan, None), (math.inf, None), (-math.inf, None),
+        (10**400, None), (True, None), ("x", None), (None, None), ([], None), ({}, None)]),
+    "max_iter": (("max_iter",), _COUNT_VALUES),
+    "multistart": (("multistart",), _COUNT_VALUES),
+    "seed": (("seed",), _COUNT_VALUES),
+    "spread": (("spread",), [
+        (0, 0.0), (-0.0, -0.0), (0.5, 0.5), (2, 2.0), (1e-300, 1e-300),
+        # the largest spread whose width 2·spread is finite, and the next float
+        (8.988465674311579e307, 8.988465674311579e307), (8.98846567431158e307, None),
+        (1e308, None), (-1, None), (-1e-300, None), (math.nan, None), (math.inf, None),
+        (-math.inf, None), (10**400, None), (-(10**400), None), (True, None), ("x", None),
+        (None, None), ([], None)]),
+}
+
+
+@pytest.mark.parametrize("key, fields, value, normalized", [
+    pytest.param(key, fields, value, normalized, id=f"{key}={value!r:.12}")
+    for key, (fields, values) in OPTION_TABLE.items() for value, normalized in values
+])
+def test_each_option_value_is_accepted_or_named(key, fields, value, normalized):
+    doc = base_doc()
+    doc["options"] = {key: value}
+    if normalized is None:
+        with pytest.raises(ProblemFileError) as exc:
+            load_problem(doc)
+        assert str(exc.value).startswith(f"options.{key}: ")
+        return
+    loaded = load_problem(doc)
+    # repr tells 1 from 1.0 and -0.0 from 0.0
+    assert repr(loaded.options) == repr(
+        dataclasses.replace(SolverOptions(), **dict.fromkeys(fields, normalized)))
+    assert repr(loaded.document["options"][key]) == repr(normalized)
+    line = rf'^    "{key}": {re.escape(json.dumps(normalized))},?$'
+    assert re.search(line, emit_problem(loaded), re.MULTILINE)
 
 
 @pytest.mark.parametrize(

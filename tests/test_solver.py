@@ -279,9 +279,9 @@ def test_abnormal_candidate_keeps_an_undefined_objective_as_nan():
 
 def test_zero_hessian_takes_the_zero_step_without_lstsq(monkeypatch):
     # example_problem's constraint is affine in y, so its Hessian is
-    # zero: the abnormal search's Newton runs take the zero step without
-    # an SVD (find_abnormal decides this problem without them).  A
-    # constraint with a Hessian makes one stacked SVD per round for all
+    # zero: the abnormal search's Newton runs take the zero step of the
+    # stacked SVD and end at their starts (find_abnormal decides this
+    # problem without them).  Every round makes one stacked SVD for all
     # its starts, and lstsq is never called.
     calls = {"svd": 0, "rounds": 0}
     svd, steps = np.linalg.svd, solver._steps
@@ -304,7 +304,8 @@ def test_zero_hessian_takes_the_zero_step_without_lstsq(monkeypatch):
     z0 = solver._starts(p, opts)
     runs = solver._newton(solver._abnormal_system(p), z0, opts, True, _met_of(p, opts))
     assert not any(solver._met(run, p, opts) for run in runs)
-    assert calls["svd"] == 0 and calls["rounds"] > 0
+    assert all((run.z == start).all() for run, start in zip(runs, z0))
+    assert 0 < calls["svd"] <= calls["rounds"]
     calls.update(svd=0, rounds=0)
     assert find_abnormal(_constraint_extremal_problem())
     assert 0 < calls["svd"] <= calls["rounds"]
