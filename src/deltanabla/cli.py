@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .expressions import EvaluationError, evaluate, make_lagrangian, to_str
-from .functional import bracket_values, eval_functional, iso_bracket, residual_pair
+from .functional import EL1, el_residual, eval_functional, iso_residual
 from .functional import tables_bracket, tables_or_nan
 from .oracle import identity_fuzz, verify_example
 from .problemfile import OPTION_FIELDS, LoadedProblem, emit_problem, load_problem
@@ -196,20 +196,21 @@ def cmd_residual(args: argparse.Namespace) -> int:
     y = GridFunction(p.scale, values)
 
     with_multiplier = args.lam is not None
+    # EL1 and EL2 read one bracket array, so they share their defect and
+    # constant: one report serves both.
     if with_multiplier:
-        bracket = iso_bracket(p.objective, p.constraint, y, args.lam0, args.lam)
+        report = iso_residual(p.objective, p.constraint, y, args.lam0, args.lam, EL1)
     else:
-        bracket = bracket_values(p.objective, y)
-    r1, r2 = residual_pair(bracket, p.scale)
+        report = el_residual(p.objective, y, EL1)
     con = eval_functional(p.constraint, y)
     gap = abs(con.product - p.k)
     feasible = gap <= loaded.options.feas_tol
     classification = None
     if with_multiplier:
-        tol = loaded.options.stat_tol
-        stationary = r1.defect <= tol and r2.defect <= tol
+        stationary = report.defect <= loaded.options.stat_tol
         classification = "stationary" if stationary else "not stationary"
-    rows = _point_rows(y, bracket)
+    rows = _point_rows(y, report.residual.values)
+    residual = {"defect": report.defect, "constant_estimate": report.constant_estimate}
     payload = {
         "command": "residual",
         "problem": loaded.document,
@@ -222,14 +223,8 @@ def cmd_residual(args: argparse.Namespace) -> int:
             "gap": gap,
             "feasible": feasible,
         },
-        "EL1": {
-            "defect": r1.defect,
-            "constant_estimate": r1.constant_estimate,
-        },
-        "EL2": {
-            "defect": r2.defect,
-            "constant_estimate": r2.constant_estimate,
-        },
+        "EL1": residual,
+        "EL2": residual,
         "classification": classification,
         "rows": rows,
     }
@@ -244,14 +239,9 @@ def cmd_residual(args: argparse.Namespace) -> int:
     if not feasible:
         lines.append(f"warning: constraint gap {_fmt(gap)} exceeds tol "
                      f"{_fmt(loaded.options.feas_tol)}")
-    lines.append(
-        f"EL1: defect {_fmt(r1.defect)} "
-        f"constant {_fmt(r1.constant_estimate)}"
-    )
-    lines.append(
-        f"EL2: defect {_fmt(r2.defect)} "
-        f"constant {_fmt(r2.constant_estimate)}"
-    )
+    for form in ("EL1", "EL2"):
+        lines.append(f"{form}: defect {_fmt(report.defect)} "
+                     f"constant {_fmt(report.constant_estimate)}")
     if with_multiplier:
         lines.append(f"classification: {classification}")
     _emit(args.output, payload, lines, rows)

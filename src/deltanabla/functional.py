@@ -399,17 +399,6 @@ def _form_points(scale: TimeScale, form: Form) -> np.ndarray:
     raise ValueError(f"unknown residual form {form!r}")
 
 
-def residual_pair(
-    values: np.ndarray, scale: TimeScale
-) -> tuple[ResidualReport, ResidualReport]:
-    """EL1 and EL2 reports of one bracket array, read on their two
-    subgrids of the scale.  Their defects are equal by construction."""
-    return (
-        _report(values, _form_points(scale, EL1), EL1),
-        _report(values, _form_points(scale, EL2), EL2),
-    )
-
-
 def el_residual(
     functional: DeltaNablaFunctional, y: GridFunction, form: Form
 ) -> ResidualReport:
@@ -471,5 +460,6 @@ def is_extremal_for_K(
         raise ValueError("tolerance must be positive")
     if len(y) < 3:
         raise ValueError("residual evaluation needs at least 3 points")
-    el1, el2 = residual_pair(bracket_values(constraint, y), y.scale)
+    values = bracket_values(constraint, y)
+    el1, el2 = (_report(values, _form_points(y.scale, form), form) for form in (EL1, EL2))
     return ExtremalCheck(el1.defect <= tol, el1, el2)

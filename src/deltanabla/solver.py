@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Literal, NamedTuple
 
 import numpy as np
@@ -201,14 +201,16 @@ a start that crawls for 19 steps and then converges within 25."""
 
 class _System(NamedTuple):
     """A square Newton system in z, read from the slot tables of its
-    functionals at the function values(z) on the points: for a stack of
-    points z and the tables stacked over its rows, residual(z, tables)
-    gives f row by row and jacobian(z, tables, rows) the stacked
-    Jacobians of f at the given rows (an increasing list)."""
+    functionals at the functions of p whose interior values are the
+    first p.interior_count() entries of z: for a stack of points z and
+    the tables stacked over its rows, residual(z, tables) gives f row by
+    row and jacobian(z, tables, rows) the stacked Jacobians of f at the
+    given rows (an increasing list).  min_norm picks the search's step:
+    the minimum-norm step of _min_norm, or else np.linalg.solve's."""
 
     functionals: tuple[DeltaNablaFunctional, ...]
-    points: np.ndarray
-    values: Callable[[np.ndarray], np.ndarray]
+    p: IsoperimetricProblem
+    min_norm: bool
     residual: Callable[[np.ndarray, tuple[SlotTables, ...]], np.ndarray]
     jacobian: Callable[[np.ndarray, tuple[SlotTables, ...], list[int]], np.ndarray]
 
@@ -231,10 +233,11 @@ def _evaluate(system: _System, z: np.ndarray) -> _Evaluation:
     call.  A row with a non-finite entry is a "non-finite iterate";
     any other row where a functional is undefined has the message of
     the first such functional."""
-    values = system.values(z)
+    p = system.p
+    values = p._values(z[:, :p.interior_count()])
     tables, errors = [], {}
     for functional in system.functionals:
-        tab, undefined = row_tables(functional, system.points, values)
+        tab, undefined = row_tables(functional, p.scale.points, values)
         tables.append(tab)
         errors = undefined | errors
     if not np.isfinite(z).all():
@@ -281,22 +284,27 @@ def _norm(x: np.ndarray) -> float:
 def _steps(
     jac: np.ndarray, f: np.ndarray, min_norm: bool, finite: np.ndarray
 ) -> list[np.ndarray | str]:
-    """The Newton step for each stacked Jacobian and residual row, or the
-    status that ends its start: a Jacobian that is not finite (finite
-    marks those that are) is an error, and a singular one ends
-    np.linalg.solve's step.  With min_norm the step is the minimum-norm
-    step of _min_norm, which only a failed SVD ends."""
+    """The Newton step for each stacked Jacobian and residual row, by
+    one stacked solve, or the status that ends its start: a Jacobian
+    that is not finite (finite marks those that are) is an error.  The
+    step is np.linalg.solve's, or with min_norm the minimum-norm step of
+    _min_norm.  One matrix that fails the stacked solve (a singular one,
+    or for _min_norm one whose SVD fails) fails the whole stack, which
+    is then solved matrix by matrix, each as a stack of one, so that
+    the matrix ends only its own start: "singular", or "error: ..."
+    with the SVD's message."""
     if not finite.all():
         steps = iter(_steps(jac[finite], f[finite], min_norm, finite[finite]))
         return [next(steps) if ok else "error: non-finite Jacobian" for ok in finite.tolist()]
-    if min_norm:
-        return _min_norm(jac, f)
     try:
+        if min_norm:
+            return _min_norm(jac, f)
         return list(np.linalg.solve(jac, -f[:, :, None])[:, :, 0])
-    except np.linalg.LinAlgError:
-        # One singular matrix fails the whole stack: solve one by one, so
-        # that it ends only its own start.
-        return [_solve(a, b) for a, b in zip(jac, f)]
+    except np.linalg.LinAlgError as exc:
+        if len(jac) == 1:
+            return [f"error: {exc}" if min_norm else "singular"]
+        return [step for i in range(len(jac))
+                for step in _steps(jac[i : i + 1], f[i : i + 1], min_norm, finite[i : i + 1])]
 
 
 def _min_norm(jac: np.ndarray, f: np.ndarray) -> list[np.ndarray | str]:
@@ -305,11 +313,7 @@ def _min_norm(jac: np.ndarray, f: np.ndarray) -> list[np.ndarray | str]:
     of lstsq(rcond=None), which does not stack: singular values at or
     below eps·max(M, N)·sigma_max count as zero, so a zero matrix has
     the zero step."""
-    try:
-        u, s, vt = np.linalg.svd(jac)
-    except np.linalg.LinAlgError as exc:  # solve one by one: it ends only its own start
-        return [f"error: {exc}"] if len(jac) == 1 else [
-            step for i in range(len(jac)) for step in _min_norm(jac[i : i + 1], f[i : i + 1])]
+    u, s, vt = np.linalg.svd(jac)
     keep = s > _EPS * max(jac.shape[1:]) * s[:, :1]
     coef = np.divide(np.swapaxes(u, 1, 2) @ -f[:, :, None], s[:, :, None],
                      out=np.zeros(f.shape + (1,)), where=keep[:, :, None])
@@ -341,26 +345,14 @@ def _levels(
     return levels
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | str:
-    try:
-        return np.linalg.solve(a, -b)
-    except np.linalg.LinAlgError:
-        return "singular"
-
-
-def _newton(
-    system: _System,
-    z0: np.ndarray,
-    opts: SolverOptions,
-    min_norm: bool,
-    met: Callable[[_NewtonRun], bool],
-) -> list[_NewtonRun]:
-    """Damped Newton on a square system from every row of the stack z0:
-    np.linalg.solve steps, which a singular Jacobian ends, or with
-    min_norm the minimum-norm step of _min_norm, which it does not.
-    Each step search starts at twice the last accepted step length, at
-    most 1, and halves it until ||f|| decreases (a trial whose ||f||
-    overflows never does).  A start iterates until its search fails or
+def _newton(system: _System, z0: np.ndarray, opts: SolverOptions) -> list[_NewtonRun]:
+    """Damped Newton on a square system from every row of the stack z0,
+    with the steps the system declares (see _steps): np.linalg.solve
+    steps, which a singular Jacobian ends, or with system.min_norm the
+    minimum-norm step of _min_norm, which it does not.  Each step search
+    starts at twice the last accepted step length, at most 1, and
+    halves it until ||f|| decreases (a trial whose ||f|| overflows
+    never does).  A start iterates until its search fails or
     its step is below the rounding level of its iterate, which polishes
     roots to rounding level.  Every step comes with the rounding level
     rho of its system (see _levels); where ||f||∞ <= rho the search
@@ -379,18 +371,17 @@ def _newton(
     scalar, and each start's ||f|| history, one entry per accepted
     iterate.  After one evaluation of the starts, a round (1) ends
     "duplicate" each start that asks for a step within _RADIUS of the
-    iterate of a run that has ended and passed the search's acceptance
-    test met, which must reject a duplicate; (2) gives each other such
-    start its step and level, from one stacked Jacobian over the last
-    evaluation's rows and one stacked solve, and its trial point; (3)
-    evaluates every running start's trial point, in start order, in one
-    system call; (4) moves each start whose trial decreased ||f|| and
-    gives each other start its next trial point at once, so that a
-    start whose search fails ends before the next duplicate test.  Apart
-    from the duplicate and slow ends, no start's numbers depend on
-    another's, so every run not ended "duplicate" or "slow" is, bit for
-    bit, the run its start makes alone, and a slow run is that run cut
-    short.
+    iterate of a run that has ended and is met (_met, on the system's
+    problem); (2) gives each other such start its step and level, from
+    one stacked Jacobian over the last evaluation's rows and one stacked
+    solve, and its trial point; (3) evaluates every running start's
+    trial point, in start order, in one system call; (4) moves each
+    start whose trial decreased ||f|| and gives each other start its
+    next trial point at once, so that a start whose search fails ends
+    before the next duplicate test.  Apart from the duplicate and slow
+    ends, no start's numbers depend on another's, so every run not
+    ended "duplicate" or "slow" is, bit for bit, the run its start makes
+    alone, and a slow run is that run cut short.
     """
     with np.errstate(all="ignore"):  # the runs catch the non-finite values numpy warns of
         z = np.array(z0, dtype=float)
@@ -409,7 +400,7 @@ def _newton(
 
         def end(i: int, status: str) -> None:
             ends[i] = run = _NewtonRun(z[i], f[i], iterations[i], status, *at[i], level[i])
-            if met(run):
+            if _met(run, system.p, opts):
                 kept.append(i)
                 lengths.append(_norm(z[i]))
 
@@ -465,7 +456,7 @@ def _newton(
                 rows = [at[i][1] for i in stepping]
                 jac = system.jacobian(ev.z, ev.tables, rows)
                 top = np.abs(jac).max(axis=(1, 2))  # NaN or inf where J is not finite
-                steps = _steps(jac, _take(ev.f, rows), min_norm, np.isfinite(top))
+                steps = _steps(jac, _take(ev.f, rows), system.min_norm, np.isfinite(top))
                 levels = _levels(jac, _take(ev.z, rows), [history[i][-1] for i in stepping],
                                  [z_norm[i] for i in stepping], top)
                 for i, s, rho in zip(stepping, steps, levels):
@@ -536,6 +527,16 @@ def _met(run: _NewtonRun, p: IsoperimetricProblem, opts: SolverOptions) -> bool:
         and float(np.max(np.abs(run.f[:n]))) <= max(opts.stat_tol, run.level)
         and abs(run.value(-1) - p.k) <= opts.feas_tol
     )
+
+
+def _distinct(runs: list[_NewtonRun], n: int) -> list[_NewtonRun]:
+    """The runs whose first n unknowns, the interior values, are not
+    within _RADIUS (∞-norm) of those of an earlier run kept."""
+    kept: list[_NewtonRun] = []
+    for run in runs:
+        if not any(np.max(np.abs(run.z[:n] - k.z[:n])) <= _RADIUS for k in kept):
+            kept.append(run)
+    return kept
 
 
 def _answer(
@@ -612,17 +613,14 @@ def _normal_system(p: IsoperimetricProblem) -> _System:
         jac[:, n, :n] = grad
         return jac
 
-    return _System(
-        (p.objective, p.constraint), p.scale.points, lambda z: p._values(z[:, :n]),
-        residual, jacobian,
-    )
+    return _System((p.objective, p.constraint), p, False, residual, jacobian)
 
 
 def _abnormal_system(p: IsoperimetricProblem) -> _System:
     """The square system grad(constraint) = 0 in the interior values,
     whose Jacobian is the constraint's Hessian."""
     return _System(
-        (p.constraint,), p.scale.points, p._values,
+        (p.constraint,), p, True,
         lambda z, tables: tables[0].grad,
         lambda z, tables, rows: tables[0].hessian(rows),
     )
@@ -648,21 +646,15 @@ def solve_normal(
 
     starts = _starts(p, opts)
     z0 = np.concatenate((starts, np.zeros((len(starts), 1))), axis=1)
-    runs = _newton(_normal_system(p), z0, opts, False, partial(_met, p=p, opts=opts))
+    runs = _newton(_normal_system(p), z0, opts)
 
     converged = [run for run in runs if _met(run, p, opts)]
-    points: list[StationaryPoint] = []
-    for run in converged:
-        values = run.z[:n]
-        if any(np.max(np.abs(values - sp.values)) <= _RADIUS for sp in points):
-            continue
-        points.append(StationaryPoint(values.copy(), float(run.z[n]), run.value(0)))
     if converged:
+        points = tuple(StationaryPoint(run.z[:n].copy(), float(run.z[n]), run.value(0))
+                       for run in _distinct(converged, n))
         best = min(converged, key=lambda run: run.value(0))
-        lam = float(best.z[n])
-        return _answer(
-            p, *best.tables, 1.0, lam, best.iterations, opts, best.level, tuple(points)
-        )
+        return _answer(p, *best.tables, 1.0, float(best.z[n]), best.iterations, opts,
+                       best.level, points)
 
     # No start converged: report the best finite iterate for inspection.
     statuses = "; ".join(f"start {i}: {run.status}" for i, run in enumerate(runs))
@@ -751,36 +743,34 @@ def find_abnormal(
     Newton step.  Otherwise the search solves grad(constraint) = 0 for
     the interior values by Newton steps of minimum norm, which a
     singular Hessian (low rank, or a line of extremals) does not stop,
-    then keeps the points within feas_tol of the level k.  Every
-    distinct one must also make the constraint's bracket constant within
-    max(stat_tol, the run's rounding level), the test of
-    is_extremal_for_K, read from the constraint as the run last
-    evaluated it; only then is the objective evaluated, once, for the
-    answer.  An empty list from the decision is a proof that no start
-    can end at an abnormal point; from the search it means only that no
-    start found one.
+    then keeps the points within feas_tol of the level k that also make
+    the constraint's bracket constant within max(stat_tol, the run's
+    rounding level), the test of is_extremal_for_K, read from the
+    constraint as the run last evaluated it.  Only at each distinct one
+    (see _distinct) is the objective evaluated, once, for the answer.
+    An empty list from the decision is a proof that no start can end at
+    an abnormal point; from the search it means only that no start
+    found one.
     """
     opts = opts or SolverOptions()
-    t = p.scale.points
     starts = _starts(p, opts)
     if _none_met(p, opts, starts):
         return []
 
-    found: list[SolveResult] = []
-    for run in _newton(_abnormal_system(p), starts, opts, True, partial(_met, p=p, opts=opts)):
-        if not _met(run, p, opts):
-            continue
-        if any(np.max(np.abs(run.z - r.y.values[1:-1])) <= _RADIUS for r in found):
-            continue
-        [con] = run.tables
-        with np.errstate(all="ignore"):  # a non-finite bracket fails the test
-            if not bracket_defect(tables_bracket(con)) <= max(opts.stat_tol, run.level):
-                continue
-        # The candidate is abnormal whatever the objective does there; a
-        # NaN certificate keeps it from converging.
-        obj = tables_or_nan(p.objective, t, con.values)
-        found.append(_answer(p, obj, con, 0.0, 1.0, run.iterations, opts, run.level))
-    return found
+    candidates = []
+    for run in _newton(_abnormal_system(p), starts, opts):
+        if _met(run, p, opts):
+            with np.errstate(all="ignore"):  # a non-finite bracket fails the test
+                defect = bracket_defect(tables_bracket(run.tables[0]))
+            if defect <= max(opts.stat_tol, run.level):
+                candidates.append(run)
+    # A candidate is abnormal whatever the objective does there; a NaN
+    # certificate keeps it from converging.
+    return [
+        _answer(p, tables_or_nan(p.objective, p.scale.points, run.tables[0].values),
+                *run.tables, 0.0, 1.0, run.iterations, opts, run.level)
+        for run in _distinct(candidates, p.interior_count())
+    ]
 
 
 # ---------------------------------------------------------------------------

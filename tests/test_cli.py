@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltanabla import cli
 from deltanabla.cli import main
+from deltanabla.oracle import IdentityFuzz
 from deltanabla.problemfile import load_problem
 
 
@@ -250,6 +252,18 @@ def test_verify_identities(capsys):
     assert rc == 0
     assert "result: PASS" in out
     assert "8 identities" in out
+
+
+def test_verify_identities_prints_each_failure(capsys, monkeypatch):
+    failed = IdentityFuzz(seed=0, count=1, identities=8, max_rel_error=0.5, passed=False,
+                          failures=("trial 0: first", "trial 0: second"))
+    monkeypatch.setattr(cli, "identity_fuzz", lambda seed, count: failed)
+    rc = main(["verify", "identities", "--count", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ""
+    assert captured.out.splitlines()[-3:] == [
+        "FAIL trial 0: first", "FAIL trial 0: second", "result: FAIL"]
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

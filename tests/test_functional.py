@@ -129,6 +129,19 @@ def test_el_residual_needs_an_interior_point():
     F = DeltaNablaFunctional(make_lagrangian("v^2"), make_lagrangian("v^2"))
     with pytest.raises(ValueError):
         el_residual(F, y, EL2)
+    with pytest.raises(ValueError, match="^residual evaluation needs at least 3 points$"):
+        iso_residual(F, F, y, 1.0, 1.0, EL2)
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^tolerance must be positive$"):
+            is_extremal_for_K(F, y, tol)
+    with pytest.raises(ValueError, match="^residual evaluation needs at least 3 points$"):
+        is_extremal_for_K(F, y)
+
+
+def test_el_residual_names_an_unknown_form(m3):
+    p, y, _ = m3
+    with pytest.raises(ValueError, match="^unknown residual form 'EL3'$"):
+        el_residual(p.objective, y, "EL3")
 
 
 def test_an_overflowing_bracket_is_an_evaluation_error_naming_form_and_point():

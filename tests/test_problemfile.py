@@ -155,6 +155,9 @@ def test_each_option_value_is_accepted_or_named(key, fields, value, normalized):
         (lambda d: d.__setitem__("extra", 1), "extra"),
         (lambda d: d.__setitem__("options", {"tol": "tight"}), "options.tol"),
         (lambda d: d.__setitem__("timescale", {"points": [0.0, 1.0, 1.0]}), "timescale.points"),
+        # an empty or reversed interval
+        (lambda d: d.__setitem__("timescale", {"uniform": {"a": 2, "b": 2, "n": 4}}), "timescale.uniform"),
+        (lambda d: d.__setitem__("timescale", {"uniform": {"a": 2, "b": 1, "n": 4}}), "timescale.uniform"),
         # b - a overflows: the points are not finite
         (lambda d: d.__setitem__("timescale", {"uniform": {"a": -1e308, "b": 1e308, "n": 4}}), "timescale.uniform"),
         # the step rounds to zero: the points are not strictly increasing
@@ -200,6 +203,14 @@ def test_interior_point_error_message():
 def test_malformed_json_text_is_reported():
     with pytest.raises(ProblemFileError):
         load_problem("{not json")
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"timescale"', "null"])
+def test_a_top_level_json_value_that_is_no_object_is_reported(tmp_path, text):
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    with pytest.raises(ProblemFileError, match="^document: top level must be an object$"):
+        load_problem(path)
 
 
 def test_emit_round_trip_is_byte_stable(tmp_path):

@@ -5,6 +5,7 @@ family."""
 
 import warnings
 from dataclasses import fields, replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -164,6 +165,19 @@ def test_problem_assemble_and_interior_count():
     assert np.array_equal(y.values, [0.0, 7.0, 9.0, 3.0])
 
 
+def test_a_problem_needs_interior_points_and_finite_data():
+    p = example_problem(3)
+    two = TimeScale(np.array([0.0, 3.0]))
+    with pytest.raises(ValueError, match="^isoperimetric problem needs interior points$"):
+        replace(p, scale=two)
+    for name in ("alpha", "beta", "k"):
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                replace(p, **{name: value})
+    with pytest.raises(ValueError, match="^gradient needs at least one interior point$"):
+        discrete_gradient(p.objective, GridFunction(two, np.array([0.0, 3.0])))
+
+
 def test_solver_is_deterministic():
     opts = SolverOptions(seed=123, multistart=6)
     r1 = solve_normal(example_problem(4), opts)
@@ -302,7 +316,7 @@ def test_zero_hessian_takes_the_zero_step_without_lstsq(monkeypatch):
     monkeypatch.setattr(solver, "_steps", counting_steps)
     p, opts = example_problem(8), SolverOptions()
     z0 = solver._starts(p, opts)
-    runs = solver._newton(solver._abnormal_system(p), z0, opts, True, _met_of(p, opts))
+    runs = solver._newton(solver._abnormal_system(p), z0, opts)
     assert not any(solver._met(run, p, opts) for run in runs)
     assert all((run.z == start).all() for run, start in zip(runs, z0))
     assert 0 < calls["svd"] <= calls["rounds"]
@@ -361,7 +375,7 @@ def test_no_abnormal_start_runs_to_max_iter():
         p = _random_small_problem(rng)
         assert find_abnormal(p, opts) == []
         z0 = solver._starts(p, opts)
-        runs.extend(solver._newton(solver._abnormal_system(p), z0, opts, True, _met_of(p, opts)))
+        runs.extend(solver._newton(solver._abnormal_system(p), z0, opts))
         assert not any(solver._met(run, p, opts) for run in runs[-len(z0):])
     assert len(runs) == 6 * 9
     assert [run.status for run in runs if run.status == "maxiter"] == []
@@ -785,7 +799,8 @@ def _abnormal_document_problem():
 def test_a_singular_start_ends_alone_in_a_stacked_solve(monkeypatch):
     # Start 0 is the constant interpolant, where the bordered Jacobian is
     # singular.  Its matrix fails the first round's stacked solve, which
-    # is then solved matrix by matrix: only start 0 ends.
+    # is then solved matrix by matrix, each as a stack of one: only
+    # start 0 ends.
     failed_stacks = []
     solve = np.linalg.solve
 
@@ -802,7 +817,23 @@ def test_a_singular_start_ends_alone_in_a_stacked_solve(monkeypatch):
         "start 0: singular; start 1: maxiter; start 2: maxiter; start 3: maxiter; "
         "start 4: maxiter"
     )
-    assert failed_stacks == [5, None]
+    assert failed_stacks == [5, 1]
+
+
+def test_find_abnormal_drops_a_met_start_whose_bracket_is_not_constant():
+    # With no Newton step, start 0 (the constant interpolant) is an
+    # abnormal point, and start 3 meets _met at stat_tol 4.7
+    # (||grad K||∞ 4.52, |K| 0.47) but its bracket defect is 4.86: it is
+    # a candidate at stat_tol 5.0 and not at 4.7, where the answer is
+    # start 0's alone, as it is at 5.0.
+    p = _abnormal_document_problem()
+    opts = SolverOptions(multistart=4, max_iter=0, stat_tol=5.0, feas_tol=0.5)
+    base, other = find_abnormal(p, opts)
+    assert np.array_equal(base.y.values, np.ones(5))
+    assert other.y.values[1:-1].tobytes() == solver._starts(p, opts)[3].tobytes()
+    assert other.kkt_residual_norm <= 4.7 < other.el_defect <= 5.0
+    assert abs(other.constraint_value.product - p.k) <= opts.feas_tol
+    assert _results_bytes(find_abnormal(p, replace(opts, stat_tol=4.7))) == _results_bytes([base])
 
 
 def _log_problem():
@@ -841,11 +872,6 @@ def test_an_undefined_trial_point_rejects_only_its_own_trial(monkeypatch):
     assert solve_normal(p, opts).converged
 
 
-def _met_of(p, opts):
-    """The acceptance test both searches pass to their Newton runs."""
-    return lambda run: solver._met(run, p, opts)
-
-
 def _runs_match_each_start_alone(p, opts, min_norm, z0=None):
     """The runs of one batch from the problem's starts (or z0), each
     checked against its start run as a batch of one: a run not ended
@@ -859,11 +885,11 @@ def _runs_match_each_start_alone(p, opts, min_norm, z0=None):
         z0 = solver._starts(p, opts)
         if not min_norm:
             z0 = np.concatenate((z0, np.zeros((len(z0), 1))), axis=1)
-    met = _met_of(p, opts)
-    runs = solver._newton(system, z0, opts, min_norm, met)
+    met = partial(solver._met, p=p, opts=opts)
+    runs = solver._newton(system, z0, opts)
     assert len(runs) == len(z0)
     kept = [run.z for run in runs if met(run)]
-    alones = [solver._newton(system, start[None], opts, min_norm, met)[0] for start in z0]
+    alones = [solver._newton(system, start[None], opts)[0] for start in z0]
     for run, alone, start in zip(runs, alones, z0):
         if run.status == "duplicate":
             assert not met(run)
@@ -874,7 +900,7 @@ def _runs_match_each_start_alone(p, opts, min_norm, z0=None):
             assert kept
             assert run.iterations <= alone.iterations
             alone = solver._newton(
-                system, start[None], replace(opts, max_iter=run.iterations), min_norm, met)[0]
+                system, start[None], replace(opts, max_iter=run.iterations))[0]
             assert run.z.tobytes() == alone.z.tobytes()
             assert run.f.tobytes() == alone.f.tobytes()
             continue
@@ -1007,7 +1033,7 @@ def test_a_slow_start_that_converges_is_spared():
     assert (runs[3].status, runs[3].iterations) == ("ok", 25)
     z0 = np.append(solver._starts(p, opts)[3], 0.0)[None]
     short = replace(opts, max_iter=solver._WINDOW)
-    early = solver._newton(solver._normal_system(p), z0, short, False, _met_of(p, opts))[0]
+    early = solver._newton(solver._normal_system(p), z0, short)[0]
     assert early.status == "maxiter"
     assert not solver._met(early, p, opts)
 
@@ -1029,7 +1055,7 @@ def test_a_crawling_start_alone_goes_on_to_its_answer(problem, opts, start, iter
     runs, alones = _runs_match_each_start_alone(p, opts, min_norm=False)
     assert runs[start].status == "slow"
     assert "slow" not in [run.status for run in alones]
-    assert all(_met_of(p, opts)(run) for run in alones)
+    assert all(solver._met(run, p, opts) for run in alones)
     assert alones[start].iterations == iterations
     if start == 0:  # the start multistart=0 runs alone
         res = solve_normal(p, replace(opts, multistart=0))
@@ -1062,7 +1088,7 @@ def test_starts_that_reach_one_point_end_as_duplicates(problem, points):
     p, opts = problem(), SolverOptions()
     n = p.interior_count()
     runs, alones = _runs_match_each_start_alone(p, opts, min_norm=False)
-    met = _met_of(p, opts)
+    met = partial(solver._met, p=p, opts=opts)
     assert sum(run.status == "duplicate" for run in runs) >= len(runs) // 2
     res = solve_normal(p, opts)
     winner = min((run for run in runs if met(run)), key=lambda run: run.value(0))
@@ -1235,7 +1261,7 @@ def test_runs_slice_their_products_only_when_read(problem, opts, monkeypatch):
         if not min_norm:
             z0 = np.concatenate((z0, np.zeros((len(z0), 1))), axis=1)
         system = (solver._abnormal_system if min_norm else solver._normal_system)(p)
-        runs = solver._newton(system, z0, opts, min_norm, _met_of(p, opts))
+        runs = solver._newton(system, z0, opts)
         assert sliced == []
         for run in runs:
             if run.ev is None:
@@ -1256,7 +1282,7 @@ def test_a_failed_svd_ends_only_its_own_start(monkeypatch):
     p = _constraint_extremal_problem()
     opts = SolverOptions()
     system, z0 = solver._abnormal_system(p), solver._starts(p, opts)
-    unpatched = solver._newton(system, z0, opts, True, _met_of(p, opts))
+    unpatched = solver._newton(system, z0, opts)
     svd = np.linalg.svd
     marked = []
 
@@ -1268,7 +1294,7 @@ def test_a_failed_svd_ends_only_its_own_start(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", failing)
-    runs = solver._newton(system, z0, opts, True, _met_of(p, opts))
+    runs = solver._newton(system, z0, opts)
     ended = [i for i, run in enumerate(runs) if run.status.startswith("error")]
     assert len(ended) == 1
     assert runs[ended[0]].status == "error: SVD did not converge"
@@ -1355,12 +1381,11 @@ def test_step_search_counts_an_overflowing_norm_as_no_decrease(f0, jac):
     def jacobian(z, products, rows):
         return np.array([jac] * len(z[rows]))
 
-    system = solver._System((), np.arange(3.0), lambda z: z, residual, jacobian)
+    # No functionals: the problem only sizes the values no table reads.
+    system = solver._System((), example_problem(3), False, residual, jacobian)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        [run] = solver._newton(
-            system, np.zeros((1, len(f0))), SolverOptions(), False, lambda run: False
-        )
+        [run] = solver._newton(system, np.zeros((1, len(f0))), SolverOptions())
     assert run.status == "stalled"
     assert run.iterations == 1
     assert not run.z.any()
@@ -1517,7 +1542,7 @@ def test_a_start_at_its_answer_ends_at_its_rounding_level(monkeypatch):
         return evaluate(system, points)
 
     monkeypatch.setattr(solver, "_evaluate", counting)
-    [run] = solver._newton(solver._normal_system(p), z[None], opts, False, _met_of(p, opts))
+    [run] = solver._newton(solver._normal_system(p), z[None], opts)
     assert run.status == "stalled"
     assert run.iterations <= 2
     assert sum(evaluated) <= 3
