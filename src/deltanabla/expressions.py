@@ -5,10 +5,10 @@ time point, ``u`` the shifted state value, and ``v`` the corresponding
 difference quotient.  The module parses such text into a tiny AST,
 evaluates it, and differentiates it symbolically with respect to ``u``
 or ``v``.  evaluate() walks the tree at one point and is the reference;
-each Lagrangian compiles its six trees into straight-line numpy over
-stacked slot arrays, which gives evaluate()'s numbers bit for bit (up
-to the sign and payload of a NaN) and marks, per tree, the slots where
-evaluate() raises.
+compile_kernel turns the trees of both sides of a functional into one
+straight-line numpy kernel over stacked slot arrays, which gives
+evaluate()'s numbers bit for bit (up to the sign and payload of a NaN)
+and marks, per tree, the slots where evaluate() raises.
 Grammar, lowest precedence first:
 
     expr   := term (('+' | '-') term)*
@@ -461,26 +461,20 @@ def differentiate(e: Expr, var: str) -> Expr:
 # ---------------------------------------------------------------------------
 # Compiled kernels
 #
-# evaluate() walks a tree once per point, and the solver evaluates the same
-# trees of a Lagrangian at every slot of every iterate.  So each Lagrangian
-# is also compiled, on first use, into straight-line numpy: one assignment
-# per distinct node of its six trees (value, d_u, d_v and the three second
-# partials), each over the whole slot arrays, whose rows may be the slots
-# of several functions on one scale, with evaluate()'s numbers bit for
-# bit, up to the sign and payload of a NaN, which IEEE 754 leaves to the
-# implementation (numpy's loops and the Python walk may propagate a NaN
-# operand's sign differently): + - * / and negation are numpy's IEEE
-# operations, and ** and the math functions run slot by slot through
-# evaluate()'s Python and libm calls (numpy's array power, exp and log
-# round differently in the last bit); constant subtrees stay Python
-# floats.  + - * overflow to inf or
-# NaN silently (under np.errstate), as Python floats do.  Where evaluate()
-# raises (a zero divisor, 0.0 to a negative power, a math function out of
-# its domain or range), a kernel writes NaN and puts the slots on its list
-# of undefined slots with the roots that read the node, so that a NaN
+# The trees of a functional are compiled, on first use, into straight-line
+# numpy (compile_kernel): one assignment per distinct node of all its
+# trees over whole slot arrays, whose rows may be the slots of several
+# functions on one scale.  Each side has its own t and u and all share v,
+# so a node that reads neither t nor u (v^2 in both integrands of an
+# objective) is computed once.  The numbers are evaluate()'s bit for bit,
+# up to the sign and payload of a NaN: + - * / and negation are numpy's
+# IEEE operations, ** and the math functions run slot by slot through
+# evaluate()'s Python and libm calls (numpy's power, exp and log round
+# differently), constant subtrees stay Python floats, and + - * overflow
+# silently under np.errstate.  Where evaluate() raises, a kernel writes
+# NaN and marks the slots for the roots that read the node, so that a NaN
 # arithmetic makes (inf - inf) stays apart from an undefined slot.  Trees
-# outside what the parser and differentiate build raise ValueError when
-# compiled.
+# outside what the parser and differentiate build raise ValueError.
 
 _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
@@ -515,22 +509,36 @@ def _per_slot(bad: list, roots: tuple, fn: Callable, x: float | np.ndarray, *arg
     return out.reshape(x.shape) if isinstance(x, np.ndarray) else float(out[0])
 
 
+def _marked(roots: tuple, bad: list, shape: tuple[int, ...]) -> tuple[tuple, np.ndarray]:
+    """The roots with NaN at their undefined slots (not what nodes above
+    made of a NaN: NaN^0 is 1.0), and the (roots, *shape) marks of those."""
+    masks = np.zeros((len(roots), *shape), bool)
+    for indices, where in bad:
+        masks[list(indices)] |= where
+    return tuple(np.where(m, math.nan, r) if m.any() else r for r, m in zip(roots, masks)), masks
+
+
 class _KernelSource:
-    """Straight-line source for a set of trees.  Equal subtrees share one
-    name; constants are keyed by their bits, so Const(0.0) and
-    Const(-0.0), equal as dataclasses, stay apart.  name(e, root) visits
-    every node of e, shared or not, and marks it read by that root, whose
-    indices the lines take as their ``{roots}``."""
+    """Straight-line source for the trees of some sides.  Equal subtrees
+    share one name; constants are keyed by their bits, so Const(0.0) and
+    Const(-0.0) stay apart.  name(e, root, side) visits every node of e
+    and marks it read by that root, whose indices the lines take as
+    their ``{roots}``; ``times`` holds the sides' times that are read."""
 
     def __init__(self) -> None:
         self.lines: list[tuple[tuple, str]] = []
         self.names: dict[tuple, str] = {}
         self.consts: list[float] = []
         self.roots: dict[tuple, set[int]] = {}
+        self.times: set[str] = set()
 
-    def name(self, e: Expr, root: int) -> str:
+    def name(self, e: Expr, root: int, side: int) -> str:
+        if isinstance(e, Neg) and isinstance(e.arg, Const) and type(e.arg.value) is float:
+            e = Const(-e.arg.value)  # the same bits, and one shape for either sign
         if isinstance(e, Var) and e.name in VARIABLES:
-            return e.name
+            if e.name == "t":
+                self.times.add(f"t{side}")
+            return "v" if e.name == "v" else f"{e.name}{side}"
         if isinstance(e, Const) and type(e.value) is float:
             key: tuple = ("c", struct.pack("<d", e.value))
             if key not in self.names:
@@ -538,17 +546,17 @@ class _KernelSource:
                 self.consts.append(e.value)
             return self.names[key]
         if isinstance(e, (Add, Sub, Mul, Div)):
-            a, b, op = self.name(e.left, root), self.name(e.right, root), _BINARY[type(e)]
-            key = (op, a, b)
+            a, b = (self.name(x, root, side) for x in (e.left, e.right))
+            key = (op := _BINARY[type(e)], a, b)
             code = f"quotient(bad, {{roots}}, {a}, {b})" if op == "/" else f"{a} {op} {b}"
         elif isinstance(e, Neg):
-            a = self.name(e.arg, root)
+            a = self.name(e.arg, root, side)
             key, code = ("neg", a), f"-{a}"
         elif isinstance(e, Pow) and type(e.exponent) is int:
-            a = self.name(e.base, root)
+            a = self.name(e.base, root, side)
             key, code = ("^", a, e.exponent), f"per_slot(bad, {{roots}}, pow, {a}, {e.exponent})"
         elif isinstance(e, Call) and e.func in _UNARY:
-            a = self.name(e.arg, root)
+            a = self.name(e.arg, root, side)
             key, code = ("call", e.func, a), f"per_slot(bad, {{roots}}, {e.func}, {a})"
         else:
             raise ValueError(f"no kernel for {e!r}: not a node the parser or differentiate builds")
@@ -559,19 +567,19 @@ class _KernelSource:
         return self.names[key]
 
 
-def _kernel_text(src: _KernelSource, roots: list[str]) -> str:
+def _kernel_text(src: _KernelSource, roots: list[str], sides: int) -> str:
     """Module text of a factory that binds the constants and returns
-    ``kernel(t, u, v)``, which computes the roots and the list of
-    undefined slots; a root that is a bare variable is returned as a
-    fresh copy."""
-    results = (f"fill({r}, v.shape)" if r in VARIABLES else r for r in roots)
+    ``kernel(v, t0, u0, ...)``; a bare variable root is a fresh copy."""
+    results = (f"fill({r}, v.shape)" if r[0] in "tuv" else r for r in roots)
     return "\n".join([
         f"def factory({', '.join(f'c{i}' for i in range(len(src.consts)))}):",
-        "    def kernel(t, u, v):",
+        f"    def kernel({', '.join(['v', *(f't{k}, u{k}' for k in range(sides))])}):",
         "        bad = []",
+        *(f"        {t} = fill({t}, v.shape)" for t in sorted(src.times)),
         *(f"        {src.names[key]} = {code.format(roots=tuple(sorted(src.roots[key])))}"
           for key, code in src.lines),
-        f"        return ({', '.join(results)},), bad",
+        f"        roots = ({', '.join(results)},)",
+        "        return (roots, None) if not bad else marked(roots, bad, v.shape)",
         "    return kernel",
     ])
 
@@ -585,22 +593,26 @@ def _fill(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _factory(source: str) -> Callable:
-    """Compile once per shape: Lagrangians whose trees differ only in
+    """Compile once per shape: functionals whose trees differ only in
     their constants share the code objects."""
-    namespace: dict = dict(_UNARY, per_slot=_per_slot, quotient=_quotient, fill=_fill)
+    namespace: dict = dict(_UNARY, per_slot=_per_slot, quotient=_quotient, fill=_fill,
+                           marked=_marked)
     exec(compile(source, "<deltanabla kernel>", "exec"), namespace)
     return namespace["factory"]
 
 
-def _compile(roots: tuple[Expr, ...]) -> Callable:
-    """``kernel(t, u, v)``: each root at every slot of the arrays, all of
-    one shape, a fresh array of that shape or, where the tree has no
-    variable, a float; and the undefined slots, a list of (roots, where)
-    per node that is undefined somewhere: where marks those slots, and
-    roots holds the indices of the roots that read the node."""
+def compile_kernel(sides: tuple[tuple[Expr, ...], ...]) -> Callable:
+    """``kernel(v, t0, u0, t1, u1, ...)``: every root of every side, in
+    order, at every slot of v, side k's trees reading tk (or the row of
+    times it broadcasts from) and uk: a fresh array, or a float where the
+    tree reads no variable, NaN where evaluate() raises; and None, or
+    (roots, *v.shape) marks of each root's undefined slots where there
+    are any.  Callers silence overflow."""
     src = _KernelSource()
-    names = [src.name(e, i) for i, e in enumerate(roots)]
-    return _factory(_kernel_text(src, names))(*src.consts)
+    names: list[str] = []
+    for side, trees in enumerate(sides):
+        names += [src.name(e, len(names) + i, side) for i, e in enumerate(trees)]
+    return _factory(_kernel_text(src, names, len(sides)))(*src.consts)
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +639,8 @@ class Lagrangian:
     ``value`` maps (t, u, v) to the integrand value, ``d_u`` and ``d_v``
     are its partial derivatives in the second and third slot; ``second``
     holds the second partials, differentiated on first use.
-    evaluate() walks any of these trees at one point (the reference);
-    ``tables`` runs the compiled kernel of all six trees over whole slot
-    arrays, which never raises on arithmetic: it reads NaN where
-    evaluate() raises and marks those slots tree by tree.  Trees the
-    kernel compiler does not cover raise ValueError there.
+    evaluate() walks any of these trees at one point (the reference); a
+    functional compiles all six into its kernel (compile_kernel).
     """
 
     value: Expr
@@ -657,37 +666,6 @@ class Lagrangian:
         whose d_u reads v, does not count: its slope (v + 1) - v rounds
         differently at different v."""
         return not (_reads_state(self.d_u) or _reads_state(self.d_v))
-
-    @functools.cached_property
-    def _tables_kernel(self) -> Callable:
-        return _compile((self.value, self.d_u, self.d_v, *self.second))
-
-    def tables(
-        self, t: np.ndarray, u: np.ndarray, v: np.ndarray
-    ) -> tuple[tuple[np.ndarray | float, ...], np.ndarray | None]:
-        """Value, d_u, d_v, d_uu, d_uv and d_vv at every slot of u and v,
-        whose rows may be the slots of several functions on one scale (t
-        may be the one row of times they share): each a fresh array of
-        the shape of v or, for a tree without variables, a float, NaN
-        where evaluate() raises.  With them comes None where every tree
-        is defined at every slot, else a boolean array of shape
-        (6, *v.shape) that marks each tree's undefined slots."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            columns, bad = self._tables_kernel(t if t.shape == v.shape else _fill(t, v.shape), u, v)
-        if not bad:
-            return columns, None
-        masks = np.zeros((len(columns), *v.shape), bool)
-        for roots, where in bad:
-            masks[list(roots)] |= where
-        # NaN, not what nodes above made of it (NaN^0 is 1.0, or -NaN).
-        columns = tuple(np.where(m, math.nan, c) if m.any() else c for c, m in zip(columns, masks))
-        return columns, masks
-
-    def __getstate__(self) -> dict:
-        # The compiled kernel does not pickle; it is rebuilt on first use.
-        state = dict(self.__dict__)
-        state.pop("_tables_kernel", None)
-        return state
 
 
 def make_lagrangian(source: str | Expr) -> Lagrangian:

@@ -10,25 +10,24 @@ from constancy (the defect), and combines brackets of an objective and
 a constraint with multipliers (lambda0, lambda) for constrained
 stationarity checks.
 
-The integrands are evaluated over whole slot arrays by each
-Lagrangian's compiled numpy kernel, for the slot tables and for
-eval_functional alike; it overflows to inf or NaN silently, reads NaN
-and marks the slots where expressions.evaluate raises, and _factor sums
-every factor.  row_tables, the one function that runs the kernels,
-alone reads those marks: it names each undefined row by one evaluate()
-call at its first undefined slot and, for a stack of functions, reads
-NaN in those rows.  The oracle computes its factors on its own.
+Both integrands of a functional are evaluated over whole slot arrays by
+its one compiled numpy kernel, which overflows to inf or NaN silently,
+reads NaN and marks the slots where expressions.evaluate raises.
+system_tables, the one function that runs the kernels, alone reads
+those marks: it names each undefined row by one evaluate() call and,
+for a stack of functions, reads NaN in those rows.  The oracle computes
+its factors on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
-from .expressions import EvaluationError, Lagrangian, evaluate
+from .expressions import EvaluationError, Lagrangian, compile_kernel, evaluate
 from .timescale import GridFunction, TimeScale
 
 Form = Literal["EL1", "EL2"]
@@ -43,11 +42,20 @@ DEFAULT_TOL = 1e-8
 @dataclass(frozen=True)
 class DeltaNablaFunctional:
     """Pair of integrands: l_delta feeds the forward (delta) integral
-    with slots (t, y_sigma, y_delta); l_nabla feeds the backward
-    (nabla) integral with slots (t, y_rho, y_nabla)."""
+    with slots (t, y_sigma, y_delta); l_nabla feeds the backward (nabla)
+    integral with slots (t, y_rho, y_nabla).  _kernel, the compiled kernel
+    of both sides' six trees, is built on first use and not pickled."""
 
     l_delta: Lagrangian
     l_nabla: Lagrangian
+
+    @cached_property
+    def _kernel(self) -> Callable:
+        lags = (self.l_delta, self.l_nabla)
+        return compile_kernel(tuple((lag.value, lag.d_u, lag.d_v, *lag.second) for lag in lags))
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_kernel"}
 
 
 @dataclass(frozen=True)
@@ -86,12 +94,10 @@ class ExtremalCheck:
 
 Column = np.ndarray | float
 
-COLUMNS = tuple(
-    f"{side}_{part}"
-    for side in ("delta", "nabla")
-    for part in ("du", "dv", "uu", "uv", "vv")
-)
+COLUMNS = tuple(f"{s}_{p}" for s in ("delta", "nabla") for p in ("du", "dv", "uu", "uv", "vv"))
 """The names of the ten SlotTables columns, in field order."""
+_CHUNK = 2**20  # entries of each (n, n) stack that hessian_into holds at a time
+
 
 @dataclass
 class SlotTables:
@@ -118,10 +124,9 @@ class SlotTables:
     Each interior value y_j enters two delta slots (as shifted value and
     in two difference quotients) and two nabla slots, and the product
     rule gives grad = J_nabla * grad_delta + J_delta * grad_nabla.  The
-    value and the gradients are computed together (_derived) on the
-    first read of any of them, with numpy's overflow and invalid-value
-    warnings off, so that tables read only for their bracket never
-    compute them.
+    value and the gradients are computed together (_derive), with
+    numpy's overflow warnings off, by system_tables or on first read, so
+    that tables read only for their bracket never compute them.
     """
 
     values: np.ndarray
@@ -143,13 +148,10 @@ class SlotTables:
     def _derived(self) -> tuple[float | np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The value, grad_delta, grad_nabla and grad, computed together
         on the first read of any of them (one error state for all)."""
-        w = self.weights
-        (du, _), (dv, dv_next) = _ends(self.delta_du), _ends(self.delta_dv)
-        (_, nu), (nv_prev, nv) = _ends(self.nabla_du), _ends(self.nabla_dv)
+        shape = self.values[..., 1:].shape
+        first = [np.broadcast_to(getattr(self, c), shape) for c in COLUMNS[:2] + COLUMNS[5:7]]
         with np.errstate(over="ignore", invalid="ignore"):
-            gd = du * w[:-1] + dv - dv_next
-            gn = nu * w[1:] - nv + nv_prev
-            return self.j_delta * self.j_nabla, gd, gn, self.j_nabla * gd + self.j_delta * gn
+            return _derive(self.weights, first, (self.j_delta, self.j_nabla))
 
     value = property(lambda self: self._derived[0])
     grad_delta = property(lambda self: self._derived[1])
@@ -159,9 +161,8 @@ class SlotTables:
     def rows(self, index: int | list[int]) -> SlotTables:
         """The given rows of a stack: a list of rows stays a stack, one
         row gives its function's tables.  The gradients the stack has
-        computed are sliced, not computed again, and a factor's gradient
-        that is one row for the whole stack stays shared; gradients the
-        stack has not computed are left to the first read."""
+        computed are sliced, not computed again; gradients the stack has
+        not computed are left to the first read."""
         columns = [
             c if isinstance(c, float) else c[index]
             for c in (getattr(self, name) for name in COLUMNS)
@@ -173,7 +174,7 @@ class SlotTables:
         if "_derived" in self.__dict__:
             value, *grads = self._derived
             value = j_delta * j_nabla if isinstance(index, int) else value[index]
-            tab.__dict__["_derived"] = (value, *(g if g.ndim == 1 else g[index] for g in grads))
+            tab.__dict__["_derived"] = (value, *(g[index] for g in grads))
         return tab
 
     def breakdown(self) -> EvaluationBreakdown:
@@ -184,44 +185,75 @@ class SlotTables:
 
     def hessian(self, rows: list[int]) -> np.ndarray:
         """Exact Hessians in the interior values of the given rows of a
-        stack (an increasing list), stacked: J_nabla * H_delta + J_delta
-        * H_nabla, which is tridiagonal, plus the rank-2 grad_delta
-        grad_nabla^T + its transpose.
-
-        Gap i's integrand sees its end values y_i, y_(i+1) only through
-        u (y_(i+1) on the delta side, y_i on the nabla side) and
-        v = (y_(i+1) - y_i) / w_i, so each gap adds a 2x2 block of
-        weighted second partials; interior point j is the right end of
-        gap j-1 and the left end of gap j.
-        """
-        w = self.weights
-        d_vv = self.delta_vv / w
-        n_vv = self.nabla_vv / w
-        jd, jn = self.j_delta, self.j_nabla
-        left = jn * d_vv + jd * (self.nabla_uu * w - 2.0 * self.nabla_uv + n_vv)
-        cross = jn * -(self.delta_uv + d_vv) + jd * (self.nabla_uv - n_vv)
-        right = jn * (self.delta_uu * w + 2.0 * self.delta_uv + d_vv) + jd * n_vv
-        n = w.size - 1
-        diagonal = _take(right, rows)[:, :-1] + _take(left, rows)[:, 1:]
-        off = _take(cross, rows)[:, 1:-1]
-        # A factor's gradient is one row, the same for every row of the
-        # stack, when its d_u and d_v are constants.
-        gd, gn = (g if g.ndim == 1 else _take(g, rows) for g in (self.grad_delta, self.grad_nabla))
-        rank2 = gd[..., :, None] * gn[..., None, :]
-        h = rank2 + np.swapaxes(rank2, -1, -2)
-        if h.ndim == 2:
-            h = np.repeat(h[None], len(diagonal), axis=0)
-        flat = h.reshape(len(diagonal), n * n)
-        flat[:, :: n + 1] += diagonal
-        flat[:, 1 :: n + 1] += off
-        flat[:, n :: n + 1] += off
+        stack (an increasing list), stacked (see hessian_into)."""
+        n = self.weights.size - 1
+        h = np.empty((len(rows), n, n))
+        hessian_into(h, (self,), rows)
         return h
 
 
-def _ends(column: Column) -> tuple[Column, Column]:
-    """A column's slots but the last and its slots but the first (of
-    every row); a constant stands for all of them."""
-    return (column, column) if isinstance(column, float) else (column[..., :-1], column[..., 1:])
+def _derive(w: np.ndarray, first, factors) -> tuple:
+    """The value, grad_delta, grad_nabla and grad from the d_u and d_v
+    columns of either side and the two factors, of one table or stacked
+    for several (one pass for all); callers silence overflow."""
+    (du, dv, nu, nv), (jd, jn) = first, factors
+    gd = du[..., :-1] * w[:-1] + dv[..., :-1] - dv[..., 1:]
+    gn = nu[..., 1:] * w[1:] - nv[..., 1:] + nv[..., :-1]
+    return jd * jn, gd, gn, jn * gd + jd * gn
+
+
+def hessian_into(
+    out: np.ndarray, tabs: tuple[SlotTables, ...], rows: list[int], lam: np.ndarray | None = None
+) -> None:
+    """Write into the leading (S, n, n) block of out, a C-contiguous
+    (S, m, m) stack, the exact Hessians in the interior values at the
+    given rows (an increasing list) of the stack tabs[0], or with lam,
+    an (S, 1, 1) array, those of tabs[0] less lam times those of tabs[1]
+    (stacks on one scale).  Each is J_nabla * H_delta + J_delta *
+    H_nabla, which is tridiagonal (gap i's integrand sees y_i and
+    y_(i+1) only, through u and v = (y_(i+1) - y_i) / w_i), plus the
+    rank-2 grad_delta grad_nabla^T + its transpose.  One pass gives the
+    bands of all the tables; the matrices are assembled _CHUNK entries
+    at a time, so that besides out no (S, n, n) stack is alive.
+    """
+    n = tabs[0].weights.size - 1
+    # Every operand at its full shape: numpy broadcasts small arrays slowly.
+    columns = np.empty((9, len(tabs), *tabs[0].values[..., 1:].shape))
+    for f, tab in enumerate(tabs):
+        for k, name in enumerate(COLUMNS[2:5] + COLUMNS[7:] + ("j_delta", "j_nabla", "weights")):
+            columns[k, f] = getattr(tab, name)
+    uu, uv, vv, n_uu, n_uv, n_vv, jd, jn, w = columns
+    d_vv, n_vv = vv / w, n_vv / w
+    left = jn * d_vv + jd * (n_uu * w - 2.0 * n_uv + n_vv)
+    cross = jn * -(uv + d_vv) + jd * (n_uv - n_vv)
+    right = jn * (uu * w + 2.0 * uv + d_vv) + jd * n_vv
+    take = slice(None) if len(rows) == jd.shape[1] else rows
+    diagonal, off = right[:, take, :-1] + left[:, take, 1:], cross[:, take, 1:-1]
+    grads = [(_take(tab.grad_delta, rows), _take(tab.grad_nabla, rows)) for tab in tabs]
+    step = max(1, _CHUNK // (n * n))
+    for i in range(0, len(rows), step):
+        part = slice(i, i + step)
+        (gd, gn), block = grads[0], out[part, :n, :n]
+        r = gd[part, :, None] * gn[part, None, :]
+        np.add(r, np.swapaxes(r, 1, 2), out=block)
+        _band(out[part], n, diagonal[0, part], off[0, part])
+        if lam is not None:
+            gd, gn = grads[1]
+            np.multiply(gd[part, :, None], gn[part, None, :], out=r)
+            h = r + np.swapaxes(r, 1, 2)
+            _band(h, n, diagonal[1, part], off[1, part])
+            h *= lam[part]
+            block -= h
+
+
+def _band(m: np.ndarray, n: int, diagonal: np.ndarray, off: np.ndarray) -> None:
+    """Add a diagonal and, above and below it, off to the leading
+    (S, n, n) block of a C-contiguous (S, k, k) stack m."""
+    k = m.shape[-1]
+    flat = m.reshape(len(m), k * k)
+    flat[:, : n * (k + 1) : k + 1] += diagonal
+    flat[:, 1 : (n - 1) * (k + 1) : k + 1] += off
+    flat[:, k : k + (n - 1) * (k + 1) : k + 1] += off
 
 
 def _take(stack: np.ndarray, rows: list[int]) -> np.ndarray:
@@ -237,53 +269,69 @@ def _take(stack: np.ndarray, rows: list[int]) -> np.ndarray:
 def slot_tables(functional: DeltaNablaFunctional, y: GridFunction) -> SlotTables:
     """Evaluate both integrands and their partials on every slot of y.
     Where a value or first partial is undefined, the EvaluationError of
-    the first such slot (see row_tables) is raised; a second partial
+    the first such slot (see system_tables) is raised; a second partial
     reads NaN where it alone is undefined."""
-    tab, errors = row_tables(functional, y.scale.points, y.values)
+    (tab,), errors = system_tables((functional,), y.scale.points, y.values)
     if errors:
         raise EvaluationError(errors[0])
     return tab
 
 
-def _slots(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Gap widths and the difference quotient of every gap (of every row
-    of a stack of values); callers silence overflow."""
-    dt = points[1:] - points[:-1]  # np.diff's arithmetic, without its call overhead
-    return dt, (values[..., 1:] - values[..., :-1]) / dt
-
-
-def row_tables(
-    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray, trees: int = 3
-) -> tuple[SlotTables, dict[int, str]]:
-    """The slot tables of one function on the points of a scale, or
-    stacked (see SlotTables) for a (rows, N) stack of them, neither
+def system_tables(
+    functionals: tuple[DeltaNablaFunctional, ...], points: np.ndarray, values: np.ndarray,
+    trees: int = 3, derive: bool = False,
+) -> tuple[tuple[SlotTables, ...], dict[int, str]]:
+    """The slot tables of each functional at one function on the points
+    of a scale, or stacked (see SlotTables) for a (rows, N) stack, not
     checked, and {row: message} for each row (0 for one function) where
-    the value or, unless trees is 1, a first partial is undefined on
-    either side.  One compiled kernel per integrand fills all its
-    columns for all rows, each row's numbers those of a pass over it
-    alone, and _factor sums the value columns.  Every column and factor
-    of an undefined row of a stack reads NaN; elsewhere a tree reads NaN
-    where it is undefined.
-
-    The message is that of the EvaluationError of evaluate() at the
-    row's first undefined (slot, tree), in the order of a walk slot by
-    slot, at each slot value, d_u and d_v of the delta side before those
-    of the nabla side."""
-    ld, ln = functional.l_delta, functional.l_nabla
+    a functional is undefined (_undefined), the first one's message; in
+    a stack, its columns and factors read NaN in that row.  Each kernel
+    runs once, one accumulate sums every factor (each row's value * dt,
+    left to right from 0.0) and, with derive, one pass gives every value
+    and gradient of a stack; each row's numbers are its function's."""
+    if not functionals:
+        return (), {}
     with np.errstate(over="ignore", invalid="ignore"):
-        dt, quot = _slots(points, values)
-        (delta_value, *delta), delta_masks = ld.tables(points[:-1], values[..., 1:], quot)
-        (nabla_value, *nabla), nabla_masks = ln.tables(points[1:], values[..., :-1], quot)
-        factors = _factor(delta_value, dt, quot.shape), _factor(nabla_value, dt, quot.shape)
-        tab = SlotTables(values, dt, *delta, *nabla, *factors)
-    if delta_masks is None and nabla_masks is None:
-        return tab, {}
+        dt = points[1:] - points[:-1]  # np.diff's arithmetic, without its call overhead
+        quot = (values[..., 1:] - values[..., :-1]) / dt  # each gap's difference quotient
+        sides = points[:-1], values[..., 1:], points[1:], values[..., :-1]
+        runs = [f._kernel(quot, *sides) for f in functionals]
+        first = np.empty((6, len(runs), *quot.shape))  # value, d_u and d_v of either side
+        for f, (columns, _) in enumerate(runs):
+            for k, column in enumerate(columns[:3] + columns[6:9]):
+                first[k, f] = column
+        # Adding 0.0 turns the -0.0 of a row of negative zeros into 0.0.
+        factors = np.add.accumulate(first[::3] * dt, axis=-1)[..., -1:] + 0.0
+        tabs, errors = [], {}
+        for f, (func, (columns, masks)) in enumerate(zip(functionals, runs)):
+            bad = {} if masks is None else _undefined(func, points, values, quot, masks, trees)
+            if bad and values.ndim == 2:
+                columns = [np.full(quot.shape, c) if isinstance(c, float) else c for c in columns]
+                for c in (*columns, first[:, f], factors[:, f]):
+                    c[..., list(bad), :] = np.nan
+            j = factors[:, f] if values.ndim == 2 else factors[:, f, 0].tolist()
+            tabs.append(SlotTables(values, dt, *columns[1:6], *columns[7:], *j))
+            errors = bad | errors
+        if derive:
+            value, *grads = _derive(dt, (first[1], first[2], first[4], first[5]), factors)
+            for f, tab in enumerate(tabs):
+                tab.__dict__["_derived"] = (value[f], grads[0][f], grads[1][f], grads[2][f])
+    return tuple(tabs), errors
+
+
+def _undefined(
+    functional: DeltaNablaFunctional, points: np.ndarray, values: np.ndarray,
+    quot: np.ndarray, masks: np.ndarray, trees: int,
+) -> dict[int, str]:
+    """{row: message} of the rows where the functional's kernel masks a
+    value or, unless trees is 1, a first partial: the message of the
+    EvaluationError of evaluate() at the row's first such (slot, tree),
+    in the order of a walk slot by slot, at each slot value, d_u and d_v
+    of the delta side before those of the nabla side."""
+    ld, ln = functional.l_delta, functional.l_nabla
     # (rows, slot-major (slot, side, tree)) marks of the trees that count
-    marks = np.concatenate([
-        np.zeros((trees, *quot.shape), bool) if m is None else m[:trees]
-        for m in (delta_masks, nabla_masks)
-    ])
-    marks = np.moveaxis(marks, 0, -1).reshape(-1, 2 * trees * dt.size)
+    marks = np.concatenate((masks[:trees], masks[6 : 6 + trees]))
+    marks = np.moveaxis(marks, 0, -1).reshape(-1, 2 * trees * quot.shape[-1])
     rows, quots = values.reshape(len(marks), -1), quot.reshape(len(marks), -1)
     errors = {}
     with np.errstate(all="ignore"):
@@ -296,14 +344,7 @@ def row_tables(
                 evaluate((lag.value, lag.d_u, lag.d_v)[tree], *at)
             except EvaluationError as exc:
                 errors[row] = str(exc)
-    if errors and values.ndim == 2:
-        for name in (*COLUMNS, "j_delta", "j_nabla"):
-            column = getattr(tab, name)
-            if isinstance(column, float):
-                column = np.full(quot.shape, column)
-                setattr(tab, name, column)
-            column[list(errors)] = np.nan
-    return tab, errors
+    return errors
 
 
 def tables_or_nan(
@@ -311,21 +352,10 @@ def tables_or_nan(
 ) -> SlotTables:
     """The slot tables of one function whose every column, factor,
     gradient and bracket reads NaN where its integrands are undefined
-    (see row_tables); numpy's warnings on the way to inf or NaN are
+    (see system_tables); numpy's warnings on the way to inf or NaN are
     silenced."""
     with np.errstate(all="ignore"):
-        return row_tables(functional, points, values[None])[0].rows(0)
-
-
-def _factor(value: Column, dt: np.ndarray, shape: tuple[int, ...]) -> float | np.ndarray:
-    """The factor of an integrand's value column over slots of the given
-    shape: each row's sum of value * dt, left to right from 0.0, a float
-    for one function and a (rows, 1) array for a stack.  Adding 0.0 to
-    accumulate's last entry turns the -0.0 of a row of negative zeros
-    into 0.0 and changes nothing else; callers silence overflow."""
-    products = np.multiply(value, dt, out=np.empty(shape))
-    total = np.add.accumulate(products, axis=-1)[..., -1:] + 0.0
-    return float(total[0]) if len(shape) == 1 else total
+        return system_tables((functional,), points, values[None])[0][0].rows(0)
 
 
 def eval_functional(
@@ -333,12 +363,12 @@ def eval_functional(
 ) -> EvaluationBreakdown:
     """Value of the product functional, with both factors reported.
 
-    The factors are the slot tables' (row_tables).  Only the value
+    The factors are the slot tables' (system_tables).  Only the value
     trees decide the domain: a partial undefined alone (sqrt(u) at
     u = 0) changes nothing, and the EvaluationError names the first
     slot where an integrand is undefined.  Overflow is silent.
     """
-    tab, errors = row_tables(functional, y.scale.points, y.values, trees=1)
+    (tab,), errors = system_tables((functional,), y.scale.points, y.values, trees=1)
     if errors:
         raise EvaluationError(errors[0])
     return tab.breakdown()

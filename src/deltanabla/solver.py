@@ -29,8 +29,9 @@ from .functional import (
     _take,
     bracket_defect,
     eval_functional,
-    row_tables,
+    hessian_into,
     slot_tables,
+    system_tables,
     tables_bracket,
     tables_or_nan,
 )
@@ -229,21 +230,16 @@ class _Evaluation(NamedTuple):
 
 
 def _evaluate(system: _System, z: np.ndarray) -> _Evaluation:
-    """The system at every row of z, each functional in one row_tables
-    call.  A row with a non-finite entry is a "non-finite iterate";
-    any other row where a functional is undefined has the message of
-    the first such functional."""
+    """The system at every row of z, from one system_tables pass.  A row
+    with a non-finite entry is a "non-finite iterate"; any other row where
+    a functional is undefined has the message of the first such one."""
     p = system.p
     values = p._values(z[:, :p.interior_count()])
-    tables, errors = [], {}
-    for functional in system.functionals:
-        tab, undefined = row_tables(functional, p.scale.points, values)
-        tables.append(tab)
-        errors = undefined | errors
+    tables, errors = system_tables(system.functionals, p.scale.points, values, derive=True)
     if not np.isfinite(z).all():
         rows = np.flatnonzero(~np.isfinite(z).all(axis=1)).tolist()
         errors |= dict.fromkeys(rows, "non-finite iterate")
-    return _Evaluation(z, system.residual(z, tables), tuple(tables), errors)
+    return _Evaluation(z, system.residual(z, tables), tables, errors)
 
 
 @dataclass
@@ -589,8 +585,9 @@ def _answer(
 def _normal_system(p: IsoperimetricProblem) -> _System:
     """Stationarity rows grad(objective) - lambda * grad(constraint) and
     the feasibility row constraint - k, in z = (interior values,
-    lambda).  The Jacobian is the Hessian of the Lagrangian bordered by
-    -grad(constraint) on the right and grad(constraint) below."""
+    lambda).  The Jacobian is the Hessian of the Lagrangian (one
+    hessian_into pass) bordered by -grad(constraint) on the right and
+    grad(constraint) below."""
     n = p.interior_count()
 
     def residual(z: np.ndarray, tables: tuple[SlotTables, ...]) -> np.ndarray:
@@ -600,15 +597,10 @@ def _normal_system(p: IsoperimetricProblem) -> _System:
     def jacobian(
         z: np.ndarray, tables: tuple[SlotTables, ...], rows: list[int]
     ) -> np.ndarray:
-        obj, con = tables
         lam = _take(z, rows)[:, n:, None]
         jac = np.zeros((len(lam), n + 1, n + 1))
-        jac[:, :n, :n] = obj.hessian(rows)
-        # In place, so that at most three (n, n) stacks are alive at once.
-        h_con = con.hessian(rows)
-        h_con *= lam
-        jac[:, :n, :n] -= h_con
-        grad = _take(con.grad, rows)
+        hessian_into(jac, tables, rows, lam)
+        grad = _take(tables[1].grad, rows)
         jac[:, :n, n] = -grad
         jac[:, n, :n] = grad
         return jac
@@ -711,13 +703,13 @@ def _none_met(p: IsoperimetricProblem, opts: SolverOptions, starts: np.ndarray) 
     if not (con.l_delta.affine and con.l_nabla.affine and np.isfinite(starts).all()):
         return False
     n = p.interior_count()
-    tab, undefined = row_tables(con, p.scale.points, p._values(starts))
+    (tab,), undefined = system_tables((con,), p.scale.points, p._values(starts))
     with np.errstate(all="ignore"):
         grad = tab.grad
         # A finite grad K at every start means finite factors and slopes.
         if undefined or not np.isfinite(grad).all():
             return False
-        a, b = (g if g.ndim == 1 else g[0] for g in (tab.grad_delta, tab.grad_nabla))
+        a, b = tab.grad_delta[0], tab.grad_nabla[0]
         if not (a.any() and b.any()):
             return bool((np.abs(grad).max(axis=1) > opts.stat_tol).all())
         if n < 2:

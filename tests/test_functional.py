@@ -219,16 +219,16 @@ def test_eval_functional_computes_no_gradient(m3, monkeypatch, point):
     # the product is the value's bits, also where a factor overflows.
     p, _, _ = m3
     made = []
-    row_tables = functional.row_tables
+    system_tables = functional.system_tables
 
     def keeping(*args, **kwargs):
-        made.append(row_tables(*args, **kwargs))
+        made.append(system_tables(*args, **kwargs))
         return made[-1]
 
-    monkeypatch.setattr(functional, "row_tables", keeping)
+    monkeypatch.setattr(functional, "system_tables", keeping)
     for f in (p.objective, p.constraint):
         out = eval_functional(f, GridFunction(p.scale, np.array(point)))
-        [(tab, errors)] = made
+        [((tab,), errors)] = made
         assert errors == {}
         assert "_derived" not in tab.__dict__
         assert np.array(out.product).tobytes() == np.array(tab.value).tobytes()

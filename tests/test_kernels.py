@@ -1,12 +1,13 @@
-"""Tests for the compiled integrand kernel: bit-for-bit agreement with the
-reference tree walk (expressions.evaluate) on random trees and points,
-for the value, both partials and the three second partials in one pass
-over whole slot arrays, with each tree's undefined slots marked exactly
-where evaluate raises, stacked rows each as if alone, the one factor
-sum against a left-to-right loop, the tables and their messages against
-a per-point walk wherever kernel arithmetic fails, silent overflow,
-shared subtrees and code objects, and pickling of problems whose
-kernels were built."""
+"""Tests for the compiled kernel of a functional: bit-for-bit agreement
+with the reference tree walk (expressions.evaluate) on random trees and
+points, for the value, both partials and the three second partials of
+both integrands in one pass over whole slot arrays, with each tree's
+undefined slots marked exactly where evaluate raises, stacked rows each
+as if alone, the factor sums against a left-to-right loop, the tables
+of the system pass (columns, factors, values, gradients and messages,
+per functional and per row) against a per-point walk wherever kernel
+arithmetic fails, silent overflow, shared subtrees and code objects,
+and pickling of problems whose kernels were built."""
 
 import copy
 import math
@@ -15,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from deltanabla import (
@@ -31,7 +32,6 @@ from deltanabla import (
     make_lagrangian,
     solve_normal,
 )
-from deltanabla import expressions
 from deltanabla import functional as functional_module
 from deltanabla.expressions import (
     FUNCTIONS,
@@ -48,10 +48,9 @@ from deltanabla.expressions import (
 )
 from deltanabla.functional import (
     SlotTables,
-    _factor,
     bracket_values,
-    row_tables,
     slot_tables,
+    system_tables,
     tables_bracket,
 )
 from deltanabla.solver import closed_form_example, example_problem
@@ -100,14 +99,27 @@ def _column(column, size: int) -> list:
     return [column] * size if isinstance(column, float) else list(np.ravel(column))
 
 
-def _tables(lag, *slots):
-    """Lagrangian.tables on the arrays of the given lists: the six
-    columns and the masks (None where every slot is defined)."""
-    return lag.tables(*(np.array(x, dtype=float) for x in slots))
+def _tables(lag, t, u, v):
+    """The kernel of a functional with lag on both sides, at the arrays
+    of the given lists as the slots of either side: the delta side's six
+    columns and masks (None where every slot is defined), which are the
+    nabla side's too."""
+    t, u, v = (np.array(x, dtype=float) for x in (t, u, v))
+    with np.errstate(over="ignore", invalid="ignore"):  # as system_tables runs it
+        columns, masks = DeltaNablaFunctional(lag, lag)._kernel(v, t, u, t, u)
+    assert _same(_flat(columns[:6], v.size), _flat(columns[6:], v.size))
+    if masks is not None:
+        assert np.array_equal(masks[:6], masks[6:])
+        masks = masks[:6]
+    return columns[:6], masks
+
+
+def _flat(columns, size):
+    return [x for column in columns for x in _column(column, size)]
 
 
 def _masks(masks, shape):
-    """Lagrangian.tables' masks, all six, None read as nothing marked."""
+    """A kernel's masks of one side, all six, None read as nothing marked."""
     return np.zeros((6, *shape), bool) if masks is None else masks
 
 
@@ -157,10 +169,10 @@ def _stack_of_rows(m):
 @given(trees, st.integers(1, 4).flatmap(_stack_of_rows))
 def test_stacked_rows_match_each_row_alone_and_the_walk(tree, stack):
     # Rows of different slots on one shared row of times, as
-    # row_tables stacks the points of a Newton round: each row of
+    # system_tables stacks the points of a Newton round: each row of
     # every column and of every mask is that row's own, and the column
     # is the walk's, bit for bit, NaN where the walk raises.  The
-    # factors are checked on row_tables below.
+    # factors are checked on system_tables below.
     lag = make_lagrangian(tree)
     ts, rows = stack
     us = [[u for u, _ in row] for row in rows]
@@ -205,19 +217,22 @@ def _loop(values, dt):
     entries,
 )))
 def test_factor_is_the_left_to_right_loop(case):
-    # The one factor sum, for one row (a float), for stacked rows (a
-    # (rows, 1) array, each row its own loop) and for a constant column
-    # over a stack, against the loop bit for bit, signed zeros included.
-    rows, dt, constant = case
-    dt = np.array(dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        one = _factor(np.array(rows[0]), dt, dt.shape)
-        stacked = _factor(np.array(rows), dt, (len(rows), dt.size))
-        flat = _factor(constant, dt, (len(rows), dt.size))
-    assert type(one) is float and _same([_loop(rows[0], dt.tolist())], [one])
-    assert stacked.shape == flat.shape == (len(rows), 1)
-    assert _same([_loop(row, dt.tolist()) for row in rows], _column(stacked, len(rows)))
-    assert _same([_loop([constant] * dt.size, dt.tolist())] * len(rows), _column(flat, len(rows)))
+    # The factor sums of the system pass, for one function (a float), for
+    # stacked rows (a (rows, 1) array, each row its own loop) and for a
+    # constant column over a stack, against the loop bit for bit, signed
+    # zeros included: the delta integrand u reads each row's entries.
+    rows, gaps, constant = case
+    with np.errstate(all="ignore"):  # rounded points may repeat: v reads inf or NaN there
+        t = np.cumsum([0.0, *gaps])
+        dt = (t[1:] - t[:-1]).tolist()
+        functional = DeltaNablaFunctional(make_lagrangian("u"), constant_lagrangian(constant))
+        values = np.array([[0.0, *row] for row in rows])
+        (one,), _ = system_tables((functional,), t, values[0])
+        (stacked,), _ = system_tables((functional,), t, values)
+    assert type(one.j_delta) is float and _same([_loop(rows[0], dt)], [one.j_delta])
+    assert stacked.j_delta.shape == stacked.j_nabla.shape == (len(rows), 1)
+    assert _same([_loop(row, dt) for row in rows], _column(stacked.j_delta, len(rows)))
+    assert _same([_loop([constant] * len(dt), dt)] * len(rows), _column(stacked.j_nabla, len(rows)))
 
 
 def test_overflow_in_array_operations_is_silent():
@@ -234,8 +249,8 @@ def test_overflow_in_array_operations_is_silent():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got, masks = _tables(lag, ts, us, vs)
-            stacked, errors = row_tables(
-                DeltaNablaFunctional(lag, v2), np.arange(4.0), np.array([[0.0, 1e6, 0.0, 1e6]] * 2)
+            (stacked,), errors = system_tables(
+                (DeltaNablaFunctional(lag, v2),), np.arange(4.0), np.array([[0.0, 1e6, 0.0, 1e6]] * 2)
             )
         assert masks is None and errors == {}
         assert not np.isfinite(got[0]).all()
@@ -388,7 +403,7 @@ def test_row_tables_factors_are_each_rows_own(delta, nabla, grid):
     t = np.cumsum(gaps) - gaps[0]
     functional = DeltaNablaFunctional(make_lagrangian(delta), make_lagrangian(nabla))
     with np.errstate(all="ignore"):
-        tab, errors = row_tables(functional, t, np.array(rows))
+        (tab,), errors = system_tables((functional,), t, np.array(rows))
     assert tab.j_delta.shape == tab.j_nabla.shape == (len(rows), 1)
     for i, row in enumerate(rows):
         y = GridFunction(TimeScale(t), np.array(row))
@@ -400,6 +415,73 @@ def test_row_tables_factors_are_each_rows_own(delta, nabla, grid):
         assert i not in errors and _same(got, (alone.j_delta, alone.j_nabla))
         assert _same(_outcome(lambda: _walk_breakdown(functional, y))[1][:2], got)
     event(f"{len(errors)} of {len(rows)} rows undefined")
+
+
+def _walk_gradients(cols, j_delta, j_nabla, dt):
+    """grad_delta, grad_nabla and grad from the walk's columns, by a loop
+    over the interior points on Python floats."""
+    du, dv, nu, nv = (cols[k].tolist() for k in (0, 1, 5, 6))
+    gd = [du[j] * dt[j] + dv[j] - dv[j + 1] for j in range(len(dt) - 1)]
+    gn = [nu[j + 1] * dt[j + 1] - nv[j + 1] + nv[j] for j in range(len(dt) - 1)]
+    return gd, gn, [j_nabla * a + j_delta * b for a, b in zip(gd, gn)]
+
+
+sides = st.one_of(trees.map(make_lagrangian), constants.map(constant_lagrangian))
+functionals = st.one_of(
+    st.builds(DeltaNablaFunctional, sides, sides),
+    # one text on both sides, each side reading its own t and u
+    sides.map(lambda lag: DeltaNablaFunctional(lag, lag)),
+)
+# log of the delta side's u, and sqrt of the nabla side's u: on the stack
+# below, only the first is undefined in row 0, only the second in row 1,
+# both in row 2 and neither in row 3.
+_LOG = DeltaNablaFunctional(make_lagrangian("log(u) + v^2"), make_lagrangian("v^2 + t"))
+_SQRT = DeltaNablaFunctional(make_lagrangian("t*v"), make_lagrangian("sqrt(u) + 1/v"))
+_SAME = DeltaNablaFunctional(*[make_lagrangian("t*u + v^2 + log(t + 1) + 2/u")] * 2)
+_STACK = ([1.0, 0.5, 1.5, 1.0], [[1.0, 2.0, 3.0, -1.0], [-1.0, 2.0, 3.0, 1.0],
+                                  [-1.0, -2.0, 3.0, 1.0], [1.0, 2.0, 3.0, 1.0]])
+
+
+@settings(max_examples=200, deadline=None)
+@example(_LOG, _SQRT, _STACK)
+@example(_SQRT, _LOG, _STACK)
+@example(_SAME, _LOG, _STACK)
+@given(functionals, functionals, st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n),
+    st.lists(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n), min_size=1, max_size=4),
+)))
+def test_system_pass_matches_the_walk_per_functional_and_row(objective, constraint, grid):
+    # One system pass over a stack, as a Newton evaluation makes it: in
+    # each row, each functional's columns, factors, value and gradients
+    # are the walk's over that row alone, bit for bit, or NaN, every one
+    # of them, where the walk names the row undefined for that
+    # functional; the messages are the walk's, the first functional's
+    # where both are undefined.
+    gaps, rows = grid
+    t = np.cumsum(gaps) - gaps[0]
+    dt = np.diff(t).tolist()
+    with np.errstate(all="ignore"):
+        tabs, errors = system_tables((objective, constraint), t, np.array(rows), derive=True)
+    names = (*_COLUMNS, "j_delta", "j_nabla", "value", "grad_delta", "grad_nabla", "grad")
+    want_errors, undefined = {}, []
+    for i, row in enumerate(rows):
+        y = GridFunction(TimeScale(t), np.array(row))
+        for k, (functional, tab) in enumerate(zip((objective, constraint), tabs)):
+            got = [_column(c if isinstance(c, float) else c[i], len(dt))
+                   for c in (getattr(tab, name) for name in names)]
+            outcome, walk = _outcome(lambda: _walk_tables(functional, y))
+            if outcome == "raised":
+                want_errors.setdefault(i, walk)
+                undefined.append(k)
+                assert all(np.isnan(column).all() for column in got)
+                continue
+            cols, j_delta, j_nabla = walk
+            want = [*cols, [j_delta], [j_nabla], [j_delta * j_nabla],
+                    *_walk_gradients(cols, j_delta, j_nabla, dt)]
+            for name, w, g in zip(names, want, got, strict=True):
+                assert _same(list(w), g[: len(w)]), name
+    assert errors == want_errors
+    event(f"undefined: {sorted(set(undefined))}")
 
 
 @pytest.mark.parametrize(
@@ -457,27 +539,27 @@ def test_a_power_that_overflows_stays_in_the_kernel():
 
 def test_an_undefined_row_costs_no_extra_kernel_call(monkeypatch):
     # One row of a stack leaves the domain of log: the stack still costs
-    # one kernel call per integrand, its other rows are their lone rows
-    # bit for bit, and the undefined row reads NaN in every column and
-    # factor, with the walk's message.
+    # one kernel call, its other rows are their lone rows bit for bit,
+    # and the undefined row reads NaN in every column and factor, with
+    # the walk's message.
     calls = []
-    kernel_of = expressions.Lagrangian._tables_kernel.func
+    kernel_of = DeltaNablaFunctional._kernel.func
 
-    def counted(lag):
-        kernel = kernel_of(lag)
+    def counted(functional):
+        kernel = kernel_of(functional)
 
         def kernel_counted(*args):
-            calls.append(lag)
+            calls.append(functional)
             return kernel(*args)
 
         return kernel_counted
 
-    monkeypatch.setattr(expressions.Lagrangian, "_tables_kernel", property(counted))
+    monkeypatch.setattr(DeltaNablaFunctional, "_kernel", property(counted))
     functional = DeltaNablaFunctional(make_lagrangian("v^2 + log(u)"), make_lagrangian("u*v + 1"))
     t = np.array([0.0, 1.0, 2.5, 3.0])
     values = np.array([[1.0, 2.0, 3.0, 1.0], [1.0, 2.0, -1.0, 1.0], [0.5, 0.25, 2.0, 1.0]])
-    tab, errors = row_tables(functional, t, values)
-    assert len(calls) == 2
+    (tab,), errors = system_tables((functional,), t, values)
+    assert calls == [functional]
     y = GridFunction(TimeScale(t), values[1])
     with np.errstate(all="ignore"):
         _, message = _outcome(lambda: _walk_tables(functional, y))
@@ -486,11 +568,11 @@ def test_an_undefined_row_costs_no_extra_kernel_call(monkeypatch):
     def row(tables, name, i):
         return list(np.broadcast_to(getattr(tables, name), (len(tables.values), t.size - 1))[i])
 
-    alone = [row_tables(functional, t, values[i : i + 1]) for i in (0, 2)]
+    alone = [system_tables((functional,), t, values[i : i + 1]) for i in (0, 2)]
     assert [errors for _, errors in alone] == [{}, {}]
     for name in (*_COLUMNS, "j_delta", "j_nabla"):
         assert np.isnan(row(tab, name, 1)).all(), name
-        for i, (own, _) in zip((0, 2), alone):
+        for i, ((own,), _) in zip((0, 2), alone):
             assert _same(row(tab, name, i), row(own, name, 0)), name
 
 
@@ -508,7 +590,7 @@ def test_constant_roots_are_returned_as_their_floats():
     assert _tables(square, [0.0, 1.0], [1.0, 2.0], [3.0, -4.0])[0][3:] == (0.0, 0.0, 2.0)
     t, u, v = np.array([0.0, 1.0]), np.array([[1.0, 2.0]] * 2), np.array([[3.0, -4.0]] * 2)
     for lag, root in ((make_lagrangian("t*v"), t), (make_lagrangian("u*v"), u)):
-        d_v = lag.tables(t, u, v)[0][2]
+        d_v = DeltaNablaFunctional(lag, const)._kernel(v, t, u, t, u)[0][2]
         assert d_v.shape == v.shape and d_v.flags.c_contiguous and d_v.flags.writeable
         assert not np.shares_memory(d_v, root)
         assert np.array_equal(d_v, np.broadcast_to(root, v.shape))
@@ -517,8 +599,8 @@ def test_constant_roots_are_returned_as_their_floats():
     assert (tab.delta_du, tab.delta_dv, tab.nabla_uu, tab.nabla_vv) == (0.0, 0.0, 0.0, 2.0)
     assert all(isinstance(x, float) for x in (tab.delta_du, tab.nabla_vv, tab.j_delta))
     assert tab.j_delta == 1.125  # 0.5 * (0.5 + 1.5 + 0.25)
-    stacked, errors = row_tables(DeltaNablaFunctional(const, square), y.scale.points,
-                                 np.stack([y.values] * 3))
+    (stacked,), errors = system_tables((DeltaNablaFunctional(const, square),), y.scale.points,
+                                       np.stack([y.values] * 3))
     assert errors == {} and stacked.j_delta.tolist() == [[1.125]] * 3
     assert stacked.j_nabla.tolist() == [[tab.j_nabla]] * 3
     assert _check_against_walk(DeltaNablaFunctional(const, square), y) == "ok"
@@ -578,19 +660,30 @@ def test_long_sum_compiles_without_nesting():
 
 
 def test_same_shape_shares_code_objects():
+    # Functionals whose trees differ only in their constants, the sign of
+    # a coefficient included, compile to one code object; another shape
+    # compiles to its own.
     a = make_lagrangian("v^2 + 0.25*u*v + sin(t)")
-    b = make_lagrangian("v^2 + 0.75*u*v + sin(t)")
-    assert a._tables_kernel.__code__ is b._tables_kernel.__code__
+    b = make_lagrangian("v^2 + -0.75*u*v + sin(t)")
+    nabla = make_lagrangian("v^2 + u")
+    kernels = [DeltaNablaFunctional(lag, nabla)._kernel for lag in (a, b)]
+    assert kernels[0].__code__ is kernels[1].__code__
+    assert DeltaNablaFunctional(a, a)._kernel.__code__ is not kernels[0].__code__
     assert _tables(a, [1.0], [2.0], [3.0])[0][0] != _tables(b, [1.0], [2.0], [3.0])[0][0]
 
 
 def test_problem_pickles_after_a_solve():
+    # A solve compiles one kernel per functional, which a pickled or
+    # copied problem leaves behind and builds again on first use.
     p = example_problem(4)
     opts = SolverOptions(multistart=0)
     first = solve_normal(p, opts)
-    built = [name for name in vars(p.objective.l_delta) if "kernel" in name]
-    assert built == ["_tables_kernel"]  # built by the solve
+    for functional in (p.objective, p.constraint):
+        assert [name for name in vars(functional) if "kernel" in name] == ["_kernel"]
+        for lag in (functional.l_delta, functional.l_nabla):
+            assert not [name for name in vars(lag) if "kernel" in name]
     for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert "_kernel" not in vars(clone.objective) and "_kernel" not in vars(clone.constraint)
         again = solve_normal(clone, opts)
         assert np.array_equal(again.y.values, first.y.values)
         assert again.lam == first.lam
@@ -600,7 +693,7 @@ def test_trees_the_compiler_does_not_cover_raise_naming_the_node():
     # Hand-built nodes the parser never makes: an int constant and a
     # float exponent (its d_vv is the int Const(3) as well).  Compiling
     # them raises a ValueError that names the node, at every use of the
-    # kernel: the tables, slot_tables and eval_functional.
+    # kernel: the kernel itself, slot_tables and eval_functional.
     v = Var("v")
     lag = Lagrangian(Pow(Mul(Const(3), v), 2.0), Const(0), Mul(Const(3), v))
     y = GridFunction(TimeScale(np.arange(3.0)), np.array([0.0, 1.0, 3.0]))

@@ -315,9 +315,10 @@ def test_kkt_check_reads_only_the_value_trees(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the fast path was used")
 
-    monkeypatch.setattr(expressions.Lagrangian, "tables", forbidden)
-    for name in ("slot_tables", "row_tables", "SlotTables", "eval_functional",
-                 "_factor", "_slots"):
+    monkeypatch.setattr(functional.DeltaNablaFunctional, "_kernel", property(forbidden))
+    monkeypatch.setattr(expressions, "compile_kernel", forbidden)
+    for name in ("slot_tables", "system_tables", "SlotTables", "eval_functional",
+                 "compile_kernel"):
         monkeypatch.setattr(functional, name, forbidden)
 
     def values_only(f):

@@ -28,7 +28,8 @@ from deltanabla import (
     make_lagrangian,
     solve_normal,
 )
-from deltanabla import expressions, solver
+from deltanabla import solver
+from deltanabla import functional as functional_module
 from deltanabla.functional import (
     COLUMNS,
     EL2,
@@ -37,7 +38,7 @@ from deltanabla.functional import (
     el_residual,
     iso_bracket,
     iso_residual,
-    row_tables,
+    system_tables,
     tables_bracket,
 )
 from deltanabla.solver import closed_form_example, example_problem
@@ -386,7 +387,8 @@ def test_a_constant_nabla_factor_has_a_zero_gradient():
     # exactly, so the decision reads grad K = B·a at every start.
     p = example_problem(8)
     for functional in (p.constraint, replace(p.constraint, l_nabla=make_lagrangian("2"))):
-        tab = row_tables(functional, p.scale.points, p._values(solver._starts(p, SolverOptions())))[0]
+        starts = solver._starts(p, SolverOptions())
+        (tab,), _ = system_tables((functional,), p.scale.points, p._values(starts))
         assert not tab.grad_nabla.any() and tab.grad_delta.any()
     assert solver._none_met(p, SolverOptions(), solver._starts(p, SolverOptions()))
 
@@ -504,13 +506,18 @@ def test_no_kernel_pass_after_the_newton_runs(monkeypatch):
     # its runs, and an abnormal answer evaluates only its objective, once.
     outside = []
     in_run = [False]
-    tables = expressions.Lagrangian.tables
+    kernel_of = DeltaNablaFunctional._kernel.func
     newton = solver._newton
 
-    def counting(lag, *slots):
-        if not in_run[0]:
-            outside.append(lag)
-        return tables(lag, *slots)
+    def counting(functional):
+        kernel = kernel_of(functional)
+
+        def call(*slots):
+            if not in_run[0]:
+                outside.append(functional)
+            return kernel(*slots)
+
+        return call
 
     def running(*args, **kwargs):
         in_run[0] = True
@@ -520,16 +527,15 @@ def test_no_kernel_pass_after_the_newton_runs(monkeypatch):
             in_run[0] = False
 
     # Every kernel pass, whether of a stack (the runs) or of one point,
-    # is one Lagrangian.tables call per integrand.
-    monkeypatch.setattr(expressions.Lagrangian, "tables", counting)
+    # is one kernel call per functional.
+    monkeypatch.setattr(DeltaNablaFunctional, "_kernel", property(counting))
     monkeypatch.setattr(solver, "_newton", running)
     assert solve_normal(example_problem(8)).converged
     assert outside == []
     p = _constraint_extremal_problem()
     found = find_abnormal(p)
     assert found
-    objective = [id(p.objective.l_delta), id(p.objective.l_nabla)]
-    assert [id(lag) for lag in outside] == objective * len(found)
+    assert [id(functional) for functional in outside] == [id(p.objective)] * len(found)
 
 
 def _undefined_objective_problem():
@@ -616,30 +622,42 @@ def test_non_converged_report_values_are_the_functionals_at_its_y(problem):
         assert np.isnan([res.el_defect, res.kkt_residual_norm]).all()
 
 
-def test_one_slot_pass_per_product_per_point_and_one_compile_per_lagrangian(monkeypatch):
+def test_one_slot_pass_per_product_per_point_and_one_compile_per_functional(monkeypatch):
     # Every evaluated point costs each product one pass over its slots,
-    # within the one kernel pass over the stack of all the round's
-    # points, the Jacobians none (they read the same tables), and each
-    # Lagrangian compiles its one kernel once.
-    passes, points, compiles = [], [], []
+    # within the one kernel call of each functional over the stack of all
+    # the round's points, the Jacobians none (they read the same tables),
+    # and each functional compiles its one kernel once, whose code it
+    # shares with every functional of its shape.
+    passes, points, compiles, calls = [], [], [], []
     in_jacobian = [False]
-    tables = expressions.Lagrangian.tables
+    kernel_of = DeltaNablaFunctional._kernel.func
     evaluate = solver._evaluate
-    compile_kernel = expressions._compile
+    compile_kernel = functional_module.compile_kernel
 
-    def counting_tables(lag, t, u, v):
-        # one entry per row of the slot arrays, and per function
-        assert not in_jacobian[0]
-        passes.extend([id(lag)] * (len(v) if v.ndim == 2 else 1))
-        return tables(lag, t, u, v)
+    def counting_kernel(functional):
+        kernel = kernel_of(functional)
+
+        def call(v, *sides):
+            # one call per evaluation, one entry per row of the slot
+            # arrays, and per function
+            assert not in_jacobian[0]
+            calls.append(id(functional))
+            passes.extend([id(functional)] * (len(v) if v.ndim == 2 else 1))
+            return kernel(v, *sides)
+
+        return call
 
     def counting_points(system, z):
         points.extend(z)
-        return evaluate(system, z)
+        before = len(calls)
+        try:
+            return evaluate(system, z)
+        finally:
+            assert calls[before:] == [id(f) for f in system.functionals]
 
-    def counting_compile(roots):
-        compiles.append(roots)
-        return compile_kernel(roots)
+    def counting_compile(sides):
+        compiles.append(sides)
+        return compile_kernel(sides)
 
     def counted(make_system):
         def make(p):
@@ -656,32 +674,40 @@ def test_one_slot_pass_per_product_per_point_and_one_compile_per_lagrangian(monk
 
         return make
 
-    monkeypatch.setattr(expressions.Lagrangian, "tables", counting_tables)
+    monkeypatch.setattr(DeltaNablaFunctional, "_kernel", property(counting_kernel))
     monkeypatch.setattr(solver, "_evaluate", counting_points)
-    monkeypatch.setattr(expressions, "_compile", counting_compile)
+    monkeypatch.setattr(functional_module, "compile_kernel", counting_compile)
     monkeypatch.setattr(solver, "_normal_system", counted(solver._normal_system))
     monkeypatch.setattr(solver, "_abnormal_system", counted(solver._abnormal_system))
     p = example_problem(16)
     assert solve_normal(p).converged
     assert len(points) > 9
-    lagrangians = (p.objective.l_delta, p.objective.l_nabla,
-                   p.constraint.l_delta, p.constraint.l_nabla)
-    assert [passes.count(id(lag)) for lag in lagrangians] == [len(points)] * 4
-    assert len(passes) == 4 * len(points)
-    assert len(compiles) == len(lagrangians)
+    assert [passes.count(id(f)) for f in (p.objective, p.constraint)] == [len(points)] * 2
+    assert len(passes) == 2 * len(points)
     q = _constraint_extremal_problem()
     passes.clear()
     points.clear()
     found = find_abnormal(q)
     assert found
     # and each abnormal answer one pass of the objective at its point
-    sides = (q.constraint.l_delta, q.constraint.l_nabla, q.objective.l_delta, q.objective.l_nabla)
-    assert [passes.count(id(lag)) for lag in sides] == [len(points)] * 2 + [len(found)] * 2
-    assert len(passes) == 2 * len(points) + 2 * len(found)
-    assert len(compiles) == len(lagrangians) + 4
+    assert [passes.count(id(f)) for f in (q.constraint, q.objective)] == [len(points), len(found)]
+    assert len(passes) == len(points) + len(found)
+    monkeypatch.undo()
+    # The kernel is cached on the functional: a second solve compiles
+    # nothing, and a copy of a functional shares its code.
+    compiles.clear()
+    monkeypatch.setattr(functional_module, "compile_kernel", counting_compile)
+    for problem in (p, q):
+        for functional in (problem.objective, problem.constraint):
+            assert functional._kernel is functional._kernel
+    assert len(compiles) == 4
     solve_normal(p)
     find_abnormal(q)
-    assert len(compiles) == len(lagrangians) + 4
+    assert len(compiles) == 4
+    twin = replace(p.objective)
+    assert twin._kernel is not p.objective._kernel
+    assert twin._kernel.__code__ is p.objective._kernel.__code__
+    assert len(compiles) == 5
 
 
 def test_undefined_second_partial_ends_its_start_at_the_jacobian():
@@ -1183,14 +1209,16 @@ def test_product_rows_slice_what_the_stack_computed(problem, undefined_row):
         values[undefined_row, 1] = -1.0
     shared = 0
     for functional in (p.objective, p.constraint):
-        tab, undefined = row_tables(functional, p.scale.points, values)
+        (tab,), undefined = system_tables((functional,), p.scale.points, values)
         defined = undefined_row is None or functional is p.constraint
         assert list(undefined) == ([] if defined else [undefined_row])
-        shared += tab.grad_delta.ndim == 1 or tab.grad_nabla.ndim == 1
+        # a factor whose d_u and d_v are constants: one gradient for every row
+        shared += any(np.array_equal(g, np.broadcast_to(g[0], g.shape))
+                      for g in (tab.grad_delta, tab.grad_nabla))
         for index in (0, 3, [2], [0, 3], [1, 2, 3], [0, 1, 2, 3]):
             _assert_same_tables(tab.rows(index), _eager_rows(tab, index))
         for i in range(len(values)):
-            alone = row_tables(functional, p.scale.points, values[i : i + 1])[0]
+            (alone,), _ = system_tables((functional,), p.scale.points, values[i : i + 1])
             got = (tab.hessian([i]), tab.rows([i]).hessian([0]), tables_bracket(tab.rows(i)))
             want = (alone.hessian([0]), alone.hessian([0]), tables_bracket(alone.rows(0)))
             if i in undefined:
@@ -1200,6 +1228,51 @@ def test_product_rows_slice_what_the_stack_computed(problem, undefined_row):
             else:
                 assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
     assert shared  # the constraint's constant nabla side
+
+
+@pytest.mark.parametrize(
+    "problem, undefined_row",
+    [
+        (lambda: example_problem(6), None),
+        (_log_problem, None),
+        (_degenerate_abnormal_problem, None),
+        (lambda: _random_small_problem(np.random.default_rng(7)), None),
+        (_log_problem, 2),
+    ],
+    ids=["example", "log", "degenerate", "random-small", "undefined-row"],
+)
+def test_normal_jacobian_rows_are_each_rows_own(problem, undefined_row, monkeypatch):
+    # The normal Jacobian of a stack, assembled from both functionals'
+    # bands and rank-2 terms in one pass, at one row, some rows and every
+    # row: each matrix is that of its row evaluated alone, bit for bit,
+    # and NaN in its Hessian block at a row where log(u) is undefined,
+    # also where it is assembled two matrices at a time.
+    p = problem()
+    n = p.interior_count()
+    system = solver._normal_system(p)
+    starts = solver._starts(p, SolverOptions(multistart=6, seed=2, spread=0.2))
+    z = np.concatenate((starts, np.linspace(-1.5, 2.0, len(starts))[:, None]), axis=1)
+    if undefined_row is not None:
+        z[undefined_row, 0] = -1.0
+    with np.errstate(all="ignore"):
+        ev = solver._evaluate(system, z)
+        assert list(ev.errors) == ([] if undefined_row is None else [undefined_row])
+        alone = []
+        for i in range(len(z)):
+            lone = solver._evaluate(system, z[i : i + 1])
+            alone.append(system.jacobian(lone.z, lone.tables, [0])[0])
+        for rows in ([0], [0, 3, 5], list(range(len(z)))):
+            jacobians = system.jacobian(ev.z, ev.tables, rows)
+            with monkeypatch.context() as m:
+                m.setattr(functional_module, "_CHUNK", 2 * n * n)
+                assert system.jacobian(ev.z, ev.tables, rows).tobytes() == jacobians.tobytes()
+            assert jacobians.shape == (len(rows), n + 1, n + 1)
+            for i, jac in zip(rows, jacobians):
+                if i == undefined_row:
+                    assert np.isnan(jac[:n, :n]).all()
+                    assert np.array_equal(jac, alone[i], equal_nan=True)
+                else:
+                    assert jac.tobytes() == alone[i].tobytes()
 
 
 def test_rows_copy_what_the_stack_computed_without_computing_again(monkeypatch):
@@ -1218,7 +1291,7 @@ def test_rows_copy_what_the_stack_computed_without_computing_again(monkeypatch):
 
     monkeypatch.setattr(SlotTables._derived, "func", counting)
     for functional in (p.objective, p.constraint):
-        tab = row_tables(functional, p.scale.points, values)[0]
+        (tab,), _ = system_tables((functional,), p.scale.points, values)
         assert "_derived" not in tab.rows(0).__dict__ and computed == []
         assert tab.grad.shape == (len(values), p.scale.points.size - 2)
         assert computed == [tab]

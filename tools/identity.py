@@ -23,7 +23,10 @@ and of each answer of find_abnormal; a document's covers the exit code,
 stdout and stderr.  The run hash covers every raw Newton run the item
 made, in either search (z and f bytes, iterations, status and rounding
 level).  The problems and documents come from bench/workloads.py,
-which is only read.
+which is only read.  A problem whose solve records no Newton run (as
+where solver._newton is no longer the one Newton search) ends the tool
+with exit status 1 and its name, rather than with the hash of an empty
+list.
 """
 
 from __future__ import annotations
@@ -84,10 +87,13 @@ def _recorded(dn, call):
         dn.solver._newton = newton
 
 
-def _problem(dn, p, opts) -> tuple[str, str]:
-    """The hashes of the answers of both searches and of the runs they made."""
+def _problem(dn, name: str, p, opts) -> tuple[str, str]:
+    """The hashes of the answers of both searches and of the runs they
+    made; exit 1, naming the item, if they made none."""
     answers, runs = _recorded(
         dn, lambda: (dn.solver.solve_normal(p, opts), dn.solver.find_abnormal(p, opts)))
+    if not runs:
+        sys.exit(f"{name}: no Newton run recorded (is solver._newton the Newton search?)")
     return _hash(answers), _hash(runs)
 
 
@@ -115,10 +121,11 @@ def main(argv: list[str]) -> int:
 
     lines = []
     for i, lp in enumerate(workloads.build_library("random_small", 1)):
-        lines.append((f"random_small[{i}]", _problem(dn, lp.problem, lp.options)))
+        name = f"random_small[{i}]"
+        lines.append((name, _problem(dn, name, lp.problem, lp.options)))
     for m in (3, 8, 128, 1024):
-        p = dn.solver.example_problem(m)
-        lines.append((f"example[{m}]", _problem(dn, p, dn.solver.SolverOptions())))
+        name, p = f"example[{m}]", dn.solver.example_problem(m)
+        lines.append((name, _problem(dn, name, p, dn.solver.SolverOptions())))
     with tempfile.TemporaryDirectory() as tmp:
         for path in workloads.write_cli_docs(1, Path(tmp)):
             lines.append((f"cli[{path.stem}]", _document(dn, path)))
