@@ -27,7 +27,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .expressions import EvaluationError, Lagrangian, compile_kernel, evaluate
+from .expressions import Const, EvaluationError, Lagrangian, compile_kernel, evaluate
 from .timescale import GridFunction, TimeScale
 
 Form = Literal["EL1", "EL2"]
@@ -53,6 +53,14 @@ class DeltaNablaFunctional:
     def _kernel(self) -> Callable:
         lags = (self.l_delta, self.l_nabla)
         return compile_kernel(tuple((lag.value, lag.d_u, lag.d_v, *lag.second) for lag in lags))
+
+    @cached_property
+    def _terms(self) -> tuple[bool, bool]:
+        """SlotTables.terms: the band unless every second partial folds to 0.0,
+        the rank-2 term unless a side's d_u and d_v do (its factor gradient is 0)."""
+        lags, zero = (self.l_delta, self.l_nabla), Const(0.0)
+        return (any(e != zero for lag in lags for e in lag.second),
+                all((lag.d_u, lag.d_v) != (zero, zero) for lag in lags))
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k != "_kernel"}
@@ -119,7 +127,7 @@ class SlotTables:
     partials are defined reads NaN there.  A stack has a (rows, N-1)
     array for each column that is not constant and the factors as
     (rows, 1) columns; every row's numbers are those of its function
-    alone.
+    alone; terms, the Hessian terms its functional can make non-zero.
 
     Each interior value y_j enters two delta slots (as shifted value and
     in two difference quotients) and two nabla slots, and the product
@@ -143,6 +151,7 @@ class SlotTables:
     nabla_vv: Column
     j_delta: float | np.ndarray
     j_nabla: float | np.ndarray
+    terms: tuple[bool, bool] = (True, True)
 
     @cached_property
     def _derived(self) -> tuple[float | np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -170,7 +179,7 @@ class SlotTables:
         j_delta, j_nabla = self.j_delta[index], self.j_nabla[index]
         if isinstance(index, int):
             j_delta, j_nabla = float(j_delta[0]), float(j_nabla[0])
-        tab = SlotTables(self.values[index], self.weights, *columns, j_delta, j_nabla)
+        tab = SlotTables(self.values[index], self.weights, *columns, j_delta, j_nabla, self.terms)
         if "_derived" in self.__dict__:
             value, *grads = self._derived
             value = j_delta * j_nabla if isinstance(index, int) else value[index]
@@ -212,38 +221,45 @@ def hessian_into(
     (stacks on one scale).  Each is J_nabla * H_delta + J_delta *
     H_nabla, which is tridiagonal (gap i's integrand sees y_i and
     y_(i+1) only, through u and v = (y_(i+1) - y_i) / w_i), plus the
-    rank-2 grad_delta grad_nabla^T + its transpose.  One pass gives the
-    bands of all the tables; the matrices are assembled _CHUNK entries
-    at a time, so that besides out no (S, n, n) stack is alive.
+    rank-2 grad_delta grad_nabla^T + its transpose, each only where the
+    table's functional can make it non-zero (SlotTables.terms): a term
+    left out is zero where the factors and gradients are finite, as at
+    every Newton iterate.  One pass gives the bands; the matrices are
+    assembled _CHUNK entries at a time, so that besides out no (S, n, n)
+    stack is alive.
     """
     n = tabs[0].weights.size - 1
-    # Every operand at its full shape: numpy broadcasts small arrays slowly.
-    columns = np.empty((9, len(tabs), *tabs[0].values[..., 1:].shape))
-    for f, tab in enumerate(tabs):
+    bands: dict = {}
+    if banded := [f for f, tab in enumerate(tabs) if tab.terms[0]]:
+        # Every operand at its full shape: numpy broadcasts small arrays slowly.
+        columns = np.empty((9, len(banded), *tabs[0].values[..., 1:].shape))
         for k, name in enumerate(COLUMNS[2:5] + COLUMNS[7:] + ("j_delta", "j_nabla", "weights")):
-            columns[k, f] = getattr(tab, name)
-    uu, uv, vv, n_uu, n_uv, n_vv, jd, jn, w = columns
-    d_vv, n_vv = vv / w, n_vv / w
-    left = jn * d_vv + jd * (n_uu * w - 2.0 * n_uv + n_vv)
-    cross = jn * -(uv + d_vv) + jd * (n_uv - n_vv)
-    right = jn * (uu * w + 2.0 * uv + d_vv) + jd * n_vv
-    take = slice(None) if len(rows) == jd.shape[1] else rows
-    diagonal, off = right[:, take, :-1] + left[:, take, 1:], cross[:, take, 1:-1]
-    grads = [(_take(tab.grad_delta, rows), _take(tab.grad_nabla, rows)) for tab in tabs]
+            for b, f in enumerate(banded):
+                columns[k, b] = getattr(tabs[f], name)
+        uu, uv, vv, n_uu, n_uv, n_vv, jd, jn, w = columns
+        d_vv, n_vv = vv / w, n_vv / w
+        left = jn * d_vv + jd * (n_uu * w - 2.0 * n_uv + n_vv)
+        cross = jn * -(uv + d_vv) + jd * (n_uv - n_vv)
+        right = jn * (uu * w + 2.0 * uv + d_vv) + jd * n_vv
+        diagonal, off = right[..., :-1] + left[..., 1:], cross[..., 1:-1]
+        bands = {f: (_take(d, rows), _take(o, rows)) for f, d, o in zip(banded, diagonal, off)}
+    grads = [(_take(t.grad_delta, rows), _take(t.grad_nabla, rows)) if t.terms[1] else None
+             for t in tabs]
     step = max(1, _CHUNK // (n * n))
     for i in range(0, len(rows), step):
-        part = slice(i, i + step)
-        (gd, gn), block = grads[0], out[part, :n, :n]
-        r = gd[part, :, None] * gn[part, None, :]
-        np.add(r, np.swapaxes(r, 1, 2), out=block)
-        _band(out[part], n, diagonal[0, part], off[0, part])
-        if lam is not None:
-            gd, gn = grads[1]
-            np.multiply(gd[part, :, None], gn[part, None, :], out=r)
-            h = r + np.swapaxes(r, 1, 2)
-            _band(h, n, diagonal[1, part], off[1, part])
-            h *= lam[part]
-            block -= h
+        part, r, block = slice(i, i + step), None, out[i : i + step, :n, :n]
+        for f, grad in [(f, g) for f, g in enumerate(grads) if f == 0 or any(tabs[f].terms)]:
+            h = np.empty(block.shape) if f else block
+            if grad is None:
+                h[...] = 0.0
+            else:
+                r = np.multiply(grad[0][part, :, None], grad[1][part, None, :], out=r)
+                np.add(r, np.swapaxes(r, 1, 2), out=h)
+            if f in bands:
+                _band(h if f else out[part], n, *(x[part] for x in bands[f]))
+            if f:
+                h *= lam[part]
+                block -= h
 
 
 def _band(m: np.ndarray, n: int, diagonal: np.ndarray, off: np.ndarray) -> None:
@@ -310,7 +326,8 @@ def system_tables(
                 for c in (*columns, first[:, f], factors[:, f]):
                     c[..., list(bad), :] = np.nan
             j = factors[:, f] if values.ndim == 2 else factors[:, f, 0].tolist()
-            tabs.append(SlotTables(values, dt, *columns[1:6], *columns[7:], *j))
+            terms = (True, True) if bad else func._terms  # an undefined row's Hessian is NaN
+            tabs.append(SlotTables(values, dt, *columns[1:6], *columns[7:], *j, terms))
             errors = bad | errors
         if derive:
             value, *grads = _derive(dt, (first[1], first[2], first[4], first[5]), factors)

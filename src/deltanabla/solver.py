@@ -502,10 +502,12 @@ def _starts(p: IsoperimetricProblem, opts: SolverOptions) -> np.ndarray:
     without numpy's warning: the runs end it ("non-finite iterate").  A
     multistart too large for an array is a ValueError that names it."""
     t = p.scale.points
-    rng = np.random.default_rng(opts.seed)
     with np.errstate(over="ignore", invalid="ignore"):
         base = p.alpha + (p.beta - p.alpha) * (t[1:-1] - t[0]) / (t[-1] - t[0])
+        if not opts.multistart:  # no generator, which costs about half of this call
+            return base[None]
         try:
+            rng = np.random.default_rng(opts.seed)
             noise = rng.uniform(-opts.spread, opts.spread, (opts.multistart, base.size))
         except (ValueError, MemoryError) as exc:
             raise ValueError(f"multistart {opts.multistart}: too many starts for an array") from exc

@@ -1275,6 +1275,129 @@ def test_normal_jacobian_rows_are_each_rows_own(problem, undefined_row, monkeypa
                     assert jac.tobytes() == alone[i].tobytes()
 
 
+def _full_hessian_into(out, tabs, rows, lam=None):
+    """The reference for hessian_into: every table's band and rank-2
+    term, assembled whether or not its functional can make them non-zero
+    (the assembly before it left out terms that are identically zero)."""
+    n = tabs[0].weights.size - 1
+    columns = np.empty((9, len(tabs), *tabs[0].values[..., 1:].shape))
+    for f, tab in enumerate(tabs):
+        for k, name in enumerate(COLUMNS[2:5] + COLUMNS[7:] + ("j_delta", "j_nabla", "weights")):
+            columns[k, f] = getattr(tab, name)
+    uu, uv, vv, n_uu, n_uv, n_vv, jd, jn, w = columns
+    d_vv, n_vv = vv / w, n_vv / w
+    left = jn * d_vv + jd * (n_uu * w - 2.0 * n_uv + n_vv)
+    cross = jn * -(uv + d_vv) + jd * (n_uv - n_vv)
+    right = jn * (uu * w + 2.0 * uv + d_vv) + jd * n_vv
+    take = slice(None) if len(rows) == jd.shape[1] else rows
+    diagonal, off = right[:, take, :-1] + left[:, take, 1:], cross[:, take, 1:-1]
+    grads = [(tab.grad_delta[rows], tab.grad_nabla[rows]) for tab in tabs]
+    (gd, gn), block = grads[0], out[:, :n, :n]
+    r = gd[:, :, None] * gn[:, None, :]
+    np.add(r, np.swapaxes(r, 1, 2), out=block)
+    functional_module._band(out, n, diagonal[0], off[0])
+    if lam is not None:
+        gd, gn = grads[1]
+        np.multiply(gd[:, :, None], gn[:, None, :], out=r)
+        h = r + np.swapaxes(r, 1, 2)
+        functional_module._band(h, n, diagonal[1], off[1])
+        h *= lam
+        block -= h
+
+
+def _affine_objective_problem():
+    """An objective whose integrands are affine: a rank-2 term, no band.
+    Its nabla side reads no v (d_v is 0.0) but is not constant."""
+    p = example_problem(7)
+    objective = DeltaNablaFunctional(make_lagrangian("t*v + 0.5*u"), make_lagrangian("2*u + t"))
+    return replace(p, objective=objective)
+
+
+def _constant_delta_problem():
+    """A constraint whose delta side is constant: a band, no rank-2
+    term; log(u) on its nabla side is undefined where u drops to 0."""
+    p = example_problem(7)
+    constraint = DeltaNablaFunctional(make_lagrangian("3"), make_lagrangian("log(u) + v^2"))
+    return replace(p, alpha=1.0, beta=2.0, constraint=constraint)
+
+
+@pytest.mark.parametrize(
+    "problem, terms, undefined_row",
+    [
+        (lambda: example_problem(8), [(True, True), (False, False)], None),
+        (lambda: _random_small_problem(np.random.default_rng(7)), [(True, True), (False, True)],
+         None),
+        (_abnormal_document_problem, [(True, True), (True, True)], None),
+        (_affine_objective_problem, [(False, True), (False, False)], None),
+        (_constant_delta_problem, [(True, True), (True, False)], None),
+        (_log_problem, [(True, True), (False, False)], 2),
+        (_constant_delta_problem, [(True, True), (True, True)], 3),
+    ],
+    ids=["example", "random-small", "abnormal-document", "affine-objective", "constant-delta",
+         "undefined-objective-row", "undefined-constraint-row"],
+)
+def test_hessians_leave_out_only_terms_that_are_identically_zero(problem, terms, undefined_row):
+    # The Hessians assembled from the terms each functional can make
+    # non-zero, at one row, some rows and every row of a stack, against
+    # the full assembly.  The normal Jacobian's block (with lambda) is
+    # the same bit for bit, signs of zero included, and only the block
+    # is written: the border keeps what out held.  A functional's own
+    # Hessian is the same bit for bit where it has both terms; where a
+    # term is left out, the full assembly's zeros of that term (gd * 0.0
+    # with gd < 0 is -0.0) moved only the sign of a zero, which adding
+    # 0.0 clears.  A stack with an undefined row keeps every term, so
+    # the row reads the same NaN.
+    p = problem()
+    n = p.interior_count()
+    values = p._values(solver._starts(p, SolverOptions(multistart=6, seed=2, spread=0.2)))
+    if undefined_row is not None:
+        values[undefined_row, 1] = -1.0
+    lam = np.linspace(-1.5, 2.0, len(values))[:, None, None]
+    with np.errstate(all="ignore"):
+        tabs, errors = system_tables((p.objective, p.constraint), p.scale.points, values)
+        assert list(errors) == ([] if undefined_row is None else [undefined_row])
+        assert [tab.terms for tab in tabs] == terms
+        for rows in ([0], [0, 3, 5], list(range(len(values)))):
+            got, want = (np.full((len(rows), n + 1, n + 1), 7.0) for _ in range(2))
+            functional_module.hessian_into(got, tabs, rows, lam[rows])
+            _full_hessian_into(want, tabs, rows, lam[rows])
+            assert got.tobytes() == want.tobytes()
+            assert not np.isin(got[:, :n, :n], 7.0).any() and (got[:, n] == 7.0).all()
+            for tab in tabs:
+                want = np.empty((len(rows), n, n))
+                _full_hessian_into(want, (tab,), rows)
+                got = tab.hessian(rows)
+                if not all(tab.terms):
+                    got, want = got + 0.0, want + 0.0
+                assert got.tobytes() == want.tobytes()
+
+
+def test_a_hessian_with_no_term_reads_zeros():
+    # example_problem's constraint, t*v against the constant 1/m, has
+    # neither a band nor a rank-2 term: its Hessian is written as zeros,
+    # not left as what np.empty found, at one row and at several.
+    p = example_problem(9)
+    n = p.interior_count()
+    values = p._values(solver._starts(p, SolverOptions(multistart=4, seed=3, spread=0.5)))
+    (tab,), _ = system_tables((p.constraint,), p.scale.points, values)
+    assert tab.terms == (False, False)
+    for rows in ([1], [0, 2, 4], [0, 1, 2, 3, 4]):
+        np.full((len(rows), n, n), 7.0)  # memory that np.empty may hand out again
+        h = tab.hessian(rows)
+        assert h.shape == (len(rows), n, n)
+        assert h.tobytes() == np.zeros_like(h).tobytes()
+
+
+def test_starts_without_perturbations_build_no_generator(monkeypatch):
+    # A multistart of 0 gives the boundary interpolant alone, the bits of
+    # the first row of a larger stack, without building a generator.
+    p = example_problem(9)
+    want = solver._starts(p, SolverOptions(multistart=3))[:1]
+    monkeypatch.setattr(np.random, "default_rng", None)  # a call would raise
+    got = solver._starts(p, SolverOptions(multistart=0))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_rows_copy_what_the_stack_computed_without_computing_again(monkeypatch):
     # A stack whose value and gradients are computed hands them to its
     # rows: for one row, a list of one and a longer list the slice reads
