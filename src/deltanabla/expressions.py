@@ -25,8 +25,8 @@ tighter than the unary minus: ``-v^2`` parses as ``-(v^2)``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import operator
 import re
 import struct
 from dataclasses import dataclass
@@ -283,15 +283,29 @@ _UNARY = {
 }
 
 
+def _chain(x, n: int, times: Callable):
+    """x^n for n >= 1 by binary powering, the one multiplication chain of
+    evaluate() and the kernels: from the low bit up, the running square
+    (x, x^2, x^4, ...) is multiplied into the product at each set bit,
+    as times(product, square), and squared as times(square, square)."""
+    product = None
+    while True:
+        if n & 1:
+            product = x if product is None else times(product, x)
+        n >>= 1
+        if not n:
+            return product
+        x = times(x, x)
+
+
 def _power(base: float, exponent: int) -> float:
-    """base ** exponent on a Python float, for evaluate() and the kernels:
-    0.0 to a negative power raises ZeroDivisionError, where a numpy
-    scalar gives inf with a warning, and a power that overflows is the
-    IEEE result, as in + - *, where Python raises."""
-    try:
-        return base ** exponent
-    except OverflowError:
-        return math.copysign(math.inf, base) if exponent % 2 else math.inf
+    """base^exponent on a Python float by _chain, of 1/base for a
+    negative exponent, so that a tiny base overflows to ±inf as in + - *;
+    a zero base to a negative power raises ZeroDivisionError, where a
+    numpy scalar gives inf with a warning.  x^0 is 1.0 at every x."""
+    if exponent < 0:
+        base = 1.0 / base
+    return _chain(base, abs(exponent), operator.mul) if exponent else 1.0
 
 
 def evaluate(e: Expr, t: float, u: float, v: float) -> float:
@@ -468,13 +482,15 @@ def differentiate(e: Expr, var: str) -> Expr:
 # so a node that reads neither t nor u (v^2 in both integrands of an
 # objective) is computed once.  The numbers are evaluate()'s bit for bit,
 # up to the sign and payload of a NaN: + - * / and negation are numpy's
-# IEEE operations, ** and the math functions run slot by slot through
-# evaluate()'s Python and libm calls (numpy's power, exp and log round
-# differently), constant subtrees stay Python floats, and + - * overflow
-# silently under np.errstate.  Where evaluate() raises, a kernel writes
-# NaN and marks the slots for the roots that read the node, so that a NaN
-# arithmetic makes (inf - inf) stays apart from an undefined slot.  Trees
-# outside what the parser and differentiate build raise ValueError.
+# IEEE operations, x^n is evaluate()'s multiplication chain (_chain) as
+# array products, of the quotient 1/x for a negative n, the math
+# functions run slot by slot through evaluate()'s libm calls (numpy's
+# exp and log round differently), constant subtrees stay Python floats,
+# and + - * / overflow silently under np.errstate.  Where evaluate()
+# raises, a kernel writes NaN and marks the slots for the roots that read
+# the node, so that a NaN arithmetic makes (inf - inf) stays apart from
+# an undefined slot.  Trees outside what the parser and differentiate
+# build raise ValueError.
 
 _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
@@ -489,19 +505,18 @@ def _quotient(bad: list, roots: tuple, a: float | np.ndarray, b: float | np.ndar
     return a / np.where(zero, math.nan, b)
 
 
-def _per_slot(bad: list, roots: tuple, fn: Callable, x: float | np.ndarray, *args):
-    """fn(slot, *args) at every slot of x (a float gives a float), on
-    Python floats, NaN where evaluate() raises; those slots go on bad.
-    Builtin pow, which is _power where it does not raise, runs first."""
+def _per_slot(bad: list, roots: tuple, fn: Callable, x: float | np.ndarray):
+    """fn(slot) of a math function at every slot of x (a float gives a
+    float), on Python floats, NaN where evaluate() raises; those slots
+    go on bad."""
     slots = x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
     try:
-        out = np.fromiter(map(fn, slots, *map(itertools.repeat, args)), float, len(slots))
+        out = np.fromiter(map(fn, slots), float, len(slots))
     except (ArithmeticError, ValueError):
-        fn = _power if fn is pow else fn
         out, undefined = np.empty(len(slots)), np.zeros(len(slots), bool)
         for i, slot in enumerate(slots):
             try:
-                out[i] = fn(slot, *args)
+                out[i] = fn(slot)
             except (ArithmeticError, ValueError):
                 out[i], undefined[i] = math.nan, True
         if undefined.any():
@@ -547,19 +562,30 @@ class _KernelSource:
             return self.names[key]
         if isinstance(e, (Add, Sub, Mul, Div)):
             a, b = (self.name(x, root, side) for x in (e.left, e.right))
-            key = (op := _BINARY[type(e)], a, b)
-            code = f"quotient(bad, {{roots}}, {a}, {b})" if op == "/" else f"{a} {op} {b}"
-        elif isinstance(e, Neg):
+            return self._binary(_BINARY[type(e)], a, b, root)
+        if isinstance(e, Pow) and type(e.exponent) is int:
+            a = self.name(e.base, root, side)  # visited at n = 0 too, for its marks
+            if e.exponent == 0:
+                return self.name(_ONE, root, side)
+            if e.exponent < 0:
+                a = self._binary("/", self.name(_ONE, root, side), a, root)
+            return _chain(a, abs(e.exponent), lambda x, y: self._binary("*", x, y, root))
+        if isinstance(e, Neg):
             a = self.name(e.arg, root, side)
             key, code = ("neg", a), f"-{a}"
-        elif isinstance(e, Pow) and type(e.exponent) is int:
-            a = self.name(e.base, root, side)
-            key, code = ("^", a, e.exponent), f"per_slot(bad, {{roots}}, pow, {a}, {e.exponent})"
         elif isinstance(e, Call) and e.func in _UNARY:
             a = self.name(e.arg, root, side)
             key, code = ("call", e.func, a), f"per_slot(bad, {{roots}}, {e.func}, {a})"
         else:
             raise ValueError(f"no kernel for {e!r}: not a node the parser or differentiate builds")
+        return self._line(key, code, root)
+
+    def _binary(self, op: str, a: str, b: str, root: int) -> str:
+        code = f"quotient(bad, {{roots}}, {a}, {b})" if op == "/" else f"{a} {op} {b}"
+        return self._line((op, a, b), code, root)
+
+    def _line(self, key: tuple, code: str, root: int) -> str:
+        """The name of the line computing key, appended on first use."""
         self.roots.setdefault(key, set()).add(root)
         if key not in self.names:
             self.names[key] = f"x{len(self.names)}"
@@ -605,7 +631,8 @@ def compile_kernel(sides: tuple[tuple[Expr, ...], ...]) -> Callable:
     """``kernel(v, t0, u0, t1, u1, ...)``: every root of every side, in
     order, at every slot of v, side k's trees reading tk (or the row of
     times it broadcasts from) and uk: a fresh array, or a float where the
-    tree reads no variable, NaN where evaluate() raises; and None, or
+    tree reads no variable or is a power x^0, NaN where evaluate()
+    raises; and None, or
     (roots, *v.shape) marks of each root's undefined slots where there
     are any.  Callers silence overflow."""
     src = _KernelSource()

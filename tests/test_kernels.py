@@ -6,7 +6,8 @@ undefined slots marked exactly where evaluate raises, stacked rows each
 as if alone, the factor sums against a left-to-right loop, the tables
 of the system pass (columns, factors, values, gradients and messages,
 per functional and per row) against a per-point walk wherever kernel
-arithmetic fails, silent overflow, shared subtrees and code objects,
+arithmetic fails, silent overflow, powers as array products that
+overflow rather than turn undefined, shared subtrees and code objects,
 and pickling of problems whose kernels were built."""
 
 import copy
@@ -32,6 +33,7 @@ from deltanabla import (
     make_lagrangian,
     solve_normal,
 )
+from deltanabla import expressions
 from deltanabla import functional as functional_module
 from deltanabla.expressions import (
     FUNCTIONS,
@@ -139,16 +141,21 @@ def _reference(e, ts, us, vs):
 @settings(max_examples=400, deadline=None)
 @given(trees, st.lists(st.tuples(points, points, points), min_size=1, max_size=4))
 def test_kernel_matches_evaluate_bitwise(tree, slots):
-    # Each tree's mask is set at a slot exactly where evaluate raises,
-    # and its column reads NaN there; every other slot is evaluate's
-    # number bit for bit.  No mask at all means every slot is defined.
+    _, masks = _assert_kernel_is_the_walk(tree, slots)
+    event("undefined" if masks is not None else "defined")
+
+
+def _assert_kernel_is_the_walk(tree, slots):
+    """Each tree's mask is set at a slot exactly where evaluate raises,
+    and its column reads NaN there; every other slot is evaluate's
+    number bit for bit.  No mask at all means every slot is defined.
+    The kernel's six columns and masks are returned."""
     lag = make_lagrangian(tree)
     ts, us, vs = (list(c) for c in zip(*slots))
     refs = [_reference(e, ts, us, vs) for e in (lag.value, lag.d_u, lag.d_v, *lag.second)]
     got, masks = _tables(lag, ts, us, vs)
     assert len(got) == 6
     assert (masks is None) == all(r is not None for ref in refs for r in ref)
-    event("undefined" if masks is not None else "defined")
     for ref, col, mask in zip(refs, got, _masks(masks, (len(ts),))):
         assert mask.tolist() == [r is None for r in ref]
         assert _same([math.nan if r is None else r for r in ref], _column(col, len(ts)))
@@ -158,6 +165,7 @@ def test_kernel_matches_evaluate_bitwise(tree, slots):
         assert _same(_column(col, len(ts)) * 2, _column(col2, 2 * len(ts)))
     assert np.array_equal(np.tile(_masks(masks, (len(ts),)), 2),
                           _masks(masks2, (2, len(ts))).reshape(6, -1))
+    return got, masks
 
 
 def _stack_of_rows(m):
@@ -529,12 +537,75 @@ def test_undefined_second_partial_reads_nan():
 
 
 def test_a_power_that_overflows_stays_in_the_kernel():
-    # v^400 at v = 10 overflows, where Python's ** raises: the kernel
-    # reads inf, as evaluate does, and marks nothing.
+    # v^400 at v = 10 overflows, where Python's ** would raise: the
+    # multiplication chain reads inf in the kernel and in evaluate, and
+    # the kernel marks nothing.
     columns, masks = _tables(make_lagrangian("v^400"), [0.0, 1.0], [1.0, 1.0], [10.0, -10.0])
     assert masks is None
     assert columns[0].tolist() == [math.inf, math.inf] == [evaluate(parse("v^400"), 0.0, 1.0, x)
                                                            for x in (10.0, -10.0)]
+
+
+@pytest.mark.parametrize(
+    "tree, v, want",
+    [
+        # A negative power is the chain of 1/v, so a tiny base overflows
+        # to inf; v^2 first would underflow to 0.0 and leave 1/0.0.
+        (parse("v^-2"), 1e-200, math.inf),
+        (parse("v^-3"), -1e-200, -math.inf),
+        (Pow(Pow(Var("v"), -1), -1), 1e-310, 0.0),
+        (Pow(Pow(Var("v"), -2), -1), 1e-200, 0.0),
+        # Odd powers keep the sign of the base as they overflow, even ones do not.
+        (parse("v^3"), -1e200, -math.inf),
+        (parse("v^4"), -1e200, math.inf),
+        (parse("v^-4"), -1e-200, math.inf),
+        # x^0 is 1.0 at every x, NaN and inf included.
+        (parse("v^0"), math.nan, 1.0),
+        (parse("v^0"), math.inf, 1.0),
+        (parse("v^0"), -math.inf, 1.0),
+    ],
+)
+def test_powers_that_overflow_are_defined_and_signed(tree, v, want):
+    # The value column and every partial are evaluate's bit for bit,
+    # with no slot marked undefined.
+    (value, *_), masks = _assert_kernel_is_the_walk(tree, [(0.0, 1.0, v)])
+    assert masks is None
+    assert _same([want], _column(value, 1)) and _same([want], [evaluate(tree, 0.0, 1.0, v)])
+
+
+@pytest.mark.parametrize("text, zero", [("v^-2", 0.0), ("v^-2", -0.0), ("v^-3", -0.0)])
+def test_a_zero_base_to_a_negative_power_stays_undefined(text, zero):
+    # The one undefined case of a power: evaluate raises with the message
+    # it always had, and the kernel marks the slot and reads NaN there.
+    tree = parse(text)
+    with pytest.raises(EvaluationError) as exc:
+        evaluate(tree, 0.0, 1.0, zero)
+    assert str(exc.value) == f"cannot raise {zero} to {tree.exponent} in {text}"
+    (value, *_), masks = _assert_kernel_is_the_walk(tree, [(0.0, 1.0, zero), (0.0, 1.0, 2.0)])
+    assert masks[0].tolist() == [True, False] and np.isnan(value[0])
+
+
+@pytest.fixture
+def per_slot_raises(monkeypatch):
+    """expressions._per_slot raising, in kernels compiled meanwhile."""
+    def forbidden(*args):
+        raise AssertionError("per_slot was called")
+
+    monkeypatch.setattr(expressions, "_per_slot", forbidden)
+    expressions._factory.cache_clear()  # compiled code binds _per_slot
+    yield
+    expressions._factory.cache_clear()
+
+
+def test_powers_compile_to_array_products(per_slot_raises):
+    # A kernel whose only nodes besides + - * / are powers runs no
+    # slot-by-slot call; one with exp still runs one.
+    y = GridFunction(TimeScale(np.arange(4.0)), np.array([1.0, 2.0, 0.5, 3.0]))
+    powers = DeltaNablaFunctional(make_lagrangian("v^2 + u^-3"), make_lagrangian("v^5 - t^2"))
+    assert _check_against_walk(powers, y) == "ok"
+    exp = DeltaNablaFunctional(make_lagrangian("v^2 + exp(u)"), make_lagrangian("v^2"))
+    with pytest.raises(AssertionError, match="per_slot was called"):
+        slot_tables(exp, y)
 
 
 def test_an_undefined_row_costs_no_extra_kernel_call(monkeypatch):

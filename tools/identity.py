@@ -21,9 +21,10 @@ The items are
 A problem's answer hash covers every field of solve_normal's answer
 and of each answer of find_abnormal; a document's covers the exit code,
 stdout and stderr.  The run hash covers every raw Newton run the item
-made, in either search (z and f bytes, iterations, status and rounding
-level).  The problems and documents come from bench/workloads.py,
-which is only read.  A problem whose solve records no Newton run (as
+made, in either search (z and f bytes, iterations, status, ``row``,
+the row of its evaluation that f is read from, and rounding level).
+The problems and documents come from bench/workloads.py, which is only
+read.  A problem whose solve records no Newton run (as
 where solver._newton is no longer the one Newton search) ends the tool
 with exit status 1 and its name, rather than with the hash of an empty
 list.
